@@ -37,8 +37,11 @@ from typing import Optional
 
 from .linalg import (
     char_poly,
+    hensel_integer_roots,
     is_squarefree,
     mat_mul,
+    poly_deflate,
+    poly_eval,
     poly_eval_matrix,
     poly_gcd_q,
 )
@@ -356,58 +359,6 @@ def _minimal_polynomial(A) -> list:
 _SMALL_ROOT_BOUND = 64
 
 
-def _eval_poly(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(coeffs, root: Fraction) -> list:
-    out = []
-    acc = Fraction(0)
-    for c in reversed(coeffs[1:]):
-        acc = acc * root + c
-        out.append(acc)
-    out.reverse()
-    return out
-
-
-def _hensel_integer_roots(coeffs, p: int, precision: int) -> Optional[list]:
-    """Centered integer representatives of the simple Z_p-roots of a
-    p-integral polynomial, certified to p^precision by Hensel lifting.
-
-    Returns None when the coefficients are not p-integral or some residue
-    root mod p is not simple (no certification possible there)."""
-    if any(rational_valuation(c, p) < 0 for c in coeffs if c):
-        return None
-    modulus = p ** max(precision, 1)
-    ints = [c.numerator * pow(c.denominator, -1, modulus) % modulus for c in coeffs]
-    deriv = [(i * c) % modulus for i, c in enumerate(ints)][1:]
-
-    def ev(poly, x, mod):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % mod
-        return acc
-
-    roots = []
-    for r in range(p):
-        if ev(ints, r, p) != 0:
-            continue
-        if ev(deriv, r, p) == 0:
-            return None  # multiple residue root: cannot lift simply
-        x, mod = r, p
-        while mod < modulus:
-            mod = min(mod * mod, modulus)
-            fx = ev(ints, x, mod)
-            dx = ev(deriv, x, mod)
-            x = (x - fx * pow(dx, -1, mod)) % mod
-        centered = x if x <= modulus // 2 else x - modulus
-        roots.append(centered)
-    return roots
-
-
 def hodge_tate_via_sen(op: SenOperator) -> HodgeTateVerdict:
     """Eigenvalue analysis of the operator.
 
@@ -428,14 +379,14 @@ def hodge_tate_via_sen(op: SenOperator) -> HodgeTateVerdict:
     while found and len(work) > 1:
         found = False
         for m in range(-_SMALL_ROOT_BOUND, _SMALL_ROOT_BOUND + 1):
-            if _eval_poly(work, Fraction(m)) == 0:
+            if poly_eval(work, Fraction(m)) == 0:
                 exact_roots.append(Fraction(m))
-                work = _deflate(work, Fraction(m))
+                work = poly_deflate(work, Fraction(m))
                 found = True
                 break
     weights = [int(r) for r in exact_roots]
     if len(work) > 1:
-        lifted = _hensel_integer_roots(work, op.p, op.precision)
+        lifted = hensel_integer_roots(work, op.p, op.precision)
         if lifted is None or len(lifted) != len(work) - 1:
             return HodgeTateVerdict("indeterminate", None, None)
         weights.extend(lifted)

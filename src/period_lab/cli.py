@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import characters, filtered_phi, jets, polygons, ramification, tilt
-from .padic import INF, format_rational, parse_rational
+from .padic import INF, _is_probable_prime, format_rational, parse_rational
 
 SCHEMA = "period-lab/1"
 
@@ -65,6 +65,25 @@ def _require(payload: dict, key: str):
     return payload[key]
 
 
+def _require_int(payload: dict, key: str) -> int:
+    value = _require(payload, key)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise SchemaError(f"field {key!r} must be an integer, got {value!r}")
+
+
+def _require_prime(payload: dict) -> int:
+    p = _require_int(payload, "p")
+    if not _is_probable_prime(p):
+        raise SchemaError(f"field 'p' must be a prime, got {p}")
+    return p
+
+
 # ---------------------------------------------------------------------------
 # handlers: payload -> (report dict, exit code)
 # ---------------------------------------------------------------------------
@@ -72,7 +91,7 @@ def _require(payload: dict, key: str):
 
 def run_herbrand(payload: dict, args):
     data = ramification.RamificationData(
-        int(_require(payload, "e")), _require(payload, "orders")
+        _require_int(payload, "e"), _require(payload, "orders")
     )
     phi = ramification.herbrand_phi(data)
     psi = ramification.herbrand_psi(phi)
@@ -95,12 +114,12 @@ def run_polygon(payload: dict, args):
         poly = polygons.hull(polygons.SeriesProfile(pts))
     elif kind == "epsilon_minus_one":
         poly = polygons.epsilon_minus_one_polygon(
-            int(_require(payload, "p")), parse_rational(_require(payload, "window"))
+            _require_prime(payload), parse_rational(_require(payload, "window"))
         )
     elif kind == "t":
         lo, hi = _require(payload, "window")
         poly = polygons.t_polygon(
-            int(_require(payload, "p")), parse_rational(lo), parse_rational(hi)
+            _require_prime(payload), parse_rational(lo), parse_rational(hi)
         )
     else:
         raise SchemaError(f"unknown polygon kind {kind!r}")
@@ -244,7 +263,10 @@ def run_char(payload: dict, args):
 def run_sen(payload: dict, args):
     p = int(_require(payload, "p"))
     level = int(payload.get("level", 1))
-    matrix = [[parse_rational(x) for x in row] for row in _require(payload, "matrix")]
+    rows = _require(payload, "matrix")
+    if not rows or any(not isinstance(row, list) or len(row) != len(rows) for row in rows):
+        raise SchemaError("field 'matrix' must be a nonempty square list of rows")
+    matrix = [[parse_rational(x) for x in row] for row in rows]
     precision = int(args.precision or payload.get("precision", 20))
     inp = characters.SenInput(p, level, matrix)
     op = characters.sen_operator(inp, precision)

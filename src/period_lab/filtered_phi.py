@@ -25,9 +25,15 @@ Decision coverage:
   (the uniformizer powers form a Q_p-basis of K);
 * dimension >= 3 with squarefree characteristic polynomial (factored over
   Q by rational-root deflation, complete through cubic remainders): the
-  stable subspaces are exactly the sums of primary components, a finite
-  scan.  Q-irreducible factors are not refined p-adically, so the scan's
-  subobject lattice is the Q-rational one;
+  Q-rational stable subspaces are exactly the sums of primary components,
+  a finite scan, and any destabilizing one among them is a sound witness.
+  "admissible" further needs every factor of degree >= 2 certified
+  irreducible over Q_p (quadratic: nonsquare discriminant; cubic: one
+  Newton slope of denominator 3, or p-integral and irreducible mod p), so
+  that the Q-rational subobjects are all the subobjects; otherwise the
+  verdict is undecided with witness ``padically_reducible_factor``.  Each
+  scanned subspace costs one rank per filtration step against that
+  step's annihilator, computed once per module, in ints when e = 1;
 * everything else: undecided, a first-class outcome.
 """
 
@@ -35,6 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Optional
 
 from .characters import CharacterTriple
@@ -43,17 +51,24 @@ from .linalg import (
     KElement,
     char_poly,
     det,
-    intersect_rowspaces,
     is_squarefree,
     mat_mul,
     nullspace,
+    poly_deflate,
     poly_eval_matrix,
     rank,
     rational_roots,
     rref,
     solve_right,
 )
-from .padic import format_rational, parse_rational, rational_valuation
+from .padic import (
+    PolyValuationProfile,
+    format_rational,
+    parse_rational,
+    poly_newton_polygon,
+    rational_valuation,
+)
+from .tilt import _is_irreducible
 
 ADMISSIBLE = "admissible"
 NOT_ADMISSIBLE = "not-admissible"
@@ -159,14 +174,33 @@ class FilteredPhiModule:
 
     # -- induced data on rational subspaces -----------------------------------
 
-    def _k_rows(self, rational_rows):
-        return [self._coerce_vector(r) for r in rational_rows]
+    @cached_property
+    def _annihilators(self) -> list:
+        """Per filtration step, a basis of its annihilator: the vectors v
+        with f . v = 0 for every f in the step.  Integer vectors when
+        e = 1, so the products in ``induced_hodge_number`` stay off
+        KElement and Fraction arithmetic."""
+        out = []
+        for _, vecs in self.filtration:
+            basis = nullspace(vecs)
+            if self.base.e == 1:
+                basis = [_integral([x.rational_value() for x in v]) for v in basis]
+            out.append(basis)
+        return out
 
     def induced_hodge_number(self, subspace_rows) -> int:
         """t_H of a rational Frobenius-stable subspace with the
-        intersection filtration over K."""
-        W = self._k_rows(subspace_rows)
-        dims = [rank(intersect_rowspaces(W, vecs)) for _, vecs in self.filtration]
+        intersection filtration over K.
+
+        For a filtration step F with annihilator basis N, the map
+        w -> (w . n)_n on W has kernel W ∩ F, so dim(W ∩ F) is
+        dim W - rank(W N): one rank per step, no intersection basis."""
+        W = [_integral(r) for r in subspace_rows]
+        dim_w = rank(W)
+        dims = [
+            dim_w - rank([[sum(a * b for a, b in zip(w, v)) for v in ann] for w in W])
+            for ann in self._annihilators
+        ]
         dims.append(0)
         return sum(
             j * (dims[i] - dims[i + 1]) for i, (j, _) in enumerate(self.filtration)
@@ -218,6 +252,14 @@ class FilteredPhiModule:
                 )
             filtration.append((step["jump"], vecs))
         return cls(base, frob, filtration)
+
+
+def _integral(row) -> list:
+    """A rational row scaled by the lcm of its denominators: the same
+    line, with int entries."""
+    row = [Fraction(x) for x in row]
+    m = lcm(*(x.denominator for x in row))
+    return [x.numerator * (m // x.denominator) for x in row]
 
 
 def _apply(A, v):
@@ -280,24 +322,20 @@ def is_padic_square(x: Fraction, p: int) -> bool:
     return pow(up, (p - 1) // 2, p) == 1
 
 
-def _quadratic_newton_valuations(cp, p):
-    """Root valuations (v1 <= v2) of a monic rational quadratic, off the
-    Newton polygon of (0, v(c0)), (1, v(c1)), (2, 0)."""
-    c0, c1 = cp[0], cp[1]
-    v0 = rational_valuation(c0, p)
-    v1 = rational_valuation(c1, p)
-    # lower hull; v1 may be INF (c1 = 0)
-    if v1 is not None and v1 != float("inf") and c1 != 0 and 2 * v1 < v0:
-        return v0 - v1, v1  # two slopes: keep (small, large) ordering below
-    half = Fraction(v0, 2)
-    return half, half
+def _root_valuations(f, p) -> list:
+    """Root valuations of a monic rational polynomial, ascending, off its
+    Newton polygon."""
+    profile = PolyValuationProfile(
+        len(f) - 1, [(i, rational_valuation(c, p)) for i, c in enumerate(f)]
+    )
+    return sorted(-slope for slope, n in poly_newton_polygon(profile) for _ in range(n))
 
 
 def _qp_eigenvalue_below(cp, p, threshold) -> Optional[dict]:
     """A witness that some Q_p-rational eigenvalue of the quadratic cp has
     valuation < threshold, or None."""
     c0, c1 = cp[0], cp[1]
-    v_small, v_large = sorted(_quadratic_newton_valuations(cp, p))
+    v_small, v_large = _root_valuations(cp, p)
     if v_small >= threshold:
         return None
     if v_small != v_large:
@@ -392,14 +430,11 @@ def _factor_over_q(cp) -> Optional[list]:
     """Monic irreducible factors over Q (lowest degree first), or None when
     the elementary method (root deflation + 'degree <= 3 without rational
     roots is irreducible') cannot certify the factorization."""
-    from .linalg import _poly_divmod_q
-
     work = [Fraction(c) for c in cp]
     factors = []
     for root in rational_roots(work):
         factors.append([-root, Fraction(1)])
-        work, rem = _poly_divmod_q(work, [-root, Fraction(1)])
-        assert not rem
+        work = poly_deflate(work, root)
     deg = len(work) - 1
     if deg == 0:
         return factors
@@ -408,6 +443,28 @@ def _factor_over_q(cp) -> Optional[list]:
         factors.append([c / lead for c in work])
         return factors
     return None
+
+
+def _qp_irreducible(f, p) -> bool:
+    """True when a monic Q-irreducible factor is certified irreducible over
+    Q_p; False means only "not certified".
+
+    Degree 2: exactly when the discriminant is not a square in Q_p.
+    Otherwise: one Newton slope whose denominator is the degree (every root
+    generates a totally ramified extension of that degree), or p-integral
+    coefficients with an irreducible reduction mod p (Gauss's lemma)."""
+    deg = len(f) - 1
+    if deg == 1:
+        return True
+    if deg == 2:
+        return not is_padic_square(f[1] * f[1] - 4 * f[0], p)
+    vals = _root_valuations(f, p)
+    if vals[0] == vals[-1] and vals[0].denominator == deg:
+        return True
+    if any(rational_valuation(c, p) < 0 for c in f):
+        return False
+    residues = tuple(c.numerator * pow(c.denominator, -1, p) % p for c in f)
+    return _is_irreducible(residues, p)
 
 
 def is_admissible(D: FilteredPhiModule) -> AdmissibilityVerdict:
@@ -463,6 +520,19 @@ def is_admissible(D: FilteredPhiModule) -> AdmissibilityVerdict:
                     "basis": [[format_rational(x) for x in row] for row in rows],
                 },
             )
+    # the scan only saw Q-rational subobjects: a factor that splits over
+    # Q_p has eigenlines it never examined
+    for f in factors:
+        if not _qp_irreducible(f, D.base.p):
+            return AdmissibilityVerdict(
+                UNDECIDED,
+                tH,
+                tN,
+                {
+                    "type": "padically_reducible_factor",
+                    "factor": [format_rational(c) for c in f],
+                },
+            )
     return AdmissibilityVerdict(ADMISSIBLE, tH, tN)
 
 
@@ -480,16 +550,11 @@ def _matrix_inverse(A):
     return [row[n:] for row in echelon]
 
 
-def _fil_steps(D: FilteredPhiModule):
-    """[(jump, basis)] plus a sentinel for the zero tail."""
-    return list(D.filtration)
-
-
 def dual(D: FilteredPhiModule) -> FilteredPhiModule:
     """Dual module: inverse-transpose Frobenius; the m-th dual filtration
     step annihilates the (1-m)-th original one."""
     frob = _transpose(_matrix_inverse(D.frobenius))
-    steps = _fil_steps(D)
+    steps = D.filtration
     base = D.base
     d = D.dim
     full = [[base.one() if i == j else base.zero() for j in range(d)] for i in range(d)]
@@ -529,7 +594,7 @@ def tensor(D1: FilteredPhiModule, D2: FilteredPhiModule) -> FilteredPhiModule:
         raise ValueError("mixed base fields")
     base = D1.base
     frob = _kronecker(D1.frobenius, D2.frobenius)
-    steps1, steps2 = _fil_steps(D1), _fil_steps(D2)
+    steps1, steps2 = D1.filtration, D2.filtration
     candidates = sorted({j1 + j2 for j1, _ in steps1 for j2, _ in steps2})
     raw = []
     for mu in candidates:

@@ -10,9 +10,16 @@ rational".  The valuation is exact: v_p(sum b_i pi^i) =
 min_i (v_p(b_i) + i/e), the minimum being attained uniquely (integer part
 vs fractional part).
 
-Matrices are plain lists of lists; everything is Gaussian elimination with
-exact field arithmetic.  Characteristic polynomials come from the Faddeev-
-LeVerrier recurrence (division-free apart from exact integer divisions).
+Matrices are plain lists of lists of ints, Fractions or KElements;
+everything is Gaussian elimination with exact field arithmetic.
+Characteristic polynomials come from the Faddeev-LeVerrier recurrence
+(division-free apart from exact integer divisions).
+
+Polynomials over Q are coefficient lists, lowest degree first: gcd,
+squarefree test, deflation, Hensel lifting of simple roots modulo a prime
+power (shared with the Sen weights in ``characters``), and rational roots
+by Hensel lifting with an exact check, in time polynomial in the
+bit-size of the coefficients.
 """
 
 from __future__ import annotations
@@ -20,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Optional
 
-from .padic import INF, Valuation, rational_valuation
+from .padic import INF, Valuation, _is_probable_prime, rational_valuation
 
 
 @dataclass(frozen=True)
@@ -278,7 +286,7 @@ def rref(rows):
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = (
             rows[r][c].inverse() if isinstance(rows[r][c], KElement)
-            else 1 / rows[r][c]
+            else Fraction(1) / rows[r][c]
         )
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
@@ -408,72 +416,110 @@ def is_squarefree(a) -> bool:
 def rational_roots(coeffs) -> list:
     """All rational roots (with multiplicity) of a rational polynomial.
 
-    Clears denominators and runs the rational root search on the integer
-    polynomial, deflating as roots are found.
+    Zeros come first; the other roots follow sorted by (denominator,
+    |numerator|, positive first), equal roots adjacent.  That is the
+    order in which a search over the candidates p/q of the rational root
+    theorem meets them, and it fixes the order of the primary components
+    in the admissibility scan.
+
+    Hensel lifting with an exact check (von zur Gathen-Gerhard, *Modern
+    Computer Algebra*, ch. 15) instead of a search over divisors, so the
+    work is polynomial in the bit-size of the coefficients: with y =
+    lead * x the integer polynomial becomes monic, whose rational roots
+    are integers dividing its constant term.  The roots of its
+    squarefree part modulo a small prime l, all simple for a suitable l,
+    are lifted to l^k > 2 |constant term| and checked exactly;
+    multiplicities come from deflating the original polynomial.
     """
-    a = list(coeffs)
+    a = [Fraction(c) for c in coeffs]
     while a and a[-1] == 0:
         a.pop()
     if not a:
         raise ValueError("zero polynomial")
-    roots = []
-    # strip roots at zero
-    while a and a[0] == 0:
-        roots.append(Fraction(0))
-        a = a[1:]
-    denom = lcm(*[c.denominator for c in a]) if len(a) > 1 else 1
-    ai = [int(c * denom) for c in a]
-    while len(ai) > 1:
-        root = _find_rational_root(ai)
-        if root is None:
-            break
-        roots.append(root)
-        ai = _deflate_int(ai, root)
-    return roots
+    zeros = next(i for i, c in enumerate(a) if c)
+    a = a[zeros:]
+    n = len(a) - 1
+    if n == 0:
+        return [Fraction(0)] * zeros
+    denom = lcm(*[c.denominator for c in a])
+    ints = [int(c * denom) for c in a]
+    lead = ints[-1]
+    # g(y) = lead^(n-1) f(y / lead): monic, with integer coefficients
+    monic = [Fraction(c * lead ** (n - 1 - i)) for i, c in enumerate(ints[:-1])]
+    monic.append(Fraction(1))
+    squarefree, _ = _poly_divmod_q(monic, poly_gcd_q(monic, poly_derivative(monic)))
+    squarefree = [int(c) for c in squarefree]
+    # every integer root divides squarefree[0], which is nonzero
+    bound = 2 * abs(squarefree[0])
+    ell = 1
+    lifted = None
+    while lifted is None:
+        ell += 1
+        if _is_probable_prime(ell):
+            k = 1
+            while ell**k <= bound:
+                k += 1
+            lifted = hensel_integer_roots(squarefree, ell, k)
+    found = []
+    for y in lifted:
+        if poly_eval(squarefree, y) == 0:
+            x = Fraction(y, lead)
+            while poly_eval(a, x) == 0:
+                found.append(x)
+                a = poly_deflate(a, x)
+    found.sort(key=lambda x: (x.denominator, abs(x.numerator), x < 0))
+    return [Fraction(0)] * zeros + found
 
 
-def _divisors(n: int) -> list:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _find_rational_root(ai):
-    # candidates p/q with p | const, q | lead
-    const, lead = ai[0], ai[-1]
-    if const == 0:
-        return Fraction(0)
-    for q in _divisors(lead):
-        for pnum in _divisors(const):
-            for sign in (1, -1):
-                cand = Fraction(sign * pnum, q)
-                if _eval_int_poly(ai, cand) == 0:
-                    return cand
-    return None
-
-
-def _eval_int_poly(ai, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(ai):
+def poly_eval(coeffs, x):
+    """coeffs(x) by Horner, lowest degree first."""
+    acc = 0
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-def _deflate_int(ai, root: Fraction):
-    # synthetic division by (x - root), then clear denominators
-    coeffs = [Fraction(c) for c in ai]
+def poly_deflate(coeffs, root: Fraction) -> list:
+    """The quotient of coeffs by (x - root), by synthetic division."""
     out = []
     acc = Fraction(0)
     for c in reversed(coeffs[1:]):
         acc = acc * root + c
         out.append(acc)
     out.reverse()
-    denom = lcm(*[c.denominator for c in out]) if out else 1
-    return [int(c * denom) for c in out]
+    return out
+
+
+def hensel_integer_roots(coeffs, p: int, precision: int) -> Optional[list]:
+    """Centered integer representatives of the simple Z_p-roots of a
+    p-integral polynomial, certified to p^precision by Hensel lifting.
+
+    Returns None when the coefficients are not p-integral or some residue
+    root mod p is not simple (no certification possible there)."""
+    if any(rational_valuation(c, p) < 0 for c in coeffs if c):
+        return None
+    modulus = p ** max(precision, 1)
+    ints = [c.numerator * pow(c.denominator, -1, modulus) % modulus for c in coeffs]
+    deriv = [(i * c) % modulus for i, c in enumerate(ints)][1:]
+
+    def ev(poly, x, mod):
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc * x + c) % mod
+        return acc
+
+    roots = []
+    for r in range(p):
+        if ev(ints, r, p) != 0:
+            continue
+        if ev(deriv, r, p) == 0:
+            return None  # multiple residue root: cannot lift simply
+        x, mod = r, p
+        while mod < modulus:
+            mod = min(mod * mod, modulus)
+            fx = ev(ints, x, mod)
+            dx = ev(deriv, x, mod)
+            x = (x - fx * pow(dx, -1, mod)) % mod
+        centered = x if x <= modulus // 2 else x - modulus
+        roots.append(centered)
+    return roots

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 
 class _Infinity:
@@ -79,7 +79,7 @@ class _Infinity:
 INF = _Infinity()
 
 #: A valuation: exact rational or +infinity.
-Valuation = Union[Fraction, _Infinity]
+Valuation = Fraction | _Infinity
 
 
 def _is_probable_prime(n: int) -> bool:

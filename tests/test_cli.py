@@ -235,3 +235,31 @@ def test_batch_determinism(tmp_path, capsys):
     _, out1 = run_cli(capsys, "batch", "--input", str(f))
     _, out2 = run_cli(capsys, "batch", "--input", str(f))
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"command": "herbrand", "e": None, "orders": [2]},
+        {"command": "sen", "p": 3, "level": 1, "matrix": []},
+        {"command": "sen", "p": 3, "level": 1, "matrix": [["1", "0"]]},
+        {"command": "polygon", "kind": "epsilon_minus_one", "p": 1, "window": "3"},
+    ],
+)
+def test_batch_isolates_invalid_field(tmp_path, capsys, bad):
+    good = json.dumps({"command": "herbrand", "e": 4, "orders": [4, 2, 2]})
+    f = tmp_path / "bad.jsonl"
+    f.write_text("\n".join([good, json.dumps(bad), good]) + "\n")
+    code, report = run_json(capsys, "batch", "--input", str(f))
+    assert code == 2
+    assert report["counts"] == {"ok": 2, "undecided": 0, "error": 1}
+    assert [r["status"] for r in report["results"]] == ["ok", "error", "ok"]
+
+
+@pytest.mark.parametrize("kind, extra", [("epsilon_minus_one", {"window": "3"}), ("t", {"window": ["1", "3"]})])
+def test_polygon_rejects_non_prime(tmp_path, capsys, kind, extra):
+    f = tmp_path / "poly.json"
+    f.write_text(json.dumps({"kind": kind, "p": 4, **extra}))
+    code, report = run_json(capsys, "polygon", "--input", str(f))
+    assert code == 2
+    assert "prime" in report["error"]

@@ -378,6 +378,71 @@ def test_dim3_undecided_on_repeated_eigenvalues():
     assert is_admissible(D).status == "undecided"
 
 
+def _rank_module(p, frob, *steps):
+    """Module over Q_p with rational filtration steps (jump, rows)."""
+    base = BaseFieldK.qp(p)
+    return FilteredPhiModule(
+        base,
+        [[F(x) for x in row] for row in frob],
+        [(j, [[base.scalar(x) for x in r] for r in rows]) for j, rows in steps],
+    )
+
+
+_I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "p, frob, fil1",
+    [
+        # x^2 + x + 9 (+) 2 at p = 3: x^2 + x + 9 has a unit root in Q_3
+        # whose eigenline lies in Fil^1, so t_H = 1 > t_N = 0 on it
+        (3, [[0, -9, 0], [1, -1, 0], [0, 0, 2]], [[1, 0, 0], [0, 1, 0]]),
+        (5, [[0, -25, 0], [1, -1, 0], [0, 0, 2]], [[1, 0, 0], [0, 1, 0]]),
+        (
+            3,
+            [[0, -9, 0, 0], [1, -1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]],
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+        ),
+    ],
+)
+def test_qp_split_quadratic_is_not_declared_admissible(p, frob, fil1):
+    d = len(frob)
+    full = [[int(i == j) for j in range(d)] for i in range(d)]
+    verdict = is_admissible(_rank_module(p, frob, (0, full), (1, fil1)))
+    assert verdict.status == "undecided"
+    assert verdict.witness["type"] == "padically_reducible_factor"
+
+
+def test_nonsquare_discriminant_stays_decided():
+    # x^2 + x + 2 at p = 3: discriminant -7 = 2 mod 3, not a square in Q_3
+    frob = [[0, -2, 0], [1, -1, 0], [0, 0, 3]]
+    D = _rank_module(3, frob, (0, _I3), (1, [[0, 0, 1]]))
+    assert is_admissible(D).status == "admissible"
+    bad = _rank_module(3, frob, (0, _I3), (1, [[1, 0, 0]]))
+    verdict = is_admissible(bad)
+    assert verdict.status == "not-admissible"
+    assert verdict.witness["type"] == "subobject"
+
+
+@pytest.mark.parametrize(
+    "p, c0, status",
+    [
+        (3, 3, "admissible"),  # x^3 - 3: one Newton slope 1/3
+        (7, 2, "admissible"),  # x^3 - 2: no cube root of 2 mod 7
+        (5, 2, "undecided"),  # x^3 - 2: 3 = cube root of 2 mod 5 lifts to Q_5
+    ],
+)
+def test_cubic_factor_certification(p, c0, status):
+    # companion of x^3 - c0 (+) lam with t_N = 1, and Fil^1 a line that
+    # meets neither Q-rational stable subspace: admissible over Q
+    lam = p ** (1 - rational_valuation(F(c0), p))
+    frob = [[0, 0, c0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, lam]]
+    full = [[int(i == j) for j in range(4)] for i in range(4)]
+    D = _rank_module(p, frob, (0, full), (1, [[1, 0, 0, 1]]))
+    assert D.hodge_number() == D.newton_number()
+    assert is_admissible(D).status == status
+
+
 # ---------------------------------------------------------------------------
 # tannakian structure
 # ---------------------------------------------------------------------------

@@ -1,0 +1,219 @@
+import json
+import random
+import subprocess
+import sys
+import time
+from fractions import Fraction as F
+from math import lcm
+from pathlib import Path
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import period_lab
+from period_lab.filtered_phi import FilteredPhiModule
+from period_lab.linalg import (
+    BaseFieldK,
+    intersect_rowspaces,
+    rank,
+    rational_roots,
+)
+
+# ---------------------------------------------------------------------------
+# oracle: the rational root theorem by trial division, deflating as roots
+# are found (the search rational_roots replaced; its order is the contract)
+# ---------------------------------------------------------------------------
+
+
+def _divisors(n):
+    n = abs(n)
+    return sorted(d for k in range(1, int(n**0.5) + 2) if n % k == 0 for d in (k, n // k))
+
+
+def _eval(ai, x):
+    acc = F(0)
+    for c in reversed(ai):
+        acc = acc * x + c
+    return acc
+
+
+def _find_root(ai):
+    for q in _divisors(ai[-1]):
+        for num in _divisors(ai[0]):
+            for sign in (1, -1):
+                if _eval(ai, F(sign * num, q)) == 0:
+                    return F(sign * num, q)
+    return None
+
+
+def _deflate(ai, root):
+    out, acc = [], F(0)
+    for c in reversed(ai[1:]):
+        acc = acc * root + c
+        out.append(acc)
+    out.reverse()
+    m = lcm(*[c.denominator for c in out])
+    return [int(c * m) for c in out]
+
+
+def trial_division_roots(coeffs):
+    a = [F(c) for c in coeffs]
+    while a[-1] == 0:
+        a.pop()
+    roots = []
+    while a[0] == 0:
+        roots.append(F(0))
+        a = a[1:]
+    m = lcm(*[c.denominator for c in a])
+    ai = [int(c * m) for c in a]
+    while len(ai) > 1:
+        root = _find_root(ai)
+        if root is None:
+            break
+        roots.append(root)
+        ai = _deflate(ai, root)
+    return roots
+
+
+def poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# a polynomial with known rational roots (repeats allowed), a factor that
+# may have none, and a non-monic lead
+rational_root = st.builds(
+    F, st.integers(-12, 12), st.integers(1, 6)
+)
+polynomials = st.builds(
+    lambda roots, extra, lead: [
+        c * lead
+        for c in _product([[-r, F(1)] for r in roots] + [extra])
+    ],
+    st.lists(rational_root, max_size=5),
+    st.lists(st.integers(-9, 9).map(F), min_size=1, max_size=4).filter(lambda c: c[-1] != 0),
+    st.sampled_from([F(1), F(-1), F(2), F(-6), F(35, 4), F(1, 9)]),
+)
+
+
+def _product(factors):
+    out = [F(1)]
+    for f in factors:
+        out = poly_mul(out, f)
+    return out
+
+
+def _order_key(x):
+    return (x != 0, x.denominator, abs(x.numerator), x < 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials)
+def test_rational_roots_match_trial_division(coeffs):
+    assert rational_roots(coeffs) == trial_division_roots(coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials)
+def test_rational_roots_match_sympy(coeffs):
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x
+    )
+    expected = []
+    for root, mult in sympy.roots(poly, filter="Q").items():
+        expected.extend([F(int(root.p), int(root.q))] * mult)
+    got = rational_roots(coeffs)
+    assert sorted(got) == sorted(expected)
+    assert got == sorted(got, key=_order_key)
+
+
+def test_rational_roots_edge_cases():
+    assert rational_roots([F(5)]) == []
+    assert rational_roots([0, 0, 1]) == [0, 0]
+    assert rational_roots([F(-1, 4), 0, 1]) == [F(1, 2), F(-1, 2)]
+    with pytest.raises(ValueError):
+        rational_roots([0, 0])
+
+
+def test_rational_roots_of_large_coefficients():
+    big = 1234567890123456789013
+    coeffs = _product([[-big, 1], [-1, 1], [-2, 1], [F(3, big), 1]])
+    assert rational_roots(coeffs) == [F(1), F(2), F(big), F(-3, big)]
+
+
+# ---------------------------------------------------------------------------
+# induced Hodge numbers against the Zassenhaus intersection
+# ---------------------------------------------------------------------------
+
+
+def random_module(rng, e):
+    p = rng.choice([2, 3, 5])
+    base = BaseFieldK(p, [-p] + [0] * (e - 1) + [1])
+    d = rng.randrange(2, 5)
+    while True:
+        frob = [[F(rng.randrange(-4, 5)) for _ in range(d)] for _ in range(d)]
+        basis = [
+            [base.element([rng.randrange(-3, 4) for _ in range(e)]) for _ in range(d)]
+            for _ in range(d)
+        ]
+        if rank(frob) == d and rank(basis) == d:
+            break
+    cuts = sorted(rng.sample(range(1, d), rng.randrange(0, d - 1)))
+    jumps = sorted(rng.sample(range(-3, 4), len(cuts) + 1))
+    steps = [(jumps[0], basis)] + [(j, basis[c:]) for j, c in zip(jumps[1:], cuts)]
+    return FilteredPhiModule(base, frob, steps)
+
+
+def zassenhaus_hodge_number(D, rows):
+    W = [[D.base.scalar(x) for x in r] for r in rows]
+    dims = [rank(intersect_rowspaces(W, vecs)) for _, vecs in D.filtration] + [0]
+    return sum(j * (dims[i] - dims[i + 1]) for i, (j, _) in enumerate(D.filtration))
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_induced_hodge_number_matches_zassenhaus(e):
+    rng = random.Random(e)
+    for _ in range(25):
+        D = random_module(rng, e)
+        for _ in range(4):
+            rows = [
+                [F(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(D.dim)]
+                for _ in range(rng.randrange(1, D.dim + 1))
+            ]
+            assert D.induced_hodge_number(rows) == zassenhaus_hodge_number(D, rows)
+
+
+# ---------------------------------------------------------------------------
+# bounded work on large entries
+# ---------------------------------------------------------------------------
+
+
+def test_large_entries_decide_within_budget(tmp_path):
+    # trial division would run to the square root of 1.2e21
+    module = {
+        "p": 3,
+        "eisenstein": [-3, 1],
+        "dim": 3,
+        "frobenius": [["1234567890123456789013", "0", "0"], ["0", "1", "0"], ["0", "0", "2"]],
+        "filtration": [
+            {"jump": 0, "basis": [[["1"], ["0"], ["0"]], [["0"], ["1"], ["0"]], [["0"], ["0"], ["1"]]]}
+        ],
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(module))
+    src = str(Path(period_lab.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from period_lab.cli import main; sys.exit(main(sys.argv[1:]))",
+         "phimod", "--input", str(path)],
+        capture_output=True, text=True, timeout=2, env={"PYTHONPATH": src},
+    )
+    assert time.perf_counter() - start < 2
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["verdict"]["status"] == "admissible"

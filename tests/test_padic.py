@@ -157,3 +157,32 @@ def test_poly_profile_rejects_bad_input():
         PolyValuationProfile(2, [(0, 1), (1, 0)])  # missing finite leading
     with pytest.raises(ValueError):
         PolyValuationProfile(1, [(0, 0), (0, 1), (1, 0)])  # duplicate index
+
+
+def test_fresh_import_leaves_nothing_pinned():
+    # a typing alias such as Union[Fraction, _Infinity] is memoized in
+    # typing's cache, which then keeps the classes (and through their
+    # methods the module globals) of every import of padic alive
+    import gc
+    import importlib
+    import sys
+    import weakref
+
+    def drop():
+        for name in [n for n in sys.modules if n.split(".")[0] == "period_lab"]:
+            del sys.modules[name]
+
+    saved = {n: m for n, m in sys.modules.items() if n.split(".")[0] == "period_lab"}
+    try:
+        drop()
+        importlib.import_module("period_lab.cli")
+        old = sys.modules["period_lab.padic"]
+        refs = [weakref.ref(old), weakref.ref(old._Infinity)]
+        del old
+        drop()
+        importlib.import_module("period_lab.cli")
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+    finally:
+        drop()
+        sys.modules.update(saved)
