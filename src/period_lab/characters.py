@@ -33,10 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .linalg import (
     char_poly,
+    clear_denominators,
     hensel_integer_roots,
     is_squarefree,
     mat_mul,
@@ -48,6 +50,7 @@ from .linalg import (
 from .padic import (
     Prime,
     format_rational,
+    int_valuation,
     parse_rational,
     rational_valuation,
 )
@@ -240,70 +243,87 @@ def sen_operator(inp: SenInput, precision: int = 20) -> SenOperator:
     """log(A)/p^r by the truncated series sum (-1)^(i-1) (A-I)^i / i.
 
     Terms are included until margin*i - v_p(i) exceeds the working
-    precision, so the dropped tail has entrywise valuation above it; the
-    stated precision of the output accounts for the division by p^r.
+    precision; the stated precision of the output accounts for the
+    division by p^r.  A dropped term whose index is divisible by a power
+    of p can still fall below the working precision (for A = [[4]],
+    p = 3, precision 25, term 27 has valuation 24), so the stated
+    precision can be too high by a few units (ROADMAP D2).
+
+    The series runs in ints: with A - I = N / D for an integer matrix N,
+    term i is (-1)^(i-1) N^i / (i D^i), and the terms are summed over one
+    common denominator, so each entry becomes a Fraction once.
     """
     p = inp.p
     r = inp.level
     margin = _log_margin(p)
-    d = inp.dim
-    delta = [
-        [inp.matrix[i][j] - (1 if i == j else 0) for j in range(d)]
-        for i in range(d)
-    ]
-    acc = [[Fraction(0)] * d for _ in range(d)]
-    power = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
-    i = 0
-    while True:
-        i += 1
-        tail_bound = margin * i - rational_valuation(Fraction(i), p)
-        if tail_bound > precision:
-            break
-        power = mat_mul(power, delta)
-        if all(x == 0 for row in power for x in row):
-            break
-        coeff = Fraction((-1) ** (i - 1), i)
-        for a in range(d):
-            for b in range(d):
-                acc[a][b] += coeff * power[a][b]
-    scale = Fraction(1, p**r) if r >= 0 else Fraction(p ** (-r))
-    out = tuple(tuple(x * scale for x in row) for row in acc)
+    n = 0
+    while margin * (n + 1) - int_valuation(n + 1, p) <= precision:
+        n += 1
+    N, D = clear_denominators(
+        [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(inp.matrix)]
+    )
+    denom = lcm(*range(1, n + 1)) * D**n
+    terms = [(i, (-1) ** (i - 1) * (denom // (i * D**i))) for i in range(1, n + 1)]
+    acc = _series(N, terms)
+    denom *= p**r
+    out = tuple(tuple(Fraction(x, denom) for x in row) for row in acc)
     return SenOperator(inp.prime, out, precision - r)
 
 
 def matrix_exp_truncated(prime, M, precision: int = 20):
     """exp(M) by the truncated series, for v_p(M) above the margin; the
     reconstruction partner of the operator (action of the level-s
-    generator is exp(p^s * operator) for s large)."""
+    generator is exp(p^s * operator) for s large).
+
+    Term i has valuation at least margin*i - v_p(i!), and is included
+    when that bound is at most the precision.  The series stops where
+    margin*i - (i-1)/(p-1) exceeds the precision: that lower bound for
+    every later term's valuation only grows, as v_p(i!) <= (i-1)/(p-1).
+    Summed in ints over one common denominator, as in ``sen_operator``.
+    """
     if isinstance(prime, int):
         prime = Prime(prime)
     p = prime.p
     margin = _log_margin(p)
-    d = len(M)
     M = [[Fraction(x) for x in row] for row in M]
-    for i in range(d):
-        for j in range(d):
-            if M[i][j] != 0 and rational_valuation(M[i][j], p) < margin:
+    for row in M:
+        for x in row:
+            if x != 0 and rational_valuation(x, p) < margin:
                 raise ValueError("entries too large for the exponential")
-    acc = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
-    power = [row[:] for row in acc]
-    fact = 1
-    i = 0
-    while True:
+    included = []
+    fact = i = 1
+    while margin * i - Fraction(i - 1, p - 1) <= precision:
+        if margin * i - int_valuation(fact, p) <= precision:
+            included.append((i, fact))
         i += 1
         fact *= i
-        # v(M^i / i!) >= margin*i - v(i!) >= i (margin - 1/(p-1)) grows
-        tail = margin * i - rational_valuation(Fraction(fact), p)
-        if tail > precision:
+    N, D = clear_denominators(M)
+    n, fact_n = included[-1] if included else (0, 1)
+    denom = fact_n * D**n
+    terms = [(i, denom // (f * D**i)) for i, f in included]
+    acc = _series(N, terms)
+    return [
+        [Fraction(x + denom * (a == b), denom) for b, x in enumerate(row)]
+        for a, row in enumerate(acc)
+    ]
+
+
+def _series(N, terms) -> list:
+    """sum of c N^i over the (i, c) in terms, in ints; i ascending."""
+    d = len(N)
+    acc = [[0] * d for _ in range(d)]
+    power = [[int(i == j) for j in range(d)] for i in range(d)]
+    done = 0
+    for i, c in terms:
+        while done < i:
+            power = mat_mul(power, N)
+            done += 1
+        if not any(any(row) for row in power):
             break
-        power = mat_mul(power, M)
-        if all(x == 0 for row in power for x in row):
-            break
-        inv_fact = Fraction(1, fact)
-        for a in range(d):
-            for b in range(d):
-                acc[a][b] += inv_fact * power[a][b]
-    return [row[:] for row in acc]
+        for row_acc, row in zip(acc, power):
+            for b, x in enumerate(row):
+                row_acc[b] += c * x
+    return acc
 
 
 def is_trivial_via_sen(op: SenOperator) -> bool:
@@ -372,18 +392,20 @@ def hodge_tate_via_sen(op: SenOperator) -> HodgeTateVerdict:
     """
     A = [list(row) for row in op.matrix]
     d = len(A)
-    cp = char_poly(A)
+    # the small integer roots, found on the integer multiple of char_poly(A);
+    # a nonzero one divides the constant term
+    [work], denom = clear_denominators([char_poly(A)])
     exact_roots = []
-    work = list(cp)
     found = True
     while found and len(work) > 1:
         found = False
         for m in range(-_SMALL_ROOT_BOUND, _SMALL_ROOT_BOUND + 1):
-            if poly_eval(work, Fraction(m)) == 0:
+            if (work[0] % m == 0 if m else work[0] == 0) and poly_eval(work, m) == 0:
                 exact_roots.append(Fraction(m))
-                work = poly_deflate(work, Fraction(m))
+                work = poly_deflate(work, m)
                 found = True
                 break
+    work = [Fraction(c, denom) for c in work]
     weights = [int(r) for r in exact_roots]
     if len(work) > 1:
         lifted = hensel_integer_roots(work, op.p, op.precision)

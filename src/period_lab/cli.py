@@ -234,6 +234,7 @@ def run_jet(payload: dict, args):
 
 
 def run_phimod(payload: dict, args):
+    _require_prime(payload)
     D = filtered_phi.FilteredPhiModule.from_json(payload)
     verdict = filtered_phi.is_admissible(D)
     report = {
@@ -261,7 +262,7 @@ def run_char(payload: dict, args):
 
 
 def run_sen(payload: dict, args):
-    p = int(_require(payload, "p"))
+    p = _require_prime(payload)
     level = int(payload.get("level", 1))
     rows = _require(payload, "matrix")
     if not rows or any(not isinstance(row, list) or len(row) != len(rows) for row in rows):
@@ -369,38 +370,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--input", help="JSON input: file path or '-' for stdin")
-        sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--precision", type=int, default=None)
-        sp.add_argument("--order", type=int, default=None)
+    # the flags every subcommand takes, declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--input", help="JSON input: file path or '-' for stdin")
+    common.add_argument("--format", choices=("json", "text"), default="json")
+    common.add_argument("--precision", type=int, default=None)
+    common.add_argument("--order", type=int, default=None)
 
-    for name in ("herbrand", "polygon", "phimod", "sen"):
-        common(sub.add_parser(name))
+    for name in ("herbrand", "polygon", "phimod", "sen", "tilt"):
+        sub.add_parser(name, parents=[common])
 
-    tilt_p = sub.add_parser("tilt")
-    common(tilt_p)
-
-    jet_p = sub.add_parser("jet")
+    jet_p = sub.add_parser("jet", parents=[common])
     jet_p.add_argument("action", nargs="?", default="verify-cocycle",
                        choices=("verify-cocycle", "gr-check"))
     jet_p.add_argument("--p", type=int)
     jet_p.add_argument("--chi")
     jet_p.add_argument("--c")
     jet_p.add_argument("--m", type=int)
-    common(jet_p)
 
-    char_p = sub.add_parser("char")
+    char_p = sub.add_parser("char", parents=[common])
     char_p.add_argument("action", nargs="?", default="classify",
                         choices=("classify", "multiply"))
     char_p.add_argument("--p", type=int)
     char_p.add_argument("--lambda", dest="lam")
     char_p.add_argument("--a")
     char_p.add_argument("--b", type=int, default=0)
-    common(char_p)
 
-    batch_p = sub.add_parser("batch")
-    common(batch_p)
+    sub.add_parser("batch", parents=[common])
     return parser
 
 

@@ -114,7 +114,7 @@ class FilteredPhiModule:
         d = len(self.frobenius)
         if any(len(row) != d for row in self.frobenius):
             raise ValueError("Frobenius matrix must be square")
-        if det(self.frobenius) == 0:
+        if self.frobenius_char_poly[0] == 0:
             raise ValueError("Frobenius must be invertible")
         steps = []
         for jump, basis in filtration:
@@ -162,8 +162,17 @@ class FilteredPhiModule:
         return sum(j * g for j, g in self.graded_dims())
 
     def newton_number(self) -> Fraction:
-        v = rational_valuation(det(self.frobenius), self.base.p)
+        v = rational_valuation(self.frobenius_det, self.base.p)
         return Fraction(v)
+
+    @cached_property
+    def frobenius_char_poly(self) -> list:
+        """det(XI - Frobenius), computed once per module."""
+        return char_poly(self.frobenius)
+
+    @property
+    def frobenius_det(self) -> Fraction:
+        return self.frobenius_char_poly[0] * (-1) ** self.dim
 
     def hodge_tate_weights(self) -> list:
         """Sorted multiset of weights: -jump with multiplicity dim gr^jump."""
@@ -369,7 +378,7 @@ def _line_is_rational(vecs) -> Optional[list]:
 
 def _dim2_admissible(D: FilteredPhiModule, tH, tN) -> AdmissibilityVerdict:
     p = D.base.p
-    cp = char_poly(D.frobenius)
+    cp = D.frobenius_char_poly
     jumps = D.graded_dims()
     if len(jumps) == 1:
         r = s = jumps[0][0]
@@ -397,7 +406,7 @@ def _dim2_stable_line(D, tH, tN, r, s, line_vec, alpha) -> AdmissibilityVerdict:
     eigenvalue alpha; the complementary eigenvalue is det/alpha."""
     p = D.base.p
     va = rational_valuation(alpha, p)
-    beta = det(D.frobenius) / alpha
+    beta = D.frobenius_det / alpha
     vb = rational_valuation(beta, p)
     line_witness = {
         "type": "subobject",
@@ -480,7 +489,7 @@ def is_admissible(D: FilteredPhiModule) -> AdmissibilityVerdict:
         return AdmissibilityVerdict(ADMISSIBLE, tH, tN)
     if d == 2:
         return _dim2_admissible(D, tH, tN)
-    cp = char_poly(D.frobenius)
+    cp = D.frobenius_char_poly
     if not is_squarefree(cp):
         return AdmissibilityVerdict(
             UNDECIDED,

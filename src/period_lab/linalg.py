@@ -11,15 +11,19 @@ min_i (v_p(b_i) + i/e), the minimum being attained uniquely (integer part
 vs fractional part).
 
 Matrices are plain lists of lists of ints, Fractions or KElements;
-everything is Gaussian elimination with exact field arithmetic.
-Characteristic polynomials come from the Faddeev-LeVerrier recurrence
-(division-free apart from exact integer divisions).
+everything is Gaussian elimination with exact field arithmetic, and a
+product of int matrices stays int.  Characteristic polynomials come from
+the Faddeev-LeVerrier recurrence, run on the integer matrix left after
+clearing denominators once, where its divisions are exact.
 
 Polynomials over Q are coefficient lists, lowest degree first: gcd,
 squarefree test, deflation, Hensel lifting of simple roots modulo a prime
 power (shared with the Sen weights in ``characters``), and rational roots
 by Hensel lifting with an exact check, in time polynomial in the
-bit-size of the coefficients.
+bit-size of the coefficients.  Polynomials over F_p are tuples of
+residues, lowest degree first (shared with the finite fields of
+``tilt``): products and powers modulo a polynomial, gcd, irreducibility,
+and roots by Cantor-Zassenhaus, in time polynomial in log p.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional
 
 from .padic import INF, Valuation, _is_probable_prime, rational_valuation
@@ -253,12 +258,10 @@ def _poly_sub(a, b):
 
 
 def mat_mul(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    return [
-        [sum((A[i][t] * B[t][j] for t in range(k)), _zero_like(A[i][0]))
-         for j in range(m)]
-        for i in range(n)
-    ]
+    """The product AB; a product of int matrices stays int."""
+    zero = 0 if isinstance(A[0][0], int) else _zero_like(A[0][0])
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col), zero) for col in cols] for row in A]
 
 
 def _zero_like(x):
@@ -339,18 +342,29 @@ def solve_right(A, b):
 
 def char_poly(A) -> list:
     """Characteristic polynomial det(XI - A) of a rational matrix, monic,
-    lowest degree first, by the Faddeev-LeVerrier recurrence."""
+    lowest degree first, by the Faddeev-LeVerrier recurrence.
+
+    Denominators are cleared once, A = B / D with B an integer matrix; the
+    recurrence runs on B in ints, where its divisions by k are exact, and
+    the coefficient of X^k is the one of B divided by D^(n-k)."""
     n = len(A)
-    c = [Fraction(0)] * (n + 1)
-    c[n] = Fraction(1)
-    M = [[Fraction(0)] * n for _ in range(n)]
+    B, D = clear_denominators(A)
+    c = [0] * (n + 1)
+    c[n] = 1
+    M = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
         for i in range(n):
             M[i][i] += c[n - k + 1]
-        M = mat_mul(A, M)
-        tr = sum((M[i][i] for i in range(n)), Fraction(0))
-        c[n - k] = -tr / Fraction(k)
-    return c
+        M = mat_mul(B, M)
+        c[n - k] = -sum(M[i][i] for i in range(n)) // k
+    return [Fraction(ck, D ** (n - k)) for k, ck in enumerate(c)]
+
+
+def clear_denominators(A):
+    """(B, D) with A = B / D: B a matrix of ints, D > 0 the lcm of the
+    denominators of A's rational entries."""
+    D = lcm(*(x.denominator for row in A for x in row))
+    return [[x.numerator * (D // x.denominator) for x in row] for row in A], D
 
 
 def det(A) -> Fraction:
@@ -479,10 +493,11 @@ def poly_eval(coeffs, x):
     return acc
 
 
-def poly_deflate(coeffs, root: Fraction) -> list:
-    """The quotient of coeffs by (x - root), by synthetic division."""
+def poly_deflate(coeffs, root) -> list:
+    """The quotient of coeffs by (x - root), by synthetic division (in
+    ints when coeffs and root are ints)."""
     out = []
-    acc = Fraction(0)
+    acc = 0
     for c in reversed(coeffs[1:]):
         acc = acc * root + c
         out.append(acc)
@@ -492,7 +507,8 @@ def poly_deflate(coeffs, root: Fraction) -> list:
 
 def hensel_integer_roots(coeffs, p: int, precision: int) -> Optional[list]:
     """Centered integer representatives of the simple Z_p-roots of a
-    p-integral polynomial, certified to p^precision by Hensel lifting.
+    p-integral polynomial, certified to p^precision by Hensel lifting,
+    in the ascending order of their residues mod p.
 
     Returns None when the coefficients are not p-integral or some residue
     root mod p is not simple (no certification possible there)."""
@@ -501,6 +517,9 @@ def hensel_integer_roots(coeffs, p: int, precision: int) -> Optional[list]:
     modulus = p ** max(precision, 1)
     ints = [c.numerator * pow(c.denominator, -1, modulus) % modulus for c in coeffs]
     deriv = [(i * c) % modulus for i, c in enumerate(ints)][1:]
+    residues = _poly_trim(c % p for c in ints)
+    if not residues:
+        return None  # every residue is a root, and a multiple one
 
     def ev(poly, x, mod):
         acc = 0
@@ -509,9 +528,7 @@ def hensel_integer_roots(coeffs, p: int, precision: int) -> Optional[list]:
         return acc
 
     roots = []
-    for r in range(p):
-        if ev(ints, r, p) != 0:
-            continue
+    for r in _roots_mod_p(residues, p):
         if ev(deriv, r, p) == 0:
             return None  # multiple residue root: cannot lift simply
         x, mod = r, p
@@ -523,3 +540,133 @@ def hensel_integer_roots(coeffs, p: int, precision: int) -> Optional[list]:
         centered = x if x <= modulus // 2 else x - modulus
         roots.append(centered)
     return roots
+
+
+# ---------------------------------------------------------------------------
+# polynomials over F_p: tuples of residues, lowest degree first
+# ---------------------------------------------------------------------------
+
+
+def _poly_trim(v):
+    v = list(v)
+    while v and v[-1] == 0:
+        v.pop()
+    return tuple(v)
+
+
+def _poly_mulmod(a, b, mod, p):
+    out = [0] * (len(a) + len(b) - 1 or 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return _poly_rem(out, mod, p)
+
+
+def _poly_rem(a, mod, p):
+    """The remainder of a on division by mod."""
+    a = list(a)
+    d = len(mod) - 1
+    inv_lead = pow(mod[-1], -1, p)
+    for i in range(len(a) - 1, d - 1, -1):
+        if a[i]:
+            q = a[i] * inv_lead % p
+            for j, m in enumerate(mod):
+                a[i - d + j] = (a[i - d + j] - q * m) % p
+    return _poly_trim(a[:d])
+
+
+def _poly_quo(a, b, p):
+    """The quotient of a on division by b."""
+    a = list(a)
+    d = len(b) - 1
+    inv_lead = pow(b[-1], -1, p)
+    q = [0] * (len(a) - d)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = c = a[i + d] * inv_lead % p
+        if c:
+            for j, m in enumerate(b):
+                a[i + j] = (a[i + j] - c * m) % p
+    return _poly_trim(q)
+
+
+def _poly_powmod(base, n, mod, p):
+    result = (1,)
+    base = _poly_rem(base, mod, p)
+    while n:
+        if n & 1:
+            result = _poly_mulmod(result, base, mod, p)
+        base = _poly_mulmod(base, base, mod, p)
+        n >>= 1
+    return result
+
+
+def _poly_gcd(a, b, p):
+    a, b = _poly_trim(a), _poly_trim(b)
+    while b:
+        a, b = b, _poly_rem(a, b, p)
+    return a
+
+
+def _x_power_minus_x(n, mod, p):
+    """x^n - x modulo mod."""
+    probe = list(_poly_powmod((0, 1), n, mod, p)) + [0, 0]
+    probe[1] = (probe[1] - 1) % p
+    return _poly_trim(probe)
+
+
+def _roots_mod_p(f, p) -> list:
+    """The distinct roots in F_p of a nonzero f, ascending.
+
+    They are the roots of g = gcd(f, x^p - x), a product of distinct
+    linear factors, which Cantor-Zassenhaus splits with the shifts
+    (x + a)^((p-1)/2) - 1 for a = 0, 1, ... in turn (Cantor-Zassenhaus,
+    Math. Comp. 1981).  Two distinct roots are told apart by (p - 1)/2 of
+    the p shifts, so a splitting shift always exists and is usually among
+    the first few; each costs time polynomial in log p."""
+    if p == 2:
+        return [r for r in (0, 1) if poly_eval(f, r) % 2 == 0]
+    g = _poly_gcd(f, _x_power_minus_x(p, f, p), p)
+    roots = []
+    pending = [g]
+    while pending:
+        g = pending.pop()
+        if len(g) < 2:
+            continue
+        if len(g) == 2:
+            roots.append(-g[0] * pow(g[1], -1, p) % p)
+            continue
+        a = 0
+        while True:
+            half = list(_poly_powmod((a, 1), (p - 1) // 2, g, p)) or [0]
+            half[0] -= 1
+            h = _poly_gcd(g, [c % p for c in half], p)
+            if 1 < len(h) < len(g):
+                pending += [h, _poly_quo(g, h, p)]
+                break
+            a += 1
+    return sorted(roots)
+
+
+def _prime_factors(n):
+    out = set()
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.add(n)
+    return out
+
+
+def _is_irreducible(poly, p):
+    f = len(poly) - 1
+    x = (0, 1)
+    if _poly_powmod(x, p**f, poly, p) != _poly_rem(x, poly, p):
+        return False
+    for q in _prime_factors(f):
+        if len(_poly_gcd(_x_power_minus_x(p ** (f // q), poly, p), poly, p)) > 1:
+            return False
+    return True

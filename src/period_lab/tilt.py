@@ -36,6 +36,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cyclotomic import CycElt, CyclotomicContext
+from .linalg import _is_irreducible, _poly_mulmod, _poly_powmod, _poly_rem
 from .padic import (
     INF,
     Prime,
@@ -57,91 +58,6 @@ class ExponentTooFineError(ValueError):
 # ---------------------------------------------------------------------------
 # finite fields F_{p^f} (Teichmueller parts)
 # ---------------------------------------------------------------------------
-
-
-def _poly_trim(v):
-    v = list(v)
-    while v and v[-1] == 0:
-        v.pop()
-    return tuple(v)
-
-
-def _poly_mulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1 or 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_divmod(out, mod, p)
-
-
-def _poly_divmod(a, mod, p):
-    a = list(a)
-    d = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, p)
-    for i in range(len(a) - 1, d - 1, -1):
-        if a[i]:
-            q = a[i] * inv_lead % p
-            for j, m in enumerate(mod):
-                a[i - d + j] = (a[i - d + j] - q * m) % p
-    return _poly_trim(a[:d])
-
-
-def _poly_powmod(base, n, mod, p):
-    result = (1,)
-    base = _poly_divmod(base, mod, p)
-    while n:
-        if n & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        n >>= 1
-    return result
-
-
-def _poly_mod(a, b, p):
-    a = list(_poly_trim(a))
-    inv_lead = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        q = a[-1] * inv_lead % p
-        shift = len(a) - len(b)
-        for j, m in enumerate(b):
-            a[shift + j] = (a[shift + j] - q * m) % p
-        a = list(_poly_trim(a))
-    return tuple(a)
-
-
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    return a
-
-
-def _prime_factors(n):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
-def _is_irreducible(poly, p):
-    f = len(poly) - 1
-    x = (0, 1)
-    if _poly_powmod(x, p**f, poly, p) != _poly_divmod(x, poly, p):
-        return False
-    for q in _prime_factors(f):
-        probe = _poly_powmod(x, p ** (f // q), poly, p)
-        diff = list(probe) + [0] * (2 - len(probe))
-        diff[1] = (diff[1] - 1) % p
-        if len(_poly_gcd(diff, poly, p)) > 1:
-            return False
-    return True
 
 
 _MODULUS_CACHE: dict = {}
@@ -185,7 +101,7 @@ class FqElement:
         if f < 1:
             raise ValueError("field degree must be >= 1")
         mod = field_modulus(p, f)
-        red = _poly_divmod(tuple(int(x) % p for x in poly), mod, p)
+        red = _poly_rem(tuple(int(x) % p for x in poly), mod, p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "poly", red)

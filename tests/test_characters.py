@@ -1,7 +1,15 @@
+import io
+import json
 import random
+import sys
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import sen_reference
 
 from period_lab.characters import (
     CharacterTriple,
@@ -14,8 +22,9 @@ from period_lab.characters import (
     multiply,
     sen_operator,
 )
+from period_lab.cli import main
 from period_lab.linalg import mat_mul
-from period_lab.padic import rational_valuation
+from period_lab.padic import format_rational, rational_valuation
 
 
 def random_triple(rng, p):
@@ -206,3 +215,100 @@ def test_operator_json():
     js = op.to_json()
     assert js["matrix"] == [["0", "1"], ["0", "0"]]
     assert js["precision"] == op.precision
+
+
+# ---------------------------------------------------------------------------
+# the exponential's stated precision, against a longer series (D2)
+# ---------------------------------------------------------------------------
+
+
+def long_exp(M, terms):
+    d = len(M)
+    acc = [[F(int(i == j)) for j in range(d)] for i in range(d)]
+    term = [row[:] for row in acc]
+    for k in range(1, terms):
+        term = [[x / k for x in row] for row in mat_mul(term, M)]
+        acc = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, term)]
+    return acc
+
+
+def exp_error_valuation(p, M, precision):
+    got = matrix_exp_truncated(p, M, precision)
+    ref = long_exp(M, 4 * precision + 20)
+    return min(
+        (rational_valuation(a - b, p) for ra, rb in zip(got, ref) for a, b in zip(ra, rb) if a != b),
+        default=None,
+    )
+
+
+def test_exp_precision_covers_the_terms_at_p_powers():
+    # term 27 of exp(3) has valuation 27 - v_3(27!) = 14, below 15; a stop
+    # at the first term above 15 (i = 26) left it out
+    assert exp_error_valuation(3, [[F(3)]], 15) >= 15
+    assert exp_error_valuation(2, [[F(4)]], 28) >= 28
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_exp_meets_its_precision(p):
+    margin = 2 if p == 2 else 1
+    M = [[F(p**margin), F(p ** (margin + 1), 7)], [F(0), F(-(p**margin))]]
+    for precision in range(1, 40):
+        v = exp_error_valuation(p, M, precision)
+        assert v is None or v >= precision
+
+
+# ---------------------------------------------------------------------------
+# the sen command against the Fraction reference, byte for byte
+# ---------------------------------------------------------------------------
+
+
+def sen_cli(payload) -> tuple:
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(payload))
+    buf = io.StringIO()
+    try:
+        with redirect_stdout(buf):
+            code = main(["sen", "--input", "-"])
+    finally:
+        sys.stdin = stdin
+    return code, buf.getvalue()
+
+
+@st.composite
+def sen_inputs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    margin = 2 if p == 2 else 1
+    d = draw(st.integers(1, 3))
+    level = draw(st.integers(0, 2))
+    precision = draw(st.integers(0, 45))
+    square = st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d), min_size=d, max_size=d)
+    if draw(st.booleans()):
+        # A - I with entries of valuation >= margin and p-free denominators
+        den = st.sampled_from([1, 1, 1, 2, 3, 5, 7, 9]).filter(lambda q: q % p)
+        delta = draw(st.lists(st.lists(st.builds(F, st.integers(-20, 20), den), min_size=d, max_size=d),
+                              min_size=d, max_size=d))
+        A = [[p**margin * x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(delta)]
+    else:
+        # exp(p^s S): integer or repeated eigenvalues, and unipotent parts
+        S = draw(square)
+        if draw(st.booleans()):
+            S = [[x if j >= i else 0 for j, x in enumerate(row)] for i, row in enumerate(S)]
+        s = max(level, margin)
+        A = matrix_exp_truncated(p, [[F(p**s * x) for x in row] for row in S], precision + s + 3)
+    return p, level, A, precision
+
+
+@settings(max_examples=80, deadline=None)
+@given(sen_inputs())
+def test_sen_json_matches_fraction_reference(inp):
+    p, level, A, precision = inp
+    payload = {"p": p, "level": level, "matrix": [[format_rational(x) for x in row] for row in A],
+               "precision": precision}
+    code, out = sen_cli(payload)
+    try:
+        expected = sen_reference.sen_report(p, level, A, precision)
+    except ValueError as exc:
+        # an entry too long for int -> str: the same error, as exit 2
+        assert (code, json.loads(out)["error"]) == (2, str(exc))
+        return
+    assert out == expected
+    assert code == (3 if '"indeterminate"' in expected else 0)

@@ -263,3 +263,38 @@ def test_polygon_rejects_non_prime(tmp_path, capsys, kind, extra):
     code, report = run_json(capsys, "polygon", "--input", str(f))
     assert code == 2
     assert "prime" in report["error"]
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("phimod", {"p": 4, "eisenstein": [-4, 1], "dim": 1, "frobenius": [["8"]],
+                    "filtration": [{"jump": 1, "basis": [[["1"]]]}]}),
+        ("sen", {"p": 4, "level": 1, "matrix": [["5"]], "precision": 10}),
+    ],
+)
+def test_phimod_and_sen_reject_non_prime(tmp_path, capsys, command, payload):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(payload))
+    code, report = run_json(capsys, command, "--input", str(f))
+    assert code == 2
+    assert "prime" in report["error"]
+    # inside a batch the line fails alone
+    good = {"command": "herbrand", "e": 4, "orders": [4, 2, 2]}
+    f.write_text("\n".join(json.dumps(x) for x in (good, dict(payload, command=command), good)) + "\n")
+    code, report = run_json(capsys, "batch", "--input", str(f))
+    assert code == 2
+    assert [r["status"] for r in report["results"]] == ["ok", "error", "ok"]
+    assert "prime" in report["results"][1]["message"]
+
+
+@pytest.mark.parametrize("command", ["herbrand", "polygon", "tilt", "jet", "phimod", "char", "sen", "batch"])
+def test_every_subcommand_takes_the_common_flags(command):
+    from period_lab.cli import build_parser
+
+    args = build_parser().parse_args(
+        [command, "--input", "x.json", "--format", "text", "--precision", "7", "--order", "3"]
+    )
+    assert (args.command, args.input, args.format, args.precision, args.order) == (
+        command, "x.json", "text", 7, 3
+    )

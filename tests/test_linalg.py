@@ -9,16 +9,26 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import period_lab
+import sen_reference
 from period_lab.filtered_phi import FilteredPhiModule
 from period_lab.linalg import (
     BaseFieldK,
+    _poly_trim,
+    _roots_mod_p,
+    char_poly,
+    det,
+    hensel_integer_roots,
     intersect_rowspaces,
+    mat_mul,
+    nullspace,
+    poly_eval,
     rank,
     rational_roots,
+    rref,
 )
 
 # ---------------------------------------------------------------------------
@@ -217,3 +227,105 @@ def test_large_entries_decide_within_budget(tmp_path):
     assert time.perf_counter() - start < 2
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["verdict"]["status"] == "admissible"
+
+
+# ---------------------------------------------------------------------------
+# characteristic polynomials in ints against sympy
+# ---------------------------------------------------------------------------
+
+
+def sympy_char_poly(A):
+    M = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in A])
+    coeffs = M.charpoly(sympy.Symbol("x")).all_coeffs()
+    return [F(int(c.p), int(c.q)) for c in reversed(coeffs)]
+
+
+@st.composite
+def rational_matrices(draw):
+    n = draw(st.integers(1, 6))
+    entry = st.builds(F, st.integers(-30, 30), st.sampled_from([1, 1, 2, 3, 4, 7, 9, 12]))
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices())
+def test_char_poly_matches_sympy(A):
+    got = char_poly(A)
+    assert got == sympy_char_poly(A)
+    assert all(type(c) is F for c in got)
+    assert det(A) == got[0] * (-1) ** len(A)
+
+
+def test_char_poly_of_int_and_phimod_matrices():
+    assert char_poly([[1, 2], [3, 4]]) == [F(-2), F(-5), F(1)]
+    assert char_poly([]) == [F(1)]
+    rng = random.Random(11)
+    modules = [random_module(rng, 1) for _ in range(20)]
+    # the D1 repro: companion of x^2 + x + 9, plus the eigenvalue 2
+    modules.append(FilteredPhiModule.from_json({
+        "p": 3, "eisenstein": [-3, 1],
+        "frobenius": [["0", "-9", "0"], ["1", "-1", "0"], ["0", "0", "2"]],
+        "filtration": [{"jump": 0, "basis": [[["1"], ["0"], ["0"]], [["0"], ["1"], ["0"]], [["0"], ["0"], ["1"]]]}],
+    }))
+    for D in modules:
+        expected = sympy_char_poly(D.frobenius)
+        assert D.frobenius_char_poly == expected
+        assert D.frobenius_det == det(D.frobenius)
+
+
+def test_int_matrices_stay_int():
+    A = [[1, 2], [3, 4]]
+    assert mat_mul(A, A) == [[7, 10], [15, 22]]
+    assert all(type(x) is int for row in mat_mul(A, A) for x in row)
+    assert all(type(x) is F for row in mat_mul(A, [[F(1), F(0)], [F(0), F(1)]]) for x in row)
+
+
+def test_rref_and_nullspace_of_int_rows_as_of_fraction_rows():
+    rng = random.Random(5)
+    for _ in range(50):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(n + 1)] for _ in range(n)]
+        as_fractions = [[F(x) for x in row] for row in rows]
+        for fn in (rref, nullspace):
+            got, want = fn(rows), fn(as_fractions)
+            assert got == want
+            assert repr(got) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# roots mod p by Cantor-Zassenhaus, against a scan of every residue
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 101]), st.lists(st.integers(0, 10**6), min_size=1, max_size=9))
+def test_roots_mod_p_match_scan(p, coeffs):
+    f = _poly_trim(c % p for c in coeffs)
+    assume(f)
+    assert _roots_mod_p(f, p) == [r for r in range(p) if poly_eval(f, r) % p == 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials, st.sampled_from([2, 3, 5, 7, 13]), st.integers(0, 12))
+def test_hensel_integer_roots_match_residue_scan(coeffs, p, precision):
+    assert hensel_integer_roots(coeffs, p, precision) == sen_reference.hensel_integer_roots(
+        coeffs, p, precision
+    )
+
+
+def test_sen_with_a_large_prime_finishes(tmp_path):
+    # a scan of every residue mod p = 10^9 + 7 would take minutes
+    path = tmp_path / "sen.json"
+    path.write_text(json.dumps({"p": 10**9 + 7, "matrix": [[str(10**9 + 8), "0"], ["0", "1"]], "precision": 5}))
+    src = str(Path(period_lab.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from period_lab.cli import main; sys.exit(main(sys.argv[1:]))",
+         "sen", "--input", str(path)],
+        capture_output=True, text=True, timeout=2, env={"PYTHONPATH": src},
+    )
+    assert time.perf_counter() - start < 2
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["operator"]["precision"] == 4
+    assert report["hodge_tate"]["status"] == "hodge-tate"
