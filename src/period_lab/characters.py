@@ -161,10 +161,6 @@ def classify(chi: CharacterTriple) -> ClassificationFlags:
     )
 
 
-def multiply(chi1: CharacterTriple, chi2: CharacterTriple) -> CharacterTriple:
-    return chi1.multiply(chi2)
-
-
 # ---------------------------------------------------------------------------
 # Sen operators
 # ---------------------------------------------------------------------------

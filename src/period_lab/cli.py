@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import characters, filtered_phi, jets, polygons, ramification, tilt
 from .padic import INF, _is_probable_prime, format_rational, parse_rational
@@ -32,6 +31,11 @@ EXIT_UNDECIDED = 3
 
 class SchemaError(Exception):
     pass
+
+
+# exceptions that mean "this input is malformed": exit 2, and in batch only
+# the offending line fails
+INPUT_ERRORS = (SchemaError, ValueError, KeyError, TypeError)
 
 
 def _load_payload(args) -> dict:
@@ -321,7 +325,7 @@ def run_batch(args):
             kind = "undecided" if code == EXIT_UNDECIDED else "ok"
             counts[kind] += 1
             results.append({"line": lineno, "status": kind, "report": report})
-        except (SchemaError, ValueError, KeyError) as exc:
+        except INPUT_ERRORS as exc:
             counts["error"] += 1
             results.append({"line": lineno, "status": "error", "message": str(exc)})
     summary = {"schema": SCHEMA, "counts": counts, "results": results}
@@ -438,7 +442,7 @@ def main(argv=None) -> int:
         else:
             payload = _load_payload(args)
         report, code = HANDLERS[args.command](payload, args)
-    except (SchemaError, ValueError, KeyError) as exc:
+    except INPUT_ERRORS as exc:
         _emit({"schema": SCHEMA, "error": str(exc)}, args)
         return EXIT_SCHEMA
     report = {"schema": SCHEMA, **report}

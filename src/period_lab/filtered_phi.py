@@ -50,7 +50,6 @@ from .linalg import (
     BaseFieldK,
     KElement,
     char_poly,
-    det,
     is_squarefree,
     mat_mul,
     nullspace,
@@ -214,19 +213,6 @@ class FilteredPhiModule:
         return sum(
             j * (dims[i] - dims[i + 1]) for i, (j, _) in enumerate(self.filtration)
         )
-
-    def restricted_newton_number(self, subspace_rows) -> Fraction:
-        """t_N of a stable rational subspace: v_p(det Frobenius|_W)."""
-        W = [list(map(Fraction, r)) for r in subspace_rows]
-        images = [_apply(self.frobenius, w) for w in W]
-        coords = []
-        for img in images:
-            sol = solve_right(_transpose(W), img)
-            if sol is None:
-                raise ValueError("subspace is not Frobenius-stable")
-            coords.append(sol)
-        restricted = _transpose(coords)
-        return Fraction(rational_valuation(det(restricted), self.base.p))
 
     # -- serialization ---------------------------------------------------------
 

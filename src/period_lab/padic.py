@@ -6,7 +6,7 @@ Everything in this package is built on exact rationals: a scalar is a
 floating point anywhere.  The distinguished value +infinity (valuation of
 zero) is the module-level singleton ``INF``.
 
-Besides the scalar type, this module provides the two arithmetic functions
+Besides valuations, this module provides the two arithmetic functions
 that control convergence of divided-power series:
 
 * ``factorial_valuation(i, p)`` = v_p(i!) = (i - s_p(i)) / (p - 1) where
@@ -142,92 +142,6 @@ def rational_valuation(x, p: int) -> Valuation:
     return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 
-@dataclass(frozen=True)
-class PadicScalar:
-    """An exact rational viewed inside Q_p.
-
-    The value is stored in lowest terms (``Fraction`` guarantees this), so
-    the valuation is always exact.  Instances are immutable and hashable;
-    mixed arithmetic with ints and Fractions coerces to the scalar's prime.
-    """
-
-    value: Fraction
-    prime: Prime
-
-    def __init__(self, value, prime):
-        if isinstance(prime, int):
-            prime = Prime(prime)
-        object.__setattr__(self, "value", Fraction(value))
-        object.__setattr__(self, "prime", prime)
-
-    @property
-    def p(self) -> int:
-        return self.prime.p
-
-    def valuation(self) -> Valuation:
-        return rational_valuation(self.value, self.p)
-
-    def is_unit(self) -> bool:
-        return self.valuation() == 0
-
-    def _coerce(self, other) -> "PadicScalar":
-        if isinstance(other, PadicScalar):
-            if other.prime != self.prime:
-                raise ValueError("mixed primes")
-            return other
-        return PadicScalar(other, self.prime)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return PadicScalar(self.value + other.value, self.prime)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PadicScalar(-self.value, self.prime)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return PadicScalar(self.value * other.value, self.prime)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return PadicScalar(self.value / other.value, self.prime)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int):
-        return PadicScalar(self.value ** n, self.prime)
-
-    def __eq__(self, other):
-        if isinstance(other, PadicScalar):
-            return self.prime == other.prime and self.value == other.value
-        return self.value == other
-
-    def __hash__(self):
-        return hash((self.value, self.prime))
-
-    def __repr__(self):
-        return f"PadicScalar({self.value}, p={self.p})"
-
-    def serialize(self) -> str:
-        """Decimal-free string form "num/den" (or "num" for integers)."""
-        return format_rational(self.value)
-
-    @classmethod
-    def parse(cls, text: str, prime) -> "PadicScalar":
-        return cls(parse_rational(text), prime)
-
-
 def format_rational(x) -> str:
     x = Fraction(x)
     if x.denominator == 1:
@@ -241,15 +155,6 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, str):
         return Fraction(text.strip())
     raise ValueError(f"cannot parse rational from {text!r}")
-
-
-def valuation(x, p=None) -> Valuation:
-    """p-adic valuation of a PadicScalar, or of a rational given p."""
-    if isinstance(x, PadicScalar):
-        return x.valuation()
-    if p is None:
-        raise ValueError("valuation of a bare rational needs a prime")
-    return rational_valuation(x, int(p))
 
 
 def digit_sum(i: int, p: int) -> int:

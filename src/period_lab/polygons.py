@@ -10,24 +10,28 @@ cut; those views are end products and cannot be Minkowski-summed.
 
 Minkowski sums are computed by merging segment slope lists (the leftmost
 points add componentwise); the plane Frobenius sends (i, v) to (i, p^n v).
-The two window constructors assemble the polygons of the two standard
-infinite products
+The two window constructors return windows of the polygons of the two
+standard infinite products
 
     product_{n >= 0} phi^{-n}(w0)          (the p-power-roots-of-unity series)
     product_{n >= 0} phi^{-n}(w0) * product_{n >= 1} phi^{n}(w0)/p
 
-for w0 the distinguished degree-one generator with vertices (0,1), (1,0),
-using an exact geometric tail correction for the factors beyond the window.
-The leftmost ordinate of the first polygon is p/(p-1) = sum of p^{-n}; the
-often-quoted 1/(p-1) drops the n = 0 factor and is inconsistent with the
-product formula, so it is not used here.
+for w0 the distinguished degree-one generator with vertices (0,1), (1,0).
+Both are windows of one vertex ladder, built in closed form: vertex
+(n, p^(1-n)/(p-1)) at every integer n, slope -p^(-n) on [n, n+1].  Each
+factor phi^{-n}(w0) contributes the segment of slope -p^(-n) right of 0,
+each phi^{n}(w0)/p the segment of slope -p^n left of it, and a vertex's
+ordinate is the summed height of the factors to its right.  The leftmost
+ordinate of the first polygon is p/(p-1) = sum of p^{-n}; the often-quoted
+1/(p-1) drops the n = 0 factor and is inconsistent with the product
+formula, so it is not used here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .padic import INF, format_rational, lower_hull, parse_rational
 
@@ -206,107 +210,59 @@ def frobenius_transform(P: Polygon, n: int, p) -> Polygon:
     )
 
 
-def degree_one_generator_polygon() -> Polygon:
-    """Vertices (0, 1), (1, 0): the polygon shared by every normalized
-    degree-one generator of the evaluation kernel."""
-    return Polygon([(0, 1), (1, 0)])
-
-
 def epsilon_minus_one_polygon(p, x_window) -> Polygon:
     """Windowed polygon of the series with factorization
-    product_{n>=0} phi^{-n}(w0): leftmost point (0, p/(p-1)), then for each
-    n >= 0 a segment of horizontal length 1 and slope -p^{-n}.
-
-    Assembled as a finite Minkowski sum of transformed degree-one polygons
-    plus the exact geometric tail sum_{n > N} p^{-n} added to every
-    ordinate (each omitted factor translates the window by its leftmost
-    point).  The returned view is truncated at ``x_window``; its right ray
-    records the continuation slope.
+    product_{n>=0} phi^{-n}(w0): the ladder (see ``_ladder``) on [0, x_window],
+    so leftmost point (0, p/(p-1)), then for each n >= 0 a segment of
+    horizontal length 1 and slope -p^{-n}.  The left edge is vertical; the
+    right ray records the continuation slope past the cut.
     """
     p = int(p)
     x_window = Fraction(x_window)
     if x_window < 1:
         raise ValueError("window must extend at least to 1")
-    n_max = int(x_window) if x_window.denominator == 1 else int(x_window) + 1
-    acc = degree_one_generator_polygon()
-    for n in range(1, n_max + 1):
-        acc = minkowski_sum(acc, frobenius_transform(degree_one_generator_polygon(), -n, p))
-    tail = Fraction(1, p**n_max * (p - 1))  # sum_{n > n_max} p^{-n}
-    verts = [(x, y + tail) for x, y in acc.vertices]
-    return _window(verts, None, x_window, p)
+    return _ladder(p, Fraction(0), x_window, VERTICAL)
 
 
 def t_polygon(p, x_window_left, x_window_right) -> Polygon:
     """Windowed polygon of the series with factorization
     product_{n>=0} phi^{-n}(w0) * product_{n>=1} phi^{n}(w0)/p.
 
-    The polygon is invariant under (i, v) -> (i - 1, p v); its vertices sit
-    at the integer abscissas n with ordinate (p/(p-1)) p^{-n}, so slopes
-    grow without bound to the left.  Factors beyond the right edge lift the
-    window by an exact geometric tail; factors beyond the left edge
-    contribute only their rightmost point (0, 0) and need no correction.
+    The polygon is invariant under (i, v) -> (i - 1, p v); it is the whole
+    ladder (see ``_ladder``), so its vertices sit at the integer abscissas n
+    with ordinate (p/(p-1)) p^{-n} and slopes grow without bound to the
+    left.  Both rays record the continuation slope past the cut.
     """
     p = int(p)
     lo, hi = Fraction(x_window_left), Fraction(x_window_right)
     if lo >= hi:
         raise ValueError("empty window")
-    n_right = int(hi) if hi.denominator == 1 else int(hi) + 1
-    n_right = max(n_right, 0)
-    n_left = max(0, -(int(lo) if lo.denominator == 1 else int(lo) - 1))
-    acc = degree_one_generator_polygon()
-    for n in range(1, n_right + 1):
-        acc = minkowski_sum(acc, frobenius_transform(degree_one_generator_polygon(), -n, p))
-    # one factor beyond the left edge so the cut records its continuation slope
-    for n in range(1, n_left + 2):
-        # phi^n(w0)/p: vertices (-1, p^n), (0, 0)
-        acc = minkowski_sum(acc, Polygon([(-1, Fraction(p) ** n), (0, 0)]))
-    tail = Fraction(1, p**n_right * (p - 1))
-    verts = [(x, y + tail) for x, y in acc.vertices]
-    return _window(verts, lo, hi, p)
+    return _ladder(p, lo, hi, -Fraction(p) ** (1 - math.floor(lo)))
 
 
-def _window(verts, lo: Optional[Fraction], hi: Fraction, p: int) -> Polygon:
-    """Cut a vertex chain to [lo, hi], interpolating boundary vertices.
+def _ladder(p: int, lo: Fraction, hi: Fraction, left_ray) -> Polygon:
+    """The window [lo, hi] of the vertex ladder (n, p^(1-n)/(p-1)), n in Z,
+    whose segment on [n, n+1] has slope -p^(-n).
 
-    The rays record the slope of the first whole segment beyond each cut
-    (a ray equal to a partially kept segment's own slope would break the
-    strict-convexity invariant).
+    Vertices are the integers in the window plus the cut points lo and hi,
+    on their segments.  The right ray is the slope of the first whole
+    segment past hi, -p^(-ceil(hi)) (a partly kept segment's own slope
+    would break strict convexity).
     """
-    slopes = _chain_slopes(verts)
-    kept = []
-    left_ray = VERTICAL
-    right_ray = HORIZONTAL
-    for x, y in verts:
-        if (lo is None or x >= lo) and x <= hi:
-            kept.append((x, y))
-    if not kept:
+    first, last = math.ceil(lo), math.floor(hi)
+    if first > last:
         raise ValueError("window contains no vertex")
-    first_idx = verts.index(kept[0])
-    last_idx = verts.index(kept[-1])
-    if lo is not None and kept[0][0] > lo and first_idx > 0:
-        # interpolate the entry point on the incoming segment
-        s = slopes[first_idx - 1]
-        x0, y0 = kept[0]
-        kept.insert(0, (lo, y0 + s * (lo - x0)))
-        left_ray = _continuation(slopes, first_idx - 2)
-    elif lo is not None and first_idx > 0:
-        left_ray = slopes[first_idx - 1]
-    if kept[-1][0] < hi and last_idx < len(slopes):
-        s = slopes[last_idx]
-        x1, y1 = kept[-1]
-        kept.append((hi, y1 + s * (hi - x1)))
-        right_ray = _continuation_right(slopes, last_idx + 1)
-    elif last_idx < len(slopes):
-        right_ray = slopes[last_idx]
-    return Polygon(kept, left_ray, right_ray)
 
+    def height(x):
+        n = math.floor(x)
+        return Fraction(p) ** (1 - n) / (p - 1) - Fraction(p) ** -n * (x - n)
 
-def _continuation(slopes, idx):
-    return slopes[idx] if 0 <= idx < len(slopes) else VERTICAL
-
-
-def _continuation_right(slopes, idx):
-    return slopes[idx] if 0 <= idx < len(slopes) else HORIZONTAL
+    xs = list(range(first, last + 1))
+    if lo < first:
+        xs.insert(0, lo)
+    if hi > last:
+        xs.append(hi)
+    return Polygon([(x, height(x)) for x in xs], left_ray, -Fraction(p) ** -math.ceil(hi))
 
 
 def ascii_sketch(P: Polygon, width: int = 60, height: int = 20) -> str:

@@ -436,11 +436,6 @@ class TiltExpr:
         return cls(p, terms)
 
 
-def vflat_monomial(m: TiltMonomial) -> Fraction:
-    """v_flat of a single monomial: the pflat exponent."""
-    return m.vflat()
-
-
 # ---------------------------------------------------------------------------
 # evaluation (theta) and the graded value model
 # ---------------------------------------------------------------------------

@@ -244,9 +244,23 @@ def test_batch_determinism(tmp_path, capsys):
         {"command": "sen", "p": 3, "level": 1, "matrix": []},
         {"command": "sen", "p": 3, "level": 1, "matrix": [["1", "0"]]},
         {"command": "polygon", "kind": "epsilon_minus_one", "p": 1, "window": "3"},
+        # fields of the wrong JSON type, which fail inside the handlers
+        {"command": "tilt", "p": 3, "op": "theta", "builtin": "omega", "level": None},
+        {"command": "jet", "p": 3, "action": "gr-check", "m": None},
+        {"command": "herbrand", "e": 2, "orders": None},
+        {"command": "phimod", "p": 5, "eisenstein": [-5, 1], "dim": 1, "frobenius": [["25"]],
+         "filtration": [{"jump": None, "basis": [[["1"]]]}]},
+        {"command": "polygon", "kind": "t", "p": 3, "window": 5},
     ],
 )
 def test_batch_isolates_invalid_field(tmp_path, capsys, bad):
+    # alone: exit 2 with a JSON error, never a traceback
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({k: v for k, v in bad.items() if k != "command"}))
+    code, report = run_json(capsys, bad["command"], "--input", str(f))
+    assert code == 2
+    assert set(report) == {"schema", "error"}
+    # in a batch: only that line fails
     good = json.dumps({"command": "herbrand", "e": 4, "orders": [4, 2, 2]})
     f = tmp_path / "bad.jsonl"
     f.write_text("\n".join([good, json.dumps(bad), good]) + "\n")

@@ -1,10 +1,16 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from period_lab.padic import INF, lower_hull
 from period_lab.polygons import (
+    VERTICAL,
     Polygon,
     SeriesProfile,
     ascii_sketch,
@@ -173,6 +179,100 @@ def test_windowed_rays():
     T = t_polygon(2, -2, 2)
     assert T.left_ray == -(2**3)
     assert T.right_ray == F(-1, 4)
+
+
+def minkowski_chain(p, n_left, n_right):
+    """Oracle: vertex chain of product_{n=0}^{n_right} phi^{-n}(w0) *
+    product_{n=1}^{n_left} phi^{n}(w0)/p assembled by Minkowski sums, as demo
+    02 does, lifted by the geometric tail sum_{n > n_right} p^{-n} of the
+    omitted right factors."""
+    gen = hull(SeriesProfile([(0, 1), (1, 0)]))
+    acc = gen
+    for n in range(1, n_right + 1):
+        acc = minkowski_sum(acc, frobenius_transform(gen, -n, p))
+    left_gen = Polygon([(-1, 1), (0, 0)])  # phi^n(w0)/p is its n-th Frobenius twist
+    for n in range(1, n_left + 1):
+        acc = minkowski_sum(acc, frobenius_transform(left_gen, n, p))
+    tail = F(1, p**n_right * (p - 1))
+    return [(x, y + tail) for x, y in acc.vertices]
+
+
+def window_oracle(chain):
+    """Oracle: the cut of an assembled chain to [lo, hi] (lo None: keep the
+    vertical left edge), interpolating the cut points; each ray is the slope
+    of the first whole segment past its cut."""
+    slopes = [(y2 - y1) / (x2 - x1) for (x1, y1), (x2, y2) in zip(chain, chain[1:])]
+
+    def cut(lo, hi):
+        inside = [k for k, (x, _) in enumerate(chain) if (lo is None or lo <= x) and x <= hi]
+        if not inside:
+            raise ValueError("window contains no vertex")
+        i, j = inside[0], inside[-1]
+        verts = chain[i:j + 1]
+        left_ray = VERTICAL
+        if lo is not None:
+            if lo < chain[i][0]:
+                verts.insert(0, (lo, chain[i][1] - slopes[i - 1] * (chain[i][0] - lo)))
+                i -= 1
+            assert i >= 1, "chain too short on the left"
+            left_ray = slopes[i - 1]
+        if hi > chain[j][0]:
+            verts.append((hi, chain[j][1] + slopes[j] * (hi - chain[j][0])))
+            j += 1
+        assert j < len(slopes), "chain too short on the right"
+        return Polygon(verts, left_ray, slopes[j])
+
+    return cut
+
+
+def _outcome(build, *args):
+    # equal vertices and rays give byte-identical JSON
+    try:
+        P = build(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return P.vertices, P.left_ray, P.right_ray
+
+
+def _eps_oracle(cut, w):
+    if w < 1:
+        raise ValueError("window must extend at least to 1")
+    return cut(None, w)
+
+
+def _t_oracle(cut, lo, hi):
+    if lo >= hi:
+        raise ValueError("empty window")
+    return cut(lo, hi)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_closed_form_matches_minkowski_assembly(p):
+    # epsilon windows -1..59 in steps of 1/2, 1/3, 1/4; t windows with lo in
+    # thirds and hi in halves over [-12, 16]; error messages included
+    eps_cut = window_oracle(minkowski_chain(p, 0, 60))
+    for w in sorted({F(k, d) for d in (2, 3, 4) for k in range(-d, 59 * d + 1)}):
+        assert _outcome(epsilon_minus_one_polygon, p, w) == _outcome(_eps_oracle, eps_cut, w), w
+    t_cut = window_oracle(minkowski_chain(p, 14, 17))
+    for lo in (F(k, 3) for k in range(-36, 49)):
+        for hi in (F(k, 2) for k in range(-24, 33)):
+            assert _outcome(t_polygon, p, lo, hi) == _outcome(_t_oracle, t_cut, lo, hi), (lo, hi)
+
+
+def test_wide_window_is_linear_time():
+    # the closed form takes about 0.1 s here, start-up included; assembling
+    # 2001 Minkowski factors would take minutes
+    src = Path(__file__).resolve().parents[1] / "src"
+    payload = json.dumps({"kind": "epsilon_minus_one", "p": 3, "window": 2000})
+    proc = subprocess.run(
+        [sys.executable, "-m", "period_lab.cli", "polygon", "--input", "-"],
+        input=payload, capture_output=True, text=True, timeout=3,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    verts = json.loads(proc.stdout)["polygon"]["vertices"]
+    assert len(verts) == 2001
+    assert verts[-1] == ["2000", f"1/{2 * 3**1999}"]
 
 
 def test_tilt_product_polygon_is_minkowski_sum():

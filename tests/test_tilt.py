@@ -16,7 +16,6 @@ from period_lab.tilt import (
     ker_theta_orbit_probe,
     rational_unit_mod,
     theta,
-    vflat_monomial,
     vflat_sum,
 )
 
@@ -143,10 +142,10 @@ def test_theta_galois_compatibility_on_epsilon_sums():
 
 def test_vflat_monomial():
     p = 5
-    assert vflat_monomial(TiltMonomial(F(1, p), 0, FqElement.one(p))) == 0
-    assert vflat_monomial(TiltMonomial(0, 1, FqElement.one(p))) == 1
+    assert TiltMonomial(F(1, p), 0, FqElement.one(p)).vflat() == 0
+    assert TiltMonomial(0, 1, FqElement.one(p)).vflat() == 1
     u = FqElement(p, 1, (2,))
-    assert vflat_monomial(TiltMonomial(0, F(3, p), u)) == F(3, p)
+    assert TiltMonomial(0, F(3, p), u).vflat() == F(3, p)
 
 
 def test_vflat_sum_epsilon_minus_one():
