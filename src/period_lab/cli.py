@@ -20,17 +20,13 @@ import json
 import sys
 
 from . import characters, filtered_phi, jets, polygons, ramification, tilt
-from .padic import INF, _is_probable_prime, format_rational, parse_rational
+from .padic import INF, SchemaError, _is_probable_prime, format_rational, parse_rational
 
 SCHEMA = "period-lab/1"
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_UNDECIDED = 3
-
-
-class SchemaError(Exception):
-    pass
 
 
 # exceptions that mean "this input is malformed": exit 2, and in batch only
@@ -167,7 +163,7 @@ def _theta_json(value: tilt.GradedThetaValue) -> dict:
 
 
 def run_tilt(payload: dict, args):
-    p = int(_require(payload, "p"))
+    p = _require_prime(payload)
     op = payload.get("op", "theta")
     expr = _tilt_expr(payload, p)
     if op == "theta":
@@ -219,7 +215,7 @@ def run_tilt(payload: dict, args):
 
 def run_jet(payload: dict, args):
     action = payload.get("action", "verify-cocycle")
-    p = int(_require(payload, "p"))
+    p = _require_prime(payload)
     order = int(payload.get("order", args.order or 6))
     if action == "verify-cocycle":
         g = tilt.GaloisElement(

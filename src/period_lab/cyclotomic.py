@@ -20,14 +20,22 @@ attained uniquely and
     v_p(g(z)) = min_i ( v_p(b_i) + i/phi(p^N) )
 
 holds exactly, with no cancellation analysis needed.
+
+Coefficients are Fractions, but ``vp`` works in plain ints: it scales
+every coefficient to the lcm L of their denominators, sums the integers
+L b_i, and compares candidates as phi(p^N) v_p(L b_i) + i, so that one
+Fraction is formed at the end.  Callers that add many terms (theta and
+v_flat in ``tilt``) gather each exponent's coefficient first and build
+one element, reducing once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .padic import INF, Valuation, rational_valuation
+from .padic import INF, Valuation, multiplicity
 
 
 @dataclass(frozen=True)
@@ -132,22 +140,19 @@ class CycElt:
         if not self.coeffs:
             return INF
         p, e = self.ctx.p, self.ctx.degree
-        max_exp = max(self.coeffs)
-        best: Valuation = INF
-        # b_i = sum_m c_m * C(m, i), computed per support exponent with a
-        # running binomial coefficient
-        b = [Fraction(0)] * (max_exp + 1)
+        den = lcm(*(c.denominator for c in self.coeffs.values()))
+        # den * b_i = sum_m den * c_m * C(m, i), computed per support
+        # exponent with a running binomial coefficient
+        b = [0] * (max(self.coeffs) + 1)
         for m, c in self.coeffs.items():
+            a = c.numerator * (den // c.denominator)
             binom = 1
             for i in range(m + 1):
-                b[i] += c * binom
+                b[i] += a * binom
                 binom = binom * (m - i) // (i + 1)
-        for i, bi in enumerate(b):
-            if bi:
-                cand = rational_valuation(bi, p) + Fraction(i, e)
-                if cand < best:
-                    best = cand
-        return best
+        # v_p(b_i) + i/e compared as e * v_p(den * b_i) + i (all i < e)
+        best = min(e * multiplicity(bi, p) + i for i, bi in enumerate(b) if bi)
+        return Fraction(best, e) - multiplicity(den, p)
 
     def __repr__(self):
         if not self.coeffs:

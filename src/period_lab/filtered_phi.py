@@ -62,6 +62,7 @@ from .linalg import (
 )
 from .padic import (
     PolyValuationProfile,
+    SchemaError,
     format_rational,
     parse_rational,
     poly_newton_polygon,
@@ -235,10 +236,17 @@ class FilteredPhiModule:
     def from_json(cls, obj: dict) -> "FilteredPhiModule":
         base = BaseFieldK(obj["p"], obj["eisenstein"])
         frob = [[parse_rational(x) for x in row] for row in obj["frobenius"]]
+        d = obj.get("dim", len(frob))
+        if d != len(frob):
+            raise SchemaError(f"declared dim {d!r}, but Frobenius has {len(frob)} rows")
         filtration = []
         for step in obj["filtration"]:
             vecs = []
             for vec in step["basis"]:
+                if len(vec) != d:
+                    raise SchemaError(
+                        f"declared dim {d}, but a filtration vector has {len(vec)} entries"
+                    )
                 vecs.append(
                     [
                         base.element([parse_rational(c) for c in entry])

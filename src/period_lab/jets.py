@@ -21,13 +21,21 @@ fly that the generalized binomial coefficients are p-integral (they are,
 for p-adically integral exponents; the check guards the caller's input).
 The convention log p = 0 is wired in: log[pflat] is modeled by
 log1p(-w) = log((1/p)[pflat]).
+
+Representation: a jet stores integer numerators over one common
+denominator, ``nums`` {(i, j): int} and ``den`` > 0, reduced by one gcd
+after every operation (zero is {} over 1), so equal jets have equal
+(nums, den).  Products only visit pairs of total degree below the order:
+the smaller factor is sorted by degree and the scan over it breaks early.
+Sums, substitution and the series accumulate every term over the lcm of
+the denominators in one pass.  ``coeffs`` reads the same map as Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import gcd, lcm
 
 from .padic import Prime, format_rational, parse_rational, rational_valuation
 from .tilt import GaloisElement
@@ -57,20 +65,20 @@ class JetContext:
         return self.prime.p
 
     def zero(self) -> "JetElement":
-        return JetElement(self, {})
+        return _jet(self, {}, 1)
 
     def one(self) -> "JetElement":
-        return JetElement(self, {(0, 0): Fraction(1)})
+        return _jet(self, {(0, 0): 1}, 1)
 
     def rational(self, q) -> "JetElement":
         q = Fraction(q)
-        return JetElement(self, {(0, 0): q} if q else {})
+        return _jet(self, {(0, 0): q.numerator} if q else {}, q.denominator)
 
     def u(self) -> "JetElement":
-        return JetElement(self, {(1, 0): Fraction(1)})
+        return _jet(self, {(1, 0): 1}, 1)
 
     def w(self) -> "JetElement":
-        return JetElement(self, {(0, 1): Fraction(1)})
+        return _jet(self, {(0, 1): 1}, 1)
 
     def t(self) -> "JetElement":
         """The cyclotomic period log(1 + u)."""
@@ -82,24 +90,30 @@ class JetContext:
 
 
 class JetElement:
-    """Coefficient map {(i, j): rational} for monomials u^i w^j, i+j < order."""
+    """Monomials u^i w^j, i+j < order, with rational coefficients held as
+    integer numerators ``nums`` over the common denominator ``den``."""
 
-    __slots__ = ("context", "coeffs")
+    __slots__ = ("context", "nums", "den")
 
     def __init__(self, context: JetContext, coeffs: dict):
-        self.context = context
         m = context.order
-        self.coeffs = {
-            k: Fraction(v)
-            for k, v in coeffs.items()
-            if v and k[0] + k[1] < m
-        }
+        coeffs = {k: Fraction(v) for k, v in coeffs.items() if k[0] + k[1] < m}
+        den = lcm(*(v.denominator for v in coeffs.values()))
+        self.context = context
+        self.nums = {k: v.numerator * (den // v.denominator) for k, v in coeffs.items()}
+        self.den = den
+        _reduce(self)
+
+    @property
+    def coeffs(self) -> dict:
+        """The coefficient map {(i, j): Fraction}."""
+        return {k: Fraction(v, self.den) for k, v in self.nums.items()}
 
     def constant_term(self) -> Fraction:
-        return self.coeffs.get((0, 0), Fraction(0))
+        return Fraction(self.nums.get((0, 0), 0), self.den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def _check(self, other: "JetElement"):
         if other.context != self.context:
@@ -110,48 +124,56 @@ class JetElement:
             other = self.context.rational(other)
         if not isinstance(other, JetElement):
             return NotImplemented
-        return self.context == other.context and self.coeffs == other.coeffs
+        return (
+            self.context == other.context
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self):
-        return hash((self.context, tuple(sorted(self.coeffs.items()))))
+        return hash((self.context, self.den, tuple(sorted(self.nums.items()))))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.context.rational(other)
         self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return JetElement(self.context, out)
+        return _combine(self.context, ((self, 1, 1), (other, 1, 1)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return JetElement(self.context, {k: -v for k, v in self.coeffs.items()})
+        return _jet(self.context, {k: -v for k, v in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.context.rational(other)
-        return self + (-other)
+        self._check(other)
+        return _combine(self.context, ((self, 1, 1), (other, -1, 1)))
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return JetElement(
-                self.context, {k: v * other for k, v in self.coeffs.items()}
-            )
+            return _combine(self.context, ((self, other.numerator, other.denominator),))
         self._check(other)
-        m = self.context.order
+        a, b = self.nums, other.nums
+        if len(a) < len(b):
+            a, b = b, a
+        if b == _ONE:  # a constant 1/den: only the denominator changes
+            return _jet(self.context, dict(a), self.den * other.den)
+        room = self.context.order
+        inner = sorted((i + j, i, j, v) for (i, j), v in b.items())
         out: dict = {}
-        for (i1, j1), v1 in self.coeffs.items():
-            for (i2, j2), v2 in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j < m:
-                    k = (i, j)
-                    out[k] = out.get(k, Fraction(0)) + v1 * v2
-        return JetElement(self.context, out)
+        get = out.get
+        for (i1, j1), v1 in a.items():
+            left = room - i1 - j1
+            for d, i2, j2, v2 in inner:
+                if d >= left:
+                    break
+                k = (i1 + i2, j1 + j2)
+                out[k] = get(k, 0) + v1 * v2
+        return _jet(self.context, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -168,20 +190,20 @@ class JetElement:
         return result
 
     def min_total_degree(self) -> int:
-        if not self.coeffs:
+        if not self.nums:
             return self.context.order
-        return min(i + j for i, j in self.coeffs)
+        return min(i + j for i, j in self.nums)
 
     def substitute(self, u_image: "JetElement", w_image: "JetElement") -> "JetElement":
         """The algebra homomorphism sending u, w to the given jets."""
-        out = self.context.zero()
-        # Horner-style by u-degree would complicate the two-variable case;
-        # expansion sizes are tiny at the default order, so evaluate directly
-        u_pows = _powers(u_image, max((i for i, _ in self.coeffs), default=0))
-        w_pows = _powers(w_image, max((j for _, j in self.coeffs), default=0))
-        for (i, j), v in self.coeffs.items():
-            out = out + u_pows[i] * w_pows[j] * v
-        return out
+        self._check(u_image)
+        self._check(w_image)
+        u_pows = _powers(u_image, max((i for i, _ in self.nums), default=0))
+        w_pows = _powers(w_image, max((j for _, j in self.nums), default=0))
+        return _combine(
+            self.context,
+            ((u_pows[i] * w_pows[j], v, self.den) for (i, j), v in self.nums.items()),
+        )
 
     def to_json(self) -> dict:
         def mono(i, j):
@@ -201,13 +223,47 @@ class JetElement:
         }
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "Jet(0)"
         bits = []
         for (i, j), v in sorted(self.coeffs.items()):
             mono = ("" if not i else f"u^{i}") + ("" if not j else f" w^{j}")
             bits.append(f"{v}{' ' + mono.strip() if mono.strip() else ''}")
         return "Jet(" + " + ".join(bits) + ")"
+
+
+_ONE = {(0, 0): 1}
+
+
+def _reduce(x: JetElement) -> JetElement:
+    """Drop zero numerators and divide out the gcd of numerators and
+    denominator, in place."""
+    nums = {k: v for k, v in x.nums.items() if v}
+    g = gcd(x.den, *nums.values())
+    if g != 1:
+        nums = {k: v // g for k, v in nums.items()}
+    x.nums, x.den = nums, x.den // g
+    return x
+
+
+def _jet(context: JetContext, nums: dict, den: int) -> JetElement:
+    """The jet sum nums[k]/den u^i w^j; every key below the order, den > 0."""
+    x = object.__new__(JetElement)
+    x.context, x.nums, x.den = context, nums, den
+    return _reduce(x)
+
+
+def _combine(context: JetContext, terms) -> JetElement:
+    """sum (a / b) x over the (x, a, b) in ``terms`` (b > 0), accumulated
+    in one pass over the lcm of the denominators."""
+    terms = [(x, a, b) for x, a, b in terms if a and x.nums]
+    den = lcm(*(x.den * b for x, _, b in terms))
+    out: dict = {}
+    for x, a, b in terms:
+        scale = a * (den // (x.den * b))
+        for k, v in x.nums.items():
+            out[k] = out.get(k, 0) + v * scale
+    return _jet(context, out, den)
 
 
 def _powers(x: JetElement, n: int) -> list:
@@ -247,32 +303,30 @@ def log1p(x: JetElement) -> JetElement:
     Requires zero constant term (x in the first filtration step)."""
     if x.constant_term() != 0:
         raise ValueError("log1p needs a zero constant term")
-    m = x.context.order
-    out = x.context.zero()
+    terms = []
     power = x.context.one()
-    for i in range(1, m):
+    for i in range(1, x.context.order):
         power = power * x
         if power.is_zero():
             break
-        out = out + power * Fraction((-1) ** (i - 1), i)
-    return out
+        terms.append((power, (-1) ** (i - 1), i))
+    return _combine(x.context, terms)
 
 
 def exp(x: JetElement) -> JetElement:
     """exp(x) = sum_{i < order} x^i / i!, zero constant term required."""
     if x.constant_term() != 0:
         raise ValueError("exp needs a zero constant term")
-    m = x.context.order
-    out = x.context.one()
     power = x.context.one()
+    terms = [(power, 1, 1)]
     fact = 1
-    for i in range(1, m):
+    for i in range(1, x.context.order):
         power = power * x
         fact *= i
         if power.is_zero():
             break
-        out = out + power * Fraction(1, fact)
-    return out
+        terms.append((power, 1, fact))
+    return _combine(x.context, terms)
 
 
 def binomial_pow(x: JetElement, exponent) -> JetElement:
@@ -286,11 +340,10 @@ def binomial_pow(x: JetElement, exponent) -> JetElement:
         raise ValueError("exponent denominator must be prime to p")
     if x.constant_term() != 0:
         raise ValueError("binomial_pow expands around 1; x needs zero constant term")
-    m = x.context.order
-    out = x.context.one()
     power = x.context.one()
+    terms = [(power, 1, 1)]
     binom = Fraction(1)
-    for i in range(1, m):
+    for i in range(1, x.context.order):
         power = power * x
         binom = binom * (exponent - (i - 1)) / i
         if rational_valuation(binom, p) < 0 and binom != 0:
@@ -299,8 +352,8 @@ def binomial_pow(x: JetElement, exponent) -> JetElement:
             )
         if power.is_zero() or binom == 0:
             break
-        out = out + power * binom
-    return out
+        terms.append((power, binom.numerator, binom.denominator))
+    return _combine(x.context, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +413,8 @@ def frobenius_galois_commute(g: GaloisElement, context: JetContext) -> bool:
 
 
 def _retruncate(x: JetElement, context: JetContext) -> JetElement:
-    return JetElement(context, x.coeffs)
+    m = context.order
+    return _jet(context, {k: v for k, v in x.nums.items() if k[0] + k[1] < m}, x.den)
 
 
 # ---------------------------------------------------------------------------

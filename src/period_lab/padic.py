@@ -127,11 +127,16 @@ def int_valuation(n: int, p: int) -> Valuation:
     """v_p of a plain integer (INF for 0)."""
     if n == 0:
         return INF
+    return Fraction(multiplicity(n, p))
+
+
+def multiplicity(n: int, p: int) -> int:
+    """v_p of a nonzero integer, as a plain int."""
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-    return Fraction(v)
+    return v
 
 
 def rational_valuation(x, p: int) -> Valuation:
@@ -147,6 +152,10 @@ def format_rational(x) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+class SchemaError(Exception):
+    """An input object that does not match its documented schema."""
 
 
 def parse_rational(text) -> Fraction:
@@ -178,21 +187,22 @@ def factorial_valuation(i: int, p) -> int:
 def nu(i: int, p) -> int:
     """Smallest n with v_p(n!) + i >= 0; zero for i >= 0.
 
-    Computed by incremental scan (v_p(n!) only jumps at multiples of p),
-    not by a closed form: the overshoot above -i(p-1) genuinely oscillates
-    on the scale of (p-1) log_p|i| and is not bounded.
+    Computed by binary search on the nondecreasing v_p(n!), not by a
+    closed form: the overshoot above -i(p-1) genuinely oscillates on the
+    scale of (p-1) log_p|i| and is not bounded.  v_p((p|i|)!) >= |i|
+    brackets the answer.
     """
     if i >= 0:
         return 0
     p = int(p)
-    target = -i
-    n, vfact = 0, 0
-    while vfact < target:
-        n += p
-        vfact += 1 + int(int_valuation(n // p, p))
-    # v_p(n!) only jumps at multiples of p, so the minimal n is the
-    # multiple of p at which the threshold was first reached
-    return n
+    lo, hi = 0, -i * p  # v_p(lo!) < -i <= v_p(hi!)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if factorial_valuation(mid, p) + i >= 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .padic import (
     Prime,
     Valuation,
     format_rational,
+    multiplicity,
     parse_rational,
     rational_valuation,
 )
@@ -441,14 +442,6 @@ class TiltExpr:
 # ---------------------------------------------------------------------------
 
 
-def _p_denominator_exponent(x: Fraction, p: int) -> int:
-    d, k = x.denominator, 0
-    while d % p == 0:
-        d //= p
-        k += 1
-    return k
-
-
 def _root_exponent(a: Fraction, p: int, N: int) -> int:
     """(p^N * a) as an integer mod p^N; the prime-to-p denominator part is
     inverted modulo p^N.  Requires the p-part of a's denominator <= p^N."""
@@ -533,8 +526,7 @@ def theta(x: TiltExpr, N: int) -> GradedThetaValue:
     Rejects eps-exponents finer than p^N; flags Teichmueller parts without
     an exact cyclotomic image.
     """
-    ctx = CyclotomicContext(x.p, N)
-    pieces: dict = {}
+    terms = []
     exact = True
     for coeff, m, i in x.terms:
         E = _root_exponent(m.a, x.p, N)
@@ -542,11 +534,20 @@ def theta(x: TiltExpr, N: int) -> GradedThetaValue:
         sign, key = _teich_contribution(m.u)
         if key is not None:
             exact = False
-        scale = Fraction(coeff * sign) * Fraction(x.p) ** (int(m.c) + i)
-        piece_key = (frac, key)
-        cur = pieces.get(piece_key, ctx.zero())
-        pieces[piece_key] = cur + ctx.root_power(E).scale(scale)
-    return GradedThetaValue(ctx, pieces, exact)
+        terms.append(((frac, key), E, coeff * sign * Fraction(x.p) ** (int(m.c) + i)))
+    ctx = CyclotomicContext(x.p, N)
+    return GradedThetaValue(ctx, _gather(ctx, terms), exact)
+
+
+def _gather(ctx: CyclotomicContext, terms) -> dict:
+    """{piece key: CycElt} from (piece key, root exponent E, scale) triples
+    meaning scale * z^E: each piece's exponent -> coefficient map is summed
+    in one pass, then reduced once."""
+    gathered: dict = {}
+    for key, E, scale in terms:
+        coeffs = gathered.setdefault(key, {})
+        coeffs[E] = coeffs.get(E, 0) + scale
+    return {key: CycElt(ctx, coeffs) for key, coeffs in gathered.items()}
 
 
 def rational_unit_mod(q, p: int, N: int) -> int:
@@ -600,21 +601,16 @@ def _component_value(x: TiltExpr, n: int):
     component vanishes mod p (the residue ring truncates there).
     """
     p = x.p
-    k_max = max(
-        (_p_denominator_exponent(m.a, p) for _, m, _ in x.terms), default=0
-    )
+    k_max = max((multiplicity(m.a.denominator, p) for _, m, _ in x.terms), default=0)
     M = n + k_max
-    ctx = CyclotomicContext(p, M)
-    pieces: dict = {}
+    terms = []
     for coeff, m, _ in x.terms:
         E = _root_exponent(m.a / Fraction(p) ** n, p, M)
         scale_exp = m.c / Fraction(p) ** n  # v_p of the pflat component
         frac = scale_exp - int(scale_exp)
         sign, key = _teich_contribution(m.u.frobenius(-n))
-        piece_key = (frac, key)
-        scale = Fraction(coeff * sign) * Fraction(p) ** int(scale_exp)
-        cur = pieces.get(piece_key, ctx.zero())
-        pieces[piece_key] = cur + ctx.root_power(E).scale(scale)
+        terms.append(((frac, key), E, coeff * sign * p ** int(scale_exp)))
+    pieces = _gather(CyclotomicContext(p, M), terms)
     candidates = []
     for (frac, key), elt in pieces.items():
         v = elt.vp()

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from period_lab.cli import main
+from period_lab.cli import SchemaError, main
+from period_lab.filtered_phi import FilteredPhiModule
 
 
 def run_cli(capsys, *argv):
@@ -300,6 +305,63 @@ def test_phimod_and_sen_reject_non_prime(tmp_path, capsys, command, payload):
     assert code == 2
     assert [r["status"] for r in report["results"]] == ["ok", "error", "ok"]
     assert "prime" in report["results"][1]["message"]
+
+
+def run_process(argv, stdin):
+    """The CLI in a fresh interpreter, stopped after 2 s."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "period_lab.cli", *argv],
+        input=stdin, capture_output=True, text=True, timeout=2,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["tilt", "--input", "-"], {"p": 1, "op": "theta", "builtin": "omega", "level": 2}),
+        (["jet", "--input", "-"], {"p": 1, "action": "verify-cocycle", "chi": "1", "c": "0"}),
+        (["jet", "--input", "-"], {"p": 6, "action": "gr-check", "m": 3}),
+        (["jet", "--p", "1", "--chi", "1", "--c", "0"], None),
+    ],
+)
+def test_tilt_and_jet_reject_non_prime(argv, payload):
+    # p = 1 used to loop forever in the valuation of chi
+    proc = run_process(argv, json.dumps(payload) if payload else "")
+    assert proc.returncode == 2, proc.stderr
+    assert "prime" in json.loads(proc.stdout)["error"]
+    if payload is None:
+        return
+    good = {"command": "herbrand", "e": 4, "orders": [4, 2, 2]}
+    lines = (good, dict(payload, command=argv[0]), good)
+    proc = run_process(["batch", "--input", "-"], "".join(json.dumps(x) + "\n" for x in lines))
+    assert proc.returncode == 2, proc.stderr
+    report = json.loads(proc.stdout)
+    assert [r["status"] for r in report["results"]] == ["ok", "error", "ok"]
+    assert "prime" in report["results"][1]["message"]
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"dim": 2},  # a 1x1 Frobenius
+        {"dim": 2, "frobenius": [["25", "0"], ["0", "1"]]},  # 1-entry basis vectors
+        # no declared dim: the Frobenius size sets it
+        {"dim": None, "filtration": [{"jump": 1, "basis": [[["1"], ["0"]]]}]},
+    ],
+)
+def test_phimod_checks_declared_dim(tmp_path, capsys, changes):
+    module = {"p": 5, "eisenstein": [-5, 1], "dim": 1, "frobenius": [["25"]],
+              "filtration": [{"jump": 1, "basis": [[["1"]]]}]}
+    module = {k: v for k, v in {**module, **changes}.items() if v is not None}
+    with pytest.raises(SchemaError, match="dim"):
+        FilteredPhiModule.from_json(module)
+    f = tmp_path / "mod.json"
+    f.write_text(json.dumps(module))
+    code, report = run_json(capsys, "phimod", "--input", str(f))
+    assert code == 2
+    assert "dim" in report["error"]
 
 
 @pytest.mark.parametrize("command", ["herbrand", "polygon", "tilt", "jet", "phimod", "char", "sen", "batch"])

@@ -2,6 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import jets_reference as ref
 
 from period_lab.jets import (
     JetContext,
@@ -191,3 +195,106 @@ def test_jet_json_roundtrip():
     x = JetElement(ctx, {(1, 0): F(2, 3), (0, 2): F(-1, 7), (1, 1): F(4)})
     assert jet_from_json(ctx, x.to_json()) == x
     assert jet_from_json(ctx, ctx.one().to_json()) == ctx.one()
+
+
+# -- the integer representation against the Fraction reference ---------------
+
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@st.composite
+def jet_case(draw, count=2, order_max=12):
+    """A context and ``count`` coefficient maps, keys past the order
+    included (both sides truncate them)."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    order = draw(st.integers(1, order_max))
+    keys = st.tuples(st.integers(0, order), st.integers(0, order))
+    maps = [draw(st.dictionaries(keys, rationals, max_size=8)) for _ in range(count)]
+    return p, order, maps
+
+
+def both(p, order, coeffs, zero_const=False):
+    if zero_const:
+        coeffs = {k: v for k, v in coeffs.items() if k != (0, 0)}
+    return JetElement(JetContext(p, order), coeffs), ref.JetElement(ref.JetContext(p, order), coeffs)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args).coeffs
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=80, deadline=None)
+@given(jet_case(), rationals)
+def test_ring_operations_match_reference(case, q):
+    p, order, (a, b) = case
+    x, rx = both(p, order, a)
+    y, ry = both(p, order, b)
+    assert x.coeffs == rx.coeffs
+    assert (x * y).coeffs == (rx * ry).coeffs
+    assert (x + y).coeffs == (rx + ry).coeffs
+    assert (x - y).coeffs == (rx - ry).coeffs
+    assert (q - x).coeffs == (q - rx).coeffs
+    assert (x * q).coeffs == (rx * q).coeffs
+    assert (x == y) == (rx == ry)
+    # equal jets reached by different routes are equal and hash alike
+    z = x + y - y
+    assert z == x and hash(z) == hash(x)
+    assert x.constant_term() == rx.constant_term()
+    assert x.min_total_degree() == rx.min_total_degree()
+
+
+@settings(max_examples=40, deadline=None)
+@given(jet_case(count=3, order_max=8))
+def test_substitute_matches_reference(case):
+    p, order, (a, b, c) = case
+    x, rx = both(p, order, a)
+    u_img, ru_img = both(p, order, b)
+    w_img, rw_img = both(p, order, c)
+    assert x.substitute(u_img, w_img).coeffs == rx.substitute(ru_img, rw_img).coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(jet_case(count=1), st.fractions(min_value=-30, max_value=30, max_denominator=16))
+def test_series_match_reference(case, exponent):
+    p, order, (a,) = case
+    x, rx = both(p, order, a, zero_const=True)
+    assert log1p(x).coeffs == ref.log1p(rx).coeffs
+    assert exp(x).coeffs == ref.exp(rx).coeffs
+    assert outcome(binomial_pow, x, exponent) == outcome(ref.binomial_pow, rx, exponent)
+    # a constant term is refused by both
+    y, ry = both(p, order, {**a, (0, 0): F(1)})
+    for ours, theirs in ((log1p, ref.log1p), (exp, ref.exp)):
+        assert outcome(ours, y) == outcome(theirs, ry)
+    assert outcome(binomial_pow, y, exponent) == outcome(ref.binomial_pow, ry, exponent)
+
+
+@st.composite
+def galois_case(draw, order_max):
+    p = draw(st.sampled_from((2, 3, 5)))
+    order = draw(st.integers(2, order_max))
+    chi = draw(rationals.filter(lambda q: q and q.numerator % p and q.denominator % p))
+    c = draw(rationals.filter(lambda q: q.denominator % p))
+    return p, order, GaloisElement(chi, c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(galois_case(order_max=12))
+def test_identities_match_reference(case):
+    p, order, g = case
+    ctx, rctx = JetContext(p, order), ref.JetContext(p, order)
+    assert verify_cocycle(g, ctx) == ref.verify_cocycle(g, rctx)
+    y, ry = ctx.log_p_flat(), rctx.log_p_flat()
+    assert galois_act_jet(g, y).coeffs == ref.galois_act_jet(g, ry).coeffs
+    assert frobenius_jet(y).coeffs == ref.frobenius_jet(ry).coeffs
+
+
+@settings(max_examples=15, deadline=None)
+@given(galois_case(order_max=8))
+def test_frobenius_galois_commute_matches_reference(case):
+    p, order, g = case
+    assert frobenius_galois_commute(g, JetContext(p, order)) == ref.frobenius_galois_commute(
+        g, ref.JetContext(p, order)
+    )

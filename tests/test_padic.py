@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +123,19 @@ def test_nu_bracket():
             assert lower <= n
             slack = (p - 1) * (math.ceil(math.log(-i * (p - 1) + 1, p)) + 1)
             assert n <= lower + slack, (p, i, n)
+
+
+def test_nu_is_fast_at_large_inputs():
+    # a binary search on v_p(n!): a linear scan needs minutes for i = -10^9
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "from period_lab.padic import nu; print(nu(-10**9, 2))"],
+        capture_output=True, text=True, timeout=2,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    n = int(proc.stdout)
+    assert factorial_valuation(n, 2) >= 10**9 > factorial_valuation(n - 1, 2)
 
 
 def test_poly_newton_polygon_examples():
