@@ -40,12 +40,11 @@ from .linalg import (
     char_poly,
     clear_denominators,
     hensel_integer_roots,
-    is_squarefree,
     mat_mul,
     poly_deflate,
     poly_eval,
     poly_eval_matrix,
-    poly_gcd_q,
+    squarefree_part,
 )
 from .padic import (
     Prime,
@@ -351,27 +350,6 @@ class HodgeTateVerdict:
         return out
 
 
-def _minimal_polynomial(A) -> list:
-    """Minimal polynomial of a rational matrix: strip factors shared with
-    the derivative while the quotient still annihilates the matrix."""
-    from .linalg import _poly_divmod_q, poly_derivative
-
-    m = list(char_poly(A))
-    while True:
-        g = poly_gcd_q(m, poly_derivative(m))
-        if len(g) <= 1:
-            break
-        candidate, rem = _poly_divmod_q(m, g)
-        if rem:
-            break
-        zero = poly_eval_matrix(candidate, A)
-        if all(x == 0 for row in zero for x in row):
-            m = candidate
-        else:
-            break
-    return m
-
-
 _SMALL_ROOT_BOUND = 64
 
 
@@ -383,14 +361,16 @@ def hodge_tate_via_sen(op: SenOperator) -> HodgeTateVerdict:
     closed form, e.g. nilpotent ones); the remaining eigenvalues are
     detected as integers modulo p^precision by Hensel lifting of simple
     residue roots.  The verdict is positive iff the operator is semi-simple
-    (squarefree minimal polynomial) and all eigenvalues are integral to the
-    stated precision; undetectable eigenvalues give 'indeterminate'.
+    (the squarefree part of its characteristic polynomial annihilates it)
+    and all eigenvalues are integral to the stated precision; undetectable
+    eigenvalues give 'indeterminate'.
     """
     A = [list(row) for row in op.matrix]
     d = len(A)
     # the small integer roots, found on the integer multiple of char_poly(A);
     # a nonzero one divides the constant term
-    [work], denom = clear_denominators([char_poly(A)])
+    cp = char_poly(A)
+    [work], denom = clear_denominators([cp])
     exact_roots = []
     found = True
     while found and len(work) > 1:
@@ -410,11 +390,11 @@ def hodge_tate_via_sen(op: SenOperator) -> HodgeTateVerdict:
         weights.extend(lifted)
     if len(weights) != d:
         return HodgeTateVerdict("indeterminate", None, None)
-    # simplicity: exact part via the minimal polynomial; the Hensel part
+    # only repeated exact roots can spoil simplicity: the Hensel part
     # consists of simple roots by construction
-    if exact_roots and len(set(exact_roots)) < len(exact_roots):
-        minimal = _minimal_polynomial(A)
-        semisimple = is_squarefree(minimal)
+    if len(set(exact_roots)) < len(exact_roots):
+        rad = poly_eval_matrix(squarefree_part(cp), A)
+        semisimple = not any(any(row) for row in rad)
     else:
         semisimple = True
     status = "hodge-tate" if semisimple else "not-hodge-tate"

@@ -16,6 +16,7 @@ else 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -400,6 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of the process: building it
+    costs more than a small command.  Every parse returns a fresh
+    namespace, so nothing carries over from one call to the next."""
+    return build_parser()
+
+
 def _payload_from_flags(args) -> dict:
     """jet and char accept their small payloads directly as flags."""
     if args.command == "jet":
@@ -429,7 +438,7 @@ def _payload_from_flags(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "batch":
         return run_batch(args)
     try:

@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Optional
 
 from .characters import CharacterTriple
@@ -50,6 +49,7 @@ from .linalg import (
     BaseFieldK,
     KElement,
     char_poly,
+    clear_denominators,
     is_squarefree,
     mat_mul,
     nullspace,
@@ -61,7 +61,6 @@ from .linalg import (
     solve_right,
 )
 from .padic import (
-    PolyValuationProfile,
     SchemaError,
     format_rational,
     parse_rational,
@@ -118,7 +117,10 @@ class FilteredPhiModule:
             raise ValueError("Frobenius must be invertible")
         steps = []
         for jump, basis in filtration:
-            vecs = [self._coerce_vector(v) for v in basis]
+            vecs = [
+                [x if isinstance(x, KElement) else base.scalar(x) for x in v]
+                for v in basis
+            ]
             if not vecs:
                 raise ValueError("filtration subspaces must be nonzero")
             steps.append((int(jump), vecs))
@@ -136,11 +138,6 @@ class FilteredPhiModule:
                 raise ValueError("filtration subspaces must be nested")
         self.filtration = steps
         self._dims = dims
-
-    def _coerce_vector(self, v):
-        return [
-            x if isinstance(x, KElement) else self.base.scalar(x) for x in v
-        ]
 
     @property
     def dim(self) -> int:
@@ -193,7 +190,7 @@ class FilteredPhiModule:
         for _, vecs in self.filtration:
             basis = nullspace(vecs)
             if self.base.e == 1:
-                basis = [_integral([x.rational_value() for x in v]) for v in basis]
+                basis, _ = clear_denominators([[x.rational_value() for x in v] for v in basis])
             out.append(basis)
         return out
 
@@ -204,7 +201,7 @@ class FilteredPhiModule:
         For a filtration step F with annihilator basis N, the map
         w -> (w . n)_n on W has kernel W ∩ F, so dim(W ∩ F) is
         dim W - rank(W N): one rank per step, no intersection basis."""
-        W = [_integral(r) for r in subspace_rows]
+        W, _ = clear_denominators(subspace_rows)
         dim_w = rank(W)
         dims = [
             dim_w - rank([[sum(a * b for a, b in zip(w, v)) for v in ann] for w in W])
@@ -257,22 +254,6 @@ class FilteredPhiModule:
         return cls(base, frob, filtration)
 
 
-def _integral(row) -> list:
-    """A rational row scaled by the lcm of its denominators: the same
-    line, with int entries."""
-    row = [Fraction(x) for x in row]
-    m = lcm(*(x.denominator for x in row))
-    return [x.numerator * (m // x.denominator) for x in row]
-
-
-def _apply(A, v):
-    return [sum((A[i][j] * v[j] for j in range(len(v))), Fraction(0)) for i in range(len(A))]
-
-
-def _transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
 # ---------------------------------------------------------------------------
 # constructors used everywhere in tests and demos
 # ---------------------------------------------------------------------------
@@ -295,12 +276,8 @@ def dim2_module(p, frobenius, r: int, s: int, line=None) -> FilteredPhiModule:
     else:
         if line is None:
             raise ValueError("a middle line is required when r < s")
-        filtration = [(r, full), (s, [[_as_k(base, x) for x in line]])]
+        filtration = [(r, full), (s, [line])]
     return FilteredPhiModule(base, frobenius, filtration)
-
-
-def _as_k(base: BaseFieldK, x):
-    return x if isinstance(x, KElement) else base.scalar(x)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +305,8 @@ def is_padic_square(x: Fraction, p: int) -> bool:
 def _root_valuations(f, p) -> list:
     """Root valuations of a monic rational polynomial, ascending, off its
     Newton polygon."""
-    profile = PolyValuationProfile(
-        len(f) - 1, [(i, rational_valuation(c, p)) for i, c in enumerate(f)]
-    )
-    return sorted(-slope for slope, n in poly_newton_polygon(profile) for _ in range(n))
+    points = [(i, rational_valuation(c, p)) for i, c in enumerate(f)]
+    return sorted(-slope for slope, n in poly_newton_polygon(points) for _ in range(n))
 
 
 def _qp_eigenvalue_below(cp, p, threshold) -> Optional[dict]:
@@ -361,7 +336,7 @@ def _line_is_rational(vecs) -> Optional[list]:
     coordinates are rational.
     """
     (w,) = vecs
-    pivot = next((x for x in w if not x.is_zero()), None)
+    pivot = next((x for x in w if x), None)
     if pivot is None:
         return None
     scaled = [x / pivot for x in w]
@@ -382,8 +357,9 @@ def _dim2_admissible(D: FilteredPhiModule, tH, tN) -> AdmissibilityVerdict:
         line_vec = _line_is_rational(D.filtration[1][1])
         if line_vec is not None:
             # is the (rational) filtration line Frobenius-stable?
-            img = _apply(D.frobenius, line_vec)
-            sol = solve_right(_transpose([line_vec]), img)
+            col = [[x] for x in line_vec]
+            img = [y for (y,) in mat_mul(D.frobenius, col)]
+            sol = solve_right(col, img)
             if sol is not None:
                 alpha = sol[0]
                 return _dim2_stable_line(D, tH, tN, r, s, line_vec, alpha)
@@ -556,7 +532,7 @@ def _matrix_inverse(A):
 def dual(D: FilteredPhiModule) -> FilteredPhiModule:
     """Dual module: inverse-transpose Frobenius; the m-th dual filtration
     step annihilates the (1-m)-th original one."""
-    frob = _transpose(_matrix_inverse(D.frobenius))
+    frob = list(zip(*_matrix_inverse(D.frobenius)))
     steps = D.filtration
     base = D.base
     d = D.dim
@@ -573,21 +549,16 @@ def dual(D: FilteredPhiModule) -> FilteredPhiModule:
     return FilteredPhiModule(base, frob, out)
 
 
-def _kronecker(A, B):
-    n, m = len(A), len(B)
-    out = []
-    for i in range(n):
-        for k in range(m):
-            row = []
-            for j in range(n):
-                for l in range(m):
-                    row.append(A[i][j] * B[k][l])
-            out.append(row)
-    return out
-
-
 def _vec_kron(v, w):
     return [a * b for a in v for b in w]
+
+
+def _steps_where_rank_drops(candidates) -> list:
+    """The filtration steps among (jump, spanning rows) candidates, in
+    increasing jump order: a candidate is kept when the rank drops after
+    it (to 0 after the last)."""
+    ranks = [rank(rows) for _, rows in candidates] + [0]
+    return [step for step, rk, nxt in zip(candidates, ranks, ranks[1:]) if rk > nxt]
 
 
 def tensor(D1: FilteredPhiModule, D2: FilteredPhiModule) -> FilteredPhiModule:
@@ -595,24 +566,17 @@ def tensor(D1: FilteredPhiModule, D2: FilteredPhiModule) -> FilteredPhiModule:
     Fil^m = sum over a + b = m of Fil^a tensor Fil^b."""
     if D1.base != D2.base:
         raise ValueError("mixed base fields")
-    base = D1.base
-    frob = _kronecker(D1.frobenius, D2.frobenius)
+    frob = [_vec_kron(a, b) for a in D1.frobenius for b in D2.frobenius]
     steps1, steps2 = D1.filtration, D2.filtration
-    candidates = sorted({j1 + j2 for j1, _ in steps1 for j2, _ in steps2})
-    raw = []
-    for mu in candidates:
+    candidates = []
+    for mu in sorted({j1 + j2 for j1, _ in steps1 for j2, _ in steps2}):
         rows = []
         for j1, vecs1 in steps1:
             for j2, vecs2 in steps2:
                 if j1 + j2 >= mu:
                     rows.extend(_vec_kron(v, w) for v in vecs1 for w in vecs2)
-        raw.append((mu, rows, rank(rows)))
-    out = []
-    for i, (mu, rows, rk) in enumerate(raw):
-        nxt_rank = raw[i + 1][2] if i + 1 < len(raw) else 0
-        if rk > nxt_rank:
-            out.append((mu, rows))
-    return FilteredPhiModule(base, frob, out)
+        candidates.append((mu, rows))
+    return FilteredPhiModule(D1.base, frob, _steps_where_rank_drops(candidates))
 
 
 def direct_sum(D1: FilteredPhiModule, D2: FilteredPhiModule) -> FilteredPhiModule:
@@ -637,9 +601,8 @@ def direct_sum(D1: FilteredPhiModule, D2: FilteredPhiModule) -> FilteredPhiModul
                 return vecs
         return None
 
-    candidates = sorted({j for j, _ in D1.filtration} | {j for j, _ in D2.filtration})
-    collected = []
-    for mu in candidates:
+    candidates = []
+    for mu in sorted({j for j, _ in D1.filtration} | {j for j, _ in D2.filtration}):
         rows = []
         f1 = fil_at(D1.filtration, mu)
         f2 = fil_at(D2.filtration, mu)
@@ -647,13 +610,8 @@ def direct_sum(D1: FilteredPhiModule, D2: FilteredPhiModule) -> FilteredPhiModul
             rows.extend([list(v) + zero2 for v in f1])
         if f2:
             rows.extend([zero1 + list(v) for v in f2])
-        collected.append((mu, rows, rank(rows) if rows else 0))
-    out = []
-    for i, (mu, rows, rk) in enumerate(collected):
-        nxt = collected[i + 1][2] if i + 1 < len(collected) else 0
-        if rk > nxt and rows:
-            out.append((mu, rows))
-    return FilteredPhiModule(base, frob, out)
+        candidates.append((mu, rows))
+    return FilteredPhiModule(base, frob, _steps_where_rank_drops(candidates))
 
 
 def change_of_basis(D: FilteredPhiModule, P) -> FilteredPhiModule:
@@ -662,21 +620,9 @@ def change_of_basis(D: FilteredPhiModule, P) -> FilteredPhiModule:
     P = [[Fraction(x) for x in row] for row in P]
     Pinv = _matrix_inverse(P)
     frob = mat_mul(Pinv, mat_mul(D.frobenius, P))
-    base = D.base
-    pinv_k = [[base.scalar(x) for x in row] for row in Pinv]
-    steps = []
-    for j, vecs in D.filtration:
-        steps.append(
-            (j, [[_k_dot(pinv_k[i], v) for i in range(D.dim)] for v in vecs])
-        )
-    return FilteredPhiModule(base, frob, steps)
-
-
-def _k_dot(row, v):
-    acc = row[0] * v[0]
-    for a, b in zip(row[1:], v[1:]):
-        acc = acc + a * b
-    return acc
+    # a row v of a step's basis becomes (P^{-1} v)^T = v^T (P^{-1})^T
+    steps = [(j, mat_mul(vecs, list(zip(*Pinv)))) for j, vecs in D.filtration]
+    return FilteredPhiModule(D.base, frob, steps)
 
 
 # ---------------------------------------------------------------------------

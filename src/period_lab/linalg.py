@@ -6,13 +6,12 @@ itself, modeled by Q).  Elements are polynomials in the uniformizer pi of
 degree < e with Fraction coefficients; {1, pi, ..., pi^(e-1)} is a basis
 over Q_p, so an element lies in Q_p exactly when its higher coordinates
 vanish — the test the admissibility checker uses for "is this line
-rational".  The valuation is exact: v_p(sum b_i pi^i) =
-min_i (v_p(b_i) + i/e), the minimum being attained uniquely (integer part
-vs fractional part).
+rational".
 
-Matrices are plain lists of lists of ints, Fractions or KElements;
-everything is Gaussian elimination with exact field arithmetic, and a
-product of int matrices stays int.  Characteristic polynomials come from
+Matrices are plain lists of lists of ints, Fractions or KElements; one
+Gaussian elimination serves all three, since a KElement is falsy exactly
+when it is zero and ``Fraction(1) / x`` inverts it, and a product of int
+matrices stays int.  Characteristic polynomials come from
 the Faddeev-LeVerrier recurrence, run on the integer matrix left after
 clearing denominators once, where its divisions are exact.
 
@@ -34,7 +33,7 @@ from math import lcm
 from operator import mul
 from typing import Optional
 
-from .padic import INF, Valuation, _is_probable_prime, rational_valuation
+from .padic import _is_probable_prime, rational_valuation
 
 
 @dataclass(frozen=True)
@@ -49,12 +48,10 @@ class BaseFieldK:
         coeffs = tuple(int(c) for c in eisenstein)
         if len(coeffs) < 2 or coeffs[-1] != 1:
             raise ValueError("need a monic polynomial of degree >= 1")
-        e = len(coeffs) - 1
-        if e > 1:
-            if any(c % p for c in coeffs[:-1]):
-                raise ValueError("non-leading coefficients must be divisible by p")
-            if coeffs[0] % (p * p) == 0:
-                raise ValueError("constant term must not be divisible by p^2")
+        if any(c % p for c in coeffs[:-1]):
+            raise ValueError("non-leading coefficients must be divisible by p")
+        if coeffs[0] % (p * p) == 0:
+            raise ValueError("constant term must not be divisible by p^2")
         object.__setattr__(self, "p", int(p))
         object.__setattr__(self, "eisenstein", coeffs)
 
@@ -104,8 +101,8 @@ class KElement:
         self.field = field
         self.coords = tuple(coords)
 
-    def is_zero(self) -> bool:
-        return not self.coords
+    def __bool__(self) -> bool:
+        return bool(self.coords)
 
     def is_rational(self) -> bool:
         """True when the element lies in Q_p (all higher coordinates 0)."""
@@ -153,8 +150,12 @@ class KElement:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
+        if not isinstance(other, KElement):
+            # a rational scalar scales the coordinates
+            return KElement(self.field, [c * other for c in self.coords])
+        if other.field != self.field:
+            raise ValueError("mixed base fields")
+        if not (self and other):
             return self.field.zero()
         out = [Fraction(0)] * (len(self.coords) + len(other.coords) - 1)
         for i, a in enumerate(self.coords):
@@ -166,43 +167,25 @@ class KElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "KElement":
-        """Extended Euclid against the (irreducible) defining polynomial."""
-        if self.is_zero():
+        """The y with x y = 1: one e x e system, whose columns are the
+        coordinates of x pi^j, the shifts of x reduced by E (E is
+        irreducible, so the system is invertible)."""
+        if not self:
             raise ZeroDivisionError("zero has no inverse")
-        if self.field.e == 1 or self.is_rational():
-            return self.field.scalar(1 / self.rational_value())
-        # work in Q[x]: r0 = E, r1 = self
-        r0 = [Fraction(c) for c in self.field.eisenstein]
-        r1 = list(self.coords)
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            q, r = _poly_divmod_q(r0, r1)
-            if not r:
-                break
-            s = _poly_sub(s0, _poly_mul(q, s1))
-            r0, s0, r1, s1 = r1, s1, r, s
-        # r1 is a nonzero constant gcd (E is irreducible)
-        assert len(r1) == 1
-        inv_const = 1 / r1[0]
-        return KElement(self.field, [c * inv_const for c in s1])
+        if self.is_rational():
+            return self.field.scalar(1 / self.coords[0])
+        f = self.field
+        cols = [KElement(f, [0] * j + list(self.coords)).coords for j in range(f.e)]
+        M = [[c[i] if i < len(c) else 0 for c in cols] for i in range(f.e)]
+        return KElement(f, solve_right(M, [1] + [0] * (f.e - 1)))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
 
-    def valuation(self) -> Valuation:
-        """v_p, normalized by v_p(p) = 1, via the unique-minimum formula."""
-        if self.is_zero():
-            return INF
-        f = self.field
-        if f.e == 1:
-            return rational_valuation(self.coords[0], f.p)
-        best: Valuation = INF
-        for i, c in enumerate(self.coords):
-            if c:
-                cand = rational_valuation(c, f.p) + Fraction(i, f.e)
-                if cand < best:
-                    best = cand
-        return best
+    def __rtruediv__(self, other):
+        # other is a rational scalar; rref divides 1 by each pivot
+        inv = self.inverse()
+        return inv if other == 1 else inv * other
 
     def __repr__(self):
         if not self.coords:
@@ -230,48 +213,15 @@ def _poly_divmod_q(a, b):
     return q, a
 
 
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 # ---------------------------------------------------------------------------
-# matrices over a field with .is_zero / arithmetic (KElement or Fraction)
+# matrices over Q (int or Fraction entries) or over K (KElement entries)
 # ---------------------------------------------------------------------------
 
 
 def mat_mul(A, B):
     """The product AB; a product of int matrices stays int."""
-    zero = 0 if isinstance(A[0][0], int) else _zero_like(A[0][0])
     cols = list(zip(*B))
-    return [[sum(map(mul, row, col), zero) for col in cols] for row in A]
-
-
-def _zero_like(x):
-    if isinstance(x, KElement):
-        return x.field.zero()
-    return Fraction(0)
-
-
-def _is_zero(x):
-    return x.is_zero() if isinstance(x, KElement) else x == 0
+    return [[sum(map(mul, row, col), 0) for col in cols] for row in A]
 
 
 def rref(rows):
@@ -283,17 +233,14 @@ def rref(rows):
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if not _is_zero(rows[i][c])), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = (
-            rows[r][c].inverse() if isinstance(rows[r][c], KElement)
-            else Fraction(1) / rows[r][c]
-        )
+        inv = Fraction(1) / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and not _is_zero(rows[i][c]):
+            if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -312,7 +259,7 @@ def intersect_rowspaces(A, B):
     if not A or not B:
         return []
     n = len(A[0])
-    zero = _zero_like(A[0][0])
+    zero = Fraction(0) * A[0][0]
     stacked = []
     for a in A:
         stacked.append(list(a) + list(a))
@@ -333,8 +280,7 @@ def solve_right(A, b):
     echelon, pivots = rref(aug)
     if m in pivots:
         return None
-    zero = _zero_like(A[0][0])
-    x = [zero] * m
+    x = [Fraction(0) * A[0][0]] * m
     for row, pivot in zip(echelon, pivots):
         x[pivot] = row[-1]
     return x
@@ -390,8 +336,8 @@ def nullspace(A) -> list:
     """Basis of the right kernel (works over Q and over K)."""
     m = len(A[0]) if A else 0
     echelon, pivots = rref(A)
-    zero = _zero_like(A[0][0]) if A else Fraction(0)
-    one = A[0][0].field.one() if A and isinstance(A[0][0], KElement) else Fraction(1)
+    zero = Fraction(0) * A[0][0] if A else Fraction(0)
+    one = zero + 1
     free = [c for c in range(m) if c not in pivots]
     basis = []
     for fc in free:
@@ -425,6 +371,12 @@ def poly_derivative(a) -> list:
 
 def is_squarefree(a) -> bool:
     return len(poly_gcd_q(a, poly_derivative(a))) <= 1
+
+
+def squarefree_part(a) -> list:
+    """a / gcd(a, a'): the product of the distinct irreducible factors of
+    a rational polynomial, with a's leading coefficient."""
+    return _poly_divmod_q(a, poly_gcd_q(a, poly_derivative(a)))[0]
 
 
 def rational_roots(coeffs) -> list:
@@ -461,8 +413,7 @@ def rational_roots(coeffs) -> list:
     # g(y) = lead^(n-1) f(y / lead): monic, with integer coefficients
     monic = [Fraction(c * lead ** (n - 1 - i)) for i, c in enumerate(ints[:-1])]
     monic.append(Fraction(1))
-    squarefree, _ = _poly_divmod_q(monic, poly_gcd_q(monic, poly_derivative(monic)))
-    squarefree = [int(c) for c in squarefree]
+    squarefree = [int(c) for c in squarefree_part(monic)]
     # every integer root divides squarefree[0], which is nonzero
     bound = 2 * abs(squarefree[0])
     ell = 1

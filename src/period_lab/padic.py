@@ -15,9 +15,11 @@ that control convergence of divided-power series:
   which has the erratic O(log|i|) overshoot over -i(p-1) that makes these
   computations worth automating.
 
-Finally, ``poly_newton_polygon`` computes the slopes of the lower convex
-hull of (index, valuation of coefficient) for a polynomial; the slope
-multiset is the negative of the root-valuation multiset.
+Finally, ``lower_hull`` is the one lower-convex-hull routine of the
+package (``polygons`` builds on it), and ``poly_newton_polygon`` reads a
+polynomial's Newton slopes straight off it, from the (index, valuation
+of coefficient) pairs; the slope multiset is the negative of the
+root-valuation multiset.
 """
 
 from __future__ import annotations
@@ -205,40 +207,6 @@ def nu(i: int, p) -> int:
     return hi
 
 
-@dataclass(frozen=True)
-class PolyValuationProfile:
-    """Valuations of a polynomial's coefficients, indexed 0..degree.
-
-    Missing indices mean +infinity (zero coefficient); the leading
-    coefficient must have finite valuation.
-    """
-
-    degree: int
-    coeff_valuations: tuple
-
-    def __init__(self, degree: int, coeff_valuations):
-        items = []
-        seen = set()
-        for idx, v in coeff_valuations:
-            if not 0 <= idx <= degree:
-                raise ValueError(f"index {idx} outside [0, {degree}]")
-            if idx in seen:
-                raise ValueError(f"duplicate index {idx}")
-            seen.add(idx)
-            items.append((idx, v if v is INF else Fraction(v)))
-        items.sort()
-        finite = [iv for iv in items if iv[1] is not INF]
-        if not finite:
-            raise ValueError("profile has no finite valuation")
-        if degree not in {idx for idx, v in finite}:
-            raise ValueError("leading coefficient valuation must be finite")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeff_valuations", tuple(items))
-
-    def finite_points(self):
-        return [(Fraction(i), v) for i, v in self.coeff_valuations if v is not INF]
-
-
 def lower_hull(points: Iterable) -> list:
     """Lower convex hull of finite points, by Andrew's monotone chain.
 
@@ -265,19 +233,19 @@ def lower_hull(points: Iterable) -> list:
     return hull
 
 
-def poly_newton_polygon(profile: PolyValuationProfile) -> list:
-    """Slopes-with-multiplicities of the polynomial's Newton polygon.
+def poly_newton_polygon(coeff_valuations) -> list:
+    """Slopes-with-multiplicities of a polynomial's Newton polygon, from
+    its (index, valuation) pairs; INF marks a zero coefficient.
 
     Returns [(slope, length)] in increasing slope order; the slopes are
-    the negatives of the root valuations, lengths count roots.
+    the negatives of the root valuations, lengths count roots.  The hull
+    keeps no collinear vertex, so no two segments share a slope.
     """
-    hull = lower_hull(profile.finite_points())
-    out = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = (y2 - y1) / (x2 - x1)
-        length = x2 - x1
-        if out and out[-1][0] == slope:
-            out[-1] = (slope, out[-1][1] + length)
-        else:
-            out.append((slope, length))
-    return [(s, int(l)) for s, l in out]
+    points = [(i, v) for i, v in coeff_valuations if v is not INF]
+    if not points:
+        raise ValueError("no finite valuation")
+    hull = lower_hull(points)
+    return [
+        ((y2 - y1) / (x2 - x1), int(x2 - x1))
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:])
+    ]

@@ -59,7 +59,11 @@ class Polygon:
             raise ValueError("a polygon needs at least one vertex")
         if any(verts[i][0] >= verts[i + 1][0] for i in range(len(verts) - 1)):
             raise ValueError("vertices must have strictly increasing abscissas")
-        slopes = _chain_slopes(verts)
+        segments = tuple(
+            ((y2 - y1) / (x2 - x1), x2 - x1)
+            for (x1, y1), (x2, y2) in zip(verts, verts[1:])
+        )
+        slopes = [s for s, _ in segments]
         if any(s1 >= s2 for s1, s2 in zip(slopes, slopes[1:])):
             raise ValueError("vertex chain must be strictly convex")
         if left_ray is not VERTICAL:
@@ -75,6 +79,7 @@ class Polygon:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "left_ray", left_ray)
         object.__setattr__(self, "right_ray", right_ray)
+        object.__setattr__(self, "_segments", segments)
 
     @property
     def is_canonical(self) -> bool:
@@ -83,24 +88,10 @@ class Polygon:
 
     def slopes(self) -> list:
         """[(slope, horizontal length)] of the finite segments, increasing."""
-        return [
-            ((y2 - y1) / (x2 - x1), x2 - x1)
-            for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:])
-        ]
+        return list(self._segments)
 
     def leftmost(self):
         return self.vertices[0]
-
-    def ordinate_at(self, x) -> Fraction:
-        """Height of the boundary above abscissa x (within the vertex span)."""
-        x = Fraction(x)
-        verts = self.vertices
-        if not verts[0][0] <= x <= verts[-1][0]:
-            raise ValueError(f"abscissa {x} outside the polygon window")
-        for (x1, y1), (x2, y2) in zip(verts, verts[1:]):
-            if x1 <= x <= x2:
-                return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
-        return verts[0][1]
 
     def to_json(self) -> dict:
         def ray(r):
@@ -125,13 +116,6 @@ class Polygon:
             ray(obj["left_ray"], VERTICAL),
             ray(obj["right_ray"], HORIZONTAL),
         )
-
-
-def _chain_slopes(verts) -> list:
-    return [
-        (y2 - y1) / (x2 - x1)
-        for (x1, y1), (x2, y2) in zip(verts, verts[1:])
-    ]
 
 
 @dataclass(frozen=True)

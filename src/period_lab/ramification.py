@@ -164,9 +164,6 @@ class RamificationData:
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "orders", orders)
 
-    def order_at(self, i: int) -> int:
-        return self.orders[i] if i < len(self.orders) else 1
-
     def to_json(self) -> dict:
         return {"e": self.e, "orders": list(self.orders)}
 

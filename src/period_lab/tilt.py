@@ -273,19 +273,19 @@ class TiltExpr:
 
     @classmethod
     def one(cls, p) -> "TiltExpr":
-        p_int = int(p) if isinstance(p, int) else p.p
+        p_int = int(p)
         return cls(p, [(1, TiltMonomial(0, 0, FqElement.one(p_int)), 0)])
 
     @classmethod
     def epsilon_power(cls, p, a) -> "TiltExpr":
         """[eps^a] as a one-term expression."""
-        p_int = int(p) if isinstance(p, int) else p.p
+        p_int = int(p)
         return cls(p, [(1, TiltMonomial(a, 0, FqElement.one(p_int)), 0)])
 
     @classmethod
     def p_flat_power(cls, p, c=1) -> "TiltExpr":
         """[(pflat)^c]."""
-        p_int = int(p) if isinstance(p, int) else p.p
+        p_int = int(p)
         return cls(p, [(1, TiltMonomial(0, c, FqElement.one(p_int)), 0)])
 
     @classmethod
@@ -295,7 +295,7 @@ class TiltExpr:
     @classmethod
     def p_scalar(cls, p, i=1) -> "TiltExpr":
         """p^i as an expression (i >= 0)."""
-        p_int = int(p) if isinstance(p, int) else p.p
+        p_int = int(p)
         return cls(p, [(1, TiltMonomial(0, 0, FqElement.one(p_int)), i)])
 
     @classmethod
@@ -310,7 +310,7 @@ class TiltExpr:
     @classmethod
     def omega(cls, p) -> "TiltExpr":
         """omega = ([eps]-1)/([eps^{1/p}]-1) = sum_{j<p} [eps^{j/p}]."""
-        p_int = int(p) if isinstance(p, int) else p.p
+        p_int = int(p)
         return cls(
             p,
             [
@@ -418,7 +418,7 @@ class TiltExpr:
 
     @classmethod
     def from_json(cls, p, items) -> "TiltExpr":
-        p_int = int(p) if isinstance(p, int) else p.p
+        p_int = int(p)
         terms = []
         for it in items:
             u = it.get("u")

@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from period_lab.characters import (
 )
 from period_lab.cli import main
 from period_lab.linalg import mat_mul
-from period_lab.padic import format_rational, rational_valuation
+from period_lab.padic import Prime, format_rational, rational_valuation
 
 
 def random_triple(rng, p):
@@ -311,3 +312,42 @@ def test_sen_json_matches_fraction_reference(inp):
         return
     assert out == expected
     assert code == (3 if '"indeterminate"' in expected else 0)
+
+
+# ---------------------------------------------------------------------------
+# semisimplicity with repeated eigenvalues, against sympy
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def repeated_eigenvalue_matrices(draw):
+    """P J P^-1 for an integer Jordan-type J with a repeated eigenvalue,
+    P unimodular, so every entry stays an integer."""
+    d = draw(st.integers(2, 4))
+    values = draw(st.lists(st.integers(-5, 5), min_size=d - 1, max_size=d - 1))
+    values = sorted(values + [values[0]])
+    J = [[values[i] if i == j else 0 for j in range(d)] for i in range(d)]
+    for i in range(d - 1):
+        if values[i] == values[i + 1] and draw(st.booleans()):
+            J[i][i + 1] = 1
+    P = [[int(i == j) for j in range(d)] for i in range(d)]
+    Pinv = [row[:] for row in P]
+    for _ in range(draw(st.integers(0, 5))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        c = draw(st.integers(-2, 2))
+        if i != j:
+            # P <- P E_ij(c), P^-1 <- E_ij(-c) P^-1
+            for row in P:
+                row[j] += c * row[i]
+            Pinv[i] = [a - c * b for a, b in zip(Pinv[i], Pinv[j])]
+    return mat_mul(mat_mul(P, J), Pinv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_eigenvalue_matrices(), st.sampled_from([3, 5, 7]))
+def test_semisimplicity_with_repeated_eigenvalues_matches_sympy(A, p):
+    op = SenOperator(Prime(p), tuple(tuple(F(x) for x in row) for row in A), 10)
+    verdict = hodge_tate_via_sen(op)
+    expected = "hodge-tate" if sympy.Matrix(A).is_diagonalizable() else "not-hodge-tate"
+    assert verdict.status == expected
+    assert verdict == sen_reference.hodge_tate_via_sen(op)

@@ -374,3 +374,49 @@ def test_every_subcommand_takes_the_common_flags(command):
     assert (args.command, args.input, args.format, args.precision, args.order) == (
         command, "x.json", "text", 7, 3
     )
+
+
+def test_flags_do_not_carry_over_between_calls(capsys):
+    code, out = run_cli(capsys, "jet", "gr-check", "--p", "3", "--m", "2", "--format", "text")
+    assert code == 0 and "generates_graded_piece: True" in out
+    # the next call gives neither --p nor --format: JSON, and p is missing
+    code, report = run_json(capsys, "jet", "gr-check", "--m", "2")
+    assert code == 2
+    assert "'p'" in report["error"]
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    from period_lab import cli
+
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert run_json(capsys, "jet", "gr-check", "--p", "2", "--m", "3")[0] == 0
+        assert run_json(capsys, "jet", "gr-check", "--p", "3", "--m", "2")[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
+@pytest.mark.parametrize("eisenstein", [[0, 1], [-9, 1], [1, 1]])
+def test_phimod_checks_eisenstein_at_degree_one(tmp_path, capsys, eisenstein):
+    # pi would be 0, 9 or -1: none of them a uniformizer of Q_3
+    module = {"p": 3, "eisenstein": eisenstein, "dim": 1, "frobenius": [["3"]],
+              "filtration": [{"jump": 1, "basis": [[["1"]]]}]}
+    f = tmp_path / "mod.json"
+    f.write_text(json.dumps(module))
+    code, report = run_json(capsys, "phimod", "--input", str(f))
+    assert code == 2
+    assert set(report) == {"schema", "error"}
+    good = {**module, "eisenstein": [-6, 1]}
+    f.write_text(json.dumps(good))
+    code, report = run_json(capsys, "phimod", "--input", str(f))
+    assert code == 0 and report["verdict"]["status"] == "admissible"
+    lines = [{"command": "phimod", **m} for m in (good, module, good)]
+    f = tmp_path / "mods.jsonl"
+    f.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    code, report = run_json(capsys, "batch", "--input", str(f))
+    assert code == 2
+    assert [r["status"] for r in report["results"]] == ["ok", "error", "ok"]

@@ -329,3 +329,71 @@ def test_sen_with_a_large_prime_finishes(tmp_path):
     report = json.loads(done.stdout)
     assert report["operator"]["precision"] == 4
     assert report["hodge_tate"]["status"] == "hodge-tate"
+
+
+# ---------------------------------------------------------------------------
+# arithmetic and elimination over a ramified K, against sympy
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def eisenstein_fields(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    e = draw(st.sampled_from([2, 3, 4]))
+    unit = draw(st.integers(-4, 4).filter(lambda u: u % p))
+    middle = [p * draw(st.integers(-2, 2)) for _ in range(e - 1)]
+    return BaseFieldK(p, [p * unit] + middle + [1])
+
+
+def k_elements(field, nonzero=False):
+    coord = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    elements = st.lists(coord, min_size=field.e, max_size=field.e).map(field.element)
+    return elements.filter(bool) if nonzero else elements
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_k_inverse_and_division_match_sympy(data):
+    K = data.draw(eisenstein_fields())
+    x, y = data.draw(k_elements(K, nonzero=True)), data.draw(k_elements(K, nonzero=True))
+    s = sympy.Symbol("s")
+    E = sympy.Poly(K.eisenstein[::-1], s)
+    xs = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in x.coords[::-1]], s)
+    expected = [F(int(c.p), int(c.q)) for c in sympy.invert(xs, E).all_coeffs()[::-1]]
+    inv = x.inverse()
+    assert list(inv.coords) == expected
+    assert F(1) / x == inv
+    assert (x / y) * y == x
+    assert x * inv == K.one()
+
+
+def _restriction_of_scalars(K, rows):
+    """The Q-rows of the K-span of rows: v pi^j for j < e, each entry
+    written in the basis 1, pi, ..., pi^(e-1)."""
+    out = []
+    for v in rows:
+        for j in range(K.e):
+            pi_j = K.element([0] * j + [1])
+            row = []
+            for x in v:
+                c = list((x * pi_j).coords)
+                row.extend(c + [F(0)] * (K.e - len(c)))
+            out.append(row)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_k_nullspace_and_rank(data):
+    K = data.draw(eisenstein_fields())
+    m = data.draw(st.integers(1, 4))
+    free = data.draw(st.lists(st.lists(k_elements(K), min_size=m, max_size=m), min_size=1, max_size=3))
+    # a few rows that are K-combinations of the others, so the kernel grows
+    combos = data.draw(st.lists(st.lists(k_elements(K), min_size=len(free), max_size=len(free)), max_size=2))
+    A = free + [[sum((c * row[i] for c, row in zip(cs, free)), K.zero()) for i in range(m)] for cs in combos]
+    N = nullspace(A)
+    assert all(not x for row in mat_mul(A, [list(col) for col in zip(*N)]) for x in row)
+    assert rank(A) + len(N) == m
+    restricted = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                               for r in _restriction_of_scalars(K, A)])
+    assert restricted.rank() == K.e * rank(A)

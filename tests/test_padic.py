@@ -9,7 +9,6 @@ import pytest
 
 from period_lab.padic import (
     INF,
-    PolyValuationProfile,
     Prime,
     factorial_valuation,
     format_rational,
@@ -139,19 +138,18 @@ def test_nu_is_fast_at_large_inputs():
 
 
 def test_poly_newton_polygon_examples():
-    prof = PolyValuationProfile(2, [(0, 3), (1, 1), (2, 0)])
-    assert poly_newton_polygon(prof) == [(F(-2), 1), (F(-1), 1)]
-    assert poly_newton_polygon(PolyValuationProfile(1, [(0, 0), (1, 0)])) == [
-        (F(0), 1)
-    ]
+    assert poly_newton_polygon([(0, 3), (1, 1), (2, 0)]) == [(F(-2), 1), (F(-1), 1)]
+    assert poly_newton_polygon([(0, 0), (1, 0)]) == [(F(0), 1)]
+    # a zero coefficient (INF) is skipped; collinear points make one segment
+    assert poly_newton_polygon([(0, 2), (1, INF), (2, 0)]) == [(F(-1), 2)]
+    assert poly_newton_polygon([(0, 2), (1, 1), (2, 0)]) == [(F(-1), 2)]
 
 
 def test_poly_newton_polygon_normal_form_slope():
     # char poly of the two-by-two normal form with v(b) < 0 has a slope
     # strictly below r (an eigenvalue of small valuation)
     r, s, vb = 1, 3, -2
-    prof = PolyValuationProfile(2, [(0, r + s), (1, r + vb), (2, 0)])
-    slopes = [slope for slope, _ in poly_newton_polygon(prof)]
+    slopes = [slope for slope, _ in poly_newton_polygon([(0, r + s), (1, r + vb), (2, 0)])]
     assert min(-slope for slope in slopes) < r
 
 
@@ -160,21 +158,18 @@ def test_poly_newton_polygon_monomial_shift_invariance():
     for _ in range(50):
         deg = rng.randrange(1, 6)
         vals = [(i, F(rng.randrange(0, 12))) for i in range(deg + 1)]
-        base = poly_newton_polygon(PolyValuationProfile(deg, vals))
+        base = poly_newton_polygon(vals)
         shift = rng.randrange(1, 4)
-        shifted = poly_newton_polygon(
-            PolyValuationProfile(deg + shift, [(i + shift, v) for i, v in vals])
-        )
+        shifted = poly_newton_polygon([(i + shift, v) for i, v in vals])
         assert base == shifted
 
 
 def test_poly_profile_rejects_bad_input():
+    # no finite point, no polygon
     with pytest.raises(ValueError):
-        PolyValuationProfile(2, [])
+        poly_newton_polygon([])
     with pytest.raises(ValueError):
-        PolyValuationProfile(2, [(0, 1), (1, 0)])  # missing finite leading
-    with pytest.raises(ValueError):
-        PolyValuationProfile(1, [(0, 0), (0, 1), (1, 0)])  # duplicate index
+        poly_newton_polygon([(0, INF), (1, INF)])
 
 
 def test_fresh_import_leaves_nothing_pinned():
