@@ -22,11 +22,23 @@ exponents by rationals of their choosing).
 Sen operators: for a matrix A giving the action of the level-r generator
 of the Z_p-quotient (A close enough to the identity for the logarithm),
 the operator is log(A)/p^r, computed by the truncated matrix-log series
-with an explicit p-adic precision.  Its eigenvalues are the generalized
-weights; the representation is trivial iff the operator vanishes, and
-Hodge-Tate iff the operator is semi-simple with integer eigenvalues
-(semi-simple read for the classical phrasing "semi-stable", which this
-module interprets as squarefree minimal polynomial).
+as its class modulo p^s, s = precision - r the stated precision, which
+must be at least 1.  Each entry is printed as the centered representative
+of its class: the rational m/p^k with the least k >= 0 and m in
+(-p^(s+k)/2, p^(s+k)/2].  Its eigenvalues are the generalized weights;
+the representation is trivial iff the operator vanishes, and Hodge-Tate
+iff the operator is semi-simple with integer eigenvalues (semi-simple
+read for the classical phrasing "semi-stable", which this module
+interprets as squarefree minimal polynomial).
+
+The verdict rests on exact facts of the input where the class mod p^s
+cannot carry them: with A - I = N/D, N an integer matrix and D a p-unit,
+the operator is N times an invertible matrix that commutes with N, so
+eigenvalue 0 has the multiplicity m of 0 in char_poly(N) and its part is
+semi-simple iff d - rank(N) = m.  The other weights are Hensel-lifted
+roots of the operator's characteristic polynomial, from its class mod
+p^s.  An operator with an entry of valuation v < 0 knows that polynomial
+only mod p^(s - (d-1)(-v)), so the weights are lifted that far only.
 """
 
 from __future__ import annotations
@@ -44,12 +56,14 @@ from .linalg import (
     poly_deflate,
     poly_eval,
     poly_eval_matrix,
+    rank,
     squarefree_part,
 )
 from .padic import (
     Prime,
     format_rational,
     int_valuation,
+    multiplicity,
     parse_rational,
     rational_valuation,
 )
@@ -212,11 +226,17 @@ class SenInput:
 
 @dataclass(frozen=True)
 class SenOperator:
-    """Truncated log(A)/p^level with its stated p-adic precision."""
+    """log(A)/p^level to its stated p-adic precision.
+
+    ``zero_part`` holds the exact facts on eigenvalue 0 that an
+    approximant cannot carry, (multiplicity, whether that part is
+    semi-simple); it is None when ``matrix`` is the operator itself,
+    exactly."""
 
     prime: Prime
     matrix: tuple
     precision: int
+    zero_part: Optional[tuple] = None
 
     @property
     def p(self) -> int:
@@ -235,34 +255,52 @@ class SenOperator:
 
 
 def sen_operator(inp: SenInput, precision: int = 20) -> SenOperator:
-    """log(A)/p^r by the truncated series sum (-1)^(i-1) (A-I)^i / i.
+    """log(A)/p^r by the truncated series sum (-1)^(i-1) (A-I)^i / i, as
+    its class mod p^(precision - r), the stated precision.
 
     Terms are included until margin*i - v_p(i) exceeds the working
-    precision; the stated precision of the output accounts for the
-    division by p^r.  A dropped term whose index is divisible by a power
-    of p can still fall below the working precision (for A = [[4]],
-    p = 3, precision 25, term 27 has valuation 24), so the stated
-    precision can be too high by a few units (ROADMAP D2).
+    precision.  A dropped term whose index is divisible by a power of p
+    can still fall below the working precision (for A = [[4]], p = 3,
+    precision 25, term 27 has valuation 24), so the stated precision can
+    be too high by a few units (ROADMAP D2).
 
-    The series runs in ints: with A - I = N / D for an integer matrix N,
-    term i is (-1)^(i-1) N^i / (i D^i), and the terms are summed over one
-    common denominator, so each entry becomes a Fraction once.
+    With A - I = N / D for an integer matrix N and a p-unit D, term i is
+    (-1)^(i-1) (N/D)^i / i.  Times p^V, V the largest v_p(i) of a summed
+    index, every term is p-integral, so the sum runs in Z/p^(precision+V)
+    and the division by p^(V+r) leaves the class mod p^(precision - r).
+    Each entry is its centered representative (module docstring).
     """
     p = inp.p
     r = inp.level
+    if precision - r < 1:
+        raise ValueError(
+            f"precision {precision} must exceed the level {r}: the stated "
+            "precision, precision - level, must be at least 1"
+        )
     margin = _log_margin(p)
     n = 0
-    while margin * (n + 1) - int_valuation(n + 1, p) <= precision:
+    while margin * (n + 1) - multiplicity(n + 1, p) <= precision:
         n += 1
+    vals = [multiplicity(i, p) for i in range(1, n + 1)]
     N, D = clear_denominators(
         [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(inp.matrix)]
     )
-    denom = lcm(*range(1, n + 1)) * D**n
-    terms = [(i, (-1) ** (i - 1) * (denom // (i * D**i))) for i in range(1, n + 1)]
-    acc = _series(N, terms)
-    denom *= p**r
-    out = tuple(tuple(Fraction(x, denom) for x in row) for row in acc)
-    return SenOperator(inp.prime, out, precision - r)
+    V = max(vals, default=0)
+    modulus = p ** (precision + V)
+    unit = pow(D, -1, modulus)
+    X = [[x * unit % modulus for x in row] for row in N]
+    terms = [
+        (i, (-1) ** (i - 1) * pow(i // p**v, -1, modulus) * p ** (V - v))
+        for i, v in enumerate(vals, 1)
+    ]
+    acc = _series(X, terms, modulus)
+    denom = p ** (V + r)
+    half = modulus // 2
+    out = tuple(tuple(Fraction(x - modulus * (x > half), denom) for x in row) for row in acc)
+    cp = char_poly(N)
+    m = next(k for k, c in enumerate(cp) if c)
+    # m <= 1 leaves no room for a Jordan block at 0
+    return SenOperator(inp.prime, out, precision - r, (m, m < 2 or inp.dim - rank(N) == m))
 
 
 def matrix_exp_truncated(prime, M, precision: int = 20):
@@ -274,7 +312,7 @@ def matrix_exp_truncated(prime, M, precision: int = 20):
     when that bound is at most the precision.  The series stops where
     margin*i - (i-1)/(p-1) exceeds the precision: that lower bound for
     every later term's valuation only grows, as v_p(i!) <= (i-1)/(p-1).
-    Summed in ints over one common denominator, as in ``sen_operator``.
+    Summed in ints over one common denominator by ``_series``.
     """
     if isinstance(prime, int):
         prime = Prime(prime)
@@ -303,8 +341,9 @@ def matrix_exp_truncated(prime, M, precision: int = 20):
     ]
 
 
-def _series(N, terms) -> list:
-    """sum of c N^i over the (i, c) in terms, in ints; i ascending."""
+def _series(N, terms, modulus=None) -> list:
+    """sum of c N^i over the (i, c) in terms, in ints; i ascending.  Given
+    a modulus, the powers are reduced by it, and so is the sum."""
     d = len(N)
     acc = [[0] * d for _ in range(d)]
     power = [[int(i == j) for j in range(d)] for i in range(d)]
@@ -312,12 +351,16 @@ def _series(N, terms) -> list:
     for i, c in terms:
         while done < i:
             power = mat_mul(power, N)
+            if modulus:
+                power = [[x % modulus for x in row] for row in power]
             done += 1
         if not any(any(row) for row in power):
             break
         for row_acc, row in zip(acc, power):
             for b, x in enumerate(row):
                 row_acc[b] += c * x
+    if modulus:
+        acc = [[x % modulus for x in row] for row in acc]
     return acc
 
 
@@ -354,7 +397,36 @@ _SMALL_ROOT_BOUND = 64
 
 
 def hodge_tate_via_sen(op: SenOperator) -> HodgeTateVerdict:
-    """Eigenvalue analysis of the operator.
+    """Eigenvalue analysis of the operator (see the module docstring).
+
+    For an operator from ``sen_operator``, eigenvalue 0 and the
+    semi-simplicity of its part come exactly from ``op.zero_part``; the
+    other weights are the Hensel-lifted simple roots of the characteristic
+    polynomial less its factor X^m, to the stated precision less
+    (d-1)*max(0, -v), v the least valuation of an entry.  Weights that
+    cannot be lifted give 'indeterminate'.  An exact operator
+    (``op.zero_part`` None) goes to ``_exact_verdict``.
+    """
+    if op.zero_part is None:
+        return _exact_verdict(op)
+    m, semisimple = op.zero_part
+    d = op.dim
+    weights = [0] * m
+    if m < d:
+        # max(0, -v) is the p-power of the common denominator
+        loss = (d - 1) * multiplicity(lcm(*(x.denominator for row in op.matrix for x in row)), op.p)
+        lift = op.precision - loss
+        lifted = hensel_integer_roots(char_poly(op.matrix)[m:], op.p, lift) if lift >= 1 else None
+        if lifted is None or len(lifted) != d - m:
+            return HodgeTateVerdict("indeterminate", None, None)
+        weights.extend(lifted)
+    status = "hodge-tate" if semisimple else "not-hodge-tate"
+    generalized = (Fraction(0),) * d if m == d else None
+    return HodgeTateVerdict(status, generalized, tuple(sorted(weights)))
+
+
+def _exact_verdict(op: SenOperator) -> HodgeTateVerdict:
+    """The verdict on an operator known exactly.
 
     Exact rational roots of the characteristic polynomial are taken by
     small-integer/small-rational deflation (covers operators built in

@@ -1,9 +1,13 @@
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import sympy
@@ -11,6 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sen_reference
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+import oracles  # noqa: E402
 
 from period_lab.characters import (
     CharacterTriple,
@@ -23,8 +32,8 @@ from period_lab.characters import (
     sen_operator,
 )
 from period_lab.cli import main
-from period_lab.linalg import mat_mul
-from period_lab.padic import Prime, format_rational, rational_valuation
+from period_lab.linalg import char_poly, clear_denominators, hensel_integer_roots, mat_mul
+from period_lab.padic import Prime, format_rational, int_valuation, rational_valuation
 
 
 def random_triple(rng, p):
@@ -258,7 +267,7 @@ def test_exp_meets_its_precision(p):
 
 
 # ---------------------------------------------------------------------------
-# the sen command against the Fraction reference, byte for byte
+# the sen command against the Fraction reference and a longer series
 # ---------------------------------------------------------------------------
 
 
@@ -297,21 +306,206 @@ def sen_inputs(draw):
     return p, level, A, precision
 
 
+def ilog(n, p):
+    """floor(log_p n), in ints."""
+    k = 0
+    while p ** (k + 1) <= n:
+        k += 1
+    return k
+
+
+def log_mod(p, A, target):
+    """log(A) mod p^target by the plain series, every power reduced mod
+    p^(target + log_p n): A - I = N/D with D a p-unit, v_p(N) >= 1, so
+    term i has valuation at least i - log_p i."""
+    d = len(A)
+    N, D = clear_denominators([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(A)])
+    n = 1
+    while n + 1 - ilog(n + 1, p) < target:
+        n += 1
+    modulus = p ** (target + ilog(n, p) + 1)
+    X = [[x * pow(D, -1, modulus) % modulus for x in row] for row in N]
+    acc = [[F(0)] * d for _ in range(d)]
+    power = [[int(i == j) for j in range(d)] for i in range(d)]
+    for i in range(1, n + 1):
+        power = [[x % modulus for x in row] for row in mat_mul(power, X)]
+        for a in range(d):
+            for b in range(d):
+                acc[a][b] += F((-1) ** (i - 1) * power[a][b], i)
+    return acc
+
+
+def d2_bound(p, level, precision):
+    """The least valuation bound margin*i - v_p(i) of a dropped term, less
+    the level: below the stated precision only where ROADMAP D2 bites."""
+    margin = 2 if p == 2 else 1
+    vals = [margin * i - int_valuation(i, p) for i in range(1, 4 * precision + 20)]
+    n = next(i for i, v in enumerate(vals) if v > precision)
+    return min(vals[n:]) - level
+
+
 @settings(max_examples=80, deadline=None)
 @given(sen_inputs())
 def test_sen_json_matches_fraction_reference(inp):
+    """The operator is congruent to the reference mod p^(stated precision)
+    and within it of a longer series (D2 aside); at stated precision >= 6
+    with a p-integral operator the verdict equals the reference's."""
     p, level, A, precision = inp
     payload = {"p": p, "level": level, "matrix": [[format_rational(x) for x in row] for row in A],
                "precision": precision}
     code, out = sen_cli(payload)
-    try:
-        expected = sen_reference.sen_report(p, level, A, precision)
-    except ValueError as exc:
-        # an entry too long for int -> str: the same error, as exit 2
-        assert (code, json.loads(out)["error"]) == (2, str(exc))
+    report = json.loads(out)
+    stated = precision - level
+    if stated < 1:
+        assert code == 2 and "must exceed the level" in report["error"]
         return
-    assert out == expected
-    assert code == (3 if '"indeterminate"' in expected else 0)
+    got = [[F(x) for x in row] for row in report["operator"]["matrix"]]
+    assert report["operator"]["precision"] == stated
+    # the centered representative m/p^k, -p^(s+k)/2 < m <= p^(s+k)/2
+    assert all(-(x.denominator * p**stated) < 2 * x.numerator <= x.denominator * p**stated
+               for row in got for x in row)
+    ref = sen_reference.sen_operator(SenInput(p, level, A), precision)
+    assert all(x == y or rational_valuation(x - y, p) >= stated
+               for row, ref_row in zip(got, ref.matrix) for x, y in zip(row, ref_row))
+    longer = log_mod(p, A, precision + 12)
+    floor = min(stated, d2_bound(p, level, precision))
+    assert all(x * p**level == y or rational_valuation(x * p**level - y, p) - level >= floor
+               for row, long_row in zip(got, longer) for x, y in zip(row, long_row))
+    assert code == (3 if report["hodge_tate"]["status"] == "indeterminate" else 0)
+    if stated >= 6 and all(x == 0 or rational_valuation(x, p) >= 0 for row in ref.matrix for x in row):
+        assert report["hodge_tate"] == sen_reference.hodge_tate_via_sen(ref).to_json()
+        assert report["is_trivial"] is is_trivial_via_sen(ref)
+
+
+# ---------------------------------------------------------------------------
+# weights of a non-integral operator, and inputs at high precision
+# ---------------------------------------------------------------------------
+
+
+def test_weights_of_a_non_integral_operator_stop_at_the_loss():
+    # entries of valuation -1 at d = 2: the class of the operator mod 3^30
+    # fixes its characteristic polynomial, and so the weights, mod 3^29 only
+    inp = SenInput(3, 2, [[-29, -3], [57, -23]])
+    op = sen_operator(inp, 32)
+    assert op.precision == 30
+    assert min(rational_valuation(x, 3) for row in op.matrix for x in row if x) == -1
+    moved = SenOperator(op.prime, ((op.matrix[0][0] + 3**30, op.matrix[0][1]), op.matrix[1]),
+                        op.precision, op.zero_part)
+    lifts = [sorted(hensel_integer_roots(char_poly(A.matrix), 3, 30)) for A in (op, moved)]
+    assert lifts[0] != lifts[1]
+    verdict = hodge_tate_via_sen(op)
+    assert hodge_tate_via_sen(moved) == verdict
+    assert all(abs(w) <= 3**29 // 2 for w in verdict.integer_weights)
+    high = hodge_tate_via_sen(sen_operator(inp, 90)).integer_weights
+    assert sorted(w % 3**29 for w in verdict.integer_weights) == sorted(w % 3**29 for w in high)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(2, 3), st.data())
+def test_weights_of_a_non_integral_operator_are_true_to_their_lift(p, d, data):
+    """exp(p^2 M) at level 2 for M = P Q J Q^-1 P^-1, J upper triangular
+    with eigenvalues distinct mod p, Q = diag(1, p, ..., p), P unimodular:
+    the operator is M, with entries of negative valuation, and every
+    weight it reports is an eigenvalue of J mod p^(s - (d-1) max(0, -v))."""
+    eig = data.draw(st.lists(st.integers(-3 * p, 3 * p), min_size=d, max_size=d)
+                    .filter(lambda e: len({x % p for x in e}) == d))
+    J = [[eig[i] if i == j else (data.draw(st.integers(-4, 4)) if j > i else 0) for j in range(d)]
+         for i in range(d)]
+    M = [[F(x) * (p if i and not j else 1) / (p if j and not i else 1) for j, x in enumerate(row)]
+         for i, row in enumerate(J)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.sampled_from([(i, j) for i in range(d) for j in range(d) if i != j]))
+        c = data.draw(st.integers(-2, 2))
+        # M <- E_ij(c) M E_ij(-c)
+        M[i] = [a + c * b for a, b in zip(M[i], M[j])]
+        for row in M:
+            row[j] -= c * row[i]
+    precision = data.draw(st.integers(8, 30))
+    A = matrix_exp_truncated(p, [[p**2 * x for x in row] for row in M], precision + 12)
+    op = sen_operator(SenInput(p, 2, A), precision)
+    verdict = hodge_tate_via_sen(op)
+    vmin = min(rational_valuation(x, p) for row in op.matrix for x in row if x)
+    lift = op.precision - (d - 1) * max(0, -vmin)
+    if verdict.integer_weights is None:
+        assert lift < 1 or any(rational_valuation(c, p) < 0 for c in char_poly(op.matrix) if c)
+        return
+    assert sorted(w % p**lift for w in verdict.integer_weights) == sorted(w % p**lift for w in eig)
+
+
+def exp_mod(p, X, N):
+    """exp(X) mod p^N as centered integers, for an integer matrix X whose
+    entries have valuation >= 1 (>= 2 when p = 2); every division by k
+    costs v_p(k) digits, so the terms run mod p^(N + v_p(K!))."""
+    d = len(X)
+    margin = 2 if p == 2 else 1
+    K = 1
+    while (p - 1) * margin * K - (K - 1) <= (p - 1) * N:
+        K += 1
+    modulus = p ** (N + sum(int_valuation(k, p) for k in range(1, K)))
+    term = [[int(i == j) for j in range(d)] for i in range(d)]
+    acc = [row[:] for row in term]
+    for k in range(1, K):
+        v = int_valuation(k, p)
+        unit = pow(k // p**v, -1, modulus)
+        term = [[x // p**v * unit % modulus for x in row] for row in mat_mul(term, X)]
+        acc = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, term)]
+    top = p**N
+    return [[x % top - top * (x % top > top // 2) for x in row] for row in acc]
+
+
+def sen_line_input(seed, p, d, precision, r=1):
+    """A ``workloads.sen_line``-shaped input: exp(p^r S) mod p^(precision + r + 5)
+    for S = P diag(0..d-1) P^-1 with P unimodular; (payload, eigenvalues)."""
+    rng = random.Random(seed)
+    eig = list(range(d))
+    rng.shuffle(eig)
+    P = [[int(i == j) for j in range(d)] for i in range(d)]
+    Pinv = [row[:] for row in P]
+    for _ in range(4 * d):
+        i, j = rng.sample(range(d), 2)
+        c = rng.randint(-2, 2)
+        for row in P:
+            row[j] += c * row[i]
+        Pinv[i] = [a - c * b for a, b in zip(Pinv[i], Pinv[j])]
+    S = mat_mul(mat_mul(P, [[eig[i] * (i == j) for j in range(d)] for i in range(d)]), Pinv)
+    A = exp_mod(p, [[p**r * x for x in row] for row in S], precision + r + 5)
+    payload = {"p": p, "level": r, "matrix": [[str(x) for x in row] for row in A], "precision": precision}
+    return payload, eig
+
+
+def test_the_4300_digit_repro_is_answered():
+    # the exact truncated series once had entries past CPython's
+    # 4,300-digit int -> str limit here, and the command exited 2
+    S = [[4, -3, 2], [1, 4, -4], [-2, 3, 3]]
+    A = matrix_exp_truncated(3, [[F(3 * x) for x in row] for row in S], 49)
+    payload = {"p": 3, "level": 1, "matrix": [[format_rational(x) for x in row] for row in A], "precision": 45}
+    assert len(json.dumps(payload)) > 2000
+    code, out = sen_cli(payload)
+    assert code in (0, 3)
+    assert json.loads(out)["operator"]["precision"] == 44
+
+
+@pytest.mark.parametrize("d, precision", [(2, 150), (3, 100), (4, 120)])
+def test_high_precision_sen_lines_pass_the_benchmark_oracle(d, precision):
+    payload, eig = sen_line_input(d, 5, d, precision)
+    code, out = sen_cli(payload)
+    assert code == 0
+    assert oracles.check_sen(payload, json.loads(out), code, {"eigenvalues": eig}) is None
+
+
+def test_dim_6_precision_400_takes_under_a_second():
+    payload, eig = sen_line_input(6, 7, 6, 400)
+    src = Path(__file__).resolve().parents[1] / "src"
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "period_lab.cli", "sen", "--input", "-"],
+        input=json.dumps(payload), capture_output=True, text=True, timeout=5,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["hodge_tate"]["integer_weights"] == sorted(eig)
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,9 @@ def test_batch_determinism(tmp_path, capsys):
         {"command": "phimod", "p": 5, "eisenstein": [-5, 1], "dim": 1, "frobenius": [["25"]],
          "filtration": [{"jump": None, "basis": [[["1"]]]}]},
         {"command": "polygon", "kind": "t", "p": 3, "window": 5},
+        # stated precision 0 - 2 < 1: log(50)/49 is a 7-adic unit, once
+        # printed as [["0"]] with is_trivial true
+        {"command": "sen", "p": 7, "level": 2, "matrix": [["50"]], "precision": 0},
     ],
 )
 def test_batch_isolates_invalid_field(tmp_path, capsys, bad):
