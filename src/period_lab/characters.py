@@ -64,6 +64,7 @@ from .padic import (
     format_rational,
     int_valuation,
     multiplicity,
+    parse_int,
     parse_rational,
     rational_valuation,
 )
@@ -125,10 +126,10 @@ class CharacterTriple:
     @classmethod
     def from_json(cls, obj: dict) -> "CharacterTriple":
         return cls(
-            obj["p"],
+            parse_int(obj["p"], "p"),
             parse_rational(obj["lambda"]),
             parse_rational(obj["a"]),
-            obj.get("b", 0),
+            parse_int(obj.get("b", 0), "b"),
         )
 
 
@@ -365,8 +366,12 @@ def _series(N, terms, modulus=None) -> list:
 
 
 def is_trivial_via_sen(op: SenOperator) -> bool:
-    """True iff the operator vanishes to its stated precision; decides
-    triviality of the underlying semilinear representation."""
+    """True iff the operator vanishes; decides triviality of the underlying
+    semilinear representation.  Exact for an operator from ``sen_operator``:
+    log(A) = 0 iff N = D(A - I) = 0, i.e. eigenvalue 0 of full multiplicity
+    on a semi-simple part.  A hand-built one is tested to its precision."""
+    if op.zero_part is not None:
+        return op.zero_part == (op.dim, True)
     for row in op.matrix:
         for x in row:
             if x != 0 and rational_valuation(x, op.p) < op.precision:

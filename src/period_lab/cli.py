@@ -2,9 +2,11 @@
 
 Subcommands: herbrand, polygon, tilt, jet, phimod, char, sen, batch.
 Input is JSON (``--input FILE`` or ``-`` for stdin; the jet and char
-commands also accept everything through flags).  Reports are JSON by
-default (deterministic: sorted keys, no timestamps, schema version
-embedded) or plain text with ``--format text``.
+commands also accept everything through flags).  A flag that is given
+sets its payload field (``FLAGS``), over the input and over each line of
+a batch file; integer fields take a JSON integer or an integer string.
+Reports are JSON by default (deterministic: sorted keys, no timestamps,
+schema version embedded) or plain text with ``--format text``.
 
 Exit codes: 0 success; 2 schema/parse errors (position-annotated for
 malformed JSON); 3 for first-class "undecided"/"inconclusive" verdicts,
@@ -21,7 +23,7 @@ import json
 import sys
 
 from . import characters, filtered_phi, jets, polygons, ramification, tilt
-from .padic import INF, SchemaError, _is_probable_prime, format_rational, parse_rational
+from .padic import INF, SchemaError, _is_probable_prime, format_rational, parse_int, parse_rational
 
 SCHEMA = "period-lab/1"
 
@@ -35,29 +37,29 @@ EXIT_UNDECIDED = 3
 INPUT_ERRORS = (SchemaError, ValueError, KeyError, TypeError)
 
 
-def _load_payload(args) -> dict:
-    if not getattr(args, "input", None):
+def _read_input(args) -> str:
+    """The text of ``--input``: a file path, or '-' for stdin."""
+    if not args.input:
         raise SchemaError("missing --input (file path or '-')")
     if args.input == "-":
-        text = sys.stdin.read()
-        name = "<stdin>"
-    else:
-        try:
-            with open(args.input) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise SchemaError(f"cannot read {args.input}: {exc}") from exc
-        name = args.input
-    return _parse_json(text, name)
+        return sys.stdin.read()
+    try:
+        with open(args.input) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise SchemaError(f"cannot read {args.input}: {exc}") from exc
 
 
 def _parse_json(text: str, name: str) -> dict:
     try:
-        return json.loads(text)
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{name}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{name}: expected a JSON object")
+    return payload
 
 
 def _require(payload: dict, key: str):
@@ -66,20 +68,14 @@ def _require(payload: dict, key: str):
     return payload[key]
 
 
-def _require_int(payload: dict, key: str) -> int:
-    value = _require(payload, key)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise SchemaError(f"field {key!r} must be an integer, got {value!r}")
+def _int(payload: dict, key: str, default=None) -> int:
+    """An integer field; required when it has no default."""
+    value = _require(payload, key) if default is None else payload.get(key, default)
+    return parse_int(value, key)
 
 
 def _require_prime(payload: dict) -> int:
-    p = _require_int(payload, "p")
+    p = _int(payload, "p")
     if not _is_probable_prime(p):
         raise SchemaError(f"field 'p' must be a prime, got {p}")
     return p
@@ -91,9 +87,9 @@ def _require_prime(payload: dict) -> int:
 
 
 def run_herbrand(payload: dict, args):
-    data = ramification.RamificationData(
-        _require_int(payload, "e"), _require(payload, "orders")
-    )
+    e = _int(payload, "e")
+    orders = [parse_int(g, "orders") for g in _require(payload, "orders")]
+    data = ramification.RamificationData(e, orders)
     phi = ramification.herbrand_phi(data)
     psi = ramification.herbrand_psi(phi)
     report = {
@@ -163,12 +159,16 @@ def _theta_json(value: tilt.GradedThetaValue) -> dict:
     return {"level": value.context.N, "exact": value.exact, "pieces": pieces}
 
 
+def _valuation_json(v):
+    return None if v is None else ("inf" if v is INF else format_rational(v))
+
+
 def run_tilt(payload: dict, args):
     p = _require_prime(payload)
     op = payload.get("op", "theta")
     expr = _tilt_expr(payload, p)
     if op == "theta":
-        level = int(payload.get("level", args.precision or 3))
+        level = _int(payload, "level", 3)
         value = tilt.theta(expr, level)
         report = {"theta": _theta_json(value)}
         try:
@@ -178,35 +178,29 @@ def run_tilt(payload: dict, args):
             report["is_zero"] = "inexact-teichmuller"
             return report, EXIT_UNDECIDED
     if op == "vflat":
-        depth = int(payload.get("depth", 3))
+        depth = _int(payload, "depth", 3)
         res = tilt.vflat_sum(expr, depth)
         report = {
-            "values": [
-                None if v is None else ("inf" if v is INF else format_rational(v))
-                for v in res.values
-            ],
+            "values": [_valuation_json(v) for v in res.values],
             "stabilized": res.stabilized,
             "conclusive": res.conclusive,
         }
         if res.stabilized:
-            report["value"] = "inf" if res.value is INF else format_rational(res.value)
+            report["value"] = _valuation_json(res.value)
             return report, EXIT_OK
         return report, EXIT_UNDECIDED
     if op == "probe":
-        level = int(payload.get("level", args.precision or 3))
-        n_max = int(payload.get("n_max", 3))
+        level = _int(payload, "level", 3)
+        n_max = _int(payload, "n_max", 3)
         report = {"kernel_orbit": tilt.ker_theta_orbit_probe(expr, level, n_max)}
         return report, EXIT_OK
     if op == "generator-check":
-        level = int(payload.get("level", args.precision or 3))
-        depth = int(payload.get("depth", 3))
+        level = _int(payload, "level", 3)
+        depth = _int(payload, "depth", 3)
         rep = tilt.generator_condition_check(expr, level, depth)
         report = {
             "theta_is_zero": rep.theta_is_zero,
-            "vflat_values": [
-                None if v is None else ("inf" if v is INF else format_rational(v))
-                for v in rep.vflat.values
-            ],
+            "vflat_values": [_valuation_json(v) for v in rep.vflat.values],
             "vflat_is_one": rep.vflat_is_one,
             "passes": rep.passes,
         }
@@ -217,7 +211,7 @@ def run_tilt(payload: dict, args):
 def run_jet(payload: dict, args):
     action = payload.get("action", "verify-cocycle")
     p = _require_prime(payload)
-    order = int(payload.get("order", args.order or 6))
+    order = _int(payload, "order", 6)
     if action == "verify-cocycle":
         g = tilt.GaloisElement(
             parse_rational(_require(payload, "chi")),
@@ -228,7 +222,7 @@ def run_jet(payload: dict, args):
         ok = jets.verify_cocycle(g, ctx)
         return {"verified": ok, "order": order, "p": p}, EXIT_OK
     if action == "gr-check":
-        m = int(payload.get("m", order))
+        m = _int(payload, "m", order)
         ok = jets.gr_generator_check(m, p)
         return {"generates_graded_piece": ok, "m": m, "p": p}, EXIT_OK
     raise SchemaError(f"unknown jet action {action!r}")
@@ -264,12 +258,12 @@ def run_char(payload: dict, args):
 
 def run_sen(payload: dict, args):
     p = _require_prime(payload)
-    level = int(payload.get("level", 1))
+    level = _int(payload, "level", 1)
     rows = _require(payload, "matrix")
     if not rows or any(not isinstance(row, list) or len(row) != len(rows) for row in rows):
         raise SchemaError("field 'matrix' must be a nonempty square list of rows")
     matrix = [[parse_rational(x) for x in row] for row in rows]
-    precision = int(args.precision or payload.get("precision", 20))
+    precision = _int(payload, "precision", 20)
     inp = characters.SenInput(p, level, matrix)
     op = characters.sen_operator(inp, precision)
     verdict = characters.hodge_tate_via_sen(op)
@@ -292,6 +286,24 @@ HANDLERS = {
     "sen": run_sen,
 }
 
+# the payload field each command-line flag sets, per command; a flag that
+# is given wins over the input
+FLAGS = {
+    "tilt": {"precision": "level"},
+    "sen": {"precision": "precision"},
+    "jet": {"action": "action", "order": "order", "p": "p", "chi": "chi", "c": "c", "m": "m"},
+    "char": {"action": "op", "p": "p", "lam": "lambda", "a": "a", "b": "b"},
+}
+
+
+def _run(command: str, payload: dict, args):
+    """The command's handler on the payload, with the given flags laid over it."""
+    for flag, field in FLAGS.get(command, {}).items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            payload[field] = value
+    return HANDLERS[command](payload, args)
+
 
 # ---------------------------------------------------------------------------
 # batch mode
@@ -299,15 +311,7 @@ HANDLERS = {
 
 
 def run_batch(args):
-    if args.input == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        try:
-            with open(args.input) as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            _emit({"schema": SCHEMA, "error": str(exc)}, args)
-            return EXIT_SCHEMA
+    lines = _read_input(args).splitlines()
     results = []
     counts = {"ok": 0, "undecided": 0, "error": 0}
     for lineno, line in enumerate(lines, 1):
@@ -318,7 +322,7 @@ def run_batch(args):
             command = _require(payload, "command")
             if command not in HANDLERS:
                 raise SchemaError(f"unknown command {command!r}")
-            report, code = HANDLERS[command](payload, args)
+            report, code = _run(command, payload, args)
             kind = "undecided" if code == EXIT_UNDECIDED else "ok"
             counts[kind] += 1
             results.append({"line": lineno, "status": kind, "report": report})
@@ -382,20 +386,18 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_parser(name, parents=[common])
 
     jet_p = sub.add_parser("jet", parents=[common])
-    jet_p.add_argument("action", nargs="?", default="verify-cocycle",
-                       choices=("verify-cocycle", "gr-check"))
+    jet_p.add_argument("action", nargs="?", choices=("verify-cocycle", "gr-check"))
     jet_p.add_argument("--p", type=int)
     jet_p.add_argument("--chi")
     jet_p.add_argument("--c")
     jet_p.add_argument("--m", type=int)
 
     char_p = sub.add_parser("char", parents=[common])
-    char_p.add_argument("action", nargs="?", default="classify",
-                        choices=("classify", "multiply"))
+    char_p.add_argument("action", nargs="?", choices=("classify", "multiply"))
     char_p.add_argument("--p", type=int)
     char_p.add_argument("--lambda", dest="lam")
     char_p.add_argument("--a")
-    char_p.add_argument("--b", type=int, default=0)
+    char_p.add_argument("--b", type=int)
 
     sub.add_parser("batch", parents=[common])
     return parser
@@ -409,44 +411,16 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _payload_from_flags(args) -> dict:
-    """jet and char accept their small payloads directly as flags."""
-    if args.command == "jet":
-        payload = {"action": args.action}
-        if args.p is not None:
-            payload["p"] = args.p
-        if args.chi is not None:
-            payload["chi"] = args.chi
-        if args.c is not None:
-            payload["c"] = args.c
-        if args.m is not None:
-            payload["m"] = args.m
-        if args.order is not None:
-            payload["order"] = args.order
-        return payload
-    if args.command == "char":
-        payload = {"op": args.action}
-        if args.p is not None:
-            payload["p"] = args.p
-        if args.lam is not None:
-            payload["lambda"] = args.lam
-        if args.a is not None:
-            payload["a"] = args.a
-        payload["b"] = args.b
-        return payload
-    raise SchemaError("flag payloads only exist for jet and char")
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "batch":
-        return run_batch(args)
     try:
+        if args.command == "batch":
+            return run_batch(args)
         if args.command in ("jet", "char") and not args.input:
-            payload = _payload_from_flags(args)
+            payload = {}  # everything comes from the flags
         else:
-            payload = _load_payload(args)
-        report, code = HANDLERS[args.command](payload, args)
+            payload = _parse_json(_read_input(args), "<stdin>" if args.input == "-" else args.input)
+        report, code = _run(args.command, payload, args)
     except INPUT_ERRORS as exc:
         _emit({"schema": SCHEMA, "error": str(exc)}, args)
         return EXIT_SCHEMA

@@ -48,6 +48,7 @@ from .characters import CharacterTriple
 from .linalg import (
     BaseFieldK,
     KElement,
+    _is_irreducible,
     char_poly,
     clear_denominators,
     is_squarefree,
@@ -63,11 +64,11 @@ from .linalg import (
 from .padic import (
     SchemaError,
     format_rational,
+    parse_int,
     parse_rational,
     poly_newton_polygon,
     rational_valuation,
 )
-from .tilt import _is_irreducible
 
 ADMISSIBLE = "admissible"
 NOT_ADMISSIBLE = "not-admissible"
@@ -231,9 +232,10 @@ class FilteredPhiModule:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FilteredPhiModule":
-        base = BaseFieldK(obj["p"], obj["eisenstein"])
+        eisenstein = [parse_int(c, "eisenstein") for c in obj["eisenstein"]]
+        base = BaseFieldK(parse_int(obj["p"], "p"), eisenstein)
         frob = [[parse_rational(x) for x in row] for row in obj["frobenius"]]
-        d = obj.get("dim", len(frob))
+        d = parse_int(obj.get("dim", len(frob)), "dim")
         if d != len(frob):
             raise SchemaError(f"declared dim {d!r}, but Frobenius has {len(frob)} rows")
         filtration = []
@@ -250,7 +252,7 @@ class FilteredPhiModule:
                         for entry in vec
                     ]
                 )
-            filtration.append((step["jump"], vecs))
+            filtration.append((parse_int(step["jump"], "jump"), vecs))
         return cls(base, frob, filtration)
 
 
@@ -378,21 +380,10 @@ def _dim2_stable_line(D, tH, tN, r, s, line_vec, alpha) -> AdmissibilityVerdict:
     va = rational_valuation(alpha, p)
     beta = D.frobenius_det / alpha
     vb = rational_valuation(beta, p)
-    line_witness = {
-        "type": "subobject",
-        "basis": [[format_rational(x) for x in line_vec]],
-    }
-    if alpha == beta:
-        # single eigenvalue; t_N = 2 v(alpha) = r + s forces v(alpha)
-        # strictly below s, so the line subobject always violates
-        if va >= s:
-            raise AssertionError(
-                "stable-line branch contradiction: double eigenvalue of "
-                "valuation >= s cannot satisfy t_H = t_N with r < s"
-            )
-        return AdmissibilityVerdict(NOT_ADMISSIBLE, tH, tN, line_witness)
     if va < s:
-        return AdmissibilityVerdict(NOT_ADMISSIBLE, tH, tN, line_witness)
+        # also when alpha = beta: t_N = 2 v(alpha) = r + s < 2s
+        witness = {"type": "subobject", "basis": [[format_rational(x) for x in line_vec]]}
+        return AdmissibilityVerdict(NOT_ADMISSIBLE, tH, tN, witness)
     if vb < r:
         return AdmissibilityVerdict(
             NOT_ADMISSIBLE,

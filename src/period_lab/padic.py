@@ -161,11 +161,26 @@ class SchemaError(Exception):
 
 
 def parse_rational(text) -> Fraction:
-    if isinstance(text, (int, Fraction)):
+    if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
-        return Fraction(text.strip())
+        try:
+            return Fraction(text.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     raise ValueError(f"cannot parse rational from {text!r}")
+
+
+def parse_int(value, name: str = "value") -> int:
+    """An integer field: a JSON integer (not a bool) or an integer string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise SchemaError(f"field {name!r} must be an integer, got {value!r}")
 
 
 def digit_sum(i: int, p: int) -> int:

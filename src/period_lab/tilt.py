@@ -43,6 +43,7 @@ from .padic import (
     Valuation,
     format_rational,
     multiplicity,
+    parse_int,
     parse_rational,
     rational_valuation,
 )
@@ -422,16 +423,16 @@ class TiltExpr:
         terms = []
         for it in items:
             u = it.get("u")
-            uel = (
-                FqElement(p_int, u["f"], tuple(u["poly"]))
-                if u
-                else FqElement.one(p_int)
-            )
+            if u:
+                poly = [parse_int(x, "poly") for x in u["poly"]]
+                uel = FqElement(p_int, parse_int(u["f"], "f"), poly)
+            else:
+                uel = FqElement.one(p_int)
             terms.append(
                 (
-                    int(it["coeff"]),
+                    parse_int(it["coeff"], "coeff"),
                     TiltMonomial(parse_rational(it["a"]), parse_rational(it["c"]), uel),
-                    int(it.get("p_power", 0)),
+                    parse_int(it.get("p_power", 0), "p_power"),
                 )
             )
         return cls(p, terms)
@@ -563,6 +564,8 @@ def rational_unit_mod(q, p: int, N: int) -> int:
 
 def ker_theta_orbit_probe(x: TiltExpr, N: int, n_max: int) -> list:
     """[theta(phi^n(x)) == 0 for n = 0..n_max]."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     out = []
     for n in range(n_max + 1):
         out.append(theta(x.frobenius(n), N).is_zero())
@@ -638,6 +641,8 @@ def vflat_sum(x: TiltExpr, depth: int) -> VflatResult:
     """
     if any(i != 0 for _, _, i in x.terms):
         raise ValueError("v_flat applies to expressions with p-power index 0")
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
     values = []
     all_ok = True
     for n in range(depth + 1):

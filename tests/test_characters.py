@@ -204,6 +204,25 @@ def test_integer_weights_from_exponential_construction():
     assert verdict.integer_weights == (1, 2)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        # 3^30 above the diagonal: the operator is 0 mod 3^20, but the
+        # exact 0-part is a Jordan block
+        {"p": 3, "level": 1, "matrix": [["1", "205891132094649"], ["0", "1"]], "precision": 20},
+        # log(65) has 2-adic valuation 6, the stated precision
+        {"p": 2, "level": 0, "matrix": [["65"]], "precision": 6},
+    ],
+)
+def test_trivial_only_when_the_matrix_is_the_identity(payload):
+    code, out = sen_cli(payload)
+    report = json.loads(out)
+    assert all(x == "0" for row in report["operator"]["matrix"] for x in row)
+    assert report["is_trivial"] is False
+    if payload["p"] == 3:
+        assert code == 0 and report["hodge_tate"]["status"] == "not-hodge-tate"
+
+
 def test_trivial_iff_exp_of_zero():
     p = 5
     A = matrix_exp_truncated(p, [[F(0), F(0)], [F(0), F(0)]], 20)
@@ -372,9 +391,11 @@ def test_sen_json_matches_fraction_reference(inp):
     assert all(x * p**level == y or rational_valuation(x * p**level - y, p) - level >= floor
                for row, long_row in zip(got, longer) for x, y in zip(row, long_row))
     assert code == (3 if report["hodge_tate"]["status"] == "indeterminate" else 0)
+    # log(A) = 0 iff A = I, exactly: the reference's entrywise test mod
+    # p^stated is not, e.g. for A = [[65]], p = 2, precision 6
+    assert report["is_trivial"] is all(x == (i == j) for i, row in enumerate(A) for j, x in enumerate(row))
     if stated >= 6 and all(x == 0 or rational_valuation(x, p) >= 0 for row in ref.matrix for x in row):
         assert report["hodge_tate"] == sen_reference.hodge_tate_via_sen(ref).to_json()
-        assert report["is_trivial"] is is_trivial_via_sen(ref)
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,19 @@ def test_batch_determinism(tmp_path, capsys):
         # stated precision 0 - 2 < 1: log(50)/49 is a 7-adic unit, once
         # printed as [["0"]] with is_trivial true
         {"command": "sen", "p": 7, "level": 2, "matrix": [["50"]], "precision": 0},
+        # a zero denominator, and integer fields that are not integers:
+        # none of them may be truncated or raise past the boundary
+        {"command": "char", "p": 5, "lambda": "1/0", "a": "0", "b": 0},
+        {"command": "phimod", "p": 5, "eisenstein": [-5, 1], "dim": 1, "frobenius": [["25"]],
+         "filtration": [{"jump": 2.9, "basis": [[["1"]]]}]},
+        {"command": "tilt", "p": 3, "op": "theta", "level": 2,
+         "expr": [{"coeff": 1.7, "a": "1", "c": "0"}]},
+        {"command": "tilt", "p": 3, "op": "theta", "builtin": "omega", "level": 2.7},
+        {"command": "char", "p": 5, "lambda": "1", "a": "0", "b": 1.5},
+        {"command": "sen", "p": 7, "level": 0, "matrix": [["50"]], "precision": True},
+        # negative depth and n_max, once an empty answer
+        {"command": "tilt", "p": 3, "op": "vflat", "builtin": "epsilon_minus_one", "depth": -1},
+        {"command": "tilt", "p": 3, "op": "probe", "builtin": "omega", "level": 2, "n_max": -1},
     ],
 )
 def test_batch_isolates_invalid_field(tmp_path, capsys, bad):
@@ -423,3 +436,68 @@ def test_phimod_checks_eisenstein_at_degree_one(tmp_path, capsys, eisenstein):
     code, report = run_json(capsys, "batch", "--input", str(f))
     assert code == 2
     assert [r["status"] for r in report["results"]] == ["ok", "error", "ok"]
+
+
+def test_batch_needs_input(capsys):
+    code, report = run_json(capsys, "batch")
+    assert code == 2
+    assert set(report) == {"schema", "error"} and "--input" in report["error"]
+
+
+@pytest.mark.parametrize("text", ["[]", '"p"', "7"])
+def test_input_must_be_a_json_object(tmp_path, capsys, text):
+    f = tmp_path / "in.json"
+    f.write_text(text)
+    code, report = run_json(capsys, "jet", "--input", str(f))
+    assert code == 2 and "JSON object" in report["error"]
+    good = json.dumps({"command": "herbrand", "e": 4, "orders": [4, 2, 2]})
+    f.write_text("\n".join([good, text, good]) + "\n")
+    code, report = run_json(capsys, "batch", "--input", str(f))
+    assert [r["status"] for r in report["results"]] == ["ok", "error", "ok"]
+
+
+def test_sen_precision_flag_zero_is_not_ignored(tmp_path, capsys):
+    f = tmp_path / "sen.json"
+    f.write_text(json.dumps({"p": 7, "level": 0, "matrix": [["50"]], "precision": 20}))
+    code, report = run_json(capsys, "sen", "--input", str(f), "--precision", "0")
+    assert code == 2
+    assert "precision 0" in report["error"]
+
+
+@pytest.mark.parametrize(
+    "command, payload, flags, field, want",
+    [
+        ("sen", {"p": 7, "level": 0, "matrix": [["50"]], "precision": 20}, ["--precision", "5"],
+         lambda r: r["operator"]["precision"], 5),
+        ("tilt", {"p": 3, "op": "theta", "builtin": "omega", "level": 2}, ["--precision", "3"],
+         lambda r: r["theta"]["level"], 3),
+        ("jet", {"p": 3, "action": "verify-cocycle", "chi": "4", "c": "1", "order": 6}, ["--order", "4"],
+         lambda r: r["order"], 4),
+        ("jet", {"p": 3, "action": "gr-check", "m": 2}, ["--m", "3", "--p", "2"],
+         lambda r: (r["m"], r["p"]), (3, 2)),
+        ("char", {"p": 5, "lambda": "1", "a": "1", "b": 0}, ["--b", "1"],
+         lambda r: r["character"]["b"], 1),
+    ],
+)
+def test_a_given_flag_beats_the_payload(tmp_path, capsys, command, payload, flags, field, want):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(payload))
+    code, report = run_json(capsys, command, "--input", str(f), *flags)
+    assert code in (0, 3) and field(report) == want
+    # without the flag the payload holds
+    code, report = run_json(capsys, command, "--input", str(f))
+    assert field(report) != want
+    # in a batch the common flags reach every line
+    if flags[0] in ("--precision", "--order"):
+        f.write_text(json.dumps(dict(payload, command=command)) + "\n")
+        code, report = run_json(capsys, "batch", "--input", str(f), *flags)
+        assert field(report["results"][0]["report"]) == want
+
+
+def test_positional_action_only_when_given(tmp_path, capsys):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps({"p": 3, "action": "gr-check", "m": 2}))
+    code, report = run_json(capsys, "jet", "--input", str(f))
+    assert code == 0 and "generates_graded_piece" in report
+    code, report = run_json(capsys, "jet", "verify-cocycle", "--input", str(f))
+    assert code == 2 and "'chi'" in report["error"]

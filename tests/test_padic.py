@@ -10,9 +10,11 @@ import pytest
 from period_lab.padic import (
     INF,
     Prime,
+    SchemaError,
     factorial_valuation,
     format_rational,
     nu,
+    parse_int,
     parse_rational,
     poly_newton_polygon,
     rational_valuation,
@@ -81,6 +83,19 @@ def test_scalar_serialization_roundtrip():
     assert format_rational(x) == "-22/7"
     assert parse_rational(format_rational(x)) == x
     assert format_rational(5) == "5"
+
+
+def test_parse_int_takes_integers_and_integer_strings_only():
+    assert parse_int(7) == 7 and parse_int("-12", "e") == -12
+    for bad in (True, 2.9, 2.0, "2.5", "1/1", None, [1]):
+        with pytest.raises(SchemaError, match="'e' must be an integer"):
+            parse_int(bad, "e")
+
+
+@pytest.mark.parametrize("bad", ["1/0", " -3/0 ", True, 1.5, None])
+def test_parse_rational_rejects_with_value_error(bad):
+    with pytest.raises(ValueError):
+        parse_rational(bad)
 
 
 def test_factorial_valuation_examples():
