@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 
 from . import characters, filtered_phi, jets, polygons, ramification, tilt
 from .padic import INF, SchemaError, _is_probable_prime, format_rational, parse_int, parse_rational
@@ -102,6 +103,19 @@ def run_herbrand(payload: dict, args):
     return report, EXIT_OK
 
 
+# the ladder's ordinate at abscissa n is p^(1-n)/(p-1); past |n| = 15,000
+# even 2^|n| has more than the 4,300 digits CPython prints by default, so
+# no wider window can be reported, and bounding it bounds the work
+MAX_WINDOW = 15_000
+
+
+def _window_end(value) -> Fraction:
+    x = parse_rational(value)
+    if abs(x) > MAX_WINDOW:
+        raise SchemaError(f"field 'window' must lie in [-{MAX_WINDOW}, {MAX_WINDOW}], got {value!r}")
+    return x
+
+
 def run_polygon(payload: dict, args):
     kind = payload.get("kind", "series")
     if kind == "series":
@@ -111,13 +125,11 @@ def run_polygon(payload: dict, args):
         poly = polygons.hull(polygons.SeriesProfile(pts))
     elif kind == "epsilon_minus_one":
         poly = polygons.epsilon_minus_one_polygon(
-            _require_prime(payload), parse_rational(_require(payload, "window"))
+            _require_prime(payload), _window_end(_require(payload, "window"))
         )
     elif kind == "t":
         lo, hi = _require(payload, "window")
-        poly = polygons.t_polygon(
-            _require_prime(payload), parse_rational(lo), parse_rational(hi)
-        )
+        poly = polygons.t_polygon(_require_prime(payload), _window_end(lo), _window_end(hi))
     else:
         raise SchemaError(f"unknown polygon kind {kind!r}")
     report = {"polygon": poly.to_json()}

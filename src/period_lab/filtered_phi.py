@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Optional
 
 from .characters import CharacterTriple
@@ -129,13 +130,14 @@ class FilteredPhiModule:
             raise ValueError("filtration needs at least one step")
         if any(a[0] >= b[0] for a, b in zip(steps, steps[1:])):
             raise ValueError("jumps must be strictly increasing")
-        dims = [rank(vecs) for _, vecs in steps]
+        rows = [_scalar_rows(base, vecs) for _, vecs in steps]
+        dims = [rank(r) for r in rows]
         if dims[0] != d:
             raise ValueError("first filtration subspace must be the full space")
         if any(da <= db for da, db in zip(dims, dims[1:])):
             raise ValueError("filtration subspaces must strictly decrease")
-        for (_, big), (_, small) in zip(steps, steps[1:]):
-            if rank(big + small) != rank(big):
+        for big, small, dim_big in zip(rows, rows[1:], dims):
+            if rank(big + small) != dim_big:
                 raise ValueError("filtration subspaces must be nested")
         self.filtration = steps
         self._dims = dims
@@ -189,9 +191,9 @@ class FilteredPhiModule:
         KElement and Fraction arithmetic."""
         out = []
         for _, vecs in self.filtration:
-            basis = nullspace(vecs)
+            basis = nullspace(_scalar_rows(self.base, vecs))
             if self.base.e == 1:
-                basis, _ = clear_denominators([[x.rational_value() for x in v] for v in basis])
+                basis, _ = clear_denominators(basis)
             out.append(basis)
         return out
 
@@ -205,7 +207,7 @@ class FilteredPhiModule:
         W, _ = clear_denominators(subspace_rows)
         dim_w = rank(W)
         dims = [
-            dim_w - rank([[sum(a * b for a, b in zip(w, v)) for v in ann] for w in W])
+            dim_w - rank([[sum(map(mul, w, v)) for v in ann] for w in W])
             for ann in self._annihilators
         ]
         dims.append(0)
@@ -254,6 +256,14 @@ class FilteredPhiModule:
                 )
             filtration.append((parse_int(step["jump"], "jump"), vecs))
         return cls(base, frob, filtration)
+
+
+def _scalar_rows(base: BaseFieldK, vecs) -> list:
+    """Filtration vectors as the eliminations take them: rational rows
+    when K = Q_p, so rank and nullspace run in ints, else the KElements."""
+    if base.e == 1:
+        return [[x.rational_value() for x in v] for v in vecs]
+    return vecs
 
 
 # ---------------------------------------------------------------------------
@@ -465,22 +475,16 @@ def is_admissible(D: FilteredPhiModule) -> AdmissibilityVerdict:
         )
     components = [nullspace(poly_eval_matrix(f, D.frobenius)) for f in factors]
     assert all(len(c) == len(f) - 1 for c, f in zip(components, factors))
+    # the scan works on integer multiples of the bases, and each
+    # component's t_N is the valuation of its factor's constant term
+    integral = [clear_denominators(c)[0] for c in components]
+    newton = [rational_valuation(f[0], D.base.p) for f in factors]
     k = len(components)
     for mask in range(1, 2**k - 1):
-        rows = []
-        for i in range(k):
-            if mask >> i & 1:
-                rows.extend(components[i])
-        sub_tH = D.induced_hodge_number(rows)
-        sub_tN = sum(
-            (
-                Fraction(rational_valuation(factors[i][0], D.base.p))
-                for i in range(k)
-                if mask >> i & 1
-            ),
-            Fraction(0),
-        )
-        if sub_tH > sub_tN:
+        chosen = [i for i in range(k) if mask >> i & 1]
+        sub_tH = D.induced_hodge_number([row for i in chosen for row in integral[i]])
+        if sub_tH > sum(newton[i] for i in chosen):
+            rows = [row for i in chosen for row in components[i]]
             return AdmissibilityVerdict(
                 NOT_ADMISSIBLE,
                 tH,

@@ -8,12 +8,16 @@ over Q_p, so an element lies in Q_p exactly when its higher coordinates
 vanish — the test the admissibility checker uses for "is this line
 rational".
 
-Matrices are plain lists of lists of ints, Fractions or KElements; one
-Gaussian elimination serves all three, since a KElement is falsy exactly
-when it is zero and ``Fraction(1) / x`` inverts it, and a product of int
-matrices stays int.  Characteristic polynomials come from
-the Faddeev-LeVerrier recurrence, run on the integer matrix left after
-clearing denominators once, where its divisions are exact.
+Matrices are plain lists of lists of ints, Fractions or KElements, and a
+product of int matrices stays int.  One fraction-free elimination serves
+all three: rational rows are scaled to integers, each step replaces
+row_i by a row_i - b row_r and divides out the gcd of the new row, and
+no Fraction is formed until each pivot row is divided by its pivot at
+the end.  KElement rows take the same steps without the gcd, since a
+KElement is falsy exactly when it is zero and ``Fraction(1) / x``
+inverts it.  Characteristic polynomials come from the Faddeev-LeVerrier
+recurrence, and polynomials of a matrix from Horner's rule, both run on
+the integer matrix left after clearing denominators once.
 
 Polynomials over Q are coefficient lists, lowest degree first: gcd,
 squarefree test, deflation, Hensel lifting of simple roots modulo a prime
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Optional
 
@@ -224,25 +228,41 @@ def mat_mul(A, B):
     return [[sum(map(mul, row, col), 0) for col in cols] for row in A]
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
+def _eliminate(rows, reduce_above: bool):
+    """Fraction-free Gaussian elimination (Bareiss, Math. Comp. 1968, with
+    the row content divided out in place of his exact division): the
+    echelon rows and the pivot columns, each pivot row a nonzero multiple
+    of its final form.  ``reduce_above`` also clears the entries above
+    each pivot; without it this is the forward pass alone.
+
+    Rational rows are scaled to integers first.  Each step replaces
+    row_i by a row_i - b row_r, which keeps integers integral, and
+    divides the result by the gcd of its entries.  KElement rows take the
+    same steps without the gcd."""
     if not rows:
-        return rows, []
-    ncols = len(rows[0])
+        return [], []
+    rational = not any(isinstance(x, KElement) for row in rows for x in row)
+    rows = clear_denominators(rows)[0] if rational else [list(r) for r in rows]
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0])):
         pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        top = rows[r]
+        a = top[c]
+        for i in range(0 if reduce_above else r + 1, len(rows)):
+            b = rows[i][c]
+            if not b or i == r:
+                continue
+            if rational:
+                g = gcd(a, b)
+                row = [a // g * x - b // g * y for x, y in zip(rows[i], top)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+            else:
+                rows[i] = [a * x - b * y for x, y in zip(rows[i], top)]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -250,8 +270,26 @@ def rref(rows):
     return rows[:r], pivots
 
 
+def rref(rows):
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Each pivot row of the fraction-free elimination is divided by its
+    pivot once, at the end, so the entries are Fractions for rational
+    input and KElements over K."""
+    echelon, pivots = _eliminate(rows, True)
+    out = []
+    for row, c in zip(echelon, pivots):
+        if all(type(x) is int for x in row):
+            out.append([Fraction(x, row[c]) for x in row])
+        else:
+            inv = Fraction(1) / row[c]
+            out.append([x * inv for x in row])
+    return out, pivots
+
+
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    """The rank, from the forward pass of the elimination alone."""
+    return len(_eliminate(rows, False)[1])
 
 
 def intersect_rowspaces(A, B):
@@ -318,18 +356,24 @@ def det(A) -> Fraction:
 
 
 def poly_eval_matrix(coeffs, A):
-    """coeffs(A) for a rational polynomial, lowest degree first."""
+    """coeffs(A) for a rational polynomial, lowest degree first.
+
+    With A = B / D and coeffs = c / L for integers, coeffs(A) is
+    sum c_j D^(k-j) B^j over L D^k (k the degree), and the sum is run by
+    Horner's rule on B in ints."""
     n = len(A)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    power = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for k, ck in enumerate(coeffs):
-        if ck:
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] += ck * power[i][j]
-        if k + 1 < len(coeffs):
-            power = mat_mul(power, A)
-    return out
+    B, D = clear_denominators(A)
+    (c,), L = clear_denominators([coeffs])
+    k = len(c) - 1
+    acc = [[0] * n for _ in range(n)]
+    for j in range(k, -1, -1):
+        if j < k:
+            acc = mat_mul(acc, B)
+        term = c[j] * D ** (k - j)
+        for i in range(n):
+            acc[i][i] += term
+    den = L * D ** max(k, 0)
+    return [[Fraction(x, den) for x in row] for row in acc]
 
 
 def nullspace(A) -> list:

@@ -167,10 +167,6 @@ class RamificationData:
     def to_json(self) -> dict:
         return {"e": self.e, "orders": list(self.orders)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "RamificationData":
-        return cls(obj["e"], obj["orders"])
-
 
 def herbrand_phi(data: RamificationData) -> PLFunction:
     """phi(u) = (1/e) int_0^u Card G_t dt, Card G_t = g_i on [i, i+1)."""

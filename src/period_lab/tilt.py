@@ -40,6 +40,7 @@ from .linalg import _is_irreducible, _poly_mulmod, _poly_powmod, _poly_rem
 from .padic import (
     INF,
     Prime,
+    SchemaError,
     Valuation,
     format_rational,
     multiplicity,
@@ -422,6 +423,8 @@ class TiltExpr:
         p_int = int(p)
         terms = []
         for it in items:
+            if not isinstance(it, dict):
+                raise SchemaError(f"each term of 'expr' must be a JSON object, got {it!r}")
             u = it.get("u")
             if u:
                 poly = [parse_int(x, "poly") for x in u["poly"]]

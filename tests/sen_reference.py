@@ -1,16 +1,17 @@
 """Reference Sen path for the tests: the Fraction-per-scalar code that the
 integer implementations in ``linalg`` and ``characters`` replaced, kept
-word for word in what it computes.  ``sen_report`` builds the JSON report
-the ``sen`` command prints, from this code alone.
+word for word in what it computes: the operator as the exact truncated
+series, its Hodge-Tate verdict, and Hensel roots found by a scan of every
+residue.  The tests compare the package's operator with it mod p^s, and
+the package's verdicts with its verdicts.
 
 Helpers that the integer rewrite left unchanged (rational gcd, squarefree
-test, valuations, formatting, the report dataclasses) come from the
+test, valuations, the operator and verdict dataclasses) come from the
 package.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from period_lab.characters import (
@@ -18,7 +19,6 @@ from period_lab.characters import (
     SenInput,
     SenOperator,
     _log_margin,
-    is_trivial_via_sen,
 )
 from period_lab.linalg import _poly_divmod_q, is_squarefree, poly_derivative, poly_gcd_q
 from period_lab.padic import rational_valuation
@@ -185,15 +185,3 @@ def hodge_tate_via_sen(op: SenOperator) -> HodgeTateVerdict:
     generalized = tuple(exact_roots) if len(exact_roots) == d else None
     return HodgeTateVerdict(status, generalized, tuple(sorted(weights)))
 
-
-def sen_report(p: int, level: int, matrix, precision: int) -> str:
-    """What ``period-lab sen`` prints for this input (exit 0 or 3)."""
-    op = sen_operator(SenInput(p, level, matrix), precision)
-    verdict = hodge_tate_via_sen(op)
-    report = {
-        "schema": "period-lab/1",
-        "operator": op.to_json(),
-        "is_trivial": is_trivial_via_sen(op),
-        "hodge_tate": verdict.to_json(),
-    }
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"

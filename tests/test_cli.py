@@ -272,6 +272,12 @@ def test_batch_determinism(tmp_path, capsys):
         # negative depth and n_max, once an empty answer
         {"command": "tilt", "p": 3, "op": "vflat", "builtin": "epsilon_minus_one", "depth": -1},
         {"command": "tilt", "p": 3, "op": "probe", "builtin": "omega", "level": 2, "n_max": -1},
+        # a term that is not an object (AttributeError), and window ends
+        # too large to list the ladder's vertices (OverflowError)
+        {"command": "tilt", "p": 2, "op": "vflat", "expr": [[]], "depth": 6},
+        {"command": "polygon", "kind": "epsilon_minus_one", "p": 3,
+         "window": "1000000000000000000000000000000"},
+        {"command": "polygon", "kind": "t", "p": 3, "window": ["-2", 10**30]},
     ],
 )
 def test_batch_isolates_invalid_field(tmp_path, capsys, bad):

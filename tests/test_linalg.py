@@ -12,6 +12,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import linalg_reference as ref
 import period_lab
 import sen_reference
 from period_lab.filtered_phi import FilteredPhiModule
@@ -26,9 +27,11 @@ from period_lab.linalg import (
     mat_mul,
     nullspace,
     poly_eval,
+    poly_eval_matrix,
     rank,
     rational_roots,
     rref,
+    solve_right,
 )
 
 # ---------------------------------------------------------------------------
@@ -337,9 +340,9 @@ def test_sen_with_a_large_prime_finishes(tmp_path):
 
 
 @st.composite
-def eisenstein_fields(draw):
+def eisenstein_fields(draw, degrees=(2, 3, 4)):
     p = draw(st.sampled_from([2, 3, 5]))
-    e = draw(st.sampled_from([2, 3, 4]))
+    e = draw(st.sampled_from(degrees))
     unit = draw(st.integers(-4, 4).filter(lambda u: u % p))
     middle = [p * draw(st.integers(-2, 2)) for _ in range(e - 1)]
     return BaseFieldK(p, [p * unit] + middle + [1])
@@ -397,3 +400,107 @@ def test_k_nullspace_and_rank(data):
     restricted = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
                                for r in _restriction_of_scalars(K, A)])
     assert restricted.rank() == K.e * rank(A)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free elimination against the Fraction one it replaced and
+# against sympy
+# ---------------------------------------------------------------------------
+
+
+def same(got, want):
+    """Equal values and equal entry types (repr shows Fraction against int,
+    and a KElement against a bare scalar)."""
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@st.composite
+def degenerate(draw, rows, m, zero):
+    """rows with some rows and columns zeroed and some rows replaced by
+    combinations of others, so the rank drops."""
+    n = len(rows)
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        rows[i] = [zero] * m
+    for j in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        for row in rows:
+            row[j] = zero
+    for target in draw(st.sets(st.integers(0, n - 1), max_size=n // 2)):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        ca, cb = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[target] = [ca * x + cb * y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+@st.composite
+def q_matrices(draw, max_size=7, square=False):
+    """Int, Fraction or mixed matrices up to max_size x max_size."""
+    n = draw(st.integers(1, max_size))
+    m = n if square else draw(st.integers(1, max_size))
+    ints = st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12))
+    fractions = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+    kind = draw(st.sampled_from(["int", "fraction", "mixed"]))
+    entry = {"int": ints, "fraction": fractions, "mixed": st.one_of(ints, fractions)}[kind]
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    if square:
+        return rows
+    return draw(degenerate(rows, m, 0 if kind == "int" else F(0)))
+
+
+def to_sympy(A):
+    return sympy.Matrix([[sympy.Rational(F(x).numerator, F(x).denominator) for x in row] for row in A])
+
+
+def from_sympy(v):
+    return [F(int(x.p), int(x.q)) for x in v]
+
+
+@settings(max_examples=150, deadline=None)
+@given(q_matrices())
+def test_rref_rank_nullspace_match_reference_and_sympy(A):
+    got = rref(A)
+    same(got, ref.rref(A))
+    same(nullspace(A), ref.nullspace(A))
+    assert rank(A) == ref.rank(A)
+    R, pivots = to_sympy(A).rref()
+    assert got[1] == list(pivots)
+    assert got[0] == [from_sympy(R.row(i)) for i in range(len(pivots))]
+    assert rank(A) == to_sympy(A).rank()
+    assert nullspace(A) == [from_sympy(v) for v in to_sympy(A).nullspace()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_solve_right_matches_reference(data):
+    A = data.draw(q_matrices())
+    m = len(A[0])
+    if data.draw(st.booleans()):
+        x0 = data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m))
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    else:
+        b = data.draw(st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 4)),
+                               min_size=len(A), max_size=len(A)))
+    x = solve_right(A, b)
+    same(x, ref.solve_right(A, b))
+    if x is not None:
+        assert [y for (y,) in mat_mul(A, [[c] for c in x])] == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(q_matrices(square=True), st.lists(st.builds(F, st.integers(-20, 20), st.integers(1, 6)), max_size=8))
+def test_poly_eval_matrix_matches_reference(A, coeffs):
+    same(poly_eval_matrix(coeffs, A), ref.poly_eval_matrix(coeffs, A))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_k_elimination_matches_reference(data):
+    K = data.draw(eisenstein_fields(degrees=(2, 3)))
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.lists(k_elements(K), min_size=m, max_size=m), min_size=n, max_size=n))
+    A = data.draw(degenerate(rows, m, K.zero()))
+    same(rref(A), ref.rref(A))
+    same(nullspace(A), ref.nullspace(A))
+    assert rank(A) == ref.rank(A)
+    b = data.draw(st.lists(k_elements(K), min_size=n, max_size=n))
+    same(solve_right(A, b), ref.solve_right(A, b))

@@ -1,0 +1,103 @@
+"""Compare the CLI output of this checkout with another one.
+
+    python3 tools/same_output.py PARENT_CHECKOUT [--seeds 1 7 23]
+                                 [--workloads admissibility periods mixed_batch]
+
+Builds every operation of the benchmark workloads (``perfbench/workloads.py``
+of this checkout) at the given seeds, writes their input files once, and
+runs every operation through ``period_lab.cli.main`` of each checkout, each
+checkout in its own interpreter with only its own ``src`` on the path.
+Lists every operation whose stdout or exit code differs and exits 1 if
+there is one, else prints the number of operations compared and exits 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# run in each checkout's interpreter: argv lists on stdin, one
+# [exit code, stdout] pair per operation on stdout
+CHILD = r"""
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from period_lab import cli
+out = []
+for argv in json.load(sys.stdin):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
+    out.append([code, buf.getvalue()])
+json.dump(out, sys.stdout)
+"""
+
+
+def argv_for(op, work: Path) -> list:
+    """The command line of one operation, as the benchmark builds it."""
+    if op.command == "jet":
+        pl = op.payload
+        argv = ["jet", pl["action"], "--p", str(pl["p"])]
+        if pl["action"] == "gr-check":
+            return argv + ["--m", str(pl["m"])]
+        return argv + ["--order", str(pl["order"]), "--chi", pl["chi"], "--c", pl["c"]]
+    if op.command == "batch":
+        path = work / f"{op.name}.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in op.payload))
+    else:
+        path = work / f"{op.name}.json"
+        path.write_text(json.dumps(op.payload))
+    return [op.command, "--input", str(path)]
+
+
+def run_checkout(checkout: Path, argvs: list) -> list:
+    src = checkout.resolve() / "src"
+    if not (src / "period_lab" / "cli.py").is_file():
+        raise SystemExit(f"no period_lab sources under {src}")
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, str(src)],
+        input=json.dumps(argvs), capture_output=True, text=True, check=True,
+        env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"},
+    )
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="root of the checkout to compare with")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7, 23])
+    parser.add_argument("--workloads", nargs="+", default=["admissibility", "periods", "mixed_batch"])
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        names, argvs = [], []
+        for name in args.workloads:
+            for seed in args.seeds:
+                work = Path(tmp) / f"{name}-{seed}"
+                work.mkdir()
+                for op in workloads.WORKLOADS[name](seed):
+                    names.append(f"{name} seed {seed} {op.name}")
+                    argvs.append(argv_for(op, work))
+        ours = run_checkout(ROOT, argvs)
+        theirs = run_checkout(args.parent, argvs)
+    differ = [n for n, a, b in zip(names, ours, theirs) if a != b]
+    for n in differ:
+        print(f"differs: {n}")
+    print(f"{len(names) - len(differ)} of {len(names)} operations print the same stdout and exit code")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
