@@ -5,6 +5,11 @@ series, its Hodge-Tate verdict, and Hensel roots found by a scan of every
 residue.  The tests compare the package's operator with it mod p^s, and
 the package's verdicts with its verdicts.
 
+Also kept: the power-by-power integer series (one matrix product per
+term) that the reduction mod the characteristic polynomial replaced,
+with the exponential built on it, and the closeness-to-the-identity check
+of ``SenInput`` by rational valuations that the integer check replaced.
+
 Helpers that the integer rewrite left unchanged (rational gcd, squarefree
 test, valuations, the operator and verdict dataclasses) come from the
 package.
@@ -20,8 +25,15 @@ from period_lab.characters import (
     SenOperator,
     _log_margin,
 )
-from period_lab.linalg import _poly_divmod_q, is_squarefree, poly_derivative, poly_gcd_q
-from period_lab.padic import rational_valuation
+from period_lab.linalg import (
+    _poly_divmod_q,
+    clear_denominators,
+    is_squarefree,
+    poly_derivative,
+    poly_gcd_q,
+)
+from period_lab.linalg import mat_mul as int_mat_mul  # the integer product
+from period_lab.padic import Prime, int_valuation, rational_valuation
 
 
 def mat_mul(A, B):
@@ -56,7 +68,7 @@ def poly_eval(coeffs, x):
 
 def poly_deflate(coeffs, root):
     out = []
-    acc = Fraction(0)
+    acc = 0
     for c in reversed(coeffs[1:]):
         acc = acc * root + c
         out.append(acc)
@@ -159,16 +171,19 @@ def hodge_tate_via_sen(op: SenOperator) -> HodgeTateVerdict:
     d = len(A)
     cp = char_poly(A)
     exact_roots = []
-    work = list(cp)
+    # cp times its common denominator, deflated in ints: it vanishes at
+    # an integer exactly where cp does, and deflates to the same multiple
+    [work], denom = clear_denominators([cp])
     found = True
     while found and len(work) > 1:
         found = False
         for m in range(-64, 65):
-            if poly_eval(work, Fraction(m)) == 0:
+            if poly_eval(work, m) == 0:
                 exact_roots.append(Fraction(m))
-                work = poly_deflate(work, Fraction(m))
+                work = poly_deflate(work, m)
                 found = True
                 break
+    work = [Fraction(c, denom) for c in work]
     weights = [int(r) for r in exact_roots]
     if len(work) > 1:
         lifted = hensel_integer_roots(work, op.p, op.precision)
@@ -185,3 +200,69 @@ def hodge_tate_via_sen(op: SenOperator) -> HodgeTateVerdict:
     generalized = tuple(exact_roots) if len(exact_roots) == d else None
     return HodgeTateVerdict(status, generalized, tuple(sorted(weights)))
 
+
+def check_close_to_identity(p, matrix):
+    """Raises ValueError unless every entry of A - I is 0 or of valuation
+    at least the log margin."""
+    mat = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+    d = len(mat)
+    margin = _log_margin(p)
+    for i in range(d):
+        for j in range(d):
+            delta = mat[i][j] - (1 if i == j else 0)
+            if delta != 0 and rational_valuation(delta, p) < margin:
+                raise ValueError(
+                    "matrix is not close enough to the identity for the "
+                    f"logarithm (need entrywise valuation >= {margin})"
+                )
+
+
+def matrix_exp_truncated(prime, M, precision: int = 20):
+    if isinstance(prime, int):
+        prime = Prime(prime)
+    p = prime.p
+    margin = _log_margin(p)
+    M = [[Fraction(x) for x in row] for row in M]
+    for row in M:
+        for x in row:
+            if x != 0 and rational_valuation(x, p) < margin:
+                raise ValueError("entries too large for the exponential")
+    included = []
+    fact = i = 1
+    while margin * i - Fraction(i - 1, p - 1) <= precision:
+        if margin * i - int_valuation(fact, p) <= precision:
+            included.append((i, fact))
+        i += 1
+        fact *= i
+    N, D = clear_denominators(M)
+    n, fact_n = included[-1] if included else (0, 1)
+    denom = fact_n * D**n
+    terms = [(i, denom // (f * D**i)) for i, f in included]
+    acc = _series(N, terms)
+    return [
+        [Fraction(x + denom * (a == b), denom) for b, x in enumerate(row)]
+        for a, row in enumerate(acc)
+    ]
+
+
+def _series(N, terms, modulus=None) -> list:
+    """sum of c N^i over the (i, c) in terms, in ints; i ascending.  Given
+    a modulus, the powers are reduced by it, and so is the sum."""
+    d = len(N)
+    acc = [[0] * d for _ in range(d)]
+    power = [[int(i == j) for j in range(d)] for i in range(d)]
+    done = 0
+    for i, c in terms:
+        while done < i:
+            power = int_mat_mul(power, N)
+            if modulus:
+                power = [[x % modulus for x in row] for row in power]
+            done += 1
+        if not any(any(row) for row in power):
+            break
+        for row_acc, row in zip(acc, power):
+            for b, x in enumerate(row):
+                row_acc[b] += c * x
+    if modulus:
+        acc = [[x % modulus for x in row] for row in acc]
+    return acc

@@ -25,6 +25,8 @@ from period_lab.characters import (
     CharacterTriple,
     SenInput,
     SenOperator,
+    _log_margin,
+    _series,
     classify,
     hodge_tate_via_sen,
     is_trivial_via_sen,
@@ -156,6 +158,106 @@ def test_margin_enforced():
     with pytest.raises(ValueError):
         SenInput(2, 0, [[1, 2], [0, 1]])  # p = 2 needs valuation >= 2
     SenInput(2, 0, [[1, 4], [0, 1]])
+
+
+@st.composite
+def near_identity_matrices(draw):
+    """(p, A) with each entry of A - I zero or of valuation v in
+    {-1, 0, margin - 1, margin, margin + 3}, over a p-free denominator
+    (so v = -1 is a denominator divisible by p)."""
+    p = draw(st.sampled_from([2, 2, 3, 5, 7]))
+    margin = _log_margin(p)
+    d = draw(st.integers(1, 3))
+    unit = st.integers(-50, 50).filter(lambda u: u % p)
+    den = st.sampled_from([1, 1, 2, 3, 5, 7, 11]).filter(lambda q: q % p)
+
+    def entry():
+        v = draw(st.sampled_from([None, None, -1, 0, margin - 1, margin, margin + 3]))
+        if v is None:
+            return F(0)
+        return F(draw(unit), draw(den)) * F(p) ** v
+
+    return p, [[entry() + (i == j) for j in range(d)] for i in range(d)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_identity_matrices())
+def test_input_check_matches_the_valuation_rule(case):
+    """SenInput accepts exactly the matrices the rational-valuation rule
+    accepts, with the same error text; in a batch a rejected line fails
+    alone and the batch exits 2."""
+    p, A = case
+    try:
+        sen_reference.check_close_to_identity(p, A)
+        expected = None
+    except ValueError as exc:
+        expected = str(exc)
+    try:
+        SenInput(p, 0, A)
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    assert got == expected
+    if expected is None:
+        return
+    good = {"command": "sen", "p": p, "level": 0, "matrix": [["1"]], "precision": 5}
+    bad = dict(good, matrix=[[format_rational(x) for x in row] for row in A])
+    code, out = batch_cli([good, bad, good])
+    report = json.loads(out)
+    assert code == 2
+    assert [r["status"] for r in report["results"]] == ["ok", "error", "ok"]
+    assert report["results"][1]["message"] == expected
+
+
+# ---------------------------------------------------------------------------
+# the series reduced mod the characteristic polynomial, against the
+# power-by-power reference
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def series_cases(draw):
+    """(N, terms, modulus): N a d x d integer matrix, d <= 6, entries up to
+    10^12 (or strictly upper triangular, or zero); terms (i, c) with
+    distinct ascending i, fewer or more than d of them; modulus p^M for
+    p in {2, 3, 5, 7}, or None."""
+    d = draw(st.integers(1, 6))
+    big = st.integers(-(10**12), 10**12)
+    N = draw(st.lists(st.lists(big, min_size=d, max_size=d), min_size=d, max_size=d))
+    shape = draw(st.sampled_from(["dense", "nilpotent", "zero"]))
+    if shape == "nilpotent":
+        N = [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(N)]
+    elif shape == "zero":
+        N = [[0] * d for _ in range(d)]
+    indices = draw(st.lists(st.integers(0, 3 * d + 6), max_size=2 * d + 4, unique=True))
+    terms = [(i, draw(big)) for i in sorted(indices)]
+    modulus = None
+    if draw(st.booleans()):
+        modulus = draw(st.sampled_from([2, 3, 5, 7])) ** draw(st.integers(1, 60))
+        N = [[x % modulus for x in row] for row in N]
+    return N, terms, modulus
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_cases())
+def test_series_matches_the_power_by_power_reference(case):
+    N, terms, modulus = case
+    chi = [c.numerator for c in char_poly(N)]
+    if modulus:
+        chi = [c % modulus for c in chi]
+    assert _series(N, terms, chi, modulus) == sen_reference._series(N, terms, modulus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.integers(0, 30), st.data())
+def test_exp_matches_the_power_by_power_reference(p, d, precision, data):
+    margin = _log_margin(p)
+    den = st.sampled_from([1, 1, 2, 3, 7]).filter(lambda q: q % p)
+    M = [[F(p**margin * data.draw(st.integers(-9, 9)), data.draw(den)) for _ in range(d)]
+         for _ in range(d)]
+    if data.draw(st.booleans()):
+        M = [[x if j > i else F(0) for j, x in enumerate(row)] for i, row in enumerate(M)]
+    assert matrix_exp_truncated(p, M, precision) == sen_reference.matrix_exp_truncated(p, M, precision)
 
 
 def test_log_exp_roundtrip():
@@ -290,15 +392,23 @@ def test_exp_meets_its_precision(p):
 # ---------------------------------------------------------------------------
 
 
-def sen_cli(payload) -> tuple:
-    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(payload))
+def stdin_cli(command, text) -> tuple:
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
     buf = io.StringIO()
     try:
         with redirect_stdout(buf):
-            code = main(["sen", "--input", "-"])
+            code = main([command, "--input", "-"])
     finally:
         sys.stdin = stdin
     return code, buf.getvalue()
+
+
+def sen_cli(payload) -> tuple:
+    return stdin_cli("sen", json.dumps(payload))
+
+
+def batch_cli(lines) -> tuple:
+    return stdin_cli("batch", "".join(json.dumps(x) + "\n" for x in lines))
 
 
 @st.composite
