@@ -53,20 +53,18 @@ from .linalg import (
     clear_denominators,
     hensel_integer_roots,
     mat_mul,
-    poly_deflate,
-    poly_eval,
-    poly_eval_matrix,
     rank,
-    squarefree_part,
 )
 from .padic import (
     Prime,
+    centered,
     format_rational,
     int_valuation,
     multiplicity,
     parse_int,
     parse_rational,
     rational_valuation,
+    residue,
 )
 
 
@@ -239,14 +237,13 @@ class SenOperator:
     """log(A)/p^level to its stated p-adic precision.
 
     ``zero_part`` holds the exact facts on eigenvalue 0 that an
-    approximant cannot carry, (multiplicity, whether that part is
-    semi-simple); it is None when ``matrix`` is the operator itself,
-    exactly."""
+    approximant cannot carry: (multiplicity, whether that part is
+    semi-simple)."""
 
     prime: Prime
     matrix: tuple
     precision: int
-    zero_part: Optional[tuple] = None
+    zero_part: tuple
 
     @property
     def p(self) -> int:
@@ -296,23 +293,21 @@ def sen_operator(inp: SenInput, precision: int = 20) -> SenOperator:
     n = 0
     while margin * (n + 1) - multiplicity(n + 1, p) <= precision:
         n += 1
-    vals = [multiplicity(i, p) for i in range(1, n + 1)]
     N, D = _minus_identity(inp.matrix)
     d = inp.dim
     cp = char_poly(N)
-    V = max(vals, default=0)
+    V = max((multiplicity(i, p) for i in range(1, n + 1)), default=0)
     modulus = p ** (precision + V)
-    unit = pow(D, -1, modulus)
+    unit = residue(Fraction(1, D), p, precision + V)
     X = [[x * unit % modulus for x in row] for row in N]
     chi = [c.numerator * pow(unit, d - k, modulus) % modulus for k, c in enumerate(cp)]
     terms = [
-        (i, (-1) ** (i - 1) * pow(i // p**v, -1, modulus) * p ** (V - v))
-        for i, v in enumerate(vals, 1)
+        (i, residue(Fraction((-1) ** (i - 1) * p**V, i), p, precision + V))
+        for i in range(1, n + 1)
     ]
     acc = _series(X, terms, chi, modulus)
     denom = p ** (V + r)
-    half = modulus // 2
-    out = tuple(tuple(Fraction(x - modulus * (x > half), denom) for x in row) for row in acc)
+    out = tuple(tuple(Fraction(centered(x, modulus), denom) for x in row) for row in acc)
     m = next(k for k, c in enumerate(cp) if c)
     # m <= 1 leaves no room for a Jordan block at 0
     return SenOperator(inp.prime, out, precision - r, (m, m < 2 or d - rank(N) == m))
@@ -394,16 +389,9 @@ def _series(N, terms, chi, modulus=None) -> list:
 
 def is_trivial_via_sen(op: SenOperator) -> bool:
     """True iff the operator vanishes; decides triviality of the underlying
-    semilinear representation.  Exact for an operator from ``sen_operator``:
-    log(A) = 0 iff N = D(A - I) = 0, i.e. eigenvalue 0 of full multiplicity
-    on a semi-simple part.  A hand-built one is tested to its precision."""
-    if op.zero_part is not None:
-        return op.zero_part == (op.dim, True)
-    for row in op.matrix:
-        for x in row:
-            if x != 0 and rational_valuation(x, op.p) < op.precision:
-                return False
-    return True
+    semilinear representation, exactly: log(A) = 0 iff N = D(A - I) = 0,
+    i.e. eigenvalue 0 of full multiplicity on a semi-simple part."""
+    return op.zero_part == (op.dim, True)
 
 
 @dataclass(frozen=True)
@@ -425,22 +413,15 @@ class HodgeTateVerdict:
         return out
 
 
-_SMALL_ROOT_BOUND = 64
-
-
 def hodge_tate_via_sen(op: SenOperator) -> HodgeTateVerdict:
     """Eigenvalue analysis of the operator (see the module docstring).
 
-    For an operator from ``sen_operator``, eigenvalue 0 and the
-    semi-simplicity of its part come exactly from ``op.zero_part``; the
-    other weights are the Hensel-lifted simple roots of the characteristic
-    polynomial less its factor X^m, to the stated precision less
-    (d-1)*max(0, -v), v the least valuation of an entry.  Weights that
-    cannot be lifted give 'indeterminate'.  An exact operator
-    (``op.zero_part`` None) goes to ``_exact_verdict``.
+    Eigenvalue 0 and the semi-simplicity of its part come exactly from
+    ``op.zero_part``; the other weights are the Hensel-lifted simple roots
+    of the characteristic polynomial less its factor X^m, to the stated
+    precision less (d-1)*max(0, -v), v the least valuation of an entry.
+    Weights that cannot be lifted give 'indeterminate'.
     """
-    if op.zero_part is None:
-        return _exact_verdict(op)
     m, semisimple = op.zero_part
     d = op.dim
     weights = [0] * m
@@ -456,51 +437,3 @@ def hodge_tate_via_sen(op: SenOperator) -> HodgeTateVerdict:
     generalized = (Fraction(0),) * d if m == d else None
     return HodgeTateVerdict(status, generalized, tuple(sorted(weights)))
 
-
-def _exact_verdict(op: SenOperator) -> HodgeTateVerdict:
-    """The verdict on an operator known exactly.
-
-    Exact rational roots of the characteristic polynomial are taken by
-    small-integer/small-rational deflation (covers operators built in
-    closed form, e.g. nilpotent ones); the remaining eigenvalues are
-    detected as integers modulo p^precision by Hensel lifting of simple
-    residue roots.  The verdict is positive iff the operator is semi-simple
-    (the squarefree part of its characteristic polynomial annihilates it)
-    and all eigenvalues are integral to the stated precision; undetectable
-    eigenvalues give 'indeterminate'.
-    """
-    A = [list(row) for row in op.matrix]
-    d = len(A)
-    # the small integer roots, found on the integer multiple of char_poly(A);
-    # a nonzero one divides the constant term
-    cp = char_poly(A)
-    [work], denom = clear_denominators([cp])
-    exact_roots = []
-    found = True
-    while found and len(work) > 1:
-        found = False
-        for m in range(-_SMALL_ROOT_BOUND, _SMALL_ROOT_BOUND + 1):
-            if (work[0] % m == 0 if m else work[0] == 0) and poly_eval(work, m) == 0:
-                exact_roots.append(Fraction(m))
-                work = poly_deflate(work, m)
-                found = True
-                break
-    work = [Fraction(c, denom) for c in work]
-    weights = [int(r) for r in exact_roots]
-    if len(work) > 1:
-        lifted = hensel_integer_roots(work, op.p, op.precision)
-        if lifted is None or len(lifted) != len(work) - 1:
-            return HodgeTateVerdict("indeterminate", None, None)
-        weights.extend(lifted)
-    if len(weights) != d:
-        return HodgeTateVerdict("indeterminate", None, None)
-    # only repeated exact roots can spoil simplicity: the Hensel part
-    # consists of simple roots by construction
-    if len(set(exact_roots)) < len(exact_roots):
-        rad = poly_eval_matrix(squarefree_part(cp), A)
-        semisimple = not any(any(row) for row in rad)
-    else:
-        semisimple = True
-    status = "hodge-tate" if semisimple else "not-hodge-tate"
-    generalized = tuple(exact_roots) if len(exact_roots) == d else None
-    return HodgeTateVerdict(status, generalized, tuple(sorted(weights)))

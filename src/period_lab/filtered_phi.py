@@ -69,6 +69,7 @@ from .padic import (
     parse_rational,
     poly_newton_polygon,
     rational_valuation,
+    residue,
 )
 
 ADMISSIBLE = "admissible"
@@ -306,12 +307,9 @@ def is_padic_square(x: Fraction, p: int) -> bool:
     if v % 2:
         return False
     unit = x / Fraction(p) ** int(v)
-    num, den = unit.numerator, unit.denominator
     if p == 2:
-        u8 = num * pow(den, -1, 8) % 8
-        return u8 == 1
-    up = num * pow(den, -1, p) % p
-    return pow(up, (p - 1) // 2, p) == 1
+        return residue(unit, 2, 3) == 1
+    return pow(residue(unit, p, 1), (p - 1) // 2, p) == 1
 
 
 def _root_valuations(f, p) -> list:
@@ -441,10 +439,8 @@ def _qp_irreducible(f, p) -> bool:
     vals = _root_valuations(f, p)
     if vals[0] == vals[-1] and vals[0].denominator == deg:
         return True
-    if any(rational_valuation(c, p) < 0 for c in f):
-        return False
-    residues = tuple(c.numerator * pow(c.denominator, -1, p) % p for c in f)
-    return _is_irreducible(residues, p)
+    residues = tuple(residue(c, p, 1) for c in f)
+    return None not in residues and _is_irreducible(residues, p)
 
 
 def is_admissible(D: FilteredPhiModule) -> AdmissibilityVerdict:

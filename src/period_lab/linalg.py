@@ -37,7 +37,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Optional
 
-from .padic import _is_probable_prime, rational_valuation
+from .padic import _is_probable_prime, centered, residue
 
 
 @dataclass(frozen=True)
@@ -507,10 +507,11 @@ def hensel_integer_roots(coeffs, p: int, precision: int) -> Optional[list]:
 
     Returns None when the coefficients are not p-integral or some residue
     root mod p is not simple (no certification possible there)."""
-    if any(rational_valuation(c, p) < 0 for c in coeffs if c):
+    precision = max(precision, 1)
+    ints = [residue(c, p, precision) for c in coeffs]
+    if None in ints:
         return None
-    modulus = p ** max(precision, 1)
-    ints = [c.numerator * pow(c.denominator, -1, modulus) % modulus for c in coeffs]
+    modulus = p**precision
     deriv = [(i * c) % modulus for i, c in enumerate(ints)][1:]
     residues = _poly_trim(c % p for c in ints)
     if not residues:
@@ -532,8 +533,7 @@ def hensel_integer_roots(coeffs, p: int, precision: int) -> Optional[list]:
             fx = ev(ints, x, mod)
             dx = ev(deriv, x, mod)
             x = (x - fx * pow(dx, -1, mod)) % mod
-        centered = x if x <= modulus // 2 else x - modulus
-        roots.append(centered)
+        roots.append(centered(x, modulus))
     return roots
 
 

@@ -20,13 +20,19 @@ package (``polygons`` builds on it), and ``poly_newton_polygon`` reads a
 polynomial's Newton slopes straight off it, from the (index, valuation
 of coefficient) pairs; the slope multiset is the negative of the
 root-valuation multiset.
+
+Every reduction of a p-integral rational modulo a power of p goes through
+``residue`` (its class in [0, p^N)) and ``centered`` (the representative
+in (-m/2, m/2] of a class mod m), which are used by the Sen operator,
+Hensel lifting, theta's root exponents and the Q_p square and
+irreducibility tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 
 class _Infinity:
@@ -146,7 +152,22 @@ def rational_valuation(x, p: int) -> Valuation:
     x = Fraction(x)
     if x == 0:
         return INF
-    return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
+    return Fraction(multiplicity(x.numerator, p) - multiplicity(x.denominator, p))
+
+
+def residue(x, p: int, N: int) -> Optional[int]:
+    """The class of a rational x mod p^N, in [0, p^N); None when x is not
+    p-integral."""
+    if x.denominator % p == 0:
+        return None
+    modulus = p**N
+    return x.numerator * pow(x.denominator, -1, modulus) % modulus
+
+
+def centered(x: int, modulus: int) -> int:
+    """The representative of x mod modulus in (-modulus/2, modulus/2]."""
+    x %= modulus
+    return x - modulus if x > modulus // 2 else x
 
 
 def format_rational(x) -> str:

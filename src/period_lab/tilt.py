@@ -47,6 +47,7 @@ from .padic import (
     parse_int,
     parse_rational,
     rational_valuation,
+    residue,
 )
 
 
@@ -64,19 +65,33 @@ class ExponentTooFineError(ValueError):
 
 
 _MODULUS_CACHE: dict = {}
+# Bounds on the search for a modulus of degree f > 1: the field has at
+# most 2^_MAX_FIELD_BITS elements, and at most _MAX_MODULUS_CANDIDATES
+# polynomials are tested.  One test costs O(f^3 log p) operations mod p,
+# and the canonical modulus can lie about p candidates in (every x^4 + c
+# is reducible when p = 3 mod 4).
+_MAX_FIELD_BITS = 32
+_MAX_MODULUS_CANDIDATES = 1000
 
 
 def field_modulus(p: int, f: int) -> tuple:
     """The canonical irreducible of degree f over F_p (smallest by the
-    integer encoding of its non-leading coefficients)."""
+    integer encoding of its non-leading coefficients).
+
+    Raises ValueError past the bounds above."""
     key = (p, f)
     if key in _MODULUS_CACHE:
         return _MODULUS_CACHE[key]
     if f == 1:
         mod = (0, 1)
     else:
-        mod = None
-        for code in range(p**f):
+        # p >= 2, so f > _MAX_FIELD_BITS is too large before p^f is formed
+        if f > _MAX_FIELD_BITS or p**f > 2**_MAX_FIELD_BITS:
+            raise ValueError(
+                f"a field of {p}^{f} elements is past the cap of "
+                f"2^{_MAX_FIELD_BITS} on a Teichmueller part's field"
+            )
+        for code in range(_MAX_MODULUS_CANDIDATES):
             coeffs = []
             c = code
             for _ in range(f):
@@ -86,7 +101,11 @@ def field_modulus(p: int, f: int) -> tuple:
             if _is_irreducible(cand, p):
                 mod = cand
                 break
-        assert mod is not None
+        else:
+            raise ValueError(
+                f"no irreducible of degree {f} over F_{p} among the first "
+                f"{_MAX_MODULUS_CANDIDATES} candidates"
+            )
     _MODULUS_CACHE[key] = mod
     return mod
 
@@ -449,16 +468,12 @@ class TiltExpr:
 def _root_exponent(a: Fraction, p: int, N: int) -> int:
     """(p^N * a) as an integer mod p^N; the prime-to-p denominator part is
     inverted modulo p^N.  Requires the p-part of a's denominator <= p^N."""
-    scaled = a * Fraction(p) ** N
-    if rational_valuation(scaled, p) < 0:
+    E = residue(a * Fraction(p) ** N, p, N)
+    if E is None:
         raise ExponentTooFineError(
             f"exponent {a} is finer than the evaluation level {N}"
         )
-    num, den = scaled.numerator, scaled.denominator  # den prime to p now
-    modulus = p**N
-    if modulus == 1:
-        return 0
-    return num * pow(den, -1, modulus) % modulus
+    return E
 
 
 @dataclass
@@ -552,17 +567,6 @@ def _gather(ctx: CyclotomicContext, terms) -> dict:
         coeffs = gathered.setdefault(key, {})
         coeffs[E] = coeffs.get(E, 0) + scale
     return {key: CycElt(ctx, coeffs) for key, coeffs in gathered.items()}
-
-
-def rational_unit_mod(q, p: int, N: int) -> int:
-    """A rational p-adic unit reduced mod p^N (denominator inverted)."""
-    q = Fraction(q)
-    if rational_valuation(q, p) != 0:
-        raise ValueError(f"{q} is not a p-adic unit")
-    modulus = p**N
-    if modulus == 1:
-        return 0
-    return q.numerator * pow(q.denominator, -1, modulus) % modulus
 
 
 def ker_theta_orbit_probe(x: TiltExpr, N: int, n_max: int) -> list:

@@ -146,7 +146,7 @@ def sen_operator(inp: SenInput, precision: int = 20) -> SenOperator:
                 acc[a][b] += coeff * power[a][b]
     scale = Fraction(1, p**r)
     out = tuple(tuple(x * scale for x in row) for row in acc)
-    return SenOperator(inp.prime, out, precision - r)
+    return SenOperator(inp.prime, out, precision - r, zero_part=None)
 
 
 def _minimal_polynomial(A) -> list:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -362,6 +363,29 @@ def test_tilt_and_jet_reject_non_prime(argv, payload):
     report = json.loads(proc.stdout)
     assert [r["status"] for r in report["results"]] == ["ok", "error", "ok"]
     assert "prime" in report["results"][1]["message"]
+
+
+@pytest.mark.parametrize("p, f", [(3, 100), (10007, 4), (2**61 - 1, 4), (1013, 3)])
+def test_tilt_rejects_a_finite_field_past_the_caps(tmp_path, capsys, p, f):
+    # the first three are past the field-order cap, and each searched for
+    # its modulus for 3 s or more before it; every x^3 + c is reducible
+    # mod 1013, so the fourth is past the candidate cap
+    payload = {"p": p, "op": "theta", "level": 2,
+               "expr": [{"coeff": 1, "a": "0", "c": "0", "u": {"f": f, "poly": [0, 1]}}]}
+    good = {"command": "herbrand", "e": 4, "orders": [4, 2, 2]}
+    single, batch = tmp_path / "tilt.json", tmp_path / "batch.jsonl"
+    single.write_text(json.dumps(payload))
+    lines = (good, dict(payload, command="tilt"), good)
+    batch.write_text("".join(json.dumps(x) + "\n" for x in lines))
+    start = time.perf_counter()
+    code, report = run_json(capsys, "tilt", "--input", str(single))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and str(p) in report["error"]
+    start = time.perf_counter()
+    code, report = run_json(capsys, "batch", "--input", str(batch))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert [r["status"] for r in report["results"]] == ["ok", "error", "ok"]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -6,11 +7,14 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from period_lab.padic import (
     INF,
     Prime,
     SchemaError,
+    centered,
     factorial_valuation,
     format_rational,
     nu,
@@ -18,7 +22,10 @@ from period_lab.padic import (
     parse_rational,
     poly_newton_polygon,
     rational_valuation,
+    residue,
 )
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "period_lab"
 
 
 def brute_factorial_valuation(i, p):
@@ -62,6 +69,7 @@ def test_valuation_examples():
     assert rational_valuation(12, 2) == 2
     assert rational_valuation(0, 5) is INF
     assert rational_valuation(F(10, 9), 3) == -2
+    assert type(rational_valuation(F(10, 9), 3)) is F
 
 
 def test_valuation_arithmetic_properties():
@@ -76,6 +84,54 @@ def test_valuation_arithmetic_properties():
             assert vs >= min(vx, vy)
             if vx != vy:
                 assert vs == min(vx, vy)
+
+
+# -- the residue and centered maps ----------------------------------------------
+
+primes = st.sampled_from([2, 3, 5, 7, 11])
+rationals = st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals, primes, st.integers(0, 12), st.integers(0, 6))
+def test_residue_is_the_class_mod_p_power(x, p, N, k):
+    r = residue(x, p, N)
+    assert (r is None) == (x.denominator % p == 0)
+    if r is None:
+        return
+    assert 0 <= r < p**N
+    assert (x.denominator * r - x.numerator) % p**N == 0
+    assert residue(x, p, N + k) % p**N == r
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**30, 10**30), primes, st.integers(0, 12))
+def test_centered_is_congruent_and_in_the_half_open_range(x, p, N):
+    m = p**N
+    c = centered(x, m)
+    assert (c - x) % m == 0
+    assert -m < 2 * c <= m
+
+
+def test_modular_inverses_only_in_the_reduction_layers():
+    """pow(x, -1, m) appears only in padic (the residue map) and linalg
+    (the F_p toolkit and Hensel steps): a new reduction of a rational
+    goes through ``residue``."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "pow"
+                and len(node.args) == 3
+                and isinstance(node.args[1], ast.UnaryOp)
+                and isinstance(node.args[1].op, ast.USub)
+            ):
+                found.add(f"{path.name}:{node.lineno}")
+    files = {site.split(":")[0] for site in found}
+    assert "padic.py" in files  # the guard sees the residue map itself
+    assert files <= {"padic.py", "linalg.py"}, sorted(found)
 
 
 def test_scalar_serialization_roundtrip():

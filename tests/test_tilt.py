@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from period_lab.cyclotomic import CyclotomicContext
-from period_lab.padic import INF, multiplicity
+from period_lab.padic import INF, multiplicity, residue
 from period_lab.tilt import (
     ExponentTooFineError,
     FqElement,
@@ -19,7 +19,6 @@ from period_lab.tilt import (
     field_modulus,
     generator_condition_check,
     ker_theta_orbit_probe,
-    rational_unit_mod,
     theta,
     vflat_sum,
 )
@@ -134,7 +133,7 @@ def test_theta_galois_compatibility_on_epsilon_sums():
             chi = random_unit(rng, p)
             g = GaloisElement(chi, 0)
             lhs = theta(x.galois_act(g), N)
-            rhs = theta(x, N).substitute_root(rational_unit_mod(chi, p, N))
+            rhs = theta(x, N).substitute_root(residue(chi, p, N))
             keys = set(lhs.pieces) | set(rhs.pieces)
             for k in keys:
                 a_piece = lhs.pieces.get(k, lhs.context.zero())
