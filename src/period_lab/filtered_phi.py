@@ -31,9 +31,11 @@ Decision coverage:
   irreducible over Q_p (quadratic: nonsquare discriminant; cubic: one
   Newton slope of denominator 3, or p-integral and irreducible mod p), so
   that the Q-rational subobjects are all the subobjects; otherwise the
-  verdict is undecided with witness ``padically_reducible_factor``.  Each
-  scanned subspace costs one rank per filtration step against that
-  step's annihilator, computed once per module, in ints when e = 1;
+  verdict is undecided with witness ``padically_reducible_factor``.  The
+  scan walks the subsets of components depth first: each component's
+  products with each filtration step's annihilator are formed once, and
+  adding a component extends one echelon per step by its products alone
+  (in ints when e = 1), so a subspace costs no elimination from scratch;
 * everything else: undecided, a first-class outcome.
 """
 
@@ -52,6 +54,7 @@ from .linalg import (
     _is_irreducible,
     char_poly,
     clear_denominators,
+    extend_echelon,
     is_squarefree,
     mat_mul,
     nullspace,
@@ -188,7 +191,7 @@ class FilteredPhiModule:
     def _annihilators(self) -> list:
         """Per filtration step, a basis of its annihilator: the vectors v
         with f . v = 0 for every f in the step.  Integer vectors when
-        e = 1, so the products in ``induced_hodge_number`` stay off
+        e = 1, so the products the admissibility scan forms stay off
         KElement and Fraction arithmetic."""
         out = []
         for _, vecs in self.filtration:
@@ -198,20 +201,10 @@ class FilteredPhiModule:
             out.append(basis)
         return out
 
-    def induced_hodge_number(self, subspace_rows) -> int:
-        """t_H of a rational Frobenius-stable subspace with the
-        intersection filtration over K.
-
-        For a filtration step F with annihilator basis N, the map
-        w -> (w . n)_n on W has kernel W ∩ F, so dim(W ∩ F) is
-        dim W - rank(W N): one rank per step, no intersection basis."""
-        W, _ = clear_denominators(subspace_rows)
-        dim_w = rank(W)
-        dims = [
-            dim_w - rank([[sum(map(mul, w, v)) for v in ann] for w in W])
-            for ann in self._annihilators
-        ]
-        dims.append(0)
+    def induced_hodge_number(self, dims) -> int:
+        """t_H of a subspace W with the intersection filtration over K,
+        from dims[i] = dim(W ∩ F_i) for the i-th filtration step F_i."""
+        dims = [*dims, 0]
         return sum(
             j * (dims[i] - dims[i + 1]) for i, (j, _) in enumerate(self.filtration)
         )
@@ -443,6 +436,45 @@ def _qp_irreducible(f, p) -> bool:
     return None not in residues and _is_irreducible(residues, p)
 
 
+def _least_destabilizing(D: FilteredPhiModule, blocks, newton) -> Optional[list]:
+    """The blocks, ascending, of the least mask S with 0 < S < 2^k - 1
+    whose subobject W_S (the span of the blocks in S) has t_H(W_S) >
+    t_N(W_S), or None.  ``newton[i]`` is t_N of block i.
+
+    A depth-first walk from the highest block down that takes "exclude"
+    before "include" meets the masks in increasing order.  The blocks are
+    the primary components of a squarefree Frobenius, so dim W_S is the
+    sum of their sizes, and a filtration step F with annihilator N meets
+    W_S in dimension dim W_S - rank(W_S N).  Each block's rows times each
+    N are formed once, and an "include" edge extends the echelon of each
+    step by the new block's products alone."""
+    k = len(blocks)
+    steps = D._annihilators
+    products = [
+        [[[sum(map(mul, w, n)) for n in ann] for w in block] for ann in steps]
+        for block in blocks
+    ]
+    full = 2**k - 1
+
+    def walk(i, mask, dim, newton_sum, echelons):
+        if i < 0:
+            if 0 < mask < full:
+                dims = [dim - len(echelon) for echelon in echelons]
+                if D.induced_hodge_number(dims) > newton_sum:
+                    return mask
+            return None
+        return walk(i - 1, mask, dim, newton_sum, echelons) or walk(
+            i - 1,
+            mask | 1 << i,
+            dim + len(blocks[i]),
+            newton_sum + newton[i],
+            [extend_echelon(e, rows) for e, rows in zip(echelons, products[i])],
+        )
+
+    mask = walk(k - 1, 0, 0, 0, [[] for _ in steps])
+    return None if mask is None else [i for i in range(k) if mask >> i & 1]
+
+
 def is_admissible(D: FilteredPhiModule) -> AdmissibilityVerdict:
     """Decide weak admissibility; see the module docstring for coverage."""
     tH = D.hodge_number()
@@ -473,23 +505,22 @@ def is_admissible(D: FilteredPhiModule) -> AdmissibilityVerdict:
     assert all(len(c) == len(f) - 1 for c, f in zip(components, factors))
     # the scan works on integer multiples of the bases, and each
     # component's t_N is the valuation of its factor's constant term
-    integral = [clear_denominators(c)[0] for c in components]
-    newton = [rational_valuation(f[0], D.base.p) for f in factors]
-    k = len(components)
-    for mask in range(1, 2**k - 1):
-        chosen = [i for i in range(k) if mask >> i & 1]
-        sub_tH = D.induced_hodge_number([row for i in chosen for row in integral[i]])
-        if sub_tH > sum(newton[i] for i in chosen):
-            rows = [row for i in chosen for row in components[i]]
-            return AdmissibilityVerdict(
-                NOT_ADMISSIBLE,
-                tH,
-                tN,
-                {
-                    "type": "subobject",
-                    "basis": [[format_rational(x) for x in row] for row in rows],
-                },
-            )
+    chosen = _least_destabilizing(
+        D,
+        [clear_denominators(c)[0] for c in components],
+        [int(rational_valuation(f[0], D.base.p)) for f in factors],
+    )
+    if chosen is not None:
+        rows = [row for i in chosen for row in components[i]]
+        return AdmissibilityVerdict(
+            NOT_ADMISSIBLE,
+            tH,
+            tN,
+            {
+                "type": "subobject",
+                "basis": [[format_rational(x) for x in row] for row in rows],
+            },
+        )
     # the scan only saw Q-rational subobjects: a factor that splits over
     # Q_p has eigenlines it never examined
     for f in factors:
@@ -603,17 +634,6 @@ def direct_sum(D1: FilteredPhiModule, D2: FilteredPhiModule) -> FilteredPhiModul
             rows.extend([zero1 + list(v) for v in f2])
         candidates.append((mu, rows))
     return FilteredPhiModule(base, frob, _steps_where_rank_drops(candidates))
-
-
-def change_of_basis(D: FilteredPhiModule, P) -> FilteredPhiModule:
-    """Transport the module along an invertible rational matrix P (new
-    coordinates = P^{-1} old): conjugated Frobenius, transformed bases."""
-    P = [[Fraction(x) for x in row] for row in P]
-    Pinv = _matrix_inverse(P)
-    frob = mat_mul(Pinv, mat_mul(D.frobenius, P))
-    # a row v of a step's basis becomes (P^{-1} v)^T = v^T (P^{-1})^T
-    steps = [(j, mat_mul(vecs, list(zip(*Pinv)))) for j, vecs in D.filtration]
-    return FilteredPhiModule(D.base, frob, steps)
 
 
 # ---------------------------------------------------------------------------

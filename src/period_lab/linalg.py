@@ -15,7 +15,9 @@ row_i by a row_i - b row_r and divides out the gcd of the new row, and
 no Fraction is formed until each pivot row is divided by its pivot at
 the end.  KElement rows take the same steps without the gcd, since a
 KElement is falsy exactly when it is zero and ``Fraction(1) / x``
-inverts it.  Characteristic polynomials come from the Faddeev-LeVerrier
+inverts it.  ``extend_echelon`` takes the same step to grow a forward
+echelon by further rows, for the ranks of a family of nested row
+spaces.  Characteristic polynomials come from the Faddeev-LeVerrier
 recurrence, and polynomials of a matrix from Horner's rule, both run on
 the integer matrix left after clearing denominators once.
 
@@ -253,21 +255,47 @@ def _eliminate(rows, reduce_above: bool):
         top = rows[r]
         a = top[c]
         for i in range(0 if reduce_above else r + 1, len(rows)):
-            b = rows[i][c]
-            if not b or i == r:
-                continue
-            if rational:
-                g = gcd(a, b)
-                row = [a // g * x - b // g * y for x, y in zip(rows[i], top)]
-                g = gcd(*row)
-                rows[i] = [x // g for x in row] if g > 1 else row
-            else:
-                rows[i] = [a * x - b * y for x, y in zip(rows[i], top)]
+            if rows[i][c] and i != r:
+                rows[i] = _clear_entry(rows[i], top, c, rational)
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
     return rows[:r], pivots
+
+
+def _clear_entry(row, top, c, rational: bool):
+    """The step of the elimination: a row - b top with a = top[c] and
+    b = row[c], which is zero at column c; integer rows are divided by
+    the gcd of their entries, KElement rows are not."""
+    a, b = top[c], row[c]
+    if not rational:
+        return [a * x - b * y for x, y in zip(row, top)]
+    g = gcd(a, b)
+    row = [a // g * x - b // g * y for x, y in zip(row, top)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def extend_echelon(echelon, rows) -> list:
+    """A forward echelon extended by more rows of ints or KElements.
+
+    ``echelon`` is a list of (pivot column, row) in which every row is
+    zero at the pivots of the rows before it; its length is the rank of
+    the rows it was built from.  Each new row is cleared at every pivot
+    in turn by the step of ``_eliminate`` (with the gcd when the pivot
+    is an int) and appended, with its first nonzero column as pivot,
+    unless it vanishes.  The result is a new list and ``echelon`` is
+    left as it was, so one echelon can be extended in several ways."""
+    out = list(echelon)
+    for row in rows:
+        for c, top in out:
+            if row[c]:
+                row = _clear_entry(row, top, c, type(top[c]) is int)
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is not None:
+            out.append((c, row))
+    return out
 
 
 def rref(rows):
@@ -436,9 +464,10 @@ def rational_roots(coeffs) -> list:
     Computer Algebra*, ch. 15) instead of a search over divisors, so the
     work is polynomial in the bit-size of the coefficients: with y =
     lead * x the integer polynomial becomes monic, whose rational roots
-    are integers dividing its constant term.  The roots of its
-    squarefree part modulo a small prime l, all simple for a suitable l,
-    are lifted to l^k > 2 |constant term| and checked exactly;
+    are integers dividing its constant term.  Its squarefree part is
+    taken modulo the least prime l at which it stays squarefree (one gcd
+    with the derivative over F_l), so every residue root is simple; the
+    roots are lifted to l^k > 2 |constant term| and checked exactly, and
     multiplicities come from deflating the original polynomial.
     """
     a = [Fraction(c) for c in coeffs]
@@ -458,19 +487,15 @@ def rational_roots(coeffs) -> list:
     monic = [Fraction(c * lead ** (n - 1 - i)) for i, c in enumerate(ints[:-1])]
     monic.append(Fraction(1))
     squarefree = [int(c) for c in squarefree_part(monic)]
-    # every integer root divides squarefree[0], which is nonzero
-    bound = 2 * abs(squarefree[0])
-    ell = 1
-    lifted = None
-    while lifted is None:
+    ell = 2
+    while not (_is_probable_prime(ell) and _is_squarefree_mod_p(squarefree, ell)):
         ell += 1
-        if _is_probable_prime(ell):
-            k = 1
-            while ell**k <= bound:
-                k += 1
-            lifted = hensel_integer_roots(squarefree, ell, k)
+    # every integer root divides squarefree[0], which is nonzero
+    k = 1
+    while ell**k <= 2 * abs(squarefree[0]):
+        k += 1
     found = []
-    for y in lifted:
+    for y in hensel_integer_roots(squarefree, ell, k):
         if poly_eval(squarefree, y) == 0:
             x = Fraction(y, lead)
             while poly_eval(a, x) == 0:
@@ -641,6 +666,17 @@ def _roots_mod_p(f, p) -> list:
                 break
             a += 1
     return sorted(roots)
+
+
+def _is_squarefree_mod_p(f, p) -> bool:
+    """True when the integer polynomial f keeps its degree mod p and is
+    squarefree there: gcd(f, f') = 1 over F_p, so that every root of f
+    mod p is simple."""
+    residues = _poly_trim(c % p for c in f)
+    if len(residues) != len(f):
+        return False
+    deriv = [i * c % p for i, c in enumerate(residues)][1:]
+    return len(_poly_gcd(residues, deriv, p)) == 1
 
 
 def _prime_factors(n):

@@ -1,0 +1,92 @@
+"""Reference admissibility scan for the tests: the per-mask scan that the
+depth-first walk of ``period_lab.filtered_phi`` replaced, kept word for
+word in what it computes.  Every subset of primary components is
+rebuilt, its denominators cleared, and each filtration step's
+intersection dimension taken from one rank from scratch.  The oracle
+tests compare its verdict and witness with ``is_admissible``.
+"""
+
+from __future__ import annotations
+
+from operator import mul
+
+from period_lab.filtered_phi import (
+    ADMISSIBLE,
+    NOT_ADMISSIBLE,
+    UNDECIDED,
+    AdmissibilityVerdict,
+    _dim2_admissible,
+    _factor_over_q,
+    _qp_irreducible,
+)
+from period_lab.linalg import (
+    clear_denominators,
+    is_squarefree,
+    nullspace,
+    poly_eval_matrix,
+    rank,
+)
+from period_lab.padic import format_rational, rational_valuation
+
+
+def intersection_dims(D, subspace_rows) -> list:
+    """dim(W ∩ F) for each filtration step F, W the span of the rational
+    rows.  For a step F with annihilator basis N, the map w -> (w . n)_n
+    on W has kernel W ∩ F, so dim(W ∩ F) is dim W - rank(W N)."""
+    W, _ = clear_denominators(subspace_rows)
+    dim_w = rank(W)
+    return [
+        dim_w - rank([[sum(map(mul, w, v)) for v in ann] for w in W])
+        for ann in D._annihilators
+    ]
+
+
+def is_admissible(D) -> AdmissibilityVerdict:
+    tH = D.hodge_number()
+    tN = D.newton_number()
+    if tH != tN:
+        return AdmissibilityVerdict(NOT_ADMISSIBLE, tH, tN, {"type": "hodge_newton_mismatch"})
+    d = D.dim
+    if d == 1:
+        return AdmissibilityVerdict(ADMISSIBLE, tH, tN)
+    if d == 2:
+        return _dim2_admissible(D, tH, tN)
+    cp = D.frobenius_char_poly
+    if not is_squarefree(cp):
+        return AdmissibilityVerdict(UNDECIDED, tH, tN, {"type": "repeated_eigenvalues"})
+    factors = _factor_over_q(cp)
+    if factors is None:
+        return AdmissibilityVerdict(
+            UNDECIDED, tH, tN, {"type": "unfactored_characteristic_polynomial"}
+        )
+    components = [nullspace(poly_eval_matrix(f, D.frobenius)) for f in factors]
+    integral = [clear_denominators(c)[0] for c in components]
+    newton = [rational_valuation(f[0], D.base.p) for f in factors]
+    k = len(components)
+    for mask in range(1, 2**k - 1):
+        chosen = [i for i in range(k) if mask >> i & 1]
+        rows = [row for i in chosen for row in integral[i]]
+        sub_tH = D.induced_hodge_number(intersection_dims(D, rows))
+        if sub_tH > sum(newton[i] for i in chosen):
+            rows = [row for i in chosen for row in components[i]]
+            return AdmissibilityVerdict(
+                NOT_ADMISSIBLE,
+                tH,
+                tN,
+                {
+                    "type": "subobject",
+                    "basis": [[format_rational(x) for x in row] for row in rows],
+                },
+            )
+    for f in factors:
+        if not _qp_irreducible(f, D.base.p):
+            return AdmissibilityVerdict(
+                UNDECIDED,
+                tH,
+                tN,
+                {
+                    "type": "padically_reducible_factor",
+                    "factor": [format_rational(c) for c in f],
+                },
+            )
+    return AdmissibilityVerdict(ADMISSIBLE, tH, tN)

@@ -1,11 +1,17 @@
 import random
+import time
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import admissibility_reference
 
 from period_lab.filtered_phi import (
     FilteredPhiModule,
-    change_of_basis,
+    _matrix_inverse,
     dim1_correspondence,
     dim1_module,
     dim2_module,
@@ -15,7 +21,7 @@ from period_lab.filtered_phi import (
     is_padic_square,
     tensor,
 )
-from period_lab.linalg import BaseFieldK, char_poly, det, rational_roots
+from period_lab.linalg import BaseFieldK, char_poly, det, mat_mul, rational_roots
 from period_lab.padic import rational_valuation
 
 
@@ -503,6 +509,17 @@ def test_direct_sum_numbers_and_admissibility():
             assert v.status == "admissible"
 
 
+def change_of_basis(D: FilteredPhiModule, P) -> FilteredPhiModule:
+    """Transport the module along an invertible rational matrix P (new
+    coordinates = P^{-1} old): conjugated Frobenius, transformed bases."""
+    P = [[F(x) for x in row] for row in P]
+    Pinv = _matrix_inverse(P)
+    frob = mat_mul(Pinv, mat_mul(D.frobenius, P))
+    # a row v of a step's basis becomes (P^{-1} v)^T = v^T (P^{-1})^T
+    steps = [(j, mat_mul(vecs, list(zip(*Pinv)))) for j, vecs in D.filtration]
+    return FilteredPhiModule(D.base, frob, steps)
+
+
 def test_basis_invariance_of_numbers():
     rng = random.Random(113)
     for _ in range(50):
@@ -574,3 +591,107 @@ def test_ramified_base_field_dim2():
         [(0, full), (1, [[K.one(), K.zero()]])],
     )
     assert is_admissible(D2).status == "not-admissible"
+
+
+# ---------------------------------------------------------------------------
+# the depth-first subset scan against the per-mask reference, and its scale
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def scanned_modules(draw):
+    """A module of rank 3-8 over K of degree 1-3 that reaches the subset
+    scan.  Frobenius is P B P^-1, with B diagonal of distinct rational
+    eigenvalues plus at most one irreducible quadratic block and P an
+    integer matrix of determinant 1, so the columns of P are eigenvectors.
+    The filtration is Fil^j = span{v_i : h_i >= j} over a random K-basis
+    v, and the eigenvalue valuations are chosen so that t_H = t_N.  A
+    planted module has an eigenline of valuation below the top weight as
+    its last basis vector, with the top weight, which destabilizes many
+    subsets at once, so the least one is the one the scan must report."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    e = draw(st.sampled_from([1, 2, 3]))
+    d = draw(st.sampled_from(range(3, 9)))
+    quadratic = draw(st.booleans())
+    n_lin = d - 2 if quadratic else d
+    planted = n_lin >= 2 and draw(st.booleans())
+    # top = 1 keeps weights and most valuations in {0, 1}, which makes
+    # admissible modules likely
+    top = draw(st.sampled_from([1, 2]))
+    weights = draw(st.lists(st.integers(0, top), min_size=d, max_size=d))
+    # valuations of the rational eigenvalues; the first is set below so
+    # that t_H = t_N
+    vals = draw(st.lists(st.integers(top - 2, top), min_size=n_lin, max_size=n_lin))
+    if planted:
+        line = draw(st.integers(1, n_lin - 1))
+        weights[-1] = top
+        vals[line] = min(vals[line], top - 1)
+    units = draw(
+        st.lists(st.integers(1, 40).filter(lambda u: u % p), min_size=n_lin, max_size=n_lin, unique=True)
+    )
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n_lin, max_size=n_lin))
+    vq = 0
+    if quadratic:
+        # x^2 + c1 x + c0, irreducible over Q: its discriminant is no square
+        c0 = draw(st.sampled_from([1, -1, 2, -2, 7])) * F(p) ** draw(st.integers(-1, 2))
+        c1 = F(draw(st.integers(-5, 5)))
+        disc = c1 * c1 - 4 * c0
+        assume(disc < 0 or isqrt(disc.numerator) ** 2 != disc.numerator
+               or isqrt(disc.denominator) ** 2 != disc.denominator)
+        vq = rational_valuation(c0, p)
+    vals[0] = sum(weights) - sum(vals[1:]) - vq
+    B = [[F(0)] * d for _ in range(d)]
+    for i in range(n_lin):
+        B[i][i] = signs[i] * units[i] * F(p) ** vals[i]
+    if quadratic:
+        B[d - 2][d - 1], B[d - 1][d - 2], B[d - 1][d - 1] = -c0, F(1), -c1
+    P = [[F(int(i == j)) for j in range(d)] for i in range(d)]
+    moves = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.sampled_from([-2, -1, 1, 2]))
+    for i, j, c in draw(st.lists(moves, max_size=3 * d)):
+        if i != j:
+            P[i] = [a + c * b for a, b in zip(P[i], P[j])]
+    frob = mat_mul(mat_mul(P, B), _matrix_inverse(P))
+    base = BaseFieldK(p, [-p] + [0] * (e - 1) + [1])
+    coords = st.lists(st.integers(-3, 3), min_size=e, max_size=e)
+    basis = [[base.element(draw(coords)) for _ in range(d)] for _ in range(d)]
+    if planted:
+        basis[-1] = [base.scalar(row[line]) for row in P]
+    steps = [
+        (j, [v for v, h in zip(basis, weights) if h >= j]) for j in sorted(set(weights))
+    ]
+    try:
+        return FilteredPhiModule(base, frob, steps)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scanned_modules())
+def test_depth_first_scan_matches_per_mask_reference(D):
+    verdict = is_admissible(D)
+    assert verdict.hodge_number == verdict.newton_number
+    assert verdict.witness is None or verdict.witness["type"] in (
+        "subobject",
+        "padically_reducible_factor",
+    )
+    assert verdict.to_json() == admissibility_reference.is_admissible(D).to_json()
+
+
+def test_rank_13_direct_sum_decides_within_budget():
+    # the rank series of perfbench/scaling.py: eigenvalue 3^(k mod 3) u_k
+    # with jump k mod 3 on e_k, for units u_k = 2, 4, 5, 7, ...; the scan
+    # meets all 2^13 - 2 proper subsets
+    d = 13
+    units = [u for u in range(2, 30) if u % 3][:d]
+    vals = [k % 3 for k in range(d)]
+    base = BaseFieldK.qp(3)
+    frob = [[3 ** vals[i] * units[i] if i == j else 0 for j in range(d)] for i in range(d)]
+    steps = [
+        (j, [[base.scalar(int(i == k)) for i in range(d)] for k in range(d) if vals[k] >= j])
+        for j in sorted(set(vals))
+    ]
+    D = FilteredPhiModule(base, frob, steps)
+    start = time.perf_counter()
+    verdict = is_admissible(D)
+    assert time.perf_counter() - start < 1.5
+    assert verdict.status == "admissible"

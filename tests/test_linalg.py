@@ -12,16 +12,20 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import admissibility_reference
 import linalg_reference as ref
 import period_lab
 import sen_reference
 from period_lab.filtered_phi import FilteredPhiModule
 from period_lab.linalg import (
     BaseFieldK,
+    _is_squarefree_mod_p,
     _poly_trim,
     _roots_mod_p,
     char_poly,
+    clear_denominators,
     det,
+    extend_echelon,
     hensel_integer_roots,
     intersect_rowspaces,
     mat_mul,
@@ -160,6 +164,34 @@ def test_rational_roots_of_large_coefficients():
     assert rational_roots(coeffs) == [F(1), F(2), F(big), F(-3, big)]
 
 
+def test_rational_roots_when_every_small_prime_merges_two_roots():
+    # 29# = 2 * 3 * 5 * ... * 29: the roots 3 and 3 + 29# meet mod every
+    # prime below 30, so the roots are lifted mod a power of 31
+    primorial = 6469693230
+    coeffs = _product([[-3, 1], [-3 - primorial, 1], [5, 1], [1, 1, 1]])
+    ints = [int(c) for c in coeffs]
+    assert not any(_is_squarefree_mod_p(ints, ell) for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
+    assert _is_squarefree_mod_p(ints, 31)
+    expected = [F(3), F(-5), F(3 + primorial)]
+    assert rational_roots(coeffs) == trial_division_roots(coeffs) == expected
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(ints[::-1], x)
+    assert sorted(sympy.roots(poly, filter="Q")) == sorted(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8),
+    st.sampled_from([1, -1, 2, 6, 35]),
+    st.sampled_from([2, 3, 5, 7, 13, 31]),
+    st.integers(1, 12),
+)
+def test_hensel_lifts_at_every_prime_the_squarefree_test_accepts(coeffs, lead, p, precision):
+    f = coeffs + [lead]
+    assume(_is_squarefree_mod_p(f, p))
+    assert hensel_integer_roots(f, p, precision) is not None
+
+
 # ---------------------------------------------------------------------------
 # induced Hodge numbers against the Zassenhaus intersection
 # ---------------------------------------------------------------------------
@@ -199,7 +231,8 @@ def test_induced_hodge_number_matches_zassenhaus(e):
                 [F(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(D.dim)]
                 for _ in range(rng.randrange(1, D.dim + 1))
             ]
-            assert D.induced_hodge_number(rows) == zassenhaus_hodge_number(D, rows)
+            dims = admissibility_reference.intersection_dims(D, rows)
+            assert D.induced_hodge_number(dims) == zassenhaus_hodge_number(D, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +430,7 @@ def test_k_nullspace_and_rank(data):
     N = nullspace(A)
     assert all(not x for row in mat_mul(A, [list(col) for col in zip(*N)]) for x in row)
     assert rank(A) + len(N) == m
+    assert len(extend_echelon(extend_echelon([], A[:1]), A[1:])) == rank(A)
     restricted = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
                                for r in _restriction_of_scalars(K, A)])
     assert restricted.rank() == K.e * rank(A)
@@ -462,6 +496,10 @@ def test_rref_rank_nullspace_match_reference_and_sympy(A):
     same(got, ref.rref(A))
     same(nullspace(A), ref.nullspace(A))
     assert rank(A) == ref.rank(A)
+    # an echelon grown in two parts has the rank of all the rows
+    ints = clear_denominators(A)[0]
+    half = len(ints) // 2
+    assert len(extend_echelon(extend_echelon([], ints[:half]), ints[half:])) == rank(A)
     R, pivots = to_sympy(A).rref()
     assert got[1] == list(pivots)
     assert got[0] == [from_sympy(R.row(i)) for i in range(len(pivots))]
