@@ -53,17 +53,19 @@ from .linalg import (
     KElement,
     _is_irreducible,
     char_poly,
-    clear_denominators,
     extend_echelon,
+    integer_kernel,
     is_squarefree,
     mat_mul,
     nullspace,
     poly_deflate,
-    poly_eval_matrix,
+    poly_eval,
+    poly_eval_cleared,
     rank,
     rational_roots,
     rref,
     solve_right,
+    squarefree_certificate,
 )
 from .padic import (
     SchemaError,
@@ -111,30 +113,34 @@ class FilteredPhiModule:
     integer jumps and strictly decreasing nested K-subspaces, the first
     full: the filtration equals the i-th subspace up to and including its
     jump, and drops to the next one after it (zero after the last).
+
+    Each basis is kept as the eliminations take it: rational rows when
+    K = Q_p, else KElement rows; ``filtration`` is the KElement view.
     """
 
     def __init__(self, base: BaseFieldK, frobenius, filtration):
         self.base = base
-        self.frobenius = [[Fraction(x) for x in row] for row in frobenius]
+        self.frobenius = [[_fraction(x) for x in row] for row in frobenius]
         d = len(self.frobenius)
         if any(len(row) != d for row in self.frobenius):
             raise ValueError("Frobenius matrix must be square")
         if self.frobenius_char_poly[0] == 0:
             raise ValueError("Frobenius must be invertible")
-        steps = []
+        if base.e == 1:
+            entry = lambda x: x.rational_value() if isinstance(x, KElement) else _fraction(x)
+        else:
+            entry = lambda x: x if isinstance(x, KElement) else base.scalar(x)
+        jumps, rows = [], []
         for jump, basis in filtration:
-            vecs = [
-                [x if isinstance(x, KElement) else base.scalar(x) for x in v]
-                for v in basis
-            ]
+            vecs = [[entry(x) for x in v] for v in basis]
             if not vecs:
                 raise ValueError("filtration subspaces must be nonzero")
-            steps.append((int(jump), vecs))
-        if not steps:
+            jumps.append(int(jump))
+            rows.append(vecs)
+        if not jumps:
             raise ValueError("filtration needs at least one step")
-        if any(a[0] >= b[0] for a, b in zip(steps, steps[1:])):
+        if any(a >= b for a, b in zip(jumps, jumps[1:])):
             raise ValueError("jumps must be strictly increasing")
-        rows = [_scalar_rows(base, vecs) for _, vecs in steps]
         dims = [rank(r) for r in rows]
         if dims[0] != d:
             raise ValueError("first filtration subspace must be the full space")
@@ -143,22 +149,30 @@ class FilteredPhiModule:
         for big, small, dim_big in zip(rows, rows[1:], dims):
             if rank(big + small) != dim_big:
                 raise ValueError("filtration subspaces must be nested")
-        self.filtration = steps
+        self._jumps = jumps
+        self._rows = rows
         self._dims = dims
 
     @property
     def dim(self) -> int:
         return len(self.frobenius)
 
+    @cached_property
+    def filtration(self) -> list:
+        """(jump, basis) per step, the basis vectors over K as KElements."""
+        scalar = self.base.scalar
+        return [
+            (j, [[x if isinstance(x, KElement) else scalar(x) for x in v] for v in vecs])
+            for j, vecs in zip(self._jumps, self._rows)
+        ]
+
     def jumps(self) -> list:
-        return [j for j, _ in self.filtration]
+        return list(self._jumps)
 
     def graded_dims(self) -> list:
         """[(jump, dim gr^jump)] over the filtration jumps."""
         dims = self._dims + [0]
-        return [
-            (j, dims[i] - dims[i + 1]) for i, (j, _) in enumerate(self.filtration)
-        ]
+        return [(j, dims[i] - dims[i + 1]) for i, j in enumerate(self._jumps)]
 
     # -- the two numbers ------------------------------------------------------
 
@@ -190,24 +204,18 @@ class FilteredPhiModule:
     @cached_property
     def _annihilators(self) -> list:
         """Per filtration step, a basis of its annihilator: the vectors v
-        with f . v = 0 for every f in the step.  Integer vectors when
-        e = 1, so the products the admissibility scan forms stay off
-        KElement and Fraction arithmetic."""
-        out = []
-        for _, vecs in self.filtration:
-            basis = nullspace(_scalar_rows(self.base, vecs))
-            if self.base.e == 1:
-                basis, _ = clear_denominators(basis)
-            out.append(basis)
-        return out
+        with f . v = 0 for every f in the step.  Primitive integer
+        vectors when e = 1, so the products the admissibility scan forms
+        stay off KElement and Fraction arithmetic."""
+        if self.base.e == 1:
+            return [integer_kernel(rows)[0] for rows in self._rows]
+        return [nullspace(rows) for rows in self._rows]
 
     def induced_hodge_number(self, dims) -> int:
         """t_H of a subspace W with the intersection filtration over K,
         from dims[i] = dim(W ∩ F_i) for the i-th filtration step F_i."""
         dims = [*dims, 0]
-        return sum(
-            j * (dims[i] - dims[i + 1]) for i, (j, _) in enumerate(self.filtration)
-        )
+        return sum(j * (dims[i] - dims[i + 1]) for i, j in enumerate(self._jumps))
 
     # -- serialization ---------------------------------------------------------
 
@@ -228,36 +236,47 @@ class FilteredPhiModule:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FilteredPhiModule":
-        eisenstein = [parse_int(c, "eisenstein") for c in obj["eisenstein"]]
+        """The module of a JSON object; a basis entry lists its coordinates
+        on 1, pi, pi^2, ..., read to the rational sum c_i pi^i if K = Q_p."""
+        eisenstein = [parse_int(c, "eisenstein") for c in _list(obj["eisenstein"], "eisenstein")]
         base = BaseFieldK(parse_int(obj["p"], "p"), eisenstein)
-        frob = [[parse_rational(x) for x in row] for row in obj["frobenius"]]
+        frob = [
+            [parse_rational(x) for x in _list(row, "frobenius")]
+            for row in _list(obj["frobenius"], "frobenius")
+        ]
         d = parse_int(obj.get("dim", len(frob)), "dim")
         if d != len(frob):
             raise SchemaError(f"declared dim {d!r}, but Frobenius has {len(frob)} rows")
+        if base.e == 1:
+            pi = -eisenstein[0]
+            entry = lambda coords: coords[0] if len(coords) == 1 else poly_eval(coords, pi)
+        else:
+            entry = base.element
         filtration = []
-        for step in obj["filtration"]:
+        for step in _list(obj["filtration"], "filtration"):
             vecs = []
-            for vec in step["basis"]:
-                if len(vec) != d:
+            for vec in _list(step["basis"], "basis"):
+                if len(_list(vec, "basis")) != d:
                     raise SchemaError(
                         f"declared dim {d}, but a filtration vector has {len(vec)} entries"
                     )
                 vecs.append(
-                    [
-                        base.element([parse_rational(c) for c in entry])
-                        for entry in vec
-                    ]
+                    [entry([parse_rational(c) for c in _list(x, "basis")]) for x in vec]
                 )
             filtration.append((parse_int(step["jump"], "jump"), vecs))
         return cls(base, frob, filtration)
 
 
-def _scalar_rows(base: BaseFieldK, vecs) -> list:
-    """Filtration vectors as the eliminations take them: rational rows
-    when K = Q_p, so rank and nullspace run in ints, else the KElements."""
-    if base.e == 1:
-        return [[x.rational_value() for x in v] for v in vecs]
-    return vecs
+def _fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _list(value, name: str) -> list:
+    """A list field, or a SchemaError naming the field: a string would
+    otherwise be read character by character."""
+    if not isinstance(value, list):
+        raise SchemaError(f"field {name!r} must be a list, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +355,15 @@ def _line_is_rational(vecs) -> Optional[list]:
 
     Valid because the uniformizer powers are a Q_p-basis of K: a K-line
     descends to Q_p iff, after scaling by a nonzero coordinate, all
-    coordinates are rational.
+    coordinates are rational (rational rows, when K = Q_p, always are).
     """
     (w,) = vecs
     pivot = next((x for x in w if x), None)
     if pivot is None:
         return None
     scaled = [x / pivot for x in w]
+    if not isinstance(pivot, KElement):
+        return scaled
     if all(x.is_rational() for x in scaled):
         return [x.rational_value() for x in scaled]
     return None
@@ -357,7 +378,7 @@ def _dim2_admissible(D: FilteredPhiModule, tH, tN) -> AdmissibilityVerdict:
         line_vec = None
     else:
         (r, _), (s, _) = jumps
-        line_vec = _line_is_rational(D.filtration[1][1])
+        line_vec = _line_is_rational(D._rows[1])
         if line_vec is not None:
             # is the (rational) filtration line Frobenius-stable?
             col = [[x] for x in line_vec]
@@ -397,13 +418,14 @@ def _dim2_stable_line(D, tH, tN, r, s, line_vec, alpha) -> AdmissibilityVerdict:
     return AdmissibilityVerdict(ADMISSIBLE, tH, tN)
 
 
-def _factor_over_q(cp) -> Optional[list]:
+def _factor_over_q(cp, ell=None) -> Optional[list]:
     """Monic irreducible factors over Q (lowest degree first), or None when
     the elementary method (root deflation + 'degree <= 3 without rational
-    roots is irreducible') cannot certify the factorization."""
+    roots is irreducible') cannot certify the factorization.  ``ell`` is
+    the squarefree certificate of cp, or None."""
     work = [Fraction(c) for c in cp]
     factors = []
-    for root in rational_roots(work):
+    for root in rational_roots(work, ell):
         factors.append([-root, Fraction(1)])
         work = poly_deflate(work, root)
     deg = len(work) - 1
@@ -489,29 +511,36 @@ def is_admissible(D: FilteredPhiModule) -> AdmissibilityVerdict:
     if d == 2:
         return _dim2_admissible(D, tH, tN)
     cp = D.frobenius_char_poly
-    if not is_squarefree(cp):
+    # a small prime proves cp squarefree; the exact gcd runs without one
+    ell = squarefree_certificate(cp)
+    if ell is None and not is_squarefree(cp):
         return AdmissibilityVerdict(
             UNDECIDED,
             tH,
             tN,
             {"type": "repeated_eigenvalues"},
         )
-    factors = _factor_over_q(cp)
+    factors = _factor_over_q(cp, ell)
     if factors is None:
         return AdmissibilityVerdict(
             UNDECIDED, tH, tN, {"type": "unfactored_characteristic_polynomial"}
         )
-    components = [nullspace(poly_eval_matrix(f, D.frobenius)) for f in factors]
-    assert all(len(c) == len(f) - 1 for c, f in zip(components, factors))
-    # the scan works on integer multiples of the bases, and each
-    # component's t_N is the valuation of its factor's constant term
+    # each primary component as primitive integer vectors, with its free
+    # columns; its t_N is the valuation of its factor's constant term
+    components = [integer_kernel(poly_eval_cleared(f, D.frobenius)[0]) for f in factors]
+    assert all(len(c) == len(f) - 1 for (c, _), f in zip(components, factors))
     chosen = _least_destabilizing(
         D,
-        [clear_denominators(c)[0] for c in components],
+        [c for c, _ in components],
         [int(rational_valuation(f[0], D.base.p)) for f in factors],
     )
     if chosen is not None:
-        rows = [row for i in chosen for row in components[i]]
+        # the witness prints each component's basis as nullspace does
+        rows = [
+            [Fraction(x, v[c]) for x in v]
+            for i in chosen
+            for v, c in zip(*components[i])
+        ]
         return AdmissibilityVerdict(
             NOT_ADMISSIBLE,
             tH,
@@ -555,19 +584,15 @@ def dual(D: FilteredPhiModule) -> FilteredPhiModule:
     """Dual module: inverse-transpose Frobenius; the m-th dual filtration
     step annihilates the (1-m)-th original one."""
     frob = list(zip(*_matrix_inverse(D.frobenius)))
-    steps = D.filtration
+    jumps = D._jumps
     base = D.base
     d = D.dim
     full = [[base.one() if i == j else base.zero() for j in range(d)] for i in range(d)]
     out = []
     # dual jumps are -m_k < ... < -m_1 with subspaces ann(W_{i+1})
-    for idx in range(len(steps) - 1, -1, -1):
-        jump_i = steps[idx][0]
-        if idx + 1 < len(steps):
-            ann = nullspace(steps[idx + 1][1])
-        else:
-            ann = full
-        out.append((-jump_i, ann))
+    for idx in range(len(jumps) - 1, -1, -1):
+        ann = nullspace(D._rows[idx + 1]) if idx + 1 < len(jumps) else full
+        out.append((-jumps[idx], ann))
     return FilteredPhiModule(base, frob, out)
 
 

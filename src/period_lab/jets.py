@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .padic import Prime, format_rational, parse_rational, rational_valuation
+from .padic import Prime, format_rational, rational_valuation
 from .tilt import GaloisElement
 
 
@@ -273,25 +273,6 @@ def _powers(x: JetElement, n: int) -> list:
     return out
 
 
-def jet_from_json(context: JetContext, obj: dict) -> JetElement:
-    coeffs = {}
-    for item in obj["coeffs"]:
-        i = j = 0
-        mono = item["monomial"]
-        if mono != "1":
-            for factor in mono.split():
-                name, _, exp = factor.partition("^")
-                e = int(exp) if exp else 1
-                if name == "u":
-                    i = e
-                elif name == "w":
-                    j = e
-                else:
-                    raise ValueError(f"unknown generator {name!r}")
-        coeffs[(i, j)] = parse_rational(item["value"])
-    return JetElement(context, coeffs)
-
-
 # ---------------------------------------------------------------------------
 # series
 # ---------------------------------------------------------------------------
@@ -383,38 +364,6 @@ def frobenius_jet(x: JetElement) -> JetElement:
     u_img = binomial_pow(ctx.u(), p) - 1
     w_img = ctx.one() - (ctx.one() - ctx.w()) ** p * Fraction(p) ** (p - 1)
     return x.substitute(u_img, w_img)
-
-
-def frobenius_galois_commute(g: GaloisElement, context: JetContext) -> bool:
-    """Check that Frobenius and the Galois action commute as substitution
-    maps, i.e. on the generators u and w.
-
-    Because the w-Frobenius carries a constant term, iterating the two
-    element-level operations through an order-m intermediate loses tail
-    terms that Frobenius would resurrect at low degree; the law that is
-    actually true upstairs is the equality of the composed substitutions.
-    Both composites are therefore evaluated with internal degree headroom
-    and compared below the context order, where they are exact."""
-    work = JetContext(context.prime, context.order + context.p + 2)
-    p = work.p
-    u, w, one = work.u(), work.w(), work.one()
-    phi_u = binomial_pow(u, p) - 1
-    phi_w = one - (one - w) ** p * Fraction(p) ** (p - 1)
-    g_u = binomial_pow(u, g.chi) - 1
-    g_w = one - binomial_pow(u, g.c) * (one - w)
-    for gen in (u, w):
-        g_gen = gen.substitute(g_u, g_w)
-        phi_gen = gen.substitute(phi_u, phi_w)
-        lhs = g_gen.substitute(phi_u, phi_w)   # phi after g
-        rhs = phi_gen.substitute(g_u, g_w)     # g after phi
-        if _retruncate(lhs, context) != _retruncate(rhs, context):
-            return False
-    return True
-
-
-def _retruncate(x: JetElement, context: JetContext) -> JetElement:
-    m = context.order
-    return _jet(context, {k: v for k, v in x.nums.items() if k[0] + k[1] < m}, x.den)
 
 
 # ---------------------------------------------------------------------------

@@ -9,26 +9,28 @@ vanish — the test the admissibility checker uses for "is this line
 rational".
 
 Matrices are plain lists of lists of ints, Fractions or KElements, and a
-product of int matrices stays int.  One fraction-free elimination serves
-all three: rational rows are scaled to integers, each step replaces
-row_i by a row_i - b row_r and divides out the gcd of the new row, and
-no Fraction is formed until each pivot row is divided by its pivot at
-the end.  KElement rows take the same steps without the gcd, since a
-KElement is falsy exactly when it is zero and ``Fraction(1) / x``
-inverts it.  ``extend_echelon`` takes the same step to grow a forward
-echelon by further rows, for the ranks of a family of nested row
-spaces.  Characteristic polynomials come from the Faddeev-LeVerrier
+product of int matrices stays int.  One elimination serves all three:
+rational rows are scaled to integers, each step replaces row_i by
+a row_i - b row_r and divides out the gcd of the new row, so a kernel
+comes out as primitive integer vectors (``integer_kernel``) and no
+Fraction is formed unless a normalized basis or rref is asked for.
+KElement rows are divided by their pivot as it is chosen, then take the
+step row_i - b row_r.  ``extend_echelon`` takes the same step to grow a
+forward echelon by further rows, for the ranks of a family of nested
+row spaces.  Characteristic polynomials come from the Faddeev-LeVerrier
 recurrence, and polynomials of a matrix from Horner's rule, both run on
 the integer matrix left after clearing denominators once.
 
 Polynomials over Q are coefficient lists, lowest degree first: gcd,
-squarefree test, deflation, Hensel lifting of simple roots modulo a prime
-power (shared with the Sen weights in ``characters``), and rational roots
-by Hensel lifting with an exact check, in time polynomial in the
-bit-size of the coefficients.  Polynomials over F_p are tuples of
-residues, lowest degree first (shared with the finite fields of
-``tilt``): products and powers modulo a polynomial, gcd, irreducibility,
-and roots by Cantor-Zassenhaus, in time polynomial in log p.
+squarefree test (a certificate mod a small prime first, the exact gcd
+only without one), deflation, Hensel lifting of simple roots modulo a
+prime power (shared with the Sen weights in ``characters``), and
+rational roots by Hensel lifting with an exact check, in time
+polynomial in the bit-size of the coefficients.  Polynomials over F_p
+are tuples of residues, lowest degree first (shared with the finite
+fields of ``tilt``): products and powers modulo a polynomial, gcd,
+irreducibility, and roots by Cantor-Zassenhaus, in time polynomial in
+log p (below p = 128 each residue is tried).
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ class KElement:
     __slots__ = ("field", "coords")
 
     def __init__(self, field: BaseFieldK, coords):
-        coords = [Fraction(c) for c in coords]
+        coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
         e = field.e
         # reduce degree >= e via the monic relation pi^e = -(lower terms)
         while len(coords) > e:
@@ -231,16 +233,16 @@ def mat_mul(A, B):
 
 
 def _eliminate(rows, reduce_above: bool):
-    """Fraction-free Gaussian elimination (Bareiss, Math. Comp. 1968, with
-    the row content divided out in place of his exact division): the
-    echelon rows and the pivot columns, each pivot row a nonzero multiple
-    of its final form.  ``reduce_above`` also clears the entries above
-    each pivot; without it this is the forward pass alone.
+    """Gaussian elimination: the echelon rows and the pivot columns.
+    ``reduce_above`` also clears the entries above each pivot; without it
+    this is the forward pass alone.
 
-    Rational rows are scaled to integers first.  Each step replaces
-    row_i by a row_i - b row_r, which keeps integers integral, and
-    divides the result by the gcd of its entries.  KElement rows take the
-    same steps without the gcd."""
+    Rational rows are scaled to integers and eliminated fraction free
+    (Bareiss, Math. Comp. 1968, with the row content divided out in place
+    of his exact division): a step replaces row_i by a row_i - b row_r and
+    divides it by the gcd of its entries.  KElement rows are divided by
+    their pivot when chosen, and a step is row_i - b row_r: without that
+    division the coordinates of K-rows double in size at every step."""
     if not rows:
         return [], []
     rational = not any(isinstance(x, KElement) for row in rows for x in row)
@@ -252,8 +254,9 @@ def _eliminate(rows, reduce_above: bool):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
+        if not rational:
+            rows[r] = _monic(rows[r], c)
         top = rows[r]
-        a = top[c]
         for i in range(0 if reduce_above else r + 1, len(rows)):
             if rows[i][c] and i != r:
                 rows[i] = _clear_entry(rows[i], top, c, rational)
@@ -264,13 +267,21 @@ def _eliminate(rows, reduce_above: bool):
     return rows[:r], pivots
 
 
+def _monic(row, c):
+    """A K-row divided by its entry at c."""
+    inv = Fraction(1) / row[c]
+    return [x * inv for x in row]
+
+
 def _clear_entry(row, top, c, rational: bool):
-    """The step of the elimination: a row - b top with a = top[c] and
-    b = row[c], which is zero at column c; integer rows are divided by
-    the gcd of their entries, KElement rows are not."""
-    a, b = top[c], row[c]
+    """The step of the elimination, which makes row zero at column c: an
+    integer row becomes a row - b top with a = top[c] and b = row[c],
+    divided by the gcd of its entries; a K-row, whose top has 1 at c,
+    becomes row - b top."""
+    b = row[c]
     if not rational:
-        return [a * x - b * y for x, y in zip(row, top)]
+        return [x - b * y for x, y in zip(row, top)]
+    a = top[c]
     g = gcd(a, b)
     row = [a // g * x - b // g * y for x, y in zip(row, top)]
     g = gcd(*row)
@@ -283,10 +294,10 @@ def extend_echelon(echelon, rows) -> list:
     ``echelon`` is a list of (pivot column, row) in which every row is
     zero at the pivots of the rows before it; its length is the rank of
     the rows it was built from.  Each new row is cleared at every pivot
-    in turn by the step of ``_eliminate`` (with the gcd when the pivot
-    is an int) and appended, with its first nonzero column as pivot,
-    unless it vanishes.  The result is a new list and ``echelon`` is
-    left as it was, so one echelon can be extended in several ways."""
+    in turn by the step of ``_eliminate`` and appended, with its first
+    nonzero column as pivot (a K-row divided by its entry there), unless
+    it vanishes.  The result is a new list and ``echelon`` is left as it
+    was, so one echelon can be extended in several ways."""
     out = list(echelon)
     for row in rows:
         for c, top in out:
@@ -294,24 +305,21 @@ def extend_echelon(echelon, rows) -> list:
                 row = _clear_entry(row, top, c, type(top[c]) is int)
         c = next((j for j, x in enumerate(row) if x), None)
         if c is not None:
-            out.append((c, row))
+            out.append((c, row if type(row[c]) is int else _monic(row, c)))
     return out
 
 
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot column indices).
 
-    Each pivot row of the fraction-free elimination is divided by its
-    pivot once, at the end, so the entries are Fractions for rational
-    input and KElements over K."""
+    Each integer pivot row of the elimination is divided by its pivot
+    once, at the end, so the entries are Fractions for rational input;
+    K-rows come out of the elimination with pivot 1."""
     echelon, pivots = _eliminate(rows, True)
-    out = []
-    for row, c in zip(echelon, pivots):
-        if all(type(x) is int for x in row):
-            out.append([Fraction(x, row[c]) for x in row])
-        else:
-            inv = Fraction(1) / row[c]
-            out.append([x * inv for x in row])
+    out = [
+        [Fraction(x, row[c]) for x in row] if type(row[c]) is int else row
+        for row, c in zip(echelon, pivots)
+    ]
     return out, pivots
 
 
@@ -384,7 +392,13 @@ def det(A) -> Fraction:
 
 
 def poly_eval_matrix(coeffs, A):
-    """coeffs(A) for a rational polynomial, lowest degree first.
+    """coeffs(A) for a rational polynomial, lowest degree first."""
+    C, den = poly_eval_cleared(coeffs, A)
+    return [[Fraction(x, den) for x in row] for row in C]
+
+
+def poly_eval_cleared(coeffs, A):
+    """(C, den) with coeffs(A) = C / den, C an integer matrix.
 
     With A = B / D and coeffs = c / L for integers, coeffs(A) is
     sum c_j D^(k-j) B^j over L D^k (k the degree), and the sum is run by
@@ -400,25 +414,52 @@ def poly_eval_matrix(coeffs, A):
         term = c[j] * D ** (k - j)
         for i in range(n):
             acc[i][i] += term
-    den = L * D ** max(k, 0)
-    return [[Fraction(x, den) for x in row] for row in acc]
+    return acc, L * D ** max(k, 0)
 
 
 def nullspace(A) -> list:
-    """Basis of the right kernel (works over Q and over K)."""
-    m = len(A[0]) if A else 0
+    """Basis of the right kernel, one vector per free column c with a 1
+    at c and 0 at the other free columns (works over Q and over K).
+    Rational rows take the integer kernel, each vector divided by its
+    entry at c; KElement rows take the reduced echelon form."""
+    if not any(isinstance(x, KElement) for row in A for x in row):
+        basis, free = integer_kernel(A)
+        return [[Fraction(x, v[c]) for x in v] for v, c in zip(basis, free)]
+    m = len(A[0])
     echelon, pivots = rref(A)
-    zero = Fraction(0) * A[0][0] if A else Fraction(0)
+    zero = Fraction(0) * A[0][0]
     one = zero + 1
+    basis = []
+    for fc in range(m):
+        if fc not in pivots:
+            v = [zero] * m
+            v[fc] = one
+            for row, pivot in zip(echelon, pivots):
+                v[pivot] = -row[fc]
+            basis.append(v)
+    return basis
+
+
+def integer_kernel(rows):
+    """The right kernel of rational rows as primitive integer vectors,
+    read off the fraction-free echelon; returns (vectors, free columns).
+    There is one vector per free column c, positive at c and zero at the
+    other free columns, so ``nullspace`` is each divided by its entry
+    at c."""
+    m = len(rows[0]) if rows else 0
+    echelon, pivots = _eliminate(rows, True)
     free = [c for c in range(m) if c not in pivots]
     basis = []
     for fc in free:
-        v = [zero] * m
-        v[fc] = one
-        for row, pivot in zip(echelon, pivots):
-            v[pivot] = -row[fc]
-        basis.append(v)
-    return basis
+        used = [(row, c) for row, c in zip(echelon, pivots) if row[fc]]
+        scale = lcm(*(row[c] for row, c in used))
+        v = [0] * m
+        v[fc] = scale
+        for row, c in used:
+            v[c] = -row[fc] * (scale // row[c])
+        g = gcd(*v)
+        basis.append([x // g for x in v])
+    return basis, free
 
 
 def poly_gcd_q(a, b) -> list:
@@ -451,7 +492,33 @@ def squarefree_part(a) -> list:
     return _poly_divmod_q(a, poly_gcd_q(a, poly_derivative(a)))[0]
 
 
-def rational_roots(coeffs) -> list:
+# the primes tried for a squarefree certificate; a polynomial whose
+# discriminant all of them divide goes to the exact gcd
+CERTIFYING_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def _monic_integer(a):
+    """(g, lead) for a rational polynomial a of degree n >= 1: with f the
+    integer multiple of a by the lcm of its denominators and lead its
+    leading coefficient, the monic integer g(y) = lead^(n-1) f(y / lead)."""
+    n = len(a) - 1
+    denom = lcm(*(c.denominator for c in a))
+    ints = [c.numerator * (denom // c.denominator) for c in a]
+    lead = ints[-1]
+    return [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1], lead
+
+
+def squarefree_certificate(a) -> Optional[int]:
+    """The least prime l in ``CERTIFYING_PRIMES`` modulo which the monic
+    form (``_monic_integer``) of a rational polynomial a is squarefree,
+    which proves a squarefree over Q, or None (also when a(0) = 0)."""
+    if len(a) < 2 or not a[0] or not a[-1]:
+        return None
+    g = _monic_integer(a)[0]
+    return next((ell for ell in CERTIFYING_PRIMES if _is_squarefree_mod_p(g, ell)), None)
+
+
+def rational_roots(coeffs, ell: Optional[int] = None) -> list:
     """All rational roots (with multiplicity) of a rational polynomial.
 
     Zeros come first; the other roots follow sorted by (denominator,
@@ -463,12 +530,14 @@ def rational_roots(coeffs) -> list:
     Hensel lifting with an exact check (von zur Gathen-Gerhard, *Modern
     Computer Algebra*, ch. 15) instead of a search over divisors, so the
     work is polynomial in the bit-size of the coefficients: with y =
-    lead * x the integer polynomial becomes monic, whose rational roots
-    are integers dividing its constant term.  Its squarefree part is
-    taken modulo the least prime l at which it stays squarefree (one gcd
-    with the derivative over F_l), so every residue root is simple; the
-    roots are lifted to l^k > 2 |constant term| and checked exactly, and
-    multiplicities come from deflating the original polynomial.
+    lead * x the integer polynomial becomes monic (``_monic_integer``),
+    whose rational roots are integers dividing its constant term.  It is
+    taken modulo a prime l at which it is squarefree, so every residue
+    root is simple: ``ell``, the ``squarefree_certificate`` the caller
+    may pass, else that of a, else the least prime at which the
+    squarefree part over Q (one exact gcd with the derivative) stays
+    squarefree, and then multiplicities come from deflating a.  The
+    roots are lifted to l^k > 2 |constant term| and checked exactly.
     """
     a = [Fraction(c) for c in coeffs]
     while a and a[-1] == 0:
@@ -477,30 +546,29 @@ def rational_roots(coeffs) -> list:
         raise ValueError("zero polynomial")
     zeros = next(i for i, c in enumerate(a) if c)
     a = a[zeros:]
-    n = len(a) - 1
-    if n == 0:
+    if len(a) == 1:
         return [Fraction(0)] * zeros
-    denom = lcm(*[c.denominator for c in a])
-    ints = [int(c * denom) for c in a]
-    lead = ints[-1]
-    # g(y) = lead^(n-1) f(y / lead): monic, with integer coefficients
-    monic = [Fraction(c * lead ** (n - 1 - i)) for i, c in enumerate(ints[:-1])]
-    monic.append(Fraction(1))
-    squarefree = [int(c) for c in squarefree_part(monic)]
-    ell = 2
-    while not (_is_probable_prime(ell) and _is_squarefree_mod_p(squarefree, ell)):
-        ell += 1
-    # every integer root divides squarefree[0], which is nonzero
+    monic, lead = _monic_integer(a)
+    if ell is None:
+        ell = squarefree_certificate(a)
+    squarefree = ell is not None
+    if not squarefree:
+        monic = [int(c) for c in squarefree_part([Fraction(c) for c in monic])]
+        ell = 2
+        while not (_is_probable_prime(ell) and _is_squarefree_mod_p(monic, ell)):
+            ell += 1
+    # every integer root divides monic[0], which is nonzero
     k = 1
-    while ell**k <= 2 * abs(squarefree[0]):
+    while ell**k <= 2 * abs(monic[0]):
         k += 1
     found = []
-    for y in hensel_integer_roots(squarefree, ell, k):
-        if poly_eval(squarefree, y) == 0:
+    for y in hensel_integer_roots(monic, ell, k):
+        if poly_eval(monic, y) == 0:
             x = Fraction(y, lead)
-            while poly_eval(a, x) == 0:
+            found.append(x)
+            # a root of the squarefree part may be a multiple root of a
+            while not squarefree and poly_eval(a := poly_deflate(a, x), x) == 0:
                 found.append(x)
-                a = poly_deflate(a, x)
     found.sort(key=lambda x: (x.denominator, abs(x.numerator), x < 0))
     return [Fraction(0)] * zeros + found
 
@@ -643,9 +711,11 @@ def _roots_mod_p(f, p) -> list:
     (x + a)^((p-1)/2) - 1 for a = 0, 1, ... in turn (Cantor-Zassenhaus,
     Math. Comp. 1981).  Two distinct roots are told apart by (p - 1)/2 of
     the p shifts, so a splitting shift always exists and is usually among
-    the first few; each costs time polynomial in log p."""
-    if p == 2:
-        return [r for r in (0, 1) if poly_eval(f, r) % 2 == 0]
+    the first few; each costs time polynomial in log p.  Below p = 128,
+    where trying each residue costs less (a quarter of the time at
+    p = 31 and degree 8), the residues are tried instead."""
+    if p < 128:
+        return [r for r in range(p) if poly_eval(f, r) % p == 0]
     g = _poly_gcd(f, _x_power_minus_x(p, f, p), p)
     roots = []
     pending = [g]

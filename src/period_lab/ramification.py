@@ -17,9 +17,9 @@ already on the tame example orders = [p-1] and is therefore not used (the
 discrepancy is asserted against in the tests).
 
 The module also carries the explicit machinery of ramified Z_p-towers:
-the normalized jump function psi_r, the upper-numbering jump index
-ceil((u-a)/e_F), the exact different of an intermediate step of the tower,
-and the trace-decay / additive-Hilbert-90 constants exhibited from it.
+the normalized jump function psi_r, the exact different of an
+intermediate step of the tower, and the trace-decay / additive-Hilbert-90
+constants exhibited from it.
 """
 
 from __future__ import annotations
@@ -267,18 +267,6 @@ class ZpExtensionProfile:
             "b": format_rational(self.b),
             "a_is_integral": self.a_is_integral,
         }
-
-
-def zp_jump(profile: ZpExtensionProfile, u) -> int:
-    """rho(u) = ceil((u - a)/e_F): the tower level generating the
-    upper-numbering group at u.  Only valid for (u - a)/e_F > 0."""
-    u = Fraction(u)
-    x = (u - profile.a) / profile.e_F
-    if x <= 0:
-        raise ValueError(
-            f"u = {u} is below the validity threshold of the jump formula"
-        )
-    return -((-x.numerator) // x.denominator)  # ceil of a Fraction
 
 
 def _different_term(profile: ZpExtensionProfile, p: int, x: int) -> Fraction:

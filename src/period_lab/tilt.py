@@ -698,35 +698,3 @@ def generator_condition_check(x: TiltExpr, N: int, depth: int) -> GeneratorRepor
     vf = vflat_sum(reduced, depth)
     v_one = (vf.value == 1) if vf.stabilized else None
     return GeneratorReport(t_zero, vf, v_one)
-
-
-# ---------------------------------------------------------------------------
-# Newton profiles of formal series (bridge to the polygon module)
-# ---------------------------------------------------------------------------
-
-
-def newton_profile(x: TiltExpr, depth: int = 4):
-    """(index, v_flat) profile of a formal series, one point per p-power.
-
-    Single-monomial coefficients are exact; composite coefficients use the
-    stabilized depth valuation and raise if it is inconclusive (a formal
-    sum cannot decide valuation ties without Witt arithmetic).
-    """
-    from .polygons import SeriesProfile
-
-    by_index: dict = {}
-    for c, m, i in x.terms:
-        by_index.setdefault(i, []).append((c, m, 0))
-    points = []
-    for i, terms in sorted(by_index.items()):
-        if len(terms) == 1:
-            points.append((Fraction(i), terms[0][1].vflat()))
-            continue
-        sub = TiltExpr(x.prime, terms)
-        vf = vflat_sum(sub, depth)
-        if not vf.stabilized:
-            raise ValueError(
-                f"valuation of the coefficient of p^{i} did not stabilize"
-            )
-        points.append((Fraction(i), vf.value))
-    return SeriesProfile(points)

@@ -410,6 +410,44 @@ def test_phimod_checks_declared_dim(tmp_path, capsys, changes):
     assert "dim" in report["error"]
 
 
+_RANK2 = {"p": 5, "eisenstein": [-5, 1], "dim": 2, "frobenius": [["1", "0"], ["0", "5"]],
+          "filtration": [{"jump": 0, "basis": [[["1"], ["0"]], [["0"], ["1"]]]},
+                         {"jump": 1, "basis": [[["0"], ["1"]]]}]}
+
+
+@pytest.mark.parametrize(
+    "field, changes",
+    [
+        # strings were read character by character: ["10", "05"] as
+        # [[1, 0], [0, 5]], a vector "10" as [1, 0], an entry "12" as 1 + 2 pi
+        ("frobenius", {"frobenius": ["10", "05"]}),
+        ("frobenius", {"frobenius": 12}),
+        ("frobenius", {"frobenius": [12, ["0", "5"]]}),
+        ("eisenstein", {"eisenstein": "-51"}),
+        ("filtration", {"filtration": "x"}),
+        ("basis", {"filtration": [{"jump": 0, "basis": ["10", "01"]}]}),
+        ("basis", {"filtration": [{"jump": 0, "basis": [[["1"], "0"], [["0"], ["1"]]]}]}),
+        ("basis", {"filtration": [{"jump": 0, "basis": [[["1"], ["0"]], [["0"], "12"]]}]}),
+        ("basis", {"filtration": [{"jump": 0, "basis": [[["1"], ["0"]], [["0"], 12]]}]}),
+    ],
+)
+def test_phimod_rejects_strings_and_numbers_where_lists_belong(tmp_path, capsys, field, changes):
+    module = {**_RANK2, **changes}
+    f = tmp_path / "mod.json"
+    f.write_text(json.dumps(module))
+    code, report = run_json(capsys, "phimod", "--input", str(f))
+    assert code == 2
+    assert report["error"].startswith(f"field {field!r} must be a list")
+    # the middle line of a batch fails alone, with the same message
+    good = {"command": "phimod", **_RANK2}
+    f = tmp_path / "mods.jsonl"
+    f.write_text("".join(json.dumps(x) + "\n" for x in (good, {"command": "phimod", **module}, good)))
+    code, batch = run_json(capsys, "batch", "--input", str(f))
+    assert code == 2
+    assert [r["status"] for r in batch["results"]] == ["ok", "error", "ok"]
+    assert batch["results"][1]["message"] == report["error"]
+
+
 @pytest.mark.parametrize("command", ["herbrand", "polygon", "tilt", "jet", "phimod", "char", "sen", "batch"])
 def test_every_subcommand_takes_the_common_flags(command):
     from period_lab.cli import build_parser

@@ -695,3 +695,54 @@ def test_rank_13_direct_sum_decides_within_budget():
     verdict = is_admissible(D)
     assert time.perf_counter() - start < 1.5
     assert verdict.status == "admissible"
+
+
+# ---------------------------------------------------------------------------
+# reading a module over K = Q_p: rational values against KElements
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def qp_module_json(draw):
+    """The JSON of a module over Q_p of rank 1-5 whose basis entries are
+    coordinate lists of length 0-3 (["a", "b"] is a + b pi, pi = -E(0)),
+    so that both one-coordinate and multi-coordinate entries occur."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    pi = p * draw(st.sampled_from([1, -1, 2, -4]).filter(lambda u: u % p))
+    d = draw(st.integers(1, 5))
+    rational = st.builds(F, st.integers(-9, 9), st.integers(1, 4)).map(str)
+    frob = draw(st.lists(st.lists(rational, min_size=d, max_size=d), min_size=d, max_size=d))
+    entry = st.lists(rational, max_size=3)
+    basis = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+    weights = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    steps = [
+        {"jump": j, "basis": [v for v, h in zip(basis, weights) if h >= j]}
+        for j in sorted(set(weights))
+    ]
+    return {"p": p, "eisenstein": [-pi, 1], "frobenius": frob, "filtration": steps}
+
+
+@settings(max_examples=150, deadline=None)
+@given(qp_module_json())
+def test_qp_from_json_matches_the_kelement_path(obj):
+    base = BaseFieldK(obj["p"], obj["eisenstein"])
+    steps = [
+        (s["jump"], [[base.element([F(c) for c in x]) for x in v] for v in s["basis"]])
+        for s in obj["filtration"]
+    ]
+    try:
+        via_k = FilteredPhiModule(base, [[F(x) for x in row] for row in obj["frobenius"]], steps)
+    except ValueError:
+        with pytest.raises(ValueError):
+            FilteredPhiModule.from_json(obj)
+        return
+    D = FilteredPhiModule.from_json(obj)
+    assert D.to_json() == via_k.to_json()
+    assert is_admissible(D).to_json() == is_admissible(via_k).to_json()
+    # each entry is sum c_i pi^i, computed apart from both paths
+    pi = -obj["eisenstein"][0]
+    for (_, vecs), step in zip(D.filtration, obj["filtration"]):
+        for vec, raw in zip(vecs, step["basis"]):
+            assert [x.rational_value() for x in vec] == [
+                sum(F(c) * pi**i for i, c in enumerate(coords)) for coords in raw
+            ]

@@ -4,7 +4,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -18,8 +18,10 @@ import period_lab
 import sen_reference
 from period_lab.filtered_phi import FilteredPhiModule
 from period_lab.linalg import (
+    CERTIFYING_PRIMES,
     BaseFieldK,
     _is_squarefree_mod_p,
+    _monic_integer,
     _poly_trim,
     _roots_mod_p,
     char_poly,
@@ -27,7 +29,9 @@ from period_lab.linalg import (
     det,
     extend_echelon,
     hensel_integer_roots,
+    integer_kernel,
     intersect_rowspaces,
+    is_squarefree,
     mat_mul,
     nullspace,
     poly_eval,
@@ -36,6 +40,7 @@ from period_lab.linalg import (
     rational_roots,
     rref,
     solve_right,
+    squarefree_certificate,
 )
 
 # ---------------------------------------------------------------------------
@@ -192,6 +197,76 @@ def test_hensel_lifts_at_every_prime_the_squarefree_test_accepts(coeffs, lead, p
     assert hensel_integer_roots(f, p, precision) is not None
 
 
+PRIMORIAL_29 = 6469693230  # 2 * 3 * 5 * ... * 29
+
+
+@st.composite
+def certificate_cases(draw):
+    """Rational polynomials for the squarefree certificate: random ones,
+    ones with a repeated root, ones with two roots 29# apart (so every
+    prime of CERTIFYING_PRIMES divides the discriminant), each with a
+    leading coefficient that small primes may divide."""
+    kind = draw(st.sampled_from(["random", "repeated", "primorial"]))
+    lead = draw(st.sampled_from([1, -1, 2, 6, 30, -210, 667, PRIMORIAL_29]))
+    small = st.integers(-30, 30)
+    if kind == "random":
+        coeffs = draw(st.lists(st.builds(F, small, st.integers(1, 4)), min_size=1, max_size=7))
+        return coeffs + [F(lead)]
+    roots = draw(st.lists(st.builds(F, small, st.sampled_from([1, 1, 2, 3])), min_size=1, max_size=4))
+    if kind == "repeated":
+        roots.append(draw(st.sampled_from(roots)))
+    else:
+        roots.append(roots[0] + PRIMORIAL_29)
+    extra = draw(st.sampled_from([[], [1, 0, 1], [-2, 0, 1], [3, 1, 1]]))
+    factors = [[-r, 1] for r in roots] + ([[F(c) for c in extra]] if extra else [])
+    return [lead * c for c in _product(factors)]
+
+
+def _sympy_poly(coeffs):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+                      sympy.Symbol("x"))
+
+
+def _sympy_rational_roots(coeffs):
+    out = []
+    for root, mult in sympy.roots(_sympy_poly(coeffs), filter="Q").items():
+        out.extend([F(int(root.p), int(root.q))] * mult)
+    return sorted(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(certificate_cases())
+def test_squarefree_certificate_agrees_with_the_exact_gcd(a):
+    ell = squarefree_certificate(a)
+    exact = is_squarefree(a)
+    assert exact == (_sympy_poly(a).discriminant() != 0)
+    if a[0]:
+        # the monic integer form is certified exactly at the primes that
+        # do not divide its discriminant, and the least of them is taken
+        g = _monic_integer(a)[0]
+        disc = int(_sympy_poly([F(c) for c in g]).discriminant())
+        assert ell == next((q for q in CERTIFYING_PRIMES if disc % q), None)
+    else:
+        assert ell is None
+    if ell is not None:
+        assert exact
+    roots = rational_roots(a, ell)
+    assert roots == rational_roots(a)
+    assert sorted(roots) == _sympy_rational_roots(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=4, unique=True),
+       st.sampled_from([1, 2, 6, 30]))
+def test_roots_29_primorial_apart_need_the_exact_gcd(roots, lead):
+    # r and r + 29# meet mod every prime below 30, so no prime certifies
+    roots = roots + [roots[0] + PRIMORIAL_29]
+    a = [lead * c for c in _product([[-r, 1] for r in roots])]
+    assert squarefree_certificate(a) is None
+    assert is_squarefree(a)
+    assert sorted(rational_roots(a)) == _sympy_rational_roots(a) == sorted(map(F, roots))
+
+
 # ---------------------------------------------------------------------------
 # induced Hodge numbers against the Zassenhaus intersection
 # ---------------------------------------------------------------------------
@@ -334,7 +409,8 @@ def test_rref_and_nullspace_of_int_rows_as_of_fraction_rows():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([2, 3, 5, 7, 11, 13, 101]), st.lists(st.integers(0, 10**6), min_size=1, max_size=9))
+# below 128 _roots_mod_p is the scan itself; 131 and 1009 reach the splitting
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 101, 131, 1009]), st.lists(st.integers(0, 10**6), min_size=1, max_size=9))
 def test_roots_mod_p_match_scan(p, coeffs):
     f = _poly_trim(c % p for c in coeffs)
     assume(f)
@@ -505,6 +581,23 @@ def test_rref_rank_nullspace_match_reference_and_sympy(A):
     assert got[0] == [from_sympy(R.row(i)) for i in range(len(pivots))]
     assert rank(A) == to_sympy(A).rank()
     assert nullspace(A) == [from_sympy(v) for v in to_sympy(A).nullspace()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(q_matrices())
+def test_integer_kernel_normalizes_to_the_reference_and_sympy(A):
+    basis, free = integer_kernel(A)
+    want = ref.nullspace(A)
+    assert len(basis) == len(free) == len(want)
+    for v, c in zip(basis, free):
+        # primitive, positive at its free column, zero at the others
+        assert all(type(x) is int for x in v)
+        assert gcd(*v) == 1 and v[c] > 0
+        assert all(v[f] == 0 for f in free if f != c)
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A)
+    normalized = [[F(x, v[c]) for x in v] for v, c in zip(basis, free)]
+    assert normalized == want
+    assert normalized == [from_sympy(v) for v in to_sympy(A).nullspace()]
 
 
 @settings(max_examples=100, deadline=None)

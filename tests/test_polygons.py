@@ -21,7 +21,29 @@ from period_lab.polygons import (
     minkowski_sum,
     t_polygon,
 )
-from period_lab.tilt import TiltExpr, newton_profile
+from period_lab.tilt import TiltExpr, vflat_sum
+
+
+def newton_profile(x: TiltExpr, depth: int = 4):
+    """(index, v_flat) profile of a formal series, one point per p-power.
+
+    Single-monomial coefficients are exact; composite coefficients use the
+    stabilized depth valuation and raise if it is inconclusive (a formal
+    sum cannot decide valuation ties without Witt arithmetic).
+    """
+    by_index: dict = {}
+    for c, m, i in x.terms:
+        by_index.setdefault(i, []).append((c, m, 0))
+    points = []
+    for i, terms in sorted(by_index.items()):
+        if len(terms) == 1:
+            points.append((F(i), terms[0][1].vflat()))
+            continue
+        vf = vflat_sum(TiltExpr(x.prime, terms), depth)
+        if not vf.stabilized:
+            raise ValueError(f"valuation of the coefficient of p^{i} did not stabilize")
+        points.append((F(i), vf.value))
+    return SeriesProfile(points)
 
 
 def brute_minkowski(P, Q):

@@ -17,8 +17,19 @@ from period_lab.ramification import (
     trace_decay_bound,
     trace_decay_constant,
     trace_decay_defect,
-    zp_jump,
 )
+
+
+def zp_jump(profile: ZpExtensionProfile, u) -> int:
+    """rho(u) = ceil((u - a)/e_F): the tower level generating the
+    upper-numbering group at u.  Only valid for (u - a)/e_F > 0."""
+    u = F(u)
+    x = (u - profile.a) / profile.e_F
+    if x <= 0:
+        raise ValueError(
+            f"u = {u} is below the validity threshold of the jump formula"
+        )
+    return -((-x.numerator) // x.denominator)  # ceil of a Fraction
 
 
 def random_data(rng, p):
