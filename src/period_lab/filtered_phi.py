@@ -35,7 +35,7 @@ Decision coverage:
   scan walks the subsets of components depth first: each component's
   products with each filtration step's annihilator are formed once, and
   adding a component extends one echelon per step by its products alone
-  (in ints when e = 1), so a subspace costs no elimination from scratch;
+  (in ints for every e), so a subspace costs no elimination from scratch;
 * everything else: undecided, a first-class outcome.
 """
 
@@ -53,16 +53,17 @@ from .linalg import (
     KElement,
     _is_irreducible,
     char_poly,
+    clear_denominators,
     extend_echelon,
     integer_kernel,
     is_squarefree,
     mat_mul,
-    nullspace,
     poly_deflate,
-    poly_eval,
     poly_eval_cleared,
-    rank,
     rational_roots,
+    reduce_mod,
+    restrict_scalars,
+    restricted_kernel,
     rref,
     solve_right,
     squarefree_certificate,
@@ -114,8 +115,11 @@ class FilteredPhiModule:
     full: the filtration equals the i-th subspace up to and including its
     jump, and drops to the next one after it (zero after the last).
 
-    Each basis is kept as the eliminations take it: rational rows when
-    K = Q_p, else KElement rows; ``filtration`` is the KElement view.
+    A basis entry is a KElement, a rational, or a list of coordinates on
+    1, pi, pi^2, ... (reduced by E here).  Each basis is kept as its
+    reduced coordinates and as the integer rows of its restriction of
+    scalars to Q (``restrict_scalars``), which every rank and kernel of
+    the module takes; ``filtration`` is the KElement view.
     """
 
     def __init__(self, base: BaseFieldK, frobenius, filtration):
@@ -126,30 +130,38 @@ class FilteredPhiModule:
             raise ValueError("Frobenius matrix must be square")
         if self.frobenius_char_poly[0] == 0:
             raise ValueError("Frobenius must be invertible")
-        if base.e == 1:
-            entry = lambda x: x.rational_value() if isinstance(x, KElement) else _fraction(x)
-        else:
-            entry = lambda x: x if isinstance(x, KElement) else base.scalar(x)
-        jumps, rows = [], []
+        E, e = base.eisenstein, base.e
+
+        def coords(x):
+            if isinstance(x, KElement):
+                return x.coords
+            return reduce_mod(x if isinstance(x, list) else [x], E)
+
+        jumps, vectors = [], []
         for jump, basis in filtration:
-            vecs = [[entry(x) for x in v] for v in basis]
+            vecs = [[coords(x) for x in v] for v in basis]
             if not vecs:
                 raise ValueError("filtration subspaces must be nonzero")
             jumps.append(int(jump))
-            rows.append(vecs)
+            vectors.append(vecs)
         if not jumps:
             raise ValueError("filtration needs at least one step")
         if any(a >= b for a, b in zip(jumps, jumps[1:])):
             raise ValueError("jumps must be strictly increasing")
-        dims = [rank(r) for r in rows]
+        rows = [restrict_scalars(vecs, E) for vecs in vectors]
+        # an echelon per step; a step is nested in the one before it when
+        # it leaves that step's echelon at its length
+        echelons = [extend_echelon([], r) for r in rows]
+        dims = [len(echelon) // e for echelon in echelons]
         if dims[0] != d:
             raise ValueError("first filtration subspace must be the full space")
         if any(da <= db for da, db in zip(dims, dims[1:])):
             raise ValueError("filtration subspaces must strictly decrease")
-        for big, small, dim_big in zip(rows, rows[1:], dims):
-            if rank(big + small) != dim_big:
+        for big, small in zip(echelons, rows[1:]):
+            if len(extend_echelon(big, small)) != len(big):
                 raise ValueError("filtration subspaces must be nested")
         self._jumps = jumps
+        self._vectors = vectors
         self._rows = rows
         self._dims = dims
 
@@ -160,10 +172,10 @@ class FilteredPhiModule:
     @cached_property
     def filtration(self) -> list:
         """(jump, basis) per step, the basis vectors over K as KElements."""
-        scalar = self.base.scalar
+        K = self.base
         return [
-            (j, [[x if isinstance(x, KElement) else scalar(x) for x in v] for v in vecs])
-            for j, vecs in zip(self._jumps, self._rows)
+            (j, [[KElement(K, x) for x in v] for v in vecs])
+            for j, vecs in zip(self._jumps, self._vectors)
         ]
 
     def jumps(self) -> list:
@@ -184,9 +196,14 @@ class FilteredPhiModule:
         return Fraction(v)
 
     @cached_property
+    def _frobenius_cleared(self) -> tuple:
+        """(B, D) with Frobenius = B / D, B an integer matrix."""
+        return clear_denominators(self.frobenius)
+
+    @cached_property
     def frobenius_char_poly(self) -> list:
         """det(XI - Frobenius), computed once per module."""
-        return char_poly(self.frobenius)
+        return char_poly(*self._frobenius_cleared)
 
     @property
     def frobenius_det(self) -> Fraction:
@@ -203,13 +220,11 @@ class FilteredPhiModule:
 
     @cached_property
     def _annihilators(self) -> list:
-        """Per filtration step, a basis of its annihilator: the vectors v
-        with f . v = 0 for every f in the step.  Primitive integer
-        vectors when e = 1, so the products the admissibility scan forms
-        stay off KElement and Fraction arithmetic."""
-        if self.base.e == 1:
-            return [integer_kernel(rows)[0] for rows in self._rows]
-        return [nullspace(rows) for rows in self._rows]
+        """Per filtration step, a K-basis of its annihilator (the n with
+        f . n = 0 for every f in the step) as ``restricted_kernel`` gives
+        it: integer vectors of the coordinates of n_1, ..., n_d on 1, pi,
+        ..., pi^(e-1), so the scan's products stay in ints."""
+        return [restricted_kernel(rows, self.base.e) for rows in self._rows]
 
     def induced_hodge_number(self, dims) -> int:
         """t_H of a subspace W with the intersection filtration over K,
@@ -237,7 +252,8 @@ class FilteredPhiModule:
     @classmethod
     def from_json(cls, obj: dict) -> "FilteredPhiModule":
         """The module of a JSON object; a basis entry lists its coordinates
-        on 1, pi, pi^2, ..., read to the rational sum c_i pi^i if K = Q_p."""
+        on 1, pi, pi^2, ..., which the constructor reduces by E (for K =
+        Q_p, to the rational sum c_i pi^i)."""
         eisenstein = [parse_int(c, "eisenstein") for c in _list(obj["eisenstein"], "eisenstein")]
         base = BaseFieldK(parse_int(obj["p"], "p"), eisenstein)
         frob = [
@@ -247,11 +263,6 @@ class FilteredPhiModule:
         d = parse_int(obj.get("dim", len(frob)), "dim")
         if d != len(frob):
             raise SchemaError(f"declared dim {d!r}, but Frobenius has {len(frob)} rows")
-        if base.e == 1:
-            pi = -eisenstein[0]
-            entry = lambda coords: coords[0] if len(coords) == 1 else poly_eval(coords, pi)
-        else:
-            entry = base.element
         filtration = []
         for step in _list(obj["filtration"], "filtration"):
             vecs = []
@@ -260,9 +271,7 @@ class FilteredPhiModule:
                     raise SchemaError(
                         f"declared dim {d}, but a filtration vector has {len(vec)} entries"
                     )
-                vecs.append(
-                    [entry([parse_rational(c) for c in _list(x, "basis")]) for x in vec]
-                )
+                vecs.append([[parse_rational(c) for c in _list(x, "basis")] for x in vec])
             filtration.append((parse_int(step["jump"], "jump"), vecs))
         return cls(base, frob, filtration)
 
@@ -292,10 +301,7 @@ def dim1_module(p, lam, r: int) -> FilteredPhiModule:
 def dim2_module(p, frobenius, r: int, s: int, line=None) -> FilteredPhiModule:
     """Two jumps r < s with middle line ``line``, or a single jump r = s."""
     base = BaseFieldK.qp(int(p))
-    full = [
-        [base.one(), base.zero()],
-        [base.zero(), base.one()],
-    ]
+    full = [[1, 0], [0, 1]]
     if r == s:
         filtration = [(r, full)]
     else:
@@ -351,22 +357,26 @@ def _qp_eigenvalue_below(cp, p, threshold) -> Optional[dict]:
 
 
 def _line_is_rational(vecs) -> Optional[list]:
-    """A rational direction vector of a K-line, or None.
+    """A rational direction vector of a K-line, or None; the one vector
+    spanning it is given by the coordinates of its entries.
 
-    Valid because the uniformizer powers are a Q_p-basis of K: a K-line
-    descends to Q_p iff, after scaling by a nonzero coordinate, all
-    coordinates are rational (rational rows, when K = Q_p, always are).
+    Valid because the uniformizer powers are a Q_p-basis of K: the line
+    descends to Q_p iff every entry is a rational multiple q of a nonzero
+    entry (the pivot), that is iff its coordinates are q times the
+    pivot's, and then (q) spans it.
     """
     (w,) = vecs
     pivot = next((x for x in w if x), None)
     if pivot is None:
         return None
-    scaled = [x / pivot for x in w]
-    if not isinstance(pivot, KElement):
-        return scaled
-    if all(x.is_rational() for x in scaled):
-        return [x.rational_value() for x in scaled]
-    return None
+    k = len(pivot) - 1  # the pivot's last coordinate is nonzero
+    scaled = []
+    for x in w:
+        q = (x[k] if len(x) > k else 0) / pivot[k]
+        if [*x, *[0] * (len(pivot) - len(x))] != [q * c for c in pivot]:
+            return None
+        scaled.append(q)
+    return scaled
 
 
 def _dim2_admissible(D: FilteredPhiModule, tH, tN) -> AdmissibilityVerdict:
@@ -378,7 +388,7 @@ def _dim2_admissible(D: FilteredPhiModule, tH, tN) -> AdmissibilityVerdict:
         line_vec = None
     else:
         (r, _), (s, _) = jumps
-        line_vec = _line_is_rational(D._rows[1])
+        line_vec = _line_is_rational(D._vectors[1])
         if line_vec is not None:
             # is the (rational) filtration line Frobenius-stable?
             col = [[x] for x in line_vec]
@@ -467,13 +477,20 @@ def _least_destabilizing(D: FilteredPhiModule, blocks, newton) -> Optional[list]
     before "include" meets the masks in increasing order.  The blocks are
     the primary components of a squarefree Frobenius, so dim W_S is the
     sum of their sizes, and a filtration step F with annihilator N meets
-    W_S in dimension dim W_S - rank(W_S N).  Each block's rows times each
-    N are formed once, and an "include" edge extends the echelon of each
-    step by the new block's products alone."""
+    W_S in dimension dim W_S - rank_K(W_S N), the K-rank being the rank of
+    the restricted rows of the K-rows (w . n)_n over e.  Each block's
+    restricted products with each N are formed once, and an "include" edge
+    extends the echelon of each step by the new block's products alone."""
     k = len(blocks)
-    steps = D._annihilators
+    E, e = D.base.eisenstein, D.base.e
+    # the j-th coordinate of w . n is the product of w with n[j::e], the
+    # j-th coordinates of n's entries
+    steps = [[[n[j::e] for j in range(e)] for n, _ in ann] for ann in D._annihilators]
     products = [
-        [[[sum(map(mul, w, n)) for n in ann] for w in block] for ann in steps]
+        [
+            restrict_scalars([[[sum(map(mul, w, c)) for c in n] for n in ann] for w in block], E)
+            for ann in steps
+        ]
         for block in blocks
     ]
     full = 2**k - 1
@@ -481,7 +498,7 @@ def _least_destabilizing(D: FilteredPhiModule, blocks, newton) -> Optional[list]
     def walk(i, mask, dim, newton_sum, echelons):
         if i < 0:
             if 0 < mask < full:
-                dims = [dim - len(echelon) for echelon in echelons]
+                dims = [dim - len(echelon) // e for echelon in echelons]
                 if D.induced_hodge_number(dims) > newton_sum:
                     return mask
             return None
@@ -490,7 +507,7 @@ def _least_destabilizing(D: FilteredPhiModule, blocks, newton) -> Optional[list]
             mask | 1 << i,
             dim + len(blocks[i]),
             newton_sum + newton[i],
-            [extend_echelon(e, rows) for e, rows in zip(echelons, products[i])],
+            [extend_echelon(ech, rows) for ech, rows in zip(echelons, products[i])],
         )
 
     mask = walk(k - 1, 0, 0, 0, [[] for _ in steps])
@@ -527,7 +544,8 @@ def is_admissible(D: FilteredPhiModule) -> AdmissibilityVerdict:
         )
     # each primary component as primitive integer vectors, with its free
     # columns; its t_N is the valuation of its factor's constant term
-    components = [integer_kernel(poly_eval_cleared(f, D.frobenius)[0]) for f in factors]
+    B, den = D._frobenius_cleared
+    components = [integer_kernel(poly_eval_cleared(f, B, den)[0]) for f in factors]
     assert all(len(c) == len(f) - 1 for (c, _), f in zip(components, factors))
     chosen = _least_destabilizing(
         D,
@@ -584,81 +602,55 @@ def dual(D: FilteredPhiModule) -> FilteredPhiModule:
     """Dual module: inverse-transpose Frobenius; the m-th dual filtration
     step annihilates the (1-m)-th original one."""
     frob = list(zip(*_matrix_inverse(D.frobenius)))
-    jumps = D._jumps
-    base = D.base
-    d = D.dim
-    full = [[base.one() if i == j else base.zero() for j in range(d)] for i in range(d)]
-    out = []
+    d, e = D.dim, D.base.e
+    # the annihilators of the steps after the first as coordinate lists,
+    # each vector divided by its entry at its column, then the full space
+    anns = [
+        [[[Fraction(x, v[c]) for x in v[i * e:(i + 1) * e]] for i in range(d)] for v, c in ann]
+        for ann in D._annihilators[1:]
+    ] + [[[int(i == j) for j in range(d)] for i in range(d)]]
     # dual jumps are -m_k < ... < -m_1 with subspaces ann(W_{i+1})
-    for idx in range(len(jumps) - 1, -1, -1):
-        ann = nullspace(D._rows[idx + 1]) if idx + 1 < len(jumps) else full
-        out.append((-jumps[idx], ann))
-    return FilteredPhiModule(base, frob, out)
+    return FilteredPhiModule(D.base, frob, [(-j, ann) for j, ann in zip(D._jumps[::-1], anns[::-1])])
 
 
 def _vec_kron(v, w):
     return [a * b for a in v for b in w]
 
 
-def _steps_where_rank_drops(candidates) -> list:
-    """The filtration steps among (jump, spanning rows) candidates, in
-    increasing jump order: a candidate is kept when the rank drops after
-    it (to 0 after the last)."""
-    ranks = [rank(rows) for _, rows in candidates] + [0]
-    return [step for step, rk, nxt in zip(candidates, ranks, ranks[1:]) if rk > nxt]
-
-
 def tensor(D1: FilteredPhiModule, D2: FilteredPhiModule) -> FilteredPhiModule:
     """Tensor product: Kronecker Frobenius, convolution filtration
-    Fil^m = sum over a + b = m of Fil^a tensor Fil^b."""
+    Fil^m = sum over a + b = m of Fil^a tensor Fil^b; every sum a + b of
+    jumps is a jump, its graded piece holding gr^a tensor gr^b."""
     if D1.base != D2.base:
         raise ValueError("mixed base fields")
     frob = [_vec_kron(a, b) for a in D1.frobenius for b in D2.frobenius]
-    steps1, steps2 = D1.filtration, D2.filtration
-    candidates = []
-    for mu in sorted({j1 + j2 for j1, _ in steps1 for j2, _ in steps2}):
-        rows = []
-        for j1, vecs1 in steps1:
-            for j2, vecs2 in steps2:
-                if j1 + j2 >= mu:
-                    rows.extend(_vec_kron(v, w) for v in vecs1 for w in vecs2)
-        candidates.append((mu, rows))
-    return FilteredPhiModule(D1.base, frob, _steps_where_rank_drops(candidates))
+    pairs = [(j1 + j2, vecs1, vecs2) for j1, vecs1 in D1.filtration for j2, vecs2 in D2.filtration]
+    filtration = [
+        (mu, [_vec_kron(v, w) for j, vecs1, vecs2 in pairs if j >= mu for v in vecs1 for w in vecs2])
+        for mu in sorted({j for j, _, _ in pairs})
+    ]
+    return FilteredPhiModule(D1.base, frob, filtration)
 
 
 def direct_sum(D1: FilteredPhiModule, D2: FilteredPhiModule) -> FilteredPhiModule:
+    """Block-diagonal Frobenius; Fil^m is the sum of the two Fil^m, and
+    every jump of either summand is a jump of the sum."""
     if D1.base != D2.base:
         raise ValueError("mixed base fields")
     base = D1.base
     d1, d2 = D1.dim, D2.dim
-    frob = [
-        [D1.frobenius[i][j] if i < d1 and j < d1 else Fraction(0) for j in range(d1 + d2)]
-        for i in range(d1)
-    ] + [
-        [D2.frobenius[i - d1][j - d1] if i >= d1 and j >= d1 else Fraction(0) for j in range(d1 + d2)]
-        for i in range(d1, d1 + d2)
+    frob = [[*row, *[0] * d2] for row in D1.frobenius] + [[*[0] * d1, *row] for row in D2.frobenius]
+    zero = base.zero()
+
+    def fil_at(D, m):
+        # the subspace at level m: that of the least jump >= m (none past the last)
+        return next((vecs for j, vecs in D.filtration if j >= m), [])
+
+    filtration = [
+        (mu, [[*v, *[zero] * d2] for v in fil_at(D1, mu)] + [[*[zero] * d1, *v] for v in fil_at(D2, mu)])
+        for mu in sorted({*D1.jumps(), *D2.jumps()})
     ]
-    zero1 = [base.zero()] * d1
-    zero2 = [base.zero()] * d2
-
-    def fil_at(steps, m):
-        # the subspace at level m: smallest jump >= m (None past the last)
-        for j, vecs in steps:
-            if j >= m:
-                return vecs
-        return None
-
-    candidates = []
-    for mu in sorted({j for j, _ in D1.filtration} | {j for j, _ in D2.filtration}):
-        rows = []
-        f1 = fil_at(D1.filtration, mu)
-        f2 = fil_at(D2.filtration, mu)
-        if f1:
-            rows.extend([list(v) + zero2 for v in f1])
-        if f2:
-            rows.extend([zero1 + list(v) for v in f2])
-        candidates.append((mu, rows))
-    return FilteredPhiModule(base, frob, _steps_where_rank_drops(candidates))
+    return FilteredPhiModule(base, frob, filtration)
 
 
 # ---------------------------------------------------------------------------

@@ -5,21 +5,24 @@ integer polynomial E of degree e, Eisenstein at p (degree 1 gives K = Q_p
 itself, modeled by Q).  Elements are polynomials in the uniformizer pi of
 degree < e with Fraction coefficients; {1, pi, ..., pi^(e-1)} is a basis
 over Q_p, so an element lies in Q_p exactly when its higher coordinates
-vanish — the test the admissibility checker uses for "is this line
-rational".
+vanish.
 
-Matrices are plain lists of lists of ints, Fractions or KElements, and a
-product of int matrices stays int.  One elimination serves all three:
-rational rows are scaled to integers, each step replaces row_i by
-a row_i - b row_r and divides out the gcd of the new row, so a kernel
-comes out as primitive integer vectors (``integer_kernel``) and no
-Fraction is formed unless a normalized basis or rref is asked for.
-KElement rows are divided by their pivot as it is chosen, then take the
-step row_i - b row_r.  ``extend_echelon`` takes the same step to grow a
-forward echelon by further rows, for the ranks of a family of nested
-row spaces.  Characteristic polynomials come from the Faddeev-LeVerrier
-recurrence, and polynomials of a matrix from Horner's rule, both run on
-the integer matrix left after clearing denominators once.
+Matrices are plain lists of lists of ints or Fractions, and a product
+of int matrices stays int.  One elimination serves them all: rational
+rows are scaled to integers, each step replaces row_i by a row_i -
+b row_r and divides out the gcd of the new row, so a kernel comes out as
+primitive integer vectors (``integer_kernel``) and no Fraction is formed
+unless a normalized basis or rref is asked for.  ``extend_echelon`` takes
+the same step to grow a forward echelon by further rows, for the ranks of
+a family of nested row spaces.  Characteristic polynomials come from the
+Faddeev-LeVerrier recurrence, and polynomials of a matrix from Horner's
+rule, both run on the integer matrix left after clearing denominators
+once.
+
+K-vectors reach that elimination by restriction of scalars
+(``restrict_scalars``): f in K^d becomes the e rows of the Q-matrix of
+n -> f . n on K^d = Q^(d e), so a K-span of rank r restricts to rows of
+rank e r whose kernel is its annihilator (``restricted_kernel``).
 
 Polynomials over Q are coefficient lists, lowest degree first: gcd,
 squarefree test (a certificate mod a small prime first, the exact gcd
@@ -75,19 +78,17 @@ class BaseFieldK:
         return KElement(self, ())
 
     def one(self) -> "KElement":
-        return KElement(self, (Fraction(1),))
+        return KElement(self, (1,))
 
     def scalar(self, q) -> "KElement":
-        return KElement(self, (Fraction(q),))
+        return KElement(self, (q,))
 
     def pi(self) -> "KElement":
-        if self.e == 1:
-            # degree 1: pi is the rational root itself
-            return self.scalar(-self.eisenstein[0])
-        return KElement(self, (Fraction(0), Fraction(1)))
+        # at degree 1 the reduction gives the rational root itself
+        return KElement(self, (0, 1))
 
     def element(self, coords) -> "KElement":
-        return KElement(self, tuple(Fraction(c) for c in coords))
+        return KElement(self, coords)
 
 
 class KElement:
@@ -96,28 +97,15 @@ class KElement:
     __slots__ = ("field", "coords")
 
     def __init__(self, field: BaseFieldK, coords):
-        coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
-        e = field.e
-        # reduce degree >= e via the monic relation pi^e = -(lower terms)
-        while len(coords) > e:
-            top = coords.pop()
-            if top:
-                for i, c in enumerate(field.eisenstein[:-1]):
-                    coords[len(coords) - e + i] -= top * c
-        while coords and coords[-1] == 0:
-            coords.pop()
         self.field = field
-        self.coords = tuple(coords)
+        self.coords = reduce_mod(coords, field.eisenstein)
 
     def __bool__(self) -> bool:
         return bool(self.coords)
 
-    def is_rational(self) -> bool:
-        """True when the element lies in Q_p (all higher coordinates 0)."""
-        return len(self.coords) <= 1
-
     def rational_value(self) -> Fraction:
-        if not self.is_rational():
+        """The value of an element of Q_p (all higher coordinates 0)."""
+        if len(self.coords) > 1:
             raise ValueError("element is not rational")
         return self.coords[0] if self.coords else Fraction(0)
 
@@ -180,7 +168,7 @@ class KElement:
         irreducible, so the system is invertible)."""
         if not self:
             raise ZeroDivisionError("zero has no inverse")
-        if self.is_rational():
+        if len(self.coords) == 1:
             return self.field.scalar(1 / self.coords[0])
         f = self.field
         cols = [KElement(f, [0] * j + list(self.coords)).coords for j in range(f.e)]
@@ -191,7 +179,7 @@ class KElement:
         return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        # other is a rational scalar; rref divides 1 by each pivot
+        # other is a rational scalar, as in 1 / x
         inv = self.inverse()
         return inv if other == 1 else inv * other
 
@@ -199,6 +187,51 @@ class KElement:
         if not self.coords:
             return "K(0)"
         return "K(" + ", ".join(str(c) for c in self.coords) + ")"
+
+
+def reduce_mod(coords, eisenstein) -> tuple:
+    """The Fraction coordinates on 1, pi, ..., pi^(e-1) of the polynomial
+    in pi with rational coefficients ``coords``, reduced by pi^e =
+    -(lower terms of E), trailing zeros dropped: at e = 1 its value."""
+    coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
+    e = len(eisenstein) - 1
+    while len(coords) > e:
+        top = coords.pop()
+        if top:
+            for i, c in enumerate(eisenstein[:-1]):
+                coords[len(coords) - e + i] -= top * c
+    while coords and not coords[-1]:
+        coords.pop()
+    return tuple(coords)
+
+
+def restrict_scalars(vectors, eisenstein) -> list:
+    """The integer rows of K-vectors, their entries given as reduced
+    coordinate sequences: each vector f, scaled to integer coordinates,
+    becomes the e rows of the Q-matrix of n -> f . n, row k holding the
+    k-th coordinate of f_i pi^l at column i e + l."""
+    e = len(eisenstein) - 1
+    rows = []
+    for f in vectors:
+        scale = lcm(*(c.denominator for x in f for c in x))
+        shifts = []
+        for x in f:
+            x = [c.numerator * (scale // c.denominator) for c in x] + [0] * (e - len(x))
+            shifts.append([x])
+            for _ in range(e - 1):  # x -> pi x, as pi^e = -(lower terms of E)
+                top = x[-1]
+                x = [-top * eisenstein[0], *(a - top * b for a, b in zip(x, eisenstein[1:-1]))]
+                shifts[-1].append(x)
+        rows += ([s[k] for xs in shifts for s in xs] for k in range(e))
+    return rows
+
+
+def restricted_kernel(rows, e: int) -> list:
+    """A K-basis of the annihilator of the K-span restricted to ``rows``:
+    the (integer kernel vector, free column) pairs at the first column of
+    each block of e free columns (they come in whole blocks); each
+    divided by its entry there is the basis rref over K gives."""
+    return [(v, c) for v, c in zip(*integer_kernel(rows)) if c % e == 0]
 
 
 def _poly_divmod_q(a, b):
@@ -222,7 +255,7 @@ def _poly_divmod_q(a, b):
 
 
 # ---------------------------------------------------------------------------
-# matrices over Q (int or Fraction entries) or over K (KElement entries)
+# matrices over Q (int or Fraction entries)
 # ---------------------------------------------------------------------------
 
 
@@ -237,16 +270,13 @@ def _eliminate(rows, reduce_above: bool):
     ``reduce_above`` also clears the entries above each pivot; without it
     this is the forward pass alone.
 
-    Rational rows are scaled to integers and eliminated fraction free
+    The rows are scaled to integers and eliminated fraction free
     (Bareiss, Math. Comp. 1968, with the row content divided out in place
     of his exact division): a step replaces row_i by a row_i - b row_r and
-    divides it by the gcd of its entries.  KElement rows are divided by
-    their pivot when chosen, and a step is row_i - b row_r: without that
-    division the coordinates of K-rows double in size at every step."""
+    divides it by the gcd of its entries."""
     if not rows:
         return [], []
-    rational = not any(isinstance(x, KElement) for row in rows for x in row)
-    rows = clear_denominators(rows)[0] if rational else [list(r) for r in rows]
+    rows = clear_denominators(rows)[0]
     pivots = []
     r = 0
     for c in range(len(rows[0])):
@@ -254,12 +284,10 @@ def _eliminate(rows, reduce_above: bool):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        if not rational:
-            rows[r] = _monic(rows[r], c)
         top = rows[r]
         for i in range(0 if reduce_above else r + 1, len(rows)):
             if rows[i][c] and i != r:
-                rows[i] = _clear_entry(rows[i], top, c, rational)
+                rows[i] = _clear_entry(rows[i], top, c)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -267,21 +295,11 @@ def _eliminate(rows, reduce_above: bool):
     return rows[:r], pivots
 
 
-def _monic(row, c):
-    """A K-row divided by its entry at c."""
-    inv = Fraction(1) / row[c]
-    return [x * inv for x in row]
-
-
-def _clear_entry(row, top, c, rational: bool):
-    """The step of the elimination, which makes row zero at column c: an
-    integer row becomes a row - b top with a = top[c] and b = row[c],
-    divided by the gcd of its entries; a K-row, whose top has 1 at c,
-    becomes row - b top."""
-    b = row[c]
-    if not rational:
-        return [x - b * y for x, y in zip(row, top)]
-    a = top[c]
+def _clear_entry(row, top, c):
+    """The step of the elimination, which makes the integer row zero at
+    column c: a row - b top with a = top[c] and b = row[c], divided by
+    the gcd of its entries."""
+    a, b = top[c], row[c]
     g = gcd(a, b)
     row = [a // g * x - b // g * y for x, y in zip(row, top)]
     g = gcd(*row)
@@ -289,23 +307,23 @@ def _clear_entry(row, top, c, rational: bool):
 
 
 def extend_echelon(echelon, rows) -> list:
-    """A forward echelon extended by more rows of ints or KElements.
+    """A forward echelon extended by more integer rows.
 
     ``echelon`` is a list of (pivot column, row) in which every row is
     zero at the pivots of the rows before it; its length is the rank of
     the rows it was built from.  Each new row is cleared at every pivot
     in turn by the step of ``_eliminate`` and appended, with its first
-    nonzero column as pivot (a K-row divided by its entry there), unless
-    it vanishes.  The result is a new list and ``echelon`` is left as it
-    was, so one echelon can be extended in several ways."""
+    nonzero column as pivot, unless it vanishes.  The result is a new
+    list and ``echelon`` is left as it was, so one echelon can be
+    extended in several ways."""
     out = list(echelon)
     for row in rows:
         for c, top in out:
             if row[c]:
-                row = _clear_entry(row, top, c, type(top[c]) is int)
+                row = _clear_entry(row, top, c)
         c = next((j for j, x in enumerate(row) if x), None)
         if c is not None:
-            out.append((c, row if type(row[c]) is int else _monic(row, c)))
+            out.append((c, row))
     return out
 
 
@@ -313,14 +331,9 @@ def rref(rows):
     """Reduced row echelon form; returns (rows, pivot column indices).
 
     Each integer pivot row of the elimination is divided by its pivot
-    once, at the end, so the entries are Fractions for rational input;
-    K-rows come out of the elimination with pivot 1."""
+    once, at the end, so the entries are Fractions."""
     echelon, pivots = _eliminate(rows, True)
-    out = [
-        [Fraction(x, row[c]) for x in row] if type(row[c]) is int else row
-        for row, c in zip(echelon, pivots)
-    ]
-    return out, pivots
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(echelon, pivots)], pivots
 
 
 def rank(rows) -> int:
@@ -333,18 +346,9 @@ def intersect_rowspaces(A, B):
     if not A or not B:
         return []
     n = len(A[0])
-    zero = Fraction(0) * A[0][0]
-    stacked = []
-    for a in A:
-        stacked.append(list(a) + list(a))
-    for b in B:
-        stacked.append(list(b) + [zero] * n)
+    stacked = [list(a) + list(a) for a in A] + [list(b) + [0] * n for b in B]
     echelon, pivots = rref(stacked)
-    out = []
-    for row, pivot in zip(echelon, pivots):
-        if pivot >= n:
-            out.append(row[n:])
-    return out
+    return [row[n:] for row, pivot in zip(echelon, pivots) if pivot >= n]
 
 
 def solve_right(A, b):
@@ -354,21 +358,23 @@ def solve_right(A, b):
     echelon, pivots = rref(aug)
     if m in pivots:
         return None
-    x = [Fraction(0) * A[0][0]] * m
+    x = [Fraction(0)] * m
     for row, pivot in zip(echelon, pivots):
         x[pivot] = row[-1]
     return x
 
 
-def char_poly(A) -> list:
-    """Characteristic polynomial det(XI - A) of a rational matrix, monic,
-    lowest degree first, by the Faddeev-LeVerrier recurrence.
+def char_poly(A, D: int = 1) -> list:
+    """Characteristic polynomial det(XI - A / D) of a rational matrix A
+    (or of the pair that ``clear_denominators`` returns), monic, lowest
+    degree first, by the Faddeev-LeVerrier recurrence.
 
-    Denominators are cleared once, A = B / D with B an integer matrix; the
-    recurrence runs on B in ints, where its divisions by k are exact, and
-    the coefficient of X^k is the one of B divided by D^(n-k)."""
+    With A / D = B / D' for an integer matrix B, the recurrence runs on B
+    in ints, where its divisions by k are exact, and the coefficient of
+    X^k is the one of B divided by D'^(n-k)."""
     n = len(A)
-    B, D = clear_denominators(A)
+    B, scale = clear_denominators(A)
+    D *= scale
     c = [0] * (n + 1)
     c[n] = 1
     M = [[0] * n for _ in range(n)]
@@ -393,18 +399,19 @@ def det(A) -> Fraction:
 
 def poly_eval_matrix(coeffs, A):
     """coeffs(A) for a rational polynomial, lowest degree first."""
-    C, den = poly_eval_cleared(coeffs, A)
+    C, den = poly_eval_cleared(coeffs, *clear_denominators(A))
     return [[Fraction(x, den) for x in row] for row in C]
 
 
-def poly_eval_cleared(coeffs, A):
-    """(C, den) with coeffs(A) = C / den, C an integer matrix.
+def poly_eval_cleared(coeffs, B, D):
+    """(C, den) with coeffs(B / D) = C / den, for an integer matrix B and
+    an integer D > 0 (the pair of ``clear_denominators``) and C an
+    integer matrix.
 
-    With A = B / D and coeffs = c / L for integers, coeffs(A) is
-    sum c_j D^(k-j) B^j over L D^k (k the degree), and the sum is run by
-    Horner's rule on B in ints."""
-    n = len(A)
-    B, D = clear_denominators(A)
+    With coeffs = c / L for integers, coeffs(B / D) is sum c_j D^(k-j)
+    B^j over L D^k (k the degree), and the sum is run by Horner's rule on
+    B in ints."""
+    n = len(B)
     (c,), L = clear_denominators([coeffs])
     k = len(c) - 1
     acc = [[0] * n for _ in range(n)]
@@ -419,25 +426,10 @@ def poly_eval_cleared(coeffs, A):
 
 def nullspace(A) -> list:
     """Basis of the right kernel, one vector per free column c with a 1
-    at c and 0 at the other free columns (works over Q and over K).
-    Rational rows take the integer kernel, each vector divided by its
-    entry at c; KElement rows take the reduced echelon form."""
-    if not any(isinstance(x, KElement) for row in A for x in row):
-        basis, free = integer_kernel(A)
-        return [[Fraction(x, v[c]) for x in v] for v, c in zip(basis, free)]
-    m = len(A[0])
-    echelon, pivots = rref(A)
-    zero = Fraction(0) * A[0][0]
-    one = zero + 1
-    basis = []
-    for fc in range(m):
-        if fc not in pivots:
-            v = [zero] * m
-            v[fc] = one
-            for row, pivot in zip(echelon, pivots):
-                v[pivot] = -row[fc]
-            basis.append(v)
-    return basis
+    at c and 0 at the other free columns: the integer kernel, each vector
+    divided by its entry at c."""
+    basis, free = integer_kernel(A)
+    return [[Fraction(x, v[c]) for x in v] for v, c in zip(basis, free)]
 
 
 def integer_kernel(rows):

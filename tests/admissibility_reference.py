@@ -2,14 +2,18 @@
 depth-first walk of ``period_lab.filtered_phi`` replaced, kept word for
 word in what it computes.  Every subset of primary components is
 rebuilt, its denominators cleared, and each filtration step's
-intersection dimension taken from one rank from scratch.  The oracle
-tests compare its verdict and witness with ``is_admissible``.
+intersection dimension taken from one rank from scratch, over K with the
+Fraction and KElement elimination of ``linalg_reference``, so that it
+shares nothing with the restriction of scalars the module's scan runs
+on.  The oracle tests compare its verdict and witness with
+``is_admissible``.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from functools import lru_cache
 
+import linalg_reference as ref
 from period_lab.filtered_phi import (
     ADMISSIBLE,
     NOT_ADMISSIBLE,
@@ -24,20 +28,28 @@ from period_lab.linalg import (
     is_squarefree,
     nullspace,
     poly_eval_matrix,
-    rank,
 )
 from period_lab.padic import format_rational, rational_valuation
 
 
+@lru_cache(maxsize=16)
+def k_annihilators(D) -> list:
+    """Per filtration step, a K-basis of its annihilator, by the reference
+    elimination over K on the KElement view of the step."""
+    return [ref.nullspace(vecs) for _, vecs in D.filtration]
+
+
 def intersection_dims(D, subspace_rows) -> list:
-    """dim(W ∩ F) for each filtration step F, W the span of the rational
-    rows.  For a step F with annihilator basis N, the map w -> (w . n)_n
-    on W has kernel W ∩ F, so dim(W ∩ F) is dim W - rank(W N)."""
+    """dim(W_K ∩ F) for each filtration step F, W the span of the
+    rational rows.  For a step F with annihilator basis N over K, the map
+    w -> (w . n)_n on W_K has kernel W_K ∩ F, so dim(W_K ∩ F) is dim W -
+    rank_K(W N)."""
     W, _ = clear_denominators(subspace_rows)
-    dim_w = rank(W)
+    dim_w = ref.rank(W)
+    zero = D.base.zero()
     return [
-        dim_w - rank([[sum(map(mul, w, v)) for v in ann] for w in W])
-        for ann in D._annihilators
+        dim_w - ref.rank([[sum((a * x for a, x in zip(w, n)), zero) for n in ann] for w in W])
+        for ann in k_annihilators(D)
     ]
 
 

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import admissibility_reference
+import linalg_reference as ref
 
 from period_lab.filtered_phi import (
     FilteredPhiModule,
@@ -599,9 +600,10 @@ def test_ramified_base_field_dim2():
 
 
 @st.composite
-def scanned_modules(draw):
-    """A module of rank 3-8 over K of degree 1-3 that reaches the subset
-    scan.  Frobenius is P B P^-1, with B diagonal of distinct rational
+def scanned_modules(draw, primes=(2, 3, 5), degrees=(1, 2, 3), ranks=range(3, 9)):
+    """A module of rank 3-8 over K of degree 1-3 (or of the given primes,
+    degrees and ranks) that reaches the subset scan.  Frobenius is
+    P B P^-1, with B diagonal of distinct rational
     eigenvalues plus at most one irreducible quadratic block and P an
     integer matrix of determinant 1, so the columns of P are eigenvectors.
     The filtration is Fil^j = span{v_i : h_i >= j} over a random K-basis
@@ -609,9 +611,9 @@ def scanned_modules(draw):
     planted module has an eigenline of valuation below the top weight as
     its last basis vector, with the top weight, which destabilizes many
     subsets at once, so the least one is the one the scan must report."""
-    p = draw(st.sampled_from([2, 3, 5]))
-    e = draw(st.sampled_from([1, 2, 3]))
-    d = draw(st.sampled_from(range(3, 9)))
+    p = draw(st.sampled_from(primes))
+    e = draw(st.sampled_from(degrees))
+    d = draw(st.sampled_from(ranks))
     quadratic = draw(st.booleans())
     n_lin = d - 2 if quadratic else d
     planted = n_lin >= 2 and draw(st.booleans())
@@ -675,6 +677,55 @@ def test_depth_first_scan_matches_per_mask_reference(D):
         "padically_reducible_factor",
     )
     assert verdict.to_json() == admissibility_reference.is_admissible(D).to_json()
+
+
+# ---------------------------------------------------------------------------
+# duals, twists and direct sums over a ramified K, whose ranks are taken on
+# restricted rows
+# ---------------------------------------------------------------------------
+
+ramified_modules = scanned_modules(degrees=(2, 3), ranks=range(3, 6))
+
+
+def _agree_where_decided(a, b):
+    """Both verdicts admissible or both not, unless one is undecided."""
+    statuses = (is_admissible(a).status, is_admissible(b).status)
+    if "undecided" not in statuses:
+        assert statuses[0] == statuses[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(ramified_modules)
+def test_double_dual_and_dual_admissibility_over_ramified_k(D):
+    DD = dual(dual(D))
+    assert DD.frobenius == D.frobenius
+    assert DD.jumps() == D.jumps()
+    assert DD.graded_dims() == D.graded_dims()
+    # each step spans the K-space it spanned, by the reference elimination
+    for (_, old), (_, new) in zip(D.filtration, DD.filtration):
+        assert ref.rank(old) == ref.rank(new) == ref.rank(old + new)
+    _agree_where_decided(D, dual(D))
+
+
+@settings(max_examples=30, deadline=None)
+@given(ramified_modules, st.integers(41, 60), st.integers(-1, 2))
+def test_direct_sum_and_twist_by_an_admissible_line_over_ramified_k(D, unit, r):
+    # L: eigenvalue unit p^r, jump r, admissible; unit > 40 keeps its
+    # eigenvalue off those of D, whose units are at most 40
+    assume(unit % D.base.p)
+    L = FilteredPhiModule(D.base, [[unit * F(D.base.p) ** r]], [(r, [[1]])])
+    S, T = direct_sum(D, L), tensor(D, L)
+    assert S.hodge_tate_weights() == sorted(D.hodge_tate_weights() + [-r])
+    assert T.graded_dims() == [(j + r, g) for j, g in D.graded_dims()]
+    # D + L and D (x) L are admissible exactly when D is
+    _agree_where_decided(S, D)
+    _agree_where_decided(T, D)
+    # a product whose candidate steps come from several pairs of jumps
+    M = direct_sum(L, dual(L))
+    P = tensor(D, M)
+    weights = sorted(a + b for a in D.hodge_tate_weights() for b in M.hodge_tate_weights())
+    assert P.hodge_tate_weights() == weights
+    assert P.newton_number() == 2 * D.newton_number() + D.dim * M.newton_number()
 
 
 def test_rank_13_direct_sum_decides_within_budget():

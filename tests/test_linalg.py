@@ -38,6 +38,8 @@ from period_lab.linalg import (
     poly_eval_matrix,
     rank,
     rational_roots,
+    restrict_scalars,
+    restricted_kernel,
     rref,
     solve_right,
     squarefree_certificate,
@@ -268,7 +270,8 @@ def test_roots_29_primorial_apart_need_the_exact_gcd(roots, lead):
 
 
 # ---------------------------------------------------------------------------
-# induced Hodge numbers against the Zassenhaus intersection
+# induced Hodge numbers against the Zassenhaus intersection of the
+# restricted rows (the reference takes its ranks over K)
 # ---------------------------------------------------------------------------
 
 
@@ -282,7 +285,7 @@ def random_module(rng, e):
             [base.element([rng.randrange(-3, 4) for _ in range(e)]) for _ in range(d)]
             for _ in range(d)
         ]
-        if rank(frob) == d and rank(basis) == d:
+        if rank(frob) == d and ref.rank(basis) == d:
             break
     cuts = sorted(rng.sample(range(1, d), rng.randrange(0, d - 1)))
     jumps = sorted(rng.sample(range(-3, 4), len(cuts) + 1))
@@ -291,8 +294,12 @@ def random_module(rng, e):
 
 
 def zassenhaus_hodge_number(D, rows):
-    W = [[D.base.scalar(x) for x in r] for r in rows]
-    dims = [rank(intersect_rowspaces(W, vecs)) for _, vecs in D.filtration] + [0]
+    E, e = D.base.eisenstein, D.base.e
+    W = restrict_scalars([[(x,) for x in r] for r in rows], E)
+    dims = [
+        rank(intersect_rowspaces(W, restrict_scalars([[x.coords for x in v] for v in vecs], E))) // e
+        for _, vecs in D.filtration
+    ] + [0]
     return sum(j * (dims[i] - dims[i + 1]) for i, (j, _) in enumerate(D.filtration))
 
 
@@ -444,7 +451,7 @@ def test_sen_with_a_large_prime_finishes(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# arithmetic and elimination over a ramified K, against sympy
+# arithmetic over a ramified K, against sympy
 # ---------------------------------------------------------------------------
 
 
@@ -494,24 +501,6 @@ def _restriction_of_scalars(K, rows):
     return out
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_k_nullspace_and_rank(data):
-    K = data.draw(eisenstein_fields())
-    m = data.draw(st.integers(1, 4))
-    free = data.draw(st.lists(st.lists(k_elements(K), min_size=m, max_size=m), min_size=1, max_size=3))
-    # a few rows that are K-combinations of the others, so the kernel grows
-    combos = data.draw(st.lists(st.lists(k_elements(K), min_size=len(free), max_size=len(free)), max_size=2))
-    A = free + [[sum((c * row[i] for c, row in zip(cs, free)), K.zero()) for i in range(m)] for cs in combos]
-    N = nullspace(A)
-    assert all(not x for row in mat_mul(A, [list(col) for col in zip(*N)]) for x in row)
-    assert rank(A) + len(N) == m
-    assert len(extend_echelon(extend_echelon([], A[:1]), A[1:])) == rank(A)
-    restricted = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
-                               for r in _restriction_of_scalars(K, A)])
-    assert restricted.rank() == K.e * rank(A)
-
-
 # ---------------------------------------------------------------------------
 # the fraction-free elimination against the Fraction one it replaced and
 # against sympy
@@ -519,8 +508,8 @@ def test_k_nullspace_and_rank(data):
 
 
 def same(got, want):
-    """Equal values and equal entry types (repr shows Fraction against int,
-    and a KElement against a bare scalar)."""
+    """Equal values and equal entry types (repr shows Fraction against
+    int)."""
     assert got == want
     assert repr(got) == repr(want)
 
@@ -623,15 +612,31 @@ def test_poly_eval_matrix_matches_reference(A, coeffs):
     same(poly_eval_matrix(coeffs, A), ref.poly_eval_matrix(coeffs, A))
 
 
+# ---------------------------------------------------------------------------
+# restriction of scalars from K to Q against the elimination over K
+# ---------------------------------------------------------------------------
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_k_elimination_matches_reference(data):
-    K = data.draw(eisenstein_fields(degrees=(2, 3)))
+def test_restriction_of_scalars_ranks_and_annihilates(data):
+    K = data.draw(eisenstein_fields())
     n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
     rows = data.draw(st.lists(st.lists(k_elements(K), min_size=m, max_size=m), min_size=n, max_size=n))
     A = data.draw(degenerate(rows, m, K.zero()))
-    same(rref(A), ref.rref(A))
-    same(nullspace(A), ref.nullspace(A))
-    assert rank(A) == ref.rank(A)
-    b = data.draw(st.lists(k_elements(K), min_size=n, max_size=n))
-    same(solve_right(A, b), ref.solve_right(A, b))
+    k_rank = ref.rank(A)
+    restricted = restrict_scalars([[x.coords for x in row] for row in A], K.eisenstein)
+    assert all(type(x) is int for row in restricted for x in row)
+    assert rank(restricted) == K.e * k_rank
+    # sympy's rank of the K-span written as the Q-rows v pi^j
+    assert to_sympy(_restriction_of_scalars(K, A)).rank() == K.e * k_rank
+    basis = restricted_kernel(restricted, K.e)
+    assert len(basis) == m - k_rank
+    vectors = [[K.element(v[i * K.e:(i + 1) * K.e]) for i in range(m)] for v, _ in basis]
+    for row in A:
+        for v in vectors:
+            assert not sum((a * b for a, b in zip(row, v)), K.zero())
+    # divided by its entry at its column, the basis of rref over K
+    normalized = [[K.element([F(x, v[c]) for x in v[i * K.e:(i + 1) * K.e]]) for i in range(m)]
+                  for v, c in basis]
+    assert normalized == ref.nullspace(A)
