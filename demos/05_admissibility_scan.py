@@ -54,27 +54,18 @@ print("stable line with swapped valuations: ",
 
 # Rank 3: the subspace scan, with a witness on failure.
 base = BaseFieldK.qp(p)
-scalar = base.scalar
-full = [[scalar(1 if i == j else 0) for j in range(3)] for i in range(3)]
+full = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
 frob = [[F(p), F(0), F(0)], [F(0), F(p) ** 2, F(0)], [F(0), F(0), F(p) ** 3]]
 aligned = FilteredPhiModule(
     base,
     frob,
-    [
-        (1, full),
-        (2, [[scalar(0), scalar(1), scalar(0)], [scalar(0), scalar(0), scalar(1)]]),
-        (3, [[scalar(0), scalar(0), scalar(1)]]),
-    ],
+    [(1, full), (2, [[0, 1, 0], [0, 0, 1]]), (3, [[0, 0, 1]])],
 )
 print("rank-3 aligned filtration:", is_admissible(aligned).status)
 misaligned = FilteredPhiModule(
     base,
     frob,
-    [
-        (1, full),
-        (2, [[scalar(1), scalar(0), scalar(0)], [scalar(0), scalar(1), scalar(0)]]),
-        (3, [[scalar(1), scalar(0), scalar(0)]]),
-    ],
+    [(1, full), (2, [[1, 0, 0], [0, 1, 0]]), (3, [[1, 0, 0]])],
 )
 verdict = is_admissible(misaligned)
 print("rank-3 misaligned filtration:", verdict.status,

@@ -50,7 +50,6 @@ from typing import Optional
 from .characters import CharacterTriple
 from .linalg import (
     BaseFieldK,
-    KElement,
     _is_irreducible,
     char_poly,
     clear_denominators,
@@ -65,7 +64,6 @@ from .linalg import (
     restrict_scalars,
     restricted_kernel,
     rref,
-    solve_right,
     squarefree_certificate,
 )
 from .padic import (
@@ -115,11 +113,12 @@ class FilteredPhiModule:
     full: the filtration equals the i-th subspace up to and including its
     jump, and drops to the next one after it (zero after the last).
 
-    A basis entry is a KElement, a rational, or a list of coordinates on
-    1, pi, pi^2, ... (reduced by E here).  Each basis is kept as its
-    reduced coordinates and as the integer rows of its restriction of
-    scalars to Q (``restrict_scalars``), which every rank and kernel of
-    the module takes; ``filtration`` is the KElement view.
+    A basis entry is a rational or a sequence (list or tuple) of
+    coordinates on 1, pi, pi^2, ..., reduced by E here.  Each basis is
+    kept as its reduced coordinate tuples, which ``filtration`` shows, and
+    as the integer rows of its restriction of scalars to Q
+    (``restrict_scalars``), which every rank and kernel of the module
+    takes.
     """
 
     def __init__(self, base: BaseFieldK, frobenius, filtration):
@@ -133,9 +132,7 @@ class FilteredPhiModule:
         E, e = base.eisenstein, base.e
 
         def coords(x):
-            if isinstance(x, KElement):
-                return x.coords
-            return reduce_mod(x if isinstance(x, list) else [x], E)
+            return reduce_mod(x if isinstance(x, (list, tuple)) else (x,), E)
 
         jumps, vectors = [], []
         for jump, basis in filtration:
@@ -169,14 +166,11 @@ class FilteredPhiModule:
     def dim(self) -> int:
         return len(self.frobenius)
 
-    @cached_property
+    @property
     def filtration(self) -> list:
-        """(jump, basis) per step, the basis vectors over K as KElements."""
-        K = self.base
-        return [
-            (j, [[KElement(K, x) for x in v] for v in vecs])
-            for j, vecs in zip(self._jumps, self._vectors)
-        ]
+        """(jump, basis) per step, each basis entry its reduced coordinate
+        tuple."""
+        return list(zip(self._jumps, self._vectors))
 
     def jumps(self) -> list:
         return list(self._jumps)
@@ -235,8 +229,8 @@ class FilteredPhiModule:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        def k_json(x: KElement):
-            return [format_rational(c) for c in x.coords] or ["0"]
+        def k_json(x: tuple):
+            return [format_rational(c) for c in x] or ["0"]
 
         return {
             "p": self.base.p,
@@ -295,7 +289,7 @@ def _list(value, name: str) -> list:
 
 def dim1_module(p, lam, r: int) -> FilteredPhiModule:
     base = BaseFieldK.qp(int(p))
-    return FilteredPhiModule(base, [[Fraction(lam)]], [(r, [[base.one()]])])
+    return FilteredPhiModule(base, [[Fraction(lam)]], [(r, [[1]])])
 
 
 def dim2_module(p, frobenius, r: int, s: int, line=None) -> FilteredPhiModule:
@@ -390,12 +384,12 @@ def _dim2_admissible(D: FilteredPhiModule, tH, tN) -> AdmissibilityVerdict:
         (r, _), (s, _) = jumps
         line_vec = _line_is_rational(D._vectors[1])
         if line_vec is not None:
-            # is the (rational) filtration line Frobenius-stable?
-            col = [[x] for x in line_vec]
-            img = [y for (y,) in mat_mul(D.frobenius, col)]
-            sol = solve_right(col, img)
-            if sol is not None:
-                alpha = sol[0]
+            # the (rational) filtration line v is Frobenius-stable iff
+            # Phi v = alpha v, alpha read at the first nonzero entry of v
+            img = [y for (y,) in mat_mul(D.frobenius, [[x] for x in line_vec])]
+            k = next(i for i, x in enumerate(line_vec) if x)
+            alpha = img[k] / line_vec[k]
+            if img == [alpha * x for x in line_vec]:
                 return _dim2_stable_line(D, tH, tN, r, s, line_vec, alpha)
     # every Q_p-stable line carries induced jump r (none can equal the
     # middle line), so the only constraint is on eigenvalue valuations
@@ -613,8 +607,18 @@ def dual(D: FilteredPhiModule) -> FilteredPhiModule:
     return FilteredPhiModule(D.base, frob, [(-j, ann) for j, ann in zip(D._jumps[::-1], anns[::-1])])
 
 
-def _vec_kron(v, w):
-    return [a * b for a in v for b in w]
+def _vec_kron(v, w, product=mul):
+    return [product(a, b) for a in v for b in w]
+
+
+def _coord_product(a, b) -> list:
+    """The product of two coordinate tuples as polynomials in pi, not
+    reduced by E."""
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def tensor(D1: FilteredPhiModule, D2: FilteredPhiModule) -> FilteredPhiModule:
@@ -626,7 +630,7 @@ def tensor(D1: FilteredPhiModule, D2: FilteredPhiModule) -> FilteredPhiModule:
     frob = [_vec_kron(a, b) for a in D1.frobenius for b in D2.frobenius]
     pairs = [(j1 + j2, vecs1, vecs2) for j1, vecs1 in D1.filtration for j2, vecs2 in D2.filtration]
     filtration = [
-        (mu, [_vec_kron(v, w) for j, vecs1, vecs2 in pairs if j >= mu for v in vecs1 for w in vecs2])
+        (mu, [_vec_kron(v, w, _coord_product) for j, vecs1, vecs2 in pairs if j >= mu for v in vecs1 for w in vecs2])
         for mu in sorted({j for j, _, _ in pairs})
     ]
     return FilteredPhiModule(D1.base, frob, filtration)
@@ -637,20 +641,18 @@ def direct_sum(D1: FilteredPhiModule, D2: FilteredPhiModule) -> FilteredPhiModul
     every jump of either summand is a jump of the sum."""
     if D1.base != D2.base:
         raise ValueError("mixed base fields")
-    base = D1.base
     d1, d2 = D1.dim, D2.dim
     frob = [[*row, *[0] * d2] for row in D1.frobenius] + [[*[0] * d1, *row] for row in D2.frobenius]
-    zero = base.zero()
 
     def fil_at(D, m):
         # the subspace at level m: that of the least jump >= m (none past the last)
         return next((vecs for j, vecs in D.filtration if j >= m), [])
 
     filtration = [
-        (mu, [[*v, *[zero] * d2] for v in fil_at(D1, mu)] + [[*[zero] * d1, *v] for v in fil_at(D2, mu)])
+        (mu, [[*v, *[()] * d2] for v in fil_at(D1, mu)] + [[*[()] * d1, *v] for v in fil_at(D2, mu)])
         for mu in sorted({*D1.jumps(), *D2.jumps()})
     ]
-    return FilteredPhiModule(base, frob, filtration)
+    return FilteredPhiModule(D1.base, frob, filtration)
 
 
 # ---------------------------------------------------------------------------

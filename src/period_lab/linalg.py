@@ -2,10 +2,12 @@
 
 The base field K of a filtered Frobenius module is presented by a monic
 integer polynomial E of degree e, Eisenstein at p (degree 1 gives K = Q_p
-itself, modeled by Q).  Elements are polynomials in the uniformizer pi of
-degree < e with Fraction coefficients; {1, pi, ..., pi^(e-1)} is a basis
-over Q_p, so an element lies in Q_p exactly when its higher coordinates
-vanish.
+itself, modeled by Q).  An element of K is the tuple of its Fraction
+coordinates on the Q_p-basis 1, pi, ..., pi^(e-1), pi the uniformizer,
+reduced by E with trailing zeros dropped (``reduce_mod``): zero is (),
+and an element lies in Q_p exactly when it has at most one coordinate.
+There is no element type: ``reduce_mod`` and ``restrict_scalars`` are
+the only code that reduces by E.
 
 Matrices are plain lists of lists of ints or Fractions, and a product
 of int matrices stays int.  One elimination serves them all: rational
@@ -73,120 +75,6 @@ class BaseFieldK:
     @property
     def e(self) -> int:
         return len(self.eisenstein) - 1
-
-    def zero(self) -> "KElement":
-        return KElement(self, ())
-
-    def one(self) -> "KElement":
-        return KElement(self, (1,))
-
-    def scalar(self, q) -> "KElement":
-        return KElement(self, (q,))
-
-    def pi(self) -> "KElement":
-        # at degree 1 the reduction gives the rational root itself
-        return KElement(self, (0, 1))
-
-    def element(self, coords) -> "KElement":
-        return KElement(self, coords)
-
-
-class KElement:
-    """A polynomial in the uniformizer, reduced to degree < e."""
-
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field: BaseFieldK, coords):
-        self.field = field
-        self.coords = reduce_mod(coords, field.eisenstein)
-
-    def __bool__(self) -> bool:
-        return bool(self.coords)
-
-    def rational_value(self) -> Fraction:
-        """The value of an element of Q_p (all higher coordinates 0)."""
-        if len(self.coords) > 1:
-            raise ValueError("element is not rational")
-        return self.coords[0] if self.coords else Fraction(0)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.scalar(other)
-        if not isinstance(other, KElement):
-            return NotImplemented
-        return self.field == other.field and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.field, self.coords))
-
-    def _coerce(self, other) -> "KElement":
-        if isinstance(other, KElement):
-            if other.field != self.field:
-                raise ValueError("mixed base fields")
-            return other
-        return self.field.scalar(other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coords), len(other.coords))
-        a = list(self.coords) + [Fraction(0)] * (n - len(self.coords))
-        for i, c in enumerate(other.coords):
-            a[i] += c
-        return KElement(self.field, a)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return KElement(self.field, tuple(-c for c in self.coords))
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        if not isinstance(other, KElement):
-            # a rational scalar scales the coordinates
-            return KElement(self.field, [c * other for c in self.coords])
-        if other.field != self.field:
-            raise ValueError("mixed base fields")
-        if not (self and other):
-            return self.field.zero()
-        out = [Fraction(0)] * (len(self.coords) + len(other.coords) - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    out[i + j] += a * b
-        return KElement(self.field, out)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "KElement":
-        """The y with x y = 1: one e x e system, whose columns are the
-        coordinates of x pi^j, the shifts of x reduced by E (E is
-        irreducible, so the system is invertible)."""
-        if not self:
-            raise ZeroDivisionError("zero has no inverse")
-        if len(self.coords) == 1:
-            return self.field.scalar(1 / self.coords[0])
-        f = self.field
-        cols = [KElement(f, [0] * j + list(self.coords)).coords for j in range(f.e)]
-        M = [[c[i] if i < len(c) else 0 for c in cols] for i in range(f.e)]
-        return KElement(f, solve_right(M, [1] + [0] * (f.e - 1)))
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        # other is a rational scalar, as in 1 / x
-        inv = self.inverse()
-        return inv if other == 1 else inv * other
-
-    def __repr__(self):
-        if not self.coords:
-            return "K(0)"
-        return "K(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
 def reduce_mod(coords, eisenstein) -> tuple:
@@ -349,19 +237,6 @@ def intersect_rowspaces(A, B):
     stacked = [list(a) + list(a) for a in A] + [list(b) + [0] * n for b in B]
     echelon, pivots = rref(stacked)
     return [row[n:] for row, pivot in zip(echelon, pivots) if pivot >= n]
-
-
-def solve_right(A, b):
-    """One solution x of A x = b, or None."""
-    n, m = len(A), len(A[0])
-    aug = [list(A[i]) + [b[i]] for i in range(n)]
-    echelon, pivots = rref(aug)
-    if m in pivots:
-        return None
-    x = [Fraction(0)] * m
-    for row, pivot in zip(echelon, pivots):
-        x[pivot] = row[-1]
-    return x
 
 
 def char_poly(A, D: int = 1) -> list:

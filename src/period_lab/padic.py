@@ -185,8 +185,14 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
+        literal = text.strip()
+        # a plain ASCII integer skips Fraction's string parser; the rest,
+        # "1_000" among them (rejected on Python 3.10), still goes to it
+        digits = literal[1:] if literal[:1] in ("+", "-") else literal
+        if digits.isascii() and digits.isdigit():
+            return Fraction(int(literal))
         try:
-            return Fraction(text.strip())
+            return Fraction(literal)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
     raise ValueError(f"cannot parse rational from {text!r}")

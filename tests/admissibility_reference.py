@@ -3,10 +3,10 @@ depth-first walk of ``period_lab.filtered_phi`` replaced, kept word for
 word in what it computes.  Every subset of primary components is
 rebuilt, its denominators cleared, and each filtration step's
 intersection dimension taken from one rank from scratch, over K with the
-Fraction and KElement elimination of ``linalg_reference``, so that it
-shares nothing with the restriction of scalars the module's scan runs
-on.  The oracle tests compare its verdict and witness with
-``is_admissible``.
+Fraction and KElement elimination of ``linalg_reference`` on KElements
+built from the module's coordinate tuples, so that it shares nothing
+with the restriction of scalars the module's scan runs on.  The oracle
+tests compare its verdict and witness with ``is_admissible``.
 """
 
 from __future__ import annotations
@@ -35,8 +35,11 @@ from period_lab.padic import format_rational, rational_valuation
 @lru_cache(maxsize=16)
 def k_annihilators(D) -> list:
     """Per filtration step, a K-basis of its annihilator, by the reference
-    elimination over K on the KElement view of the step."""
-    return [ref.nullspace(vecs) for _, vecs in D.filtration]
+    elimination over K on the step's basis as reference KElements."""
+    return [
+        ref.nullspace([[ref.KElement(D.base, x) for x in v] for v in vecs])
+        for vecs in D._vectors
+    ]
 
 
 def intersection_dims(D, subspace_rows) -> list:
@@ -46,7 +49,7 @@ def intersection_dims(D, subspace_rows) -> list:
     rank_K(W N)."""
     W, _ = clear_denominators(subspace_rows)
     dim_w = ref.rank(W)
-    zero = D.base.zero()
+    zero = ref.KElement(D.base, ())
     return [
         dim_w - ref.rank([[sum((a * x for a, x in zip(w, n)), zero) for n in ann] for w in W])
         for ann in k_annihilators(D)

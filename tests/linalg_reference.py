@@ -3,6 +3,11 @@ Fractions (and KElements) that the fraction-free one in ``period_lab.linalg``
 replaced, kept word for word in what it computes, with the functions built
 on it.  The oracle tests run both on the same inputs and compare values
 and entry types.
+
+``KElement`` is the reference scalar type of K = Q[pi]/(E): the element
+arithmetic that ``period_lab`` replaced by coordinate tuples and
+restriction of scalars.  It reduces by E itself, so an oracle built on it
+shares no code with ``period_lab.linalg.restrict_scalars``.
 """
 
 from __future__ import annotations
@@ -85,3 +90,97 @@ def nullspace(A) -> list:
             v[pivot] = -row[fc]
         basis.append(v)
     return basis
+
+
+class KElement:
+    """A polynomial in the uniformizer of ``field`` (anything with the
+    integer coefficients ``eisenstein`` of a monic E, lowest degree first),
+    reduced to degree < e with trailing zeros dropped."""
+
+    __slots__ = ("field", "coords")
+
+    def __init__(self, field, coords):
+        self.field = field
+        E = field.eisenstein
+        e = len(E) - 1
+        coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
+        while len(coords) > e:
+            top = coords.pop()
+            if top:
+                for i, c in enumerate(E[:-1]):
+                    coords[len(coords) - e + i] -= top * c
+        while coords and not coords[-1]:
+            coords.pop()
+        self.coords = tuple(coords)
+
+    def __bool__(self) -> bool:
+        return bool(self.coords)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = KElement(self.field, (other,))
+        if not isinstance(other, KElement):
+            return NotImplemented
+        return self.field == other.field and self.coords == other.coords
+
+    def _coerce(self, other) -> "KElement":
+        if isinstance(other, KElement):
+            if other.field != self.field:
+                raise ValueError("mixed base fields")
+            return other
+        return KElement(self.field, (other,))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        n = max(len(self.coords), len(other.coords))
+        a = list(self.coords) + [Fraction(0)] * (n - len(self.coords))
+        for i, c in enumerate(other.coords):
+            a[i] += c
+        return KElement(self.field, a)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return KElement(self.field, [-c for c in self.coords])
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __mul__(self, other):
+        if not isinstance(other, KElement):
+            # a rational scalar scales the coordinates
+            return KElement(self.field, [c * other for c in self.coords])
+        if other.field != self.field:
+            raise ValueError("mixed base fields")
+        if not (self and other):
+            return KElement(self.field, ())
+        out = [Fraction(0)] * (len(self.coords) + len(other.coords) - 1)
+        for i, a in enumerate(self.coords):
+            if a:
+                for j, b in enumerate(other.coords):
+                    out[i + j] += a * b
+        return KElement(self.field, out)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "KElement":
+        """The y with x y = 1: one e x e system, whose columns are the
+        coordinates of x pi^j (E is irreducible, so it is invertible)."""
+        if not self:
+            raise ZeroDivisionError("zero has no inverse")
+        if len(self.coords) == 1:
+            return KElement(self.field, (1 / self.coords[0],))
+        e = len(self.field.eisenstein) - 1
+        cols = [KElement(self.field, [0] * j + list(self.coords)).coords for j in range(e)]
+        M = [[c[i] if i < len(c) else Fraction(0) for c in cols] for i in range(e)]
+        return KElement(self.field, solve_right(M, [Fraction(1)] + [Fraction(0)] * (e - 1)))
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        # other is a rational scalar, as in 1 / x
+        return self.inverse() * other
+
+    def __repr__(self):
+        return "K(" + ", ".join(map(str, self.coords)) + ")"

@@ -182,7 +182,8 @@ def _rank(rows):
 def _oracle_subspace_numbers(module, rows):
     dims = []
     for _, vecs in module.filtration:
-        k_rows = [[c.rational_value() for c in v] for v in vecs]
+        # over Q_p each entry is one coordinate, or () for zero
+        k_rows = [[x[0] if x else F(0) for x in v] for v in vecs]
         both = [list(r) for r in rows] + k_rows
         dims.append(_rank(rows) + _rank(k_rows) - _rank(both))
     dims.append(0)
@@ -271,13 +272,13 @@ def test_criterion_5_admissibility_suite():
 
         Phi = mat_mul(mat_mul(P, [[eigs[i] if i == j else F(0) for j in range(3)] for i in range(3)]), _matrix_inverse(P))
         jumps = sorted(rng.sample(range(-2, 4), 3))
-        full = [[base.scalar(1 if i == j else 0) for j in range(3)] for i in range(3)]
+        full = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
         v1 = [F(rng.randrange(-3, 4)) for _ in range(3)]
         v2 = [F(rng.randrange(-3, 4)) for _ in range(3)]
         if _rank([v1, v2]) < 2:
             continue
-        plane = [[base.scalar(x) for x in v1], [base.scalar(x) for x in v2]]
-        line = [[base.scalar(x) for x in v1]]
+        plane = [v1, v2]
+        line = [v1]
         try:
             D = FilteredPhiModule(
                 base, Phi, [(jumps[0], full), (jumps[1], plane), (jumps[2], line)]

@@ -1,7 +1,9 @@
 import random
+import sys
 import time
 from fractions import Fraction as F
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +26,12 @@ from period_lab.filtered_phi import (
 )
 from period_lab.linalg import BaseFieldK, char_poly, det, mat_mul, rational_roots
 from period_lab.padic import rational_valuation
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+import modules  # noqa: E402
+import oracles  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -55,12 +63,19 @@ def oracle_intersection_dim(A, B):
     return oracle_rank(A) + oracle_rank(B) - oracle_rank(A + B)
 
 
+def _value(x):
+    """The rational an entry over Q_p stands for: its one coordinate, or
+    0 for the empty tuple."""
+    assert len(x) <= 1
+    return x[0] if x else F(0)
+
+
 def oracle_subspace_numbers(module, rows):
     """(t_H, t_N) of a stable rational subspace, recomputed from scratch."""
     # t_H: intersection dimensions against each filtration step
     dims = []
     for _, vecs in module.filtration:
-        k_rows = [[c.rational_value() for c in v] for v in vecs]
+        k_rows = [[_value(x) for x in v] for v in vecs]
         dims.append(oracle_intersection_dim([list(r) for r in rows], k_rows))
     dims.append(0)
     t_h = sum(
@@ -308,13 +323,13 @@ def random_dim3_instance(rng, p):
         Phi = mat_mul(mat_mul(P, D0), _matrix_inverse(P))
         jumps = sorted(rng.sample(range(-2, 4), rng.choice([2, 3])))
         # random strictly decreasing filtration subspaces over Q
-        full = [[base.scalar(1 if i == j else 0) for j in range(3)] for i in range(3)]
+        full = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
         v1 = [F(rng.randrange(-3, 4)) for _ in range(3)]
         v2 = [F(rng.randrange(-3, 4)) for _ in range(3)]
         if oracle_rank([v1, v2]) < 2:
             continue
-        plane = [[base.scalar(x) for x in v1], [base.scalar(x) for x in v2]]
-        line = [[base.scalar(x) for x in v1]]
+        plane = [v1, v2]
+        line = [v1]
         if len(jumps) == 3:
             filtration = [(jumps[0], full), (jumps[1], plane), (jumps[2], line)]
         else:
@@ -358,9 +373,9 @@ def test_dim3_with_irreducible_quadratic_factor():
     # are the plane, the line, and their sum
     base = BaseFieldK.qp(5)
     frob = [[F(0), F(1), F(0)], [F(2), F(0), F(0)], [F(0), F(0), F(5)]]
-    full = [[base.scalar(1 if i == j else 0) for j in range(3)] for i in range(3)]
-    e1 = [[base.scalar(1), base.scalar(0), base.scalar(0)]]
-    e3 = [[base.scalar(0), base.scalar(0), base.scalar(1)]]
+    full = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    e1 = [[1, 0, 0]]
+    e3 = [[0, 0, 1]]
     # t_H = 1 via a single extra jump on the scalar line: admissible
     D = FilteredPhiModule(base, frob, [(0, full), (1, e3)])
     assert is_admissible(D).status == "admissible"
@@ -374,12 +389,9 @@ def test_dim3_with_irreducible_quadratic_factor():
 
 def test_dim3_undecided_on_repeated_eigenvalues():
     base = BaseFieldK.qp(5)
-    full = [[base.scalar(1 if i == j else 0) for j in range(3)] for i in range(3)]
-    e3 = [[base.scalar(0), base.scalar(0), base.scalar(1)]]
-    plane = [
-        [base.scalar(0), base.scalar(1), base.scalar(0)],
-        [base.scalar(0), base.scalar(0), base.scalar(1)],
-    ]
+    full = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    e3 = [[0, 0, 1]]
+    plane = [[0, 1, 0], [0, 0, 1]]
     frob = [[F(5), F(1), F(0)], [F(0), F(5), F(0)], [F(0), F(0), F(5) ** 4]]
     D = FilteredPhiModule(base, frob, [(1, full), (2, plane), (3, e3)])
     assert is_admissible(D).status == "undecided"
@@ -387,12 +399,7 @@ def test_dim3_undecided_on_repeated_eigenvalues():
 
 def _rank_module(p, frob, *steps):
     """Module over Q_p with rational filtration steps (jump, rows)."""
-    base = BaseFieldK.qp(p)
-    return FilteredPhiModule(
-        base,
-        [[F(x) for x in row] for row in frob],
-        [(j, [[base.scalar(x) for x in r] for r in rows]) for j, rows in steps],
-    )
+    return FilteredPhiModule(BaseFieldK.qp(p), [[F(x) for x in row] for row in frob], list(steps))
 
 
 _I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -517,7 +524,10 @@ def change_of_basis(D: FilteredPhiModule, P) -> FilteredPhiModule:
     Pinv = _matrix_inverse(P)
     frob = mat_mul(Pinv, mat_mul(D.frobenius, P))
     # a row v of a step's basis becomes (P^{-1} v)^T = v^T (P^{-1})^T
-    steps = [(j, mat_mul(vecs, list(zip(*Pinv)))) for j, vecs in D.filtration]
+    steps = [
+        (j, mat_mul([[_value(x) for x in v] for v in vecs], list(zip(*Pinv))))
+        for j, vecs in D.filtration
+    ]
     return FilteredPhiModule(D.base, frob, steps)
 
 
@@ -555,17 +565,16 @@ def test_module_json_roundtrip():
 
 def test_filtration_validation():
     base = BaseFieldK.qp(5)
-    one, zero = base.one(), base.zero()
-    full = [[one, zero], [zero, one]]
+    full = [[1, 0], [0, 1]]
     with pytest.raises(ValueError):
         FilteredPhiModule(base, [[F(1), F(0)], [F(0), F(0)]], [(0, full)])  # singular
     with pytest.raises(ValueError):
-        FilteredPhiModule(base, [[F(1), F(0)], [F(0), F(1)]], [(0, [[one, zero]])])  # not full
+        FilteredPhiModule(base, [[F(1), F(0)], [F(0), F(1)]], [(0, [[1, 0]])])  # not full
     with pytest.raises(ValueError):
         FilteredPhiModule(
             base,
             [[F(1), F(0)], [F(0), F(1)]],
-            [(0, full), (0, [[one, zero]])],  # jump repeats
+            [(0, full), (0, [[1, 0]])],  # jump repeats
         )
     with pytest.raises(ValueError):
         FilteredPhiModule(
@@ -578,10 +587,9 @@ def test_filtration_validation():
 def test_ramified_base_field_dim2():
     # K = Q_5(sqrt 5): a filtration line that is not Q_p-rational
     K = BaseFieldK(5, (-5, 0, 1))
-    pi = K.pi()
-    full = [[K.one(), K.zero()], [K.zero(), K.one()]]
+    full = [[1, 0], [0, 1]]
     Phi = [[F(0), F(2)], [F(5), F(25)]]
-    D = FilteredPhiModule(K, Phi, [(0, full), (1, [[K.one(), pi]])])
+    D = FilteredPhiModule(K, Phi, [(0, full), (1, [[1, [0, 1]]])])
     # char poly X^2 - 25X - 10: Newton slopes 1/2 each, non-integral, so
     # no Q_p-stable lines and the numeric equality decides
     assert is_admissible(D).status == "admissible"
@@ -589,9 +597,61 @@ def test_ramified_base_field_dim2():
     D2 = FilteredPhiModule(
         K,
         [[F(1), F(0)], [F(0), F(10)]],
-        [(0, full), (1, [[K.one(), K.zero()]])],
+        [(0, full), (1, [[1, 0]])],
     )
     assert is_admissible(D2).status == "not-admissible"
+
+
+# ---------------------------------------------------------------------------
+# the rank-2 stable-line test against the brute force of perfbench/oracles
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def rank2_line_modules(draw):
+    """The JSON of a rank-2 module with Frobenius P diag(l1, l2) P^-1 over
+    K of degree 1 or 2, jumps r < s with r + s = v(l1 l2), so t_H = t_N,
+    and a middle line that is an eigenvector of Frobenius (times a scalar
+    of K), a random rational vector, or a random vector over K."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    e = draw(st.sampled_from([1, 2]))
+    # k p + j with 0 < j < p: a unit at p
+    units = st.builds(lambda k, j: k * p + j, st.integers(-3, 3), st.integers(1, p - 1))
+    unit = draw(units)
+    E = [-p * unit, 1] if e == 1 else [-p * unit, 0, 1]
+    a, b = draw(st.integers(-1, 2)), draw(st.integers(-1, 2))
+    l1, l2 = draw(units) * F(p) ** a, draw(units) * F(p) ** b
+    assume(l1 != l2)
+    P = draw(st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2), min_size=2, max_size=2))
+    assume(P[0][0] * P[1][1] != P[0][1] * P[1][0])
+    frob = mat_mul(mat_mul(P, [[l1, 0], [0, l2]]), _matrix_inverse(P))
+    coords = st.lists(st.integers(-3, 3), min_size=e, max_size=e)
+    kind = draw(st.sampled_from(["eigenvector", "rational", "over K"]))
+    if kind == "eigenvector":
+        c = draw(coords)
+        c[0] += not any(c)
+        line = [[x * y for y in c] for x in modules.column(P, draw(st.integers(0, 1)))]
+    elif kind == "rational":
+        line = [[x] for x in draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))]
+    else:
+        line = [draw(coords), draw(coords)]
+    assume(any(any(x) for x in line))
+    r = draw(st.integers((a + b) // 2 - 2, (a + b - 1) // 2))
+    steps = [(r, [[[1], [0]], [[0], [1]]]), (a + b - r, [line])]
+    return modules.module(p, E, frob, steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank2_line_modules())
+def test_rank2_stable_line_matches_brute_force(obj):
+    verdict = is_admissible(FilteredPhiModule.from_json(obj))
+    truth = oracles.phimod_truth(obj)
+    assert verdict.hodge_number == truth["t_H"] and verdict.newton_number == truth["t_N"]
+    if truth["status"] != "unknown":
+        assert verdict.status == truth["status"], truth["why"]
+    witness = verdict.witness or {}
+    if witness.get("type") == "subobject":
+        assert oracles._witness_ok(obj, witness["basis"])
 
 
 # ---------------------------------------------------------------------------
@@ -655,9 +715,9 @@ def scanned_modules(draw, primes=(2, 3, 5), degrees=(1, 2, 3), ranks=range(3, 9)
     frob = mat_mul(mat_mul(P, B), _matrix_inverse(P))
     base = BaseFieldK(p, [-p] + [0] * (e - 1) + [1])
     coords = st.lists(st.integers(-3, 3), min_size=e, max_size=e)
-    basis = [[base.element(draw(coords)) for _ in range(d)] for _ in range(d)]
+    basis = [[draw(coords) for _ in range(d)] for _ in range(d)]
     if planted:
-        basis[-1] = [base.scalar(row[line]) for row in P]
+        basis[-1] = [row[line] for row in P]
     steps = [
         (j, [v for v, h in zip(basis, weights) if h >= j]) for j in sorted(set(weights))
     ]
@@ -703,6 +763,7 @@ def test_double_dual_and_dual_admissibility_over_ramified_k(D):
     assert DD.graded_dims() == D.graded_dims()
     # each step spans the K-space it spanned, by the reference elimination
     for (_, old), (_, new) in zip(D.filtration, DD.filtration):
+        old, new = ([[ref.KElement(D.base, x) for x in v] for v in vecs] for vecs in (old, new))
         assert ref.rank(old) == ref.rank(new) == ref.rank(old + new)
     _agree_where_decided(D, dual(D))
 
@@ -738,7 +799,7 @@ def test_rank_13_direct_sum_decides_within_budget():
     base = BaseFieldK.qp(3)
     frob = [[3 ** vals[i] * units[i] if i == j else 0 for j in range(d)] for i in range(d)]
     steps = [
-        (j, [[base.scalar(int(i == k)) for i in range(d)] for k in range(d) if vals[k] >= j])
+        (j, [[int(i == k) for i in range(d)] for k in range(d) if vals[k] >= j])
         for j in sorted(set(vals))
     ]
     D = FilteredPhiModule(base, frob, steps)
@@ -778,7 +839,7 @@ def qp_module_json(draw):
 def test_qp_from_json_matches_the_kelement_path(obj):
     base = BaseFieldK(obj["p"], obj["eisenstein"])
     steps = [
-        (s["jump"], [[base.element([F(c) for c in x]) for x in v] for v in s["basis"]])
+        (s["jump"], [[ref.KElement(base, [F(c) for c in x]).coords for x in v] for v in s["basis"]])
         for s in obj["filtration"]
     ]
     try:
@@ -794,6 +855,6 @@ def test_qp_from_json_matches_the_kelement_path(obj):
     pi = -obj["eisenstein"][0]
     for (_, vecs), step in zip(D.filtration, obj["filtration"]):
         for vec, raw in zip(vecs, step["basis"]):
-            assert [x.rational_value() for x in vec] == [
+            assert [_value(x) for x in vec] == [
                 sum(F(c) * pi**i for i, c in enumerate(coords)) for coords in raw
             ]

@@ -4,11 +4,14 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from functools import lru_cache
 from math import gcd, lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -41,7 +44,6 @@ from period_lab.linalg import (
     restrict_scalars,
     restricted_kernel,
     rref,
-    solve_right,
     squarefree_certificate,
 )
 
@@ -281,11 +283,8 @@ def random_module(rng, e):
     d = rng.randrange(2, 5)
     while True:
         frob = [[F(rng.randrange(-4, 5)) for _ in range(d)] for _ in range(d)]
-        basis = [
-            [base.element([rng.randrange(-3, 4) for _ in range(e)]) for _ in range(d)]
-            for _ in range(d)
-        ]
-        if rank(frob) == d and ref.rank(basis) == d:
+        basis = [[[rng.randrange(-3, 4) for _ in range(e)] for _ in range(d)] for _ in range(d)]
+        if rank(frob) == d and ref.rank([[ref.KElement(base, x) for x in v] for v in basis]) == d:
             break
     cuts = sorted(rng.sample(range(1, d), rng.randrange(0, d - 1)))
     jumps = sorted(rng.sample(range(-3, 4), len(cuts) + 1))
@@ -297,7 +296,7 @@ def zassenhaus_hodge_number(D, rows):
     E, e = D.base.eisenstein, D.base.e
     W = restrict_scalars([[(x,) for x in r] for r in rows], E)
     dims = [
-        rank(intersect_rowspaces(W, restrict_scalars([[x.coords for x in v] for v in vecs], E))) // e
+        rank(intersect_rowspaces(W, restrict_scalars(vecs, E))) // e
         for _, vecs in D.filtration
     ] + [0]
     return sum(j * (dims[i] - dims[i + 1]) for i, (j, _) in enumerate(D.filtration))
@@ -466,7 +465,7 @@ def eisenstein_fields(draw, degrees=(2, 3, 4)):
 
 def k_elements(field, nonzero=False):
     coord = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
-    elements = st.lists(coord, min_size=field.e, max_size=field.e).map(field.element)
+    elements = st.lists(coord, min_size=field.e, max_size=field.e).map(lambda c: ref.KElement(field, c))
     return elements.filter(bool) if nonzero else elements
 
 
@@ -483,7 +482,7 @@ def test_k_inverse_and_division_match_sympy(data):
     assert list(inv.coords) == expected
     assert F(1) / x == inv
     assert (x / y) * y == x
-    assert x * inv == K.one()
+    assert x * inv == 1
 
 
 def _restriction_of_scalars(K, rows):
@@ -492,7 +491,7 @@ def _restriction_of_scalars(K, rows):
     out = []
     for v in rows:
         for j in range(K.e):
-            pi_j = K.element([0] * j + [1])
+            pi_j = ref.KElement(K, [0] * j + [1])
             row = []
             for x in v:
                 c = list((x * pi_j).coords)
@@ -590,23 +589,6 @@ def test_integer_kernel_normalizes_to_the_reference_and_sympy(A):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_solve_right_matches_reference(data):
-    A = data.draw(q_matrices())
-    m = len(A[0])
-    if data.draw(st.booleans()):
-        x0 = data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m))
-        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
-    else:
-        b = data.draw(st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 4)),
-                               min_size=len(A), max_size=len(A)))
-    x = solve_right(A, b)
-    same(x, ref.solve_right(A, b))
-    if x is not None:
-        assert [y for (y,) in mat_mul(A, [[c] for c in x])] == b
-
-
-@settings(max_examples=100, deadline=None)
 @given(q_matrices(square=True), st.lists(st.builds(F, st.integers(-20, 20), st.integers(1, 6)), max_size=8))
 def test_poly_eval_matrix_matches_reference(A, coeffs):
     same(poly_eval_matrix(coeffs, A), ref.poly_eval_matrix(coeffs, A))
@@ -623,7 +605,7 @@ def test_restriction_of_scalars_ranks_and_annihilates(data):
     K = data.draw(eisenstein_fields())
     n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
     rows = data.draw(st.lists(st.lists(k_elements(K), min_size=m, max_size=m), min_size=n, max_size=n))
-    A = data.draw(degenerate(rows, m, K.zero()))
+    A = data.draw(degenerate(rows, m, ref.KElement(K, ())))
     k_rank = ref.rank(A)
     restricted = restrict_scalars([[x.coords for x in row] for row in A], K.eisenstein)
     assert all(type(x) is int for row in restricted for x in row)
@@ -632,11 +614,68 @@ def test_restriction_of_scalars_ranks_and_annihilates(data):
     assert to_sympy(_restriction_of_scalars(K, A)).rank() == K.e * k_rank
     basis = restricted_kernel(restricted, K.e)
     assert len(basis) == m - k_rank
-    vectors = [[K.element(v[i * K.e:(i + 1) * K.e]) for i in range(m)] for v, _ in basis]
+    vectors = [[ref.KElement(K, v[i * K.e:(i + 1) * K.e]) for i in range(m)] for v, _ in basis]
     for row in A:
         for v in vectors:
-            assert not sum((a * b for a, b in zip(row, v)), K.zero())
+            assert not sum((a * b for a, b in zip(row, v)), ref.KElement(K, ()))
     # divided by its entry at its column, the basis of rref over K
-    normalized = [[K.element([F(x, v[c]) for x in v[i * K.e:(i + 1) * K.e]]) for i in range(m)]
+    normalized = [[ref.KElement(K, [F(x, v[c]) for x in v[i * K.e:(i + 1) * K.e]]) for i in range(m)]
                   for v, c in basis]
     assert normalized == ref.nullspace(A)
+
+
+# ---------------------------------------------------------------------------
+# restriction of scalars past Eisenstein moduli: K = Q[x]/(g) for any monic
+# irreducible g, against sympy's rank over the number field itself
+# ---------------------------------------------------------------------------
+
+# x^2 + 1 and x^3 - x - 1 (no Eisenstein prime), x^2 - 2 and x^3 - 3
+MODULI = [(1, 0, 1), (-1, -1, 0, 1), (-2, 0, 1), (-3, 0, 0, 1)]
+
+
+@lru_cache(maxsize=None)
+def sympy_number_field(g):
+    """sympy's Q(theta) for the first root theta of g, its elements
+    written on 1, theta, ..., theta^(e-1) like the coordinate tuples."""
+    K = sympy.QQ.algebraic_field(sympy.CRootOf(sympy.Poly(g[::-1], sympy.Symbol("x")), 0))
+    assert K.mod.to_list() == [sympy.QQ(c) for c in g[::-1]]
+    return K
+
+
+def to_sympy_field(K, coords):
+    return K([sympy.QQ(c.numerator, c.denominator) for c in reversed(coords)])
+
+
+@st.composite
+def k_matrices(draw, g):
+    """Coordinate tuples of an n x m matrix over Q[x]/(g), some rows
+    replaced by K-combinations of others so that the K-rank drops."""
+    field = SimpleNamespace(eisenstein=g)
+    e = len(g) - 1
+    elements = st.lists(st.integers(-4, 4), min_size=e, max_size=e).map(lambda c: ref.KElement(field, c))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(elements, min_size=m, max_size=m), min_size=n, max_size=n))
+    for target in draw(st.sets(st.integers(0, n - 1), max_size=n // 2 + 1)):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        ka, kb = draw(elements), draw(elements)
+        rows[target] = [ka * x + kb * y for x, y in zip(rows[a], rows[b])]
+    return [[x.coords for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("g", MODULI)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_restriction_of_scalars_past_eisenstein_moduli(g, data):
+    A = data.draw(k_matrices(g))
+    e, m = len(g) - 1, len(A[0])
+    K = sympy_number_field(g)
+    A_K = [[to_sympy_field(K, x) for x in row] for row in A]
+    k_rank = DomainMatrix(A_K, (len(A), m), K).rank()
+    restricted = restrict_scalars(A, g)
+    assert rank(restricted) == e * k_rank
+    basis = restricted_kernel(restricted, e)
+    assert len(basis) == m - k_rank
+    for v, _ in basis:
+        n = [to_sympy_field(K, v[i * e:(i + 1) * e]) for i in range(m)]
+        for row in A_K:
+            assert sum((a * b for a, b in zip(row, n)), K.zero) == K.zero

@@ -1,13 +1,14 @@
 import ast
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from period_lab.padic import (
@@ -152,6 +153,42 @@ def test_parse_int_takes_integers_and_integer_strings_only():
 def test_parse_rational_rejects_with_value_error(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def _fraction_parse(text):
+    """The string path of parse_rational without its integer shortcut:
+    Fraction's parser on the stripped text, a zero denominator reworded."""
+    try:
+        return F(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+# pieces of rational literals and of near misses: signs, spaces (ASCII and
+# not), underscores, non-ASCII digits, fractions, decimals, exponents, junk
+_LITERAL_PIECES = st.sampled_from(
+    ["", "+", "-", "--", " ", "\t", "\u00a0", "\u2003", "_", "1_000", "0", "7", "12", "007",
+     "\u0661\u0662", "\uff13", "\u00b2", "/", "/3", "/0", "1/0", ".", ".5", "2.", "e", "E-2",
+     "e+3", "x", "abc", "nan", "inf", "0x1f", "\n"]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_LITERAL_PIECES, st.integers(-10**30, 10**30).map(str)), max_size=4).map("".join))
+@example("-" + "9" * 4301)
+@example(" +" + "1" * 4301 + " ")
+def test_parse_rational_matches_the_fraction_parser(text):
+    # both parsers expand an exponent to 10^exponent digits
+    assume(not re.search(r"[eE][-+]?[\d_]{4}", text))
+    try:
+        want = _fraction_parse(text)
+    except ValueError as error:
+        with pytest.raises(ValueError) as got:
+            parse_rational(text)
+        assert str(got.value) == str(error)
+    else:
+        got = parse_rational(text)
+        assert got == want and type(got) is F
 
 
 def test_factorial_valuation_examples():
