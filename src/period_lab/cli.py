@@ -20,11 +20,19 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
-from fractions import Fraction
 
 from . import characters, filtered_phi, jets, polygons, ramification, tilt
-from .padic import INF, SchemaError, _is_probable_prime, format_rational, parse_int, parse_rational
+from .padic import (
+    INF,
+    MAX_DIGITS,
+    SchemaError,
+    _is_probable_prime,
+    format_rational,
+    parse_int,
+    parse_rational,
+)
 
 SCHEMA = "period-lab/1"
 
@@ -103,17 +111,30 @@ def run_herbrand(payload: dict, args):
     return report, EXIT_OK
 
 
-# the ladder's ordinate at abscissa n is p^(1-n)/(p-1); past |n| = 15,000
-# even 2^|n| has more than the 4,300 digits CPython prints by default, so
-# no wider window can be reported, and bounding it bounds the work
-MAX_WINDOW = 15_000
+# CPython converts no int of more than 4,300 digits to a string (its
+# default limit).  The ladder window [lo, hi] prints no integer above
+# p^E den(lo) den(hi), E = max(ceil(hi), 1 - floor(lo)): p^ceil(hi) is the
+# right ray's denominator and p^(1 - floor(lo)) bounds the numerators on
+# the left.  A window past that is refused before any work, whatever limit
+# the interpreter is set to; the cap also bounds |lo| and |hi| below 14,286
+_DIGIT_LIMIT = 10**MAX_DIGITS
 
 
-def _window_end(value) -> Fraction:
-    x = parse_rational(value)
-    if abs(x) > MAX_WINDOW:
-        raise SchemaError(f"field 'window' must lie in [-{MAX_WINDOW}, {MAX_WINDOW}], got {value!r}")
-    return x
+def _ladder_window(p: int, lo, hi) -> tuple:
+    """The window ends as rationals; a SchemaError when the window would
+    print an integer of more than MAX_DIGITS digits."""
+    lo, hi = parse_rational(lo), parse_rational(hi)
+    E = max(math.ceil(hi), 1 - math.floor(lo))
+    # p^E >= 2^((bits - 1) E) is past the limit without forming p^E
+    if (
+        E * (p.bit_length() - 1) >= _DIGIT_LIMIT.bit_length()
+        or p**E * lo.denominator * hi.denominator >= _DIGIT_LIMIT
+    ):
+        raise SchemaError(
+            f"polygon window [{format_rational(lo)}, {format_rational(hi)}] at p = {p} "
+            f"would print integers past the {MAX_DIGITS:,}-digit cap"
+        )
+    return lo, hi
 
 
 def run_polygon(payload: dict, args):
@@ -124,12 +145,13 @@ def run_polygon(payload: dict, args):
             pts.append((parse_rational(x), INF if v in (None, "inf") else parse_rational(v)))
         poly = polygons.hull(polygons.SeriesProfile(pts))
     elif kind == "epsilon_minus_one":
-        poly = polygons.epsilon_minus_one_polygon(
-            _require_prime(payload), _window_end(_require(payload, "window"))
-        )
+        p = _require_prime(payload)
+        _, hi = _ladder_window(p, 0, _require(payload, "window"))
+        poly = polygons.epsilon_minus_one_polygon(p, hi)
     elif kind == "t":
         lo, hi = _require(payload, "window")
-        poly = polygons.t_polygon(_require_prime(payload), _window_end(lo), _window_end(hi))
+        p = _require_prime(payload)
+        poly = polygons.t_polygon(p, *_ladder_window(p, lo, hi))
     else:
         raise SchemaError(f"unknown polygon kind {kind!r}")
     report = {"polygon": poly.to_json()}

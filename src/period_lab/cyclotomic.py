@@ -21,12 +21,15 @@ attained uniquely and
 
 holds exactly, with no cancellation analysis needed.
 
-Coefficients are Fractions, but ``vp`` works in plain ints: it scales
-every coefficient to the lcm L of their denominators, sums the integers
-L b_i, and compares candidates as phi(p^N) v_p(L b_i) + i, so that one
-Fraction is formed at the end.  Callers that add many terms (theta and
-v_flat in ``tilt``) gather each exponent's coefficient first and build
-one element, reducing once.
+Coefficients are ints, or Fractions where a caller's scale has a
+negative p-power or a denominator; ``_reduce`` keeps whichever it is
+given (an int and the equal Fraction compare and hash alike).  ``vp``
+works in plain ints: it scales every coefficient to the lcm L of their
+denominators, forms the integers L b_i for i = 0, 1, ... and compares
+candidates as phi(p^N) v_p(L b_i) + i, stopping at the first i that no
+later candidate can beat, so that one Fraction is formed at the end.
+Callers that add many terms (theta and v_flat in ``tilt``) gather each
+exponent's coefficient first and build one element, reducing once.
 """
 
 from __future__ import annotations
@@ -141,17 +144,22 @@ class CycElt:
             return INF
         p, e = self.ctx.p, self.ctx.degree
         den = lcm(*(c.denominator for c in self.coeffs.values()))
-        # den * b_i = sum_m den * c_m * C(m, i), computed per support
-        # exponent with a running binomial coefficient
-        b = [0] * (max(self.coeffs) + 1)
-        for m, c in self.coeffs.items():
-            a = c.numerator * (den // c.denominator)
-            binom = 1
-            for i in range(m + 1):
-                b[i] += a * binom
-                binom = binom * (m - i) // (i + 1)
-        # v_p(b_i) + i/e compared as e * v_p(den * b_i) + i (all i < e)
-        best = min(e * multiplicity(bi, p) + i for i, bi in enumerate(b) if bi)
+        # column i holds den * c_m * C(m, i) for each support exponent
+        # m >= i, and den * b_i is its sum; every candidate e * v_p(den *
+        # b_j) + j of a later column is >= j, so the scan stops once the
+        # best candidate is <= i
+        column = [(m, c.numerator * (den // c.denominator)) for m, c in self.coeffs.items()]
+        best = None
+        i = 0
+        while column and (best is None or best > i):
+            bi = sum(a for _, a in column)
+            if bi:
+                cand = e * multiplicity(bi, p) + i
+                if best is None or cand < best:
+                    best = cand
+            # C(m, i + 1) = C(m, i) (m - i) / (i + 1), exactly
+            column = [(m, a * (m - i) // (i + 1)) for m, a in column if m > i]
+            i += 1
         return Fraction(best, e) - multiplicity(den, p)
 
     def __repr__(self):
@@ -170,14 +178,16 @@ def _reduce(ctx: CyclotomicContext, coeffs: dict) -> dict:
     order, degree = ctx.order, ctx.degree
     block = ctx.p ** (ctx.N - 1) if ctx.N > 0 else 1
     out: dict = {}
-    pending = [(k % order, Fraction(v)) for k, v in coeffs.items() if v]
-    for k, v in pending:
+    for k, v in coeffs.items():
+        if not v:
+            continue
+        k %= order
         if k < degree:
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         else:
             # x^{(p-1) p^{N-1}} = -(1 + x^{p^{N-1}} + ... + x^{(p-2) p^{N-1}})
             base = k - (ctx.p - 1) * block
             for j in range(ctx.p - 1):
                 kk = base + j * block  # < degree since k < p^N
-                out[kk] = out.get(kk, Fraction(0)) - v
+                out[kk] = out.get(kk, 0) - v
     return {k: v for k, v in out.items() if v}

@@ -30,6 +30,7 @@ irreducibility tests.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -181,6 +182,27 @@ class SchemaError(Exception):
     """An input object that does not match its documented schema."""
 
 
+# CPython converts no int of more than 4,300 digits between int and str
+# (its default limit); this cap is fixed here, whatever limit the
+# interpreter is set to
+MAX_DIGITS = 4_300
+
+# the exponent of a decimal literal, as Fraction's parser reads it
+_EXPONENT = re.compile(r"[eE]([-+]?)(\d+(?:_\d+)*)\Z")
+
+
+def _check_exponent(literal: str, text) -> None:
+    """Refuse a literal like "1e300000" before Fraction expands it: the
+    expansion has about (mantissa digits + |exponent|) digits."""
+    match = _EXPONENT.search(literal)
+    if match is None:
+        return
+    exponent = match.group(2).replace("_", "").lstrip("0")
+    mantissa = sum(ch.isdigit() for ch in literal[: match.start()])
+    if len(exponent) > len(str(MAX_DIGITS)) or int(exponent or 0) + mantissa > MAX_DIGITS:
+        raise ValueError(f"the exponent of {text!r} expands past the {MAX_DIGITS:,}-digit cap")
+
+
 def parse_rational(text) -> Fraction:
     if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return Fraction(text)
@@ -191,6 +213,7 @@ def parse_rational(text) -> Fraction:
         digits = literal[1:] if literal[:1] in ("+", "-") else literal
         if digits.isascii() and digits.isdigit():
             return Fraction(int(literal))
+        _check_exponent(literal, text)
         try:
             return Fraction(literal)
         except ZeroDivisionError:

@@ -57,29 +57,31 @@ class Polygon:
         verts = tuple((Fraction(x), Fraction(y)) for x, y in vertices)
         if not verts:
             raise ValueError("a polygon needs at least one vertex")
-        if any(verts[i][0] >= verts[i + 1][0] for i in range(len(verts) - 1)):
+        # each segment's slope in integers, (y2 - y1) b d f h over
+        # (x2 - x1) b d f h: the denominator has the sign of x2 - x1, and
+        # once it is positive slopes compare by cross-multiplication
+        ends = [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in verts]
+        slopes = [
+            ((g * d - c * h) * b * f, (e * b - a * f) * d * h)
+            for (a, b, c, d), (e, f, g, h) in zip(ends, ends[1:])
+        ]
+        if any(den <= 0 for _, den in slopes):
             raise ValueError("vertices must have strictly increasing abscissas")
-        segments = tuple(
-            ((y2 - y1) / (x2 - x1), x2 - x1)
-            for (x1, y1), (x2, y2) in zip(verts, verts[1:])
-        )
-        slopes = [s for s, _ in segments]
-        if any(s1 >= s2 for s1, s2 in zip(slopes, slopes[1:])):
+        if any(not _below(s1, s2) for s1, s2 in zip(slopes, slopes[1:])):
             raise ValueError("vertex chain must be strictly convex")
         if left_ray is not VERTICAL:
             left_ray = Fraction(left_ray)
-            if slopes and left_ray >= slopes[0]:
+            if slopes and not _below((left_ray.numerator, left_ray.denominator), slopes[0]):
                 raise ValueError("left ray must be steeper than the first segment")
         if right_ray is not HORIZONTAL:
             right_ray = Fraction(right_ray)
-            if slopes and right_ray <= slopes[-1]:
+            if slopes and not _below(slopes[-1], (right_ray.numerator, right_ray.denominator)):
                 raise ValueError("right ray must be flatter than the last segment")
-        if right_ray is HORIZONTAL and slopes and slopes[-1] >= 0:
+        if right_ray is HORIZONTAL and slopes and slopes[-1][0] >= 0:
             raise ValueError("segments must stay below the horizontal right ray")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "left_ray", left_ray)
         object.__setattr__(self, "right_ray", right_ray)
-        object.__setattr__(self, "_segments", segments)
 
     @property
     def is_canonical(self) -> bool:
@@ -88,7 +90,10 @@ class Polygon:
 
     def slopes(self) -> list:
         """[(slope, horizontal length)] of the finite segments, increasing."""
-        return list(self._segments)
+        return [
+            ((y2 - y1) / (x2 - x1), x2 - x1)
+            for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:])
+        ]
 
     def leftmost(self):
         return self.vertices[0]
@@ -116,6 +121,11 @@ class Polygon:
             ray(obj["left_ray"], VERTICAL),
             ray(obj["right_ray"], HORIZONTAL),
         )
+
+
+def _below(s: tuple, t: tuple) -> bool:
+    """s < t for slopes given as (numerator, denominator > 0)."""
+    return s[0] * t[1] < t[0] * s[1]
 
 
 @dataclass(frozen=True)
@@ -238,8 +248,11 @@ def _ladder(p: int, lo: Fraction, hi: Fraction, left_ray) -> Polygon:
         raise ValueError("window contains no vertex")
 
     def height(x):
-        n = math.floor(x)
-        return Fraction(p) ** (1 - n) / (p - 1) - Fraction(p) ** -n * (x - n)
+        # p^(1-n)/(p-1) - p^(-n) (x - n) = (p - (p-1)(x - n)) / ((p-1) p^n)
+        # for n = floor(x), with x = r/d an int or a Fraction
+        n, r, d = math.floor(x), x.numerator, x.denominator
+        num, den = p * d - (p - 1) * (r - n * d), (p - 1) * d
+        return Fraction(num * p**-n, den) if n < 0 else Fraction(num, den * p**n)
 
     xs = list(range(first, last + 1))
     if lo < first:

@@ -162,8 +162,10 @@ class FqElement:
         return FqElement(self.p, self.f, _poly_powmod(self.poly, n, mod, self.p))
 
     def frobenius(self, n: int = 1) -> "FqElement":
-        """u -> u^(p^n); negative n inverts (Frobenius is bijective here)."""
-        if self.is_zero():
+        """u -> u^(p^n); negative n inverts (Frobenius is bijective here).
+        Frobenius has order f, so n = 0 mod f (every n when f = 1) returns
+        the element itself."""
+        if self.is_zero() or n % self.f == 0:
             return self
         group = self.p**self.f - 1
         exp = pow(self.p, n % self.f, group) if group > 1 else 1
@@ -440,6 +442,7 @@ class TiltExpr:
     @classmethod
     def from_json(cls, p, items) -> "TiltExpr":
         p_int = int(p)
+        one = FqElement.one(p_int)
         terms = []
         for it in items:
             if not isinstance(it, dict):
@@ -449,7 +452,7 @@ class TiltExpr:
                 poly = [parse_int(x, "poly") for x in u["poly"]]
                 uel = FqElement(p_int, parse_int(u["f"], "f"), poly)
             else:
-                uel = FqElement.one(p_int)
+                uel = one
             terms.append(
                 (
                     parse_int(it["coeff"], "coeff"),
@@ -553,7 +556,9 @@ def theta(x: TiltExpr, N: int) -> GradedThetaValue:
         sign, key = _teich_contribution(m.u)
         if key is not None:
             exact = False
-        terms.append(((frac, key), E, coeff * sign * Fraction(x.p) ** (int(m.c) + i)))
+        e = int(m.c) + i
+        scale = coeff * sign * x.p**e if e >= 0 else Fraction(coeff * sign, x.p**-e)
+        terms.append(((frac, key), E, scale))
     ctx = CyclotomicContext(x.p, N)
     return GradedThetaValue(ctx, _gather(ctx, terms), exact)
 
@@ -601,25 +606,55 @@ class VflatResult:
     value: Optional[Valuation]
 
 
-def _component_value(x: TiltExpr, n: int):
-    """(value, conclusive) for p^n * v_p of the depth-n component of a
-    p-power-index-0 expression.
+def _vflat_terms(x: TiltExpr):
+    """(k_max, rows): what v_flat reads of each term, once per expression.
 
-    The depth-n component of eps^a (pflat)^c [u] is the n-fold Frobenius
-    shift: a p^{n+k}-th root of unity (k the p-part of a's denominator)
-    times p^(c/p^n) times [u^(1/p^n)].  A lift valuation >= 1 means the
-    component vanishes mod p (the residue ring truncates there).
+    k_max is the largest p-exponent of an eps-exponent's denominator.  A
+    row is (scale, a, c_num, c_den, teich): coeff times the Teichmueller
+    sign; the eps-exponent times p^k_max, p-integral, as an int when it is
+    one; the pflat exponent c = c_num/c_den; and the piece key of the
+    Teichmueller part, or the FqElement itself when that key moves with
+    the depth (f > 1 and u != 1: the depth-n part is u^(p^-n)).
     """
     p = x.p
     k_max = max((multiplicity(m.a.denominator, p) for _, m, _ in x.terms), default=0)
-    M = n + k_max
-    terms = []
+    rows = []
     for coeff, m, _ in x.terms:
-        E = _root_exponent(m.a / Fraction(p) ** n, p, M)
-        scale_exp = m.c / Fraction(p) ** n  # v_p of the pflat component
-        frac = scale_exp - int(scale_exp)
-        sign, key = _teich_contribution(m.u.frobenius(-n))
-        terms.append(((frac, key), E, coeff * sign * p ** int(scale_exp)))
+        a = m.a * p**k_max
+        sign, key = _teich_contribution(m.u)
+        teich = m.u if key is not None and m.u.f > 1 else key
+        rows.append((
+            coeff * sign,
+            a.numerator if a.denominator == 1 else a,
+            m.c.numerator,
+            m.c.denominator,
+            teich,
+        ))
+    return k_max, rows
+
+
+def _component_value(p: int, k_max: int, rows, n: int):
+    """(value, conclusive) for p^n * v_p of the depth-n component of a
+    p-power-index-0 expression, from the rows of ``_vflat_terms``.
+
+    The depth-n component of eps^a (pflat)^c [u] is the n-fold Frobenius
+    shift: z^E with z of order p^M, M = n + k_max, and E = p^k_max a mod
+    p^M; times p^(c/p^n), whose integer part divmod(c_num, c_den p^n)
+    folds into the coefficient and whose fractional part keys the Kummer
+    piece; times [u^(1/p^n)], which moves only when f > 1 and n != 0 mod
+    f.  A lift valuation >= 1 means the component vanishes mod p (the
+    residue ring truncates there).
+    """
+    M = n + k_max
+    modulus, pn = p**M, p**n
+    terms = []
+    for scale, a, c_num, c_den, teich in rows:
+        E = a % modulus if a.denominator == 1 else residue(a, p, M)
+        q, r = divmod(c_num, c_den * pn)
+        frac = Fraction(r, c_den * pn) if r else 0
+        if isinstance(teich, FqElement):
+            teich = _teich_contribution(teich.frobenius(-n))[1]
+        terms.append(((frac, teich), E, scale * p**q))
     pieces = _gather(CyclotomicContext(p, M), terms)
     candidates = []
     for (frac, key), elt in pieces.items():
@@ -641,19 +676,24 @@ def vflat_sum(x: TiltExpr, depth: int) -> VflatResult:
     """Exact tilt valuation of a formal sum with p-power index 0, evaluated
     depth by depth.
 
-    The depth-n component is an exact element of the cyclotomic-Kummer
-    graded model; its valuation is the unique minimum over graded pieces
-    when that minimum is unique (always true within a piece).  Ties across
-    pieces are reported as inconclusive, never resolved by fiat.
+    Each term's exponents and Teichmueller part are read once
+    (``_vflat_terms``); each depth then costs a root exponent mod p^M, one
+    divmod for the pflat exponent and, for f > 1, a Frobenius power per
+    term (``_component_value``).  The depth-n component is an exact
+    element of the cyclotomic-Kummer graded model; its valuation is the
+    unique minimum over graded pieces when that minimum is unique (always
+    true within a piece).  Ties across pieces are reported as
+    inconclusive, never resolved by fiat.
     """
     if any(i != 0 for _, _, i in x.terms):
         raise ValueError("v_flat applies to expressions with p-power index 0")
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
+    k_max, rows = _vflat_terms(x)
     values = []
     all_ok = True
     for n in range(depth + 1):
-        v, ok = _component_value(x, n)
+        v, ok = _component_value(x.p, k_max, rows, n)
         values.append(v if ok else None)
         all_ok = all_ok and ok
     stabilized = (

@@ -569,3 +569,52 @@ def test_positional_action_only_when_given(tmp_path, capsys):
     assert code == 0 and "generates_graded_piece" in report
     code, report = run_json(capsys, "jet", "verify-cocycle", "--input", str(f))
     assert code == 2 and "'chi'" in report["error"]
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("phimod", {"p": 5, "eisenstein": ["-5", "1"], "frobenius": [["1e300000"]],
+                    "filtration": [{"jump": 0, "basis": [[["1"]]]}]}),
+        ("tilt", {"p": 3, "op": "vflat", "expr": [{"coeff": 1, "a": "1e300000", "c": "0"}]}),
+        ("tilt", {"p": 3, "op": "theta", "expr": [{"coeff": 1, "a": "0", "c": "1e-300000"}]}),
+    ],
+)
+def test_exponent_literal_exits_2_within_a_second(tmp_path, capsys, command, payload):
+    # "1e300000" once ran for more than 60 s inside Fraction's parser
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    code, report = run_json(capsys, command, "--input", str(f))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and "300000' expands" in report["error"]
+
+
+def test_polygon_windows_past_the_digit_cap_are_refused_before_work(tmp_path, capsys):
+    # each window prints p^W (or p^(1 - lo)) with more than 4,300 digits;
+    # they once failed on CPython's int -> str limit after the work
+    refused = [
+        {"kind": "epsilon_minus_one", "p": 2, "window": 14_400},
+        {"kind": "epsilon_minus_one", "p": 3, "window": 10_000},
+        {"kind": "epsilon_minus_one", "p": 7, "window": 5_200},
+        {"kind": "epsilon_minus_one", "p": 101, "window": 2_200},
+        {"kind": "t", "p": 2, "window": ["-14400", "0"]},
+    ]
+    good = {"command": "herbrand", "e": 4, "orders": [4, 2, 2]}
+    single, batch = tmp_path / "poly.json", tmp_path / "batch.jsonl"
+    for payload in refused:
+        single.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        code, report = run_json(capsys, "polygon", "--input", str(single))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and "4,300-digit cap" in report["error"]
+        batch.write_text("".join(json.dumps(x) + "\n" for x in (good, dict(payload, command="polygon"), good)))
+        code, report = run_json(capsys, "batch", "--input", str(batch))
+        assert code == 2
+        assert [r["status"] for r in report["results"]] == ["ok", "error", "ok"]
+        assert "4,300-digit cap" in report["results"][1]["message"]
+    # 101^2100 has 4,210 digits: still printed
+    single.write_text(json.dumps({"kind": "epsilon_minus_one", "p": 101, "window": 2_100}))
+    code, report = run_json(capsys, "polygon", "--input", str(single))
+    assert code == 0
+    assert report["polygon"]["right_ray"] == f"-1/{101**2100}"

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from period_lab.cyclotomic import CyclotomicContext
+from period_lab.cyclotomic import CycElt, CyclotomicContext
 from period_lab.padic import INF, rational_valuation
 
 x = sympy.symbols("x")
@@ -77,3 +77,19 @@ def test_vp_examples():
     assert ctx.rational(F(9, 2)).vp() == 2
     assert ctx.zero().vp() is INF
     assert CyclotomicContext(5, 0).rational(F(1, 25)).vp() == -2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([(p, N) for p in (2, 3, 5, 7) for N in range(4)]),
+    st.dictionaries(st.integers(-60, 400), st.integers(-10**6, 10**6), max_size=8),
+)
+def test_int_and_fraction_coefficients_agree(level, coeffs):
+    # theta and v_flat build elements from int coefficients; the element
+    # is the one the equal Fraction coefficients give, and stays in ints
+    ctx = CyclotomicContext(*level)
+    a = CycElt(ctx, coeffs)
+    b = CycElt(ctx, {k: F(v) for k, v in coeffs.items()})
+    assert a == b and hash(a) == hash(b)
+    assert a.vp() == b.vp()
+    assert all(type(v) is int for v in a.coeffs.values())

@@ -178,7 +178,8 @@ _LITERAL_PIECES = st.sampled_from(
 @example("-" + "9" * 4301)
 @example(" +" + "1" * 4301 + " ")
 def test_parse_rational_matches_the_fraction_parser(text):
-    # both parsers expand an exponent to 10^exponent digits
+    # Fraction's parser expands an exponent to 10^exponent digits (past
+    # 4,300 digits parse_rational refuses first, tested below)
     assume(not re.search(r"[eE][-+]?[\d_]{4}", text))
     try:
         want = _fraction_parse(text)
@@ -189,6 +190,16 @@ def test_parse_rational_matches_the_fraction_parser(text):
     else:
         got = parse_rational(text)
         assert got == want and type(got) is F
+
+
+def test_exponent_literals_are_refused_past_the_digit_cap():
+    assert parse_rational("2.5e-3") == F(1, 400)
+    assert parse_rational("1e3") == 1000
+    assert parse_rational(" 1E+4299") == 10**4299  # 4,300 digits
+    for text in ("1e3000000", "1e4300", "-2.5e-4299", "1e1_000_000", "7e" + "9" * 5000):
+        with pytest.raises(ValueError) as err:
+            parse_rational(text)
+        assert repr(text) in str(err.value) and "4,300-digit cap" in str(err.value)
 
 
 def test_factorial_valuation_examples():

@@ -8,9 +8,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from period_lab.padic import INF, lower_hull
 from period_lab.polygons import (
+    HORIZONTAL,
     VERTICAL,
     Polygon,
     SeriesProfile,
@@ -354,3 +357,58 @@ def test_polygon_validation():
         Polygon([(0, 2), (1, 1), (2, 1)])  # slopes not strictly increasing? flat then
     with pytest.raises(ValueError):
         Polygon([(0, 0), (1, 1)])  # ascending into the horizontal ray
+
+
+def fraction_checks(vertices, left_ray, right_ray):
+    """Oracle: the checks of ``Polygon.__init__`` in Fraction arithmetic,
+    slopes by division: the message of the first failing check, or the
+    slopes."""
+    verts = [(F(x), F(y)) for x, y in vertices]
+    if not verts:
+        return "a polygon needs at least one vertex"
+    if any(a[0] >= b[0] for a, b in zip(verts, verts[1:])):
+        return "vertices must have strictly increasing abscissas"
+    slopes = [(y2 - y1) / (x2 - x1) for (x1, y1), (x2, y2) in zip(verts, verts[1:])]
+    if any(s >= t for s, t in zip(slopes, slopes[1:])):
+        return "vertex chain must be strictly convex"
+    if left_ray != VERTICAL and slopes and F(left_ray) >= slopes[0]:
+        return "left ray must be steeper than the first segment"
+    if right_ray != HORIZONTAL and slopes and F(right_ray) <= slopes[-1]:
+        return "right ray must be flatter than the last segment"
+    if right_ray == HORIZONTAL and slopes and slopes[-1] >= 0:
+        return "segments must stay below the horizontal right ray"
+    return slopes
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def convex_chain(draw):
+    """Vertices with increasing abscissas and mostly increasing slopes."""
+    x, y = draw(_small), draw(_small)
+    verts = [(x, y)]
+    slope = draw(_small) - 4
+    for _ in range(draw(st.integers(0, 5))):
+        x += draw(st.fractions(min_value=F(1, 6), max_value=3, max_denominator=6))
+        y += slope * (x - verts[-1][0])
+        verts.append((x, y))
+        slope += draw(st.fractions(min_value=-F(1, 2), max_value=2, max_denominator=6))
+    return verts
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.lists(st.tuples(_small, _small), max_size=5), convex_chain()),
+    st.one_of(st.just(VERTICAL), _small.map(lambda r: r - 8)),
+    st.one_of(st.just(HORIZONTAL), _small, st.integers(-1, 1)),
+)
+def test_integer_checks_match_fraction_checks(vertices, left_ray, right_ray):
+    # the slopes are compared by integer cross-multiplication; every check
+    # still fails or passes as it did in Fractions, for every caller
+    want = fraction_checks(vertices, left_ray, right_ray)
+    try:
+        got = [s for s, _ in Polygon(vertices, left_ray, right_ray).slopes()]
+    except ValueError as exc:
+        got = str(exc)
+    assert got == want

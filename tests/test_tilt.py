@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from period_lab.cyclotomic import CyclotomicContext
-from period_lab.padic import INF, multiplicity, residue
+import tilt_reference as ref
+from period_lab.padic import INF, residue
 from period_lab.tilt import (
     ExponentTooFineError,
     FqElement,
@@ -14,8 +14,6 @@ from period_lab.tilt import (
     InexactTeichmullerError,
     TiltExpr,
     TiltMonomial,
-    _root_exponent,
-    _teich_contribution,
     field_modulus,
     generator_condition_check,
     ker_theta_orbit_probe,
@@ -201,60 +199,38 @@ def test_integer_coefficients_divisible_by_p_vanish_mod_p():
     assert res.values == [INF, INF, INF]
 
 
-def per_term_pieces(x, n):
-    """Oracle: the graded pieces of the depth-n component, accumulated
-    term by term, each added into its piece by ``CycElt`` addition."""
-    p = x.p
-    k_max = max((multiplicity(m.a.denominator, p) for _, m, _ in x.terms), default=0)
-    M = n + k_max
-    ctx = CyclotomicContext(p, M)
-    pieces = {}
-    for coeff, m, _ in x.terms:
-        E = _root_exponent(m.a / F(p) ** n, p, M)
-        scale_exp = m.c / F(p) ** n
-        frac = scale_exp - int(scale_exp)
-        sign, key = _teich_contribution(m.u.frobenius(-n))
-        scale = F(coeff * sign) * F(p) ** int(scale_exp)
-        cur = pieces.get((frac, key), ctx.zero())
-        pieces[(frac, key)] = cur + ctx.root_power(E).scale(scale)
-    return pieces
-
-
-def per_term_component_value(x, n):
-    """Oracle: ``_component_value`` on the per-term pieces."""
-    candidates = []
-    for (frac, key), elt in per_term_pieces(x, n).items():
-        v = elt.vp()
-        if v is not INF and v + frac < 1:
-            candidates.append((v + frac, key))
-    if not candidates:
-        return INF, True
-    candidates.sort(key=lambda t: t[0])
-    best_v, best_key = candidates[0]
-    tied = len(candidates) > 1 and candidates[1][0] == best_v
-    return F(x.p) ** n * best_v, (not tied) and best_key is None
-
-
 # the largest p-exponent of an eps denominator plus depth, per p, that keeps
 # the cyclotomic degree in the hundreds
 LEVEL_CAP = {2: 6, 3: 4, 5: 3}
+MAX_TERMS = 56
+
+
+@st.composite
+def teichmuller_unit(draw, p):
+    """1 or -1 mostly; else a nonzero element of F_{p^f}, f in {1, 2, 3},
+    1 among them (exact at every depth) and others (formal keys that move
+    with the depth when f > 1)."""
+    f = draw(st.sampled_from((1, 1, 1, 1, 2, 3)))
+    if f == 1 and draw(st.booleans()):
+        return FqElement(p, 1, (draw(st.sampled_from((1, p - 1))),))
+    poly = draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f).filter(any))
+    return FqElement(p, f, poly)
 
 
 @st.composite
 def formal_sum(draw):
-    """(x, depth): a p-power-index-0 sum of up to 12 monomials with
-    eps-exponents of p-power (and some prime-to-p) denominator, pflat
-    exponents in 1/p^2, Teichmueller parts 1, -1 or one without an exact
-    image, and a depth that keeps the cyclotomic level under the cap."""
+    """(x, depth): a p-power-index-0 sum of up to MAX_TERMS monomials with
+    eps-exponents of either sign and of p-power (and some prime-to-p)
+    denominator, pflat exponents in 1/p^2, Teichmueller parts from
+    ``teichmuller_unit``, and a depth up to the level cap."""
     p = draw(st.sampled_from((2, 3, 5)))
     k_max = draw(st.integers(0, LEVEL_CAP[p] - 1))
-    units = [FqElement.one(p), FqElement(p, 1, (p - 1,)), FqElement(p, 2, (0, 1))]
     terms = []
-    for _ in range(draw(st.integers(1, 12))):
+    for _ in range(draw(st.integers(1, MAX_TERMS))):
         den = p ** draw(st.integers(0, k_max)) * draw(st.sampled_from([d for d in (1, 1, 1, 2, 7) if d % p]))
         a = F(draw(st.integers(-3 * den, 3 * den)), den)
         c = F(draw(st.integers(0, 12)), p ** draw(st.integers(0, 2)))
-        u = draw(st.sampled_from(units[:2] * 4 + units[2:]))
+        u = draw(teichmuller_unit(p))
         terms.append((draw(st.sampled_from([-3, -2, -1, 1, 2, 3, p])), TiltMonomial(a, c, u), 0))
     return TiltExpr(p, terms), draw(st.integers(0, LEVEL_CAP[p] - k_max))
 
@@ -264,34 +240,27 @@ def formal_sum(draw):
 def test_vflat_sum_matches_per_term_accumulation(case):
     x, depth = case
     res = vflat_sum(x, depth)
-    expected = [per_term_component_value(x, n) for n in range(depth + 1)]
+    expected = [ref.component_value(x, n) for n in range(depth + 1)]
     assert res.values == [v if ok else None for v, ok in expected]
     assert res.conclusive == all(ok for _, ok in expected)
 
 
-def per_term_theta_pieces(x, N):
-    """Oracle: theta's pieces accumulated term by term, each added into
-    its piece by ``CycElt`` addition."""
-    ctx = CyclotomicContext(x.p, N)
-    pieces = {}
-    for coeff, m, i in x.terms:
-        E = _root_exponent(m.a, x.p, N)
-        frac = m.c - int(m.c)
-        sign, key = _teich_contribution(m.u)
-        scale = F(coeff * sign) * F(x.p) ** (int(m.c) + i)
-        cur = pieces.get((frac, key), ctx.zero())
-        pieces[(frac, key)] = cur + ctx.root_power(E).scale(scale)
-    return pieces
+def test_reference_inverse_frobenius_inverts_frobenius():
+    for p, f in ((2, 3), (3, 2), (5, 3)):
+        u = FqElement(p, f, (1, 1))
+        for n in range(-4, 5):
+            assert ref.inverse_frobenius(u, n).frobenius(n) == u
+        assert ref.inverse_frobenius(u, 0) == u
 
 
 @settings(max_examples=60, deadline=None)
-@given(formal_sum(), st.lists(st.integers(-1, 2), min_size=12, max_size=12))
+@given(formal_sum(), st.lists(st.integers(-1, 2), min_size=MAX_TERMS, max_size=MAX_TERMS))
 def test_theta_matches_per_term_accumulation(case, p_powers):
     x, N = case
     x = TiltExpr(x.p, [(c, m, i) for (c, m, _), i in zip(x.terms, p_powers)])
     try:
-        expected = per_term_theta_pieces(x, N)
-    except ExponentTooFineError:
+        expected = ref.theta_pieces(x, N)
+    except ValueError:
         with pytest.raises(ExponentTooFineError):
             theta(x, N)
         return
