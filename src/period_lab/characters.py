@@ -43,7 +43,7 @@ only mod p^(s - (d-1)(-v)), so the weights are lifted that far only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -57,6 +57,7 @@ from .linalg import (
 )
 from .padic import (
     Prime,
+    as_fraction,
     centered,
     format_rational,
     int_valuation,
@@ -184,27 +185,48 @@ def _log_margin(p: int) -> int:
     return (1 // (p - 1)) + 1
 
 
+def log_series_length(p: int, precision: int) -> tuple:
+    """(n, V): ``sen_operator`` at this precision sums the log series over
+    the indices 1..n, and V = floor(log_p n) is the largest v_p of one of
+    them (0 when n = 0).  n is the last index before the first i with
+    margin*i - v_p(i) above the precision; every i up to precision //
+    margin passes, so the search starts there."""
+    margin = _log_margin(p)
+    n = max(precision // margin, 0)
+    while margin * (n + 1) - multiplicity(n + 1, p) <= precision:
+        n += 1
+    V = 0
+    while p ** (V + 1) <= n:
+        V += 1
+    return n, V
+
+
 def _minus_identity(A):
-    """(N, D) with A - I = N / D: N a matrix of ints, D > 0 the lcm of the
-    denominators of A's entries (which are those of A - I)."""
+    """(N, D) with A - I = N / D: N a tuple of int rows, D > 0 the lcm of
+    the denominators of A's entries (which are those of A - I)."""
     B, D = clear_denominators(A)
-    return [[x - D * (i == j) for j, x in enumerate(row)] for i, row in enumerate(B)], D
+    return tuple(tuple(x - D * (i == j) for j, x in enumerate(row)) for i, row in enumerate(B)), D
 
 
 @dataclass(frozen=True)
 class SenInput:
-    """Level r and the exact matrix by which the level-r generator acts."""
+    """Level r and the exact matrix A by which the level-r generator acts.
+
+    ``minus_identity`` is (N, D) with A - I = N / D, N an int matrix and
+    D > 0 (``_minus_identity``): the closeness check computes it, and
+    ``sen_operator`` sums its series on it."""
 
     prime: Prime
     level: int
     matrix: tuple
+    minus_identity: tuple = field(repr=False, compare=False)
 
     def __init__(self, prime, level: int, matrix):
         if isinstance(prime, int):
             prime = Prime(prime)
         if level < 0:
             raise ValueError("level must be nonnegative")
-        mat = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+        mat = tuple(tuple(map(as_fraction, row)) for row in matrix)
         d = len(mat)
         if any(len(row) != d for row in mat):
             raise ValueError("matrix must be square")
@@ -212,7 +234,7 @@ class SenInput:
         # with A - I = N / D, v_p(A - I) >= margin entrywise iff p^margin
         # divides N: when p | D, the entry of A - I with the most p in its
         # denominator gives an entry of N prime to p
-        N, _ = _minus_identity(mat)
+        N, D = _minus_identity(mat)
         step = prime.p**margin
         if any(x % step for row in N for x in row):
             raise ValueError(
@@ -222,6 +244,7 @@ class SenInput:
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "level", int(level))
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "minus_identity", (N, D))
 
     @property
     def p(self) -> int:
@@ -266,16 +289,20 @@ def sen_operator(inp: SenInput, precision: int = 20) -> SenOperator:
     its class mod p^(precision - r), the stated precision.
 
     Terms are included until margin*i - v_p(i) exceeds the working
-    precision.  A dropped term whose index is divisible by a power of p
-    can still fall below the working precision (for A = [[4]], p = 3,
-    precision 25, term 27 has valuation 24), so the stated precision can
-    be too high by a few units (ROADMAP D2).
+    precision (``log_series_length``).  A dropped term whose index is
+    divisible by a power of p can still fall below the working precision
+    (for A = [[4]], p = 3, precision 25, term 27 has valuation 24), so the
+    stated precision can be too high by a few units (ROADMAP D2).
 
-    With A - I = N / D for an integer matrix N and a p-unit D, term i is
-    (-1)^(i-1) (N/D)^i / i.  Times p^V, V the largest v_p(i) of a summed
-    index, every term is p-integral, so the sum runs in Z/p^(precision+V)
-    and the division by p^(V+r) leaves the class mod p^(precision - r).
-    There N/D is X = u N, u the inverse of D, and the characteristic
+    With A - I = N / D for an integer matrix N and a p-unit D (kept by
+    ``SenInput``), term i is (-1)^(i-1) (N/D)^i / i.  Times p^V, V the
+    largest v_p(i) of a summed index, every term is p-integral, so the
+    sum runs in Z/p^(precision+V) and the division by p^(V+r) leaves the
+    class mod p^(precision - r).  The coefficient table takes one inverse
+    per call: with L = lcm(1..n), v_p(L) = V and L / p^V is a p-unit, so
+    c_i = (-1)^(i-1) p^V / i is (-1)^(i-1) (L / i) u mod p^(precision+V)
+    for u the inverse of L / p^V (``_log_coefficients``).  There N/D is
+    X = u N, u the inverse of D, and the characteristic
     polynomial chi_X is sum cp_k u^(d-k) x^k, cp that of N.  ``_series``
     reduces the sum mod chi_X and evaluates the remainder at X with
     d - 1 products: O(n d) scalar steps plus O(d^4) for n terms, where
@@ -289,28 +316,30 @@ def sen_operator(inp: SenInput, precision: int = 20) -> SenOperator:
             f"precision {precision} must exceed the level {r}: the stated "
             "precision, precision - level, must be at least 1"
         )
-    margin = _log_margin(p)
-    n = 0
-    while margin * (n + 1) - multiplicity(n + 1, p) <= precision:
-        n += 1
-    N, D = _minus_identity(inp.matrix)
+    n, V = log_series_length(p, precision)
+    N, D = inp.minus_identity
     d = inp.dim
     cp = char_poly(N)
-    V = max((multiplicity(i, p) for i in range(1, n + 1)), default=0)
     modulus = p ** (precision + V)
     unit = residue(Fraction(1, D), p, precision + V)
     X = [[x * unit % modulus for x in row] for row in N]
     chi = [c.numerator * pow(unit, d - k, modulus) % modulus for k, c in enumerate(cp)]
-    terms = [
-        (i, residue(Fraction((-1) ** (i - 1) * p**V, i), p, precision + V))
-        for i in range(1, n + 1)
-    ]
-    acc = _series(X, terms, chi, modulus)
+    acc = _series(X, _log_coefficients(p, n, V, precision + V), chi, modulus)
     denom = p ** (V + r)
     out = tuple(tuple(Fraction(centered(x, modulus), denom) for x in row) for row in acc)
     m = next(k for k, c in enumerate(cp) if c)
     # m <= 1 leaves no room for a Jordan block at 0
     return SenOperator(inp.prime, out, precision - r, (m, m < 2 or d - rank(N) == m))
+
+
+def _log_coefficients(p: int, n: int, V: int, N: int) -> list:
+    """(i, (-1)^(i-1) p^V / i mod p^N) for i = 1..n and V = v_p(lcm(1..n)):
+    (-1)^(i-1) (L / i) u for L = lcm(1..n) and u the inverse of the p-unit
+    L / p^V."""
+    L = lcm(*range(1, n + 1))
+    u = residue(Fraction(1, L // p**V), p, N)
+    modulus = p**N
+    return [(i, (L // i * u if i % 2 else -(L // i) * u) % modulus) for i in range(1, n + 1)]
 
 
 def matrix_exp_truncated(prime, M, precision: int = 20):
@@ -373,9 +402,11 @@ def _series(N, terms, chi, modulus=None) -> list:
     for i in range(max(coeffs, default=0), -1, -1):
         # x rem + c_i - top chi, the x^d terms cancelling
         top = rem[-1]
-        rem = [a - top * b for a, b in zip((coeffs.get(i, 0), *rem), low)]
+        shifted = zip((coeffs.get(i, 0), *rem), low)
         if modulus:
-            rem = [x % modulus for x in rem]
+            rem = [(a - top * b) % modulus for a, b in shifted]
+        else:
+            rem = [a - top * b for a, b in shifted]
     out = [[0] * d for _ in range(d)]
     for k, coef in enumerate(reversed(rem)):
         if k:

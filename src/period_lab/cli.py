@@ -290,14 +290,30 @@ def run_char(payload: dict, args):
     raise SchemaError(f"unknown char op {op!r}")
 
 
+def _sen_precision(p: int, precision: int) -> int:
+    """The precision; a SchemaError when the operator would print an
+    integer of more than MAX_DIGITS digits.  Every printed numerator and
+    denominator is below p^(precision + V), V as in
+    ``characters.log_series_length``, which the check reads only once
+    p^precision itself is known to be below the cap."""
+    if precision * (p.bit_length() - 1) < _DIGIT_LIMIT.bit_length():
+        V = characters.log_series_length(p, precision)[1]
+        if p ** max(precision + V, 0) < _DIGIT_LIMIT:
+            return precision
+    raise SchemaError(
+        f"sen at p = {p}, precision {precision} would print integers past the "
+        f"{MAX_DIGITS:,}-digit cap"
+    )
+
+
 def run_sen(payload: dict, args):
     p = _require_prime(payload)
     level = _int(payload, "level", 1)
+    precision = _sen_precision(p, _int(payload, "precision", 20))
     rows = _require(payload, "matrix")
     if not rows or any(not isinstance(row, list) or len(row) != len(rows) for row in rows):
         raise SchemaError("field 'matrix' must be a nonempty square list of rows")
     matrix = [[parse_rational(x) for x in row] for row in rows]
-    precision = _int(payload, "precision", 20)
     inp = characters.SenInput(p, level, matrix)
     op = characters.sen_operator(inp, precision)
     verdict = characters.hodge_tate_via_sen(op)
@@ -378,10 +394,61 @@ def run_batch(args):
 
 
 def _emit(report: dict, args):
+    # the bytes of json.dumps(report, sort_keys=True, indent=2), written by
+    # _write_json: given an indent, CPython 3.10 and 3.11 leave the C
+    # encoder for a pure-Python generator, which took about 9 % of a
+    # mixed_batch pass
     if getattr(args, "format", "json") == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        out = []
+        _write_json(report, out, "\n")
+        print("".join(out))
     else:
         _emit_text(report)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value, out: list, newline: str):
+    """Append the pieces of json.dumps(value, sort_keys=True, indent=2) to
+    out, for a value of str-keyed dicts, lists, tuples and leaves;
+    newline is "\\n" and the indent of the line value starts on."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep)
+            out.append(_encode_str(key))
+            out.append(": ")
+            _write_json(value[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        out.append(json.dumps(value))
 
 
 def _emit_text(report: dict, indent: int = 0):

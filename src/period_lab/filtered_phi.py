@@ -68,6 +68,7 @@ from .linalg import (
 )
 from .padic import (
     SchemaError,
+    as_fraction,
     format_rational,
     parse_int,
     parse_rational,
@@ -123,7 +124,7 @@ class FilteredPhiModule:
 
     def __init__(self, base: BaseFieldK, frobenius, filtration):
         self.base = base
-        self.frobenius = [[_fraction(x) for x in row] for row in frobenius]
+        self.frobenius = [[as_fraction(x) for x in row] for row in frobenius]
         d = len(self.frobenius)
         if any(len(row) != d for row in self.frobenius):
             raise ValueError("Frobenius matrix must be square")
@@ -268,10 +269,6 @@ class FilteredPhiModule:
                 vecs.append([[parse_rational(c) for c in _list(x, "basis")] for x in vec])
             filtration.append((parse_int(step["jump"], "jump"), vecs))
         return cls(base, frob, filtration)
-
-
-def _fraction(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
 
 
 def _list(value, name: str) -> list:

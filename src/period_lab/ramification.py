@@ -124,7 +124,7 @@ class PLFunction:
 
 
 def _slope_between(a, b) -> Fraction:
-    return (Fraction(b[1]) - Fraction(a[1])) / (Fraction(b[0]) - Fraction(a[0]))
+    return Fraction(b[1] - a[1]) / (b[0] - a[0])
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ series, its Hodge-Tate verdict, and Hensel roots found by a scan of every
 residue.  The tests compare the package's operator with it mod p^s, and
 the package's verdicts with its verdicts.
 
-Also kept: the power-by-power integer series (one matrix product per
+Also kept: the coefficient table of the integer operator as it was built
+before the one-inverse table, a Fraction and a ``residue`` per term, with
+its term count; the power-by-power integer series (one matrix product per
 term) that the reduction mod the characteristic polynomial replaced,
 with the exponential built on it, and the closeness-to-the-identity check
 of ``SenInput`` by rational valuations that the integer check replaced.
@@ -33,7 +35,7 @@ from period_lab.linalg import (
     poly_gcd_q,
 )
 from period_lab.linalg import mat_mul as int_mat_mul  # the integer product
-from period_lab.padic import Prime, int_valuation, rational_valuation
+from period_lab.padic import Prime, int_valuation, multiplicity, rational_valuation, residue
 
 
 def mat_mul(A, B):
@@ -147,6 +149,22 @@ def sen_operator(inp: SenInput, precision: int = 20) -> SenOperator:
     scale = Fraction(1, p**r)
     out = tuple(tuple(x * scale for x in row) for row in acc)
     return SenOperator(inp.prime, out, precision - r, zero_part=None)
+
+
+def log_coefficients(p, precision):
+    """(n, V, terms): the indices 1..n the integer operator sums at this
+    precision, the largest v_p of one of them, and each index with its
+    coefficient (-1)^(i-1) p^V / i mod p^(precision + V)."""
+    margin = _log_margin(p)
+    n = 0
+    while margin * (n + 1) - multiplicity(n + 1, p) <= precision:
+        n += 1
+    V = max((multiplicity(i, p) for i in range(1, n + 1)), default=0)
+    terms = [
+        (i, residue(Fraction((-1) ** (i - 1) * p**V, i), p, precision + V))
+        for i in range(1, n + 1)
+    ]
+    return n, V, terms
 
 
 def _minimal_polynomial(A) -> list:

@@ -25,17 +25,19 @@ from period_lab.characters import (
     CharacterTriple,
     SenInput,
     SenOperator,
+    _log_coefficients,
     _log_margin,
     _series,
     classify,
     hodge_tate_via_sen,
     is_trivial_via_sen,
+    log_series_length,
     matrix_exp_truncated,
     sen_operator,
 )
 from period_lab.cli import main
 from period_lab.linalg import char_poly, clear_denominators, hensel_integer_roots, mat_mul
-from period_lab.padic import format_rational, int_valuation, rational_valuation
+from period_lab.padic import centered, format_rational, int_valuation, rational_valuation
 
 
 def random_triple(rng, p):
@@ -323,6 +325,24 @@ def test_trivial_only_when_the_matrix_is_the_identity(payload):
     assert report["is_trivial"] is False
     if payload["p"] == 3:
         assert code == 0 and report["hodge_tate"]["status"] == "not-hodge-tate"
+
+
+def test_log_coefficient_table_matches_the_fraction_table():
+    """The one-inverse table of sen_operator against the Fraction-and-
+    residue table it replaced, for precision 1 to 200; and at level 0, 1
+    and 2, the operator of [[1 + x]] against the sum of that table's
+    terms c_i x^i, centered mod p^(precision + V) over p^(V + level)."""
+    for p in (2, 3, 5, 7):
+        x = 2 * p ** _log_margin(p)
+        for precision in range(1, 201):
+            n, V, want = sen_reference.log_coefficients(p, precision)
+            assert log_series_length(p, precision) == (n, V)
+            modulus = p ** (precision + V)
+            assert _log_coefficients(p, n, V, precision + V) == want, (p, precision)
+            series = sum(c * pow(x, i, modulus) for i, c in want)
+            for level in range(min(precision, 3)):
+                op = sen_operator(SenInput(p, level, [[1 + x]]), precision)
+                assert op.matrix == ((F(centered(series, modulus), p ** (V + level)),),)
 
 
 def test_trivial_iff_exp_of_zero():

@@ -1,14 +1,45 @@
+import argparse
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from period_lab import cli
 from period_lab.cli import SchemaError, main
 from period_lab.filtered_phi import FilteredPhiModule
+
+_emit = cli._emit
+
+
+def _assert_str_keys(value):
+    if isinstance(value, dict):
+        assert all(type(key) is str for key in value), sorted(map(repr, value))
+        for item in value.values():
+            _assert_str_keys(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _assert_str_keys(item)
+
+
+@pytest.fixture(autouse=True)
+def reports_have_str_keys(monkeypatch):
+    """Every report that a test of this module prints has str keys only:
+    the report writer encodes each key as a string and takes no other
+    type, where json.dumps would convert an int or float key."""
+
+    def checked(report, args):
+        _assert_str_keys(report)
+        _emit(report, args)
+
+    monkeypatch.setattr(cli, "_emit", checked)
 
 
 def run_cli(capsys, *argv):
@@ -618,3 +649,101 @@ def test_polygon_windows_past_the_digit_cap_are_refused_before_work(tmp_path, ca
     code, report = run_json(capsys, "polygon", "--input", str(single))
     assert code == 0
     assert report["polygon"]["right_ray"] == f"-1/{101**2100}"
+
+
+def test_sen_precisions_past_the_digit_cap_are_refused_before_work(tmp_path, capsys):
+    # 7^(6000 + V) has more than 4,300 digits; the operator once failed on
+    # CPython's int -> str limit after 4.7 s of work
+    payload = {"p": 7, "level": 1, "matrix": [["8", "7"], ["0", "15"]], "precision": 6_000}
+    good = {"command": "herbrand", "e": 4, "orders": [4, 2, 2]}
+    single, batch = tmp_path / "sen.json", tmp_path / "batch.jsonl"
+    single.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    code, report = run_json(capsys, "sen", "--input", str(single))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and "4,300-digit cap" in report["error"]
+    batch.write_text("".join(json.dumps(x) + "\n" for x in (good, dict(payload, command="sen"), good)))
+    start = time.perf_counter()
+    code, report = run_json(capsys, "batch", "--input", str(batch))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert [r["status"] for r in report["results"]] == ["ok", "error", "ok"]
+    assert "4,300-digit cap" in report["results"][1]["message"]
+    # the flag is checked the same way
+    code, report = run_json(capsys, "sen", "--input", str(single), "--precision", "100000")
+    assert code == 2 and "4,300-digit cap" in report["error"]
+    single.write_text(json.dumps(dict(payload, precision=2_000)))
+    code, report = run_json(capsys, "sen", "--input", str(single))
+    assert code == 0 and report["operator"]["precision"] == 1_999
+
+
+# leaves and keys of the reports the writer must print as json.dumps does:
+# non-ASCII text, quotes, backslashes and control characters, big ints
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\n\t\x00\x1f\u2028\ud800')), max_size=8)
+_LEAVES = st.one_of(_TEXT, st.integers(), st.integers(-10**60, 10**60), st.booleans(), st.none())
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.dictionaries(_TEXT, _VALUES, max_size=5))
+def test_report_writer_prints_what_json_dumps_prints(report):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        _emit(report, argparse.Namespace(format="json"))
+    assert buf.getvalue() == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_text_format_is_unchanged(tmp_path, capsys):
+    lines = [
+        {"command": "sen", "p": 3, "level": 1, "matrix": [["1", "3"], ["0", "1"]], "precision": 4},
+        {"command": "herbrand", "e": 4, "orders": [4, 2, 2]},
+        {"command": "nope"},
+    ]
+    f = tmp_path / "batch.jsonl"
+    f.write_text("".join(json.dumps(x) + "\n" for x in lines))
+    code, out = run_cli(capsys, "batch", "--input", str(f), "--format", "text")
+    assert code == 2
+    assert out == """\
+counts:
+  error: 1
+  ok: 2
+  undecided: 0
+results:
+  line: 1
+  report:
+    hodge_tate:
+      generalized_weights: ['0', '0']
+      integer_weights: [0, 0]
+      status: not-hodge-tate
+    is_trivial: False
+    operator:
+      matrix: [['0', '1'], ['0', '0']]
+      p: 3
+      precision: 3
+  status: ok
+  -
+  line: 2
+  report:
+    different_valuation: 5/4
+    phi:
+      breakpoints: [['1', '1'], ['3', '2']]
+      final_slope: 1/4
+    psi:
+      breakpoints: [['1', '1'], ['2', '3']]
+      final_slope: 4
+  status: ok
+  -
+  line: 3
+  message: unknown command 'nope'
+  status: error
+  -
+schema: period-lab/1
+"""

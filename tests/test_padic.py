@@ -142,6 +142,27 @@ def test_scalar_serialization_roundtrip():
     assert format_rational(5) == "5"
 
 
+def _format_through_fraction(x) -> str:
+    """format_rational as it was before it read ints and Fractions as they are."""
+    x = F(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.just(0),
+    st.just(F(0)),
+    st.integers(-10**40, 10**40),
+    st.fractions(),
+    st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+))
+def test_format_rational_matches_the_fraction_formatter(x):
+    assert format_rational(x) == _format_through_fraction(x)
+    assert format_rational(-x) == _format_through_fraction(-x)
+
+
 def test_parse_int_takes_integers_and_integer_strings_only():
     assert parse_int(7) == 7 and parse_int("-12", "e") == -12
     for bad in (True, 2.9, 2.0, "2.5", "1/1", None, [1]):
