@@ -457,10 +457,10 @@ def hodge_tate_via_sen(op: SenOperator) -> HodgeTateVerdict:
     d = op.dim
     weights = [0] * m
     if m < d:
-        # max(0, -v) is the p-power of the common denominator
-        loss = (d - 1) * multiplicity(lcm(*(x.denominator for row in op.matrix for x in row)), op.p)
-        lift = op.precision - loss
-        lifted = hensel_integer_roots(char_poly(op.matrix)[m:], op.p, lift) if lift >= 1 else None
+        # max(0, -v) is the p-power of the common denominator D
+        B, D = clear_denominators(op.matrix)
+        lift = op.precision - (d - 1) * multiplicity(D, op.p)
+        lifted = hensel_integer_roots(char_poly(B, D)[m:], op.p, lift) if lift >= 1 else None
         if lifted is None or len(lifted) != d - m:
             return HodgeTateVerdict("indeterminate", None, None)
         weights.extend(lifted)

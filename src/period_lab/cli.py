@@ -31,6 +31,7 @@ from .padic import (
     _is_probable_prime,
     format_rational,
     parse_int,
+    parse_list,
     parse_rational,
 )
 
@@ -97,7 +98,7 @@ def _require_prime(payload: dict) -> int:
 
 def run_herbrand(payload: dict, args):
     e = _int(payload, "e")
-    orders = [parse_int(g, "orders") for g in _require(payload, "orders")]
+    orders = [parse_int(g, "orders") for g in parse_list(_require(payload, "orders"), "orders")]
     data = ramification.RamificationData(e, orders)
     phi = ramification.herbrand_phi(data)
     psi = ramification.herbrand_psi(phi)
@@ -141,7 +142,8 @@ def run_polygon(payload: dict, args):
     kind = payload.get("kind", "series")
     if kind == "series":
         pts = []
-        for x, v in _require(payload, "points"):
+        for point in parse_list(_require(payload, "points"), "points"):
+            x, v = parse_list(point, "points")
             pts.append((parse_rational(x), INF if v in (None, "inf") else parse_rational(v)))
         poly = polygons.hull(polygons.SeriesProfile(pts))
     elif kind == "epsilon_minus_one":
@@ -149,7 +151,7 @@ def run_polygon(payload: dict, args):
         _, hi = _ladder_window(p, 0, _require(payload, "window"))
         poly = polygons.epsilon_minus_one_polygon(p, hi)
     elif kind == "t":
-        lo, hi = _require(payload, "window")
+        lo, hi = parse_list(_require(payload, "window"), "window")
         p = _require_prime(payload)
         poly = polygons.t_polygon(p, *_ladder_window(p, lo, hi))
     else:
@@ -280,7 +282,7 @@ def run_char(payload: dict, args):
         chi = characters.CharacterTriple.from_json(payload)
         return {"character": chi.to_json(), "flags": characters.classify(chi).to_json()}, EXIT_OK
     if op == "multiply":
-        factors = _require(payload, "factors")
+        factors = parse_list(_require(payload, "factors"), "factors")
         if not factors:
             raise SchemaError("multiply needs at least one factor")
         acc = characters.CharacterTriple.from_json(factors[0])

@@ -71,6 +71,7 @@ from .padic import (
     as_fraction,
     format_rational,
     parse_int,
+    parse_list,
     parse_rational,
     poly_newton_polygon,
     rational_valuation,
@@ -117,9 +118,9 @@ class FilteredPhiModule:
     A basis entry is a rational or a sequence (list or tuple) of
     coordinates on 1, pi, pi^2, ..., reduced by E here.  Each basis is
     kept as its reduced coordinate tuples, which ``filtration`` shows, and
-    as the integer rows of its restriction of scalars to Q
-    (``restrict_scalars``), which every rank and kernel of the module
-    takes.
+    as the forward echelon (``extend_echelon``) of the integer rows of its
+    restriction of scalars to Q (``restrict_scalars``), which every rank
+    and annihilator of the module reads.
     """
 
     def __init__(self, base: BaseFieldK, frobenius, filtration):
@@ -155,12 +156,15 @@ class FilteredPhiModule:
             raise ValueError("first filtration subspace must be the full space")
         if any(da <= db for da, db in zip(dims, dims[1:])):
             raise ValueError("filtration subspaces must strictly decrease")
+        # the dimensions strictly decrease, so only the last can be 0
+        if dims[-1] == 0:
+            raise ValueError("filtration subspaces must be nonzero")
         for big, small in zip(echelons, rows[1:]):
             if len(extend_echelon(big, small)) != len(big):
                 raise ValueError("filtration subspaces must be nested")
         self._jumps = jumps
         self._vectors = vectors
-        self._rows = rows
+        self._echelons = echelons
         self._dims = dims
 
     @property
@@ -217,9 +221,10 @@ class FilteredPhiModule:
     def _annihilators(self) -> list:
         """Per filtration step, a K-basis of its annihilator (the n with
         f . n = 0 for every f in the step) as ``restricted_kernel`` gives
-        it: integer vectors of the coordinates of n_1, ..., n_d on 1, pi,
-        ..., pi^(e-1), so the scan's products stay in ints."""
-        return [restricted_kernel(rows, self.base.e) for rows in self._rows]
+        it from the step's echelon: integer vectors of the coordinates of
+        n_1, ..., n_d on 1, pi, ..., pi^(e-1), so the scan's products stay
+        in ints."""
+        return [restricted_kernel(ech, self.dim, self.base.e) for ech in self._echelons]
 
     def induced_hodge_number(self, dims) -> int:
         """t_H of a subspace W with the intersection filtration over K,
@@ -249,34 +254,26 @@ class FilteredPhiModule:
         """The module of a JSON object; a basis entry lists its coordinates
         on 1, pi, pi^2, ..., which the constructor reduces by E (for K =
         Q_p, to the rational sum c_i pi^i)."""
-        eisenstein = [parse_int(c, "eisenstein") for c in _list(obj["eisenstein"], "eisenstein")]
+        eisenstein = [parse_int(c, "eisenstein") for c in parse_list(obj["eisenstein"], "eisenstein")]
         base = BaseFieldK(parse_int(obj["p"], "p"), eisenstein)
         frob = [
-            [parse_rational(x) for x in _list(row, "frobenius")]
-            for row in _list(obj["frobenius"], "frobenius")
+            [parse_rational(x) for x in parse_list(row, "frobenius")]
+            for row in parse_list(obj["frobenius"], "frobenius")
         ]
         d = parse_int(obj.get("dim", len(frob)), "dim")
         if d != len(frob):
             raise SchemaError(f"declared dim {d!r}, but Frobenius has {len(frob)} rows")
         filtration = []
-        for step in _list(obj["filtration"], "filtration"):
+        for step in parse_list(obj["filtration"], "filtration"):
             vecs = []
-            for vec in _list(step["basis"], "basis"):
-                if len(_list(vec, "basis")) != d:
+            for vec in parse_list(step["basis"], "basis"):
+                if len(parse_list(vec, "basis")) != d:
                     raise SchemaError(
                         f"declared dim {d}, but a filtration vector has {len(vec)} entries"
                     )
-                vecs.append([[parse_rational(c) for c in _list(x, "basis")] for x in vec])
+                vecs.append([[parse_rational(c) for c in parse_list(x, "basis")] for x in vec])
             filtration.append((parse_int(step["jump"], "jump"), vecs))
         return cls(base, frob, filtration)
-
-
-def _list(value, name: str) -> list:
-    """A list field, or a SchemaError naming the field: a string would
-    otherwise be read character by character."""
-    if not isinstance(value, list):
-        raise SchemaError(f"field {name!r} must be a list, got {value!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,15 @@ the only code that reduces by E.
 
 Matrices are plain lists of lists of ints or Fractions, and a product
 of int matrices stays int.  One elimination serves them all: rational
-rows are scaled to integers, each step replaces row_i by a row_i -
-b row_r and divides out the gcd of the new row, so a kernel comes out as
-primitive integer vectors (``integer_kernel``) and no Fraction is formed
-unless a normalized basis or rref is asked for.  ``extend_echelon`` takes
-the same step to grow a forward echelon by further rows, for the ranks of
-a family of nested row spaces.  Characteristic polynomials come from the
+rows are scaled to integers, and ``extend_echelon`` clears each row at
+the pivots of the rows before it, a step replacing row_i by a row_i -
+b row_r and dividing out the gcd of the new row.  The rank is the
+length of that forward echelon, and it grows by further rows for the
+ranks of a family of nested row spaces.  A kernel or rref first clears
+each echelon row, from the last up, at the pivots after it (back
+substitution), so a kernel comes out as primitive integer vectors
+(``integer_kernel``) and no Fraction is formed unless a normalized
+basis or rref is asked for.  Characteristic polynomials come from the
 Faddeev-LeVerrier recurrence, and polynomials of a matrix from Horner's
 rule, both run on the integer matrix left after clearing denominators
 once.
@@ -114,12 +117,14 @@ def restrict_scalars(vectors, eisenstein) -> list:
     return rows
 
 
-def restricted_kernel(rows, e: int) -> list:
-    """A K-basis of the annihilator of the K-span restricted to ``rows``:
-    the (integer kernel vector, free column) pairs at the first column of
-    each block of e free columns (they come in whole blocks); each
-    divided by its entry there is the basis rref over K gives."""
-    return [(v, c) for v, c in zip(*integer_kernel(rows)) if c % e == 0]
+def restricted_kernel(echelon, d: int, e: int) -> list:
+    """A K-basis of the annihilator in K^d of a K-span, from the forward
+    echelon (``extend_echelon``) of its restricted rows: the (integer
+    kernel vector, free column) pairs at the first column of each block
+    of e free columns (they come in whole blocks); each divided by its
+    entry there is the basis rref over K gives.  d is passed because the
+    echelon of the zero span is empty."""
+    return [(v, c) for v, c in zip(*_kernel(echelon, d * e)) if c % e == 0]
 
 
 def _poly_divmod_q(a, b):
@@ -153,40 +158,11 @@ def mat_mul(A, B):
     return [[sum(map(mul, row, col), 0) for col in cols] for row in A]
 
 
-def _eliminate(rows, reduce_above: bool):
-    """Gaussian elimination: the echelon rows and the pivot columns.
-    ``reduce_above`` also clears the entries above each pivot; without it
-    this is the forward pass alone.
-
-    The rows are scaled to integers and eliminated fraction free
-    (Bareiss, Math. Comp. 1968, with the row content divided out in place
-    of his exact division): a step replaces row_i by a row_i - b row_r and
-    divides it by the gcd of its entries."""
-    if not rows:
-        return [], []
-    rows = clear_denominators(rows)[0]
-    pivots = []
-    r = 0
-    for c in range(len(rows[0])):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        top = rows[r]
-        for i in range(0 if reduce_above else r + 1, len(rows)):
-            if rows[i][c] and i != r:
-                rows[i] = _clear_entry(rows[i], top, c)
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
 def _clear_entry(row, top, c):
     """The step of the elimination, which makes the integer row zero at
     column c: a row - b top with a = top[c] and b = row[c], divided by
-    the gcd of its entries."""
+    the gcd of its entries (fraction free, as Bareiss, Math. Comp. 1968,
+    with the row content divided out in place of his exact division)."""
     a, b = top[c], row[c]
     g = gcd(a, b)
     row = [a // g * x - b // g * y for x, y in zip(row, top)]
@@ -200,10 +176,10 @@ def extend_echelon(echelon, rows) -> list:
     ``echelon`` is a list of (pivot column, row) in which every row is
     zero at the pivots of the rows before it; its length is the rank of
     the rows it was built from.  Each new row is cleared at every pivot
-    in turn by the step of ``_eliminate`` and appended, with its first
-    nonzero column as pivot, unless it vanishes.  The result is a new
-    list and ``echelon`` is left as it was, so one echelon can be
-    extended in several ways."""
+    in turn by ``_clear_entry`` and appended, with its first nonzero
+    column as pivot, unless it vanishes.  The result is a new list and
+    ``echelon`` is left as it was, so one echelon can be extended in
+    several ways."""
     out = list(echelon)
     for row in rows:
         for c, top in out:
@@ -215,18 +191,32 @@ def extend_echelon(echelon, rows) -> list:
     return out
 
 
+def _back_substitute(echelon) -> list:
+    """The reduced echelon of a forward echelon, sorted by pivot column:
+    each row, from the last up, is cleared at the pivots of the rows after
+    it, which are reduced by then, so every row ends zero at every pivot
+    but its own."""
+    out = []
+    for c, row in reversed(echelon):
+        for pc, top in out:
+            if row[pc]:
+                row = _clear_entry(row, top, pc)
+        out.append((c, row))
+    return sorted(out, key=lambda entry: entry[0])
+
+
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot column indices).
 
-    Each integer pivot row of the elimination is divided by its pivot
-    once, at the end, so the entries are Fractions."""
-    echelon, pivots = _eliminate(rows, True)
-    return [[Fraction(x, row[c]) for x in row] for row, c in zip(echelon, pivots)], pivots
+    Each integer row of the reduced echelon is divided by its pivot once,
+    at the end, so the entries are Fractions."""
+    reduced = _back_substitute(extend_echelon([], clear_denominators(rows)[0]))
+    return [[Fraction(x, row[c]) for x in row] for c, row in reduced], [c for c, _ in reduced]
 
 
 def rank(rows) -> int:
-    """The rank, from the forward pass of the elimination alone."""
-    return len(_eliminate(rows, False)[1])
+    """The rank: the length of the forward echelon."""
+    return len(extend_echelon([], clear_denominators(rows)[0]))
 
 
 def intersect_rowspaces(A, B):
@@ -308,21 +298,26 @@ def nullspace(A) -> list:
 
 
 def integer_kernel(rows):
-    """The right kernel of rational rows as primitive integer vectors,
-    read off the fraction-free echelon; returns (vectors, free columns).
-    There is one vector per free column c, positive at c and zero at the
-    other free columns, so ``nullspace`` is each divided by its entry
-    at c."""
-    m = len(rows[0]) if rows else 0
-    echelon, pivots = _eliminate(rows, True)
+    """The right kernel of rational rows as primitive integer vectors;
+    returns (vectors, free columns).  There is one vector per free column
+    c, positive at c and zero at the other free columns, so ``nullspace``
+    is each divided by its entry at c."""
+    return _kernel(extend_echelon([], clear_denominators(rows)[0]), len(rows[0]) if rows else 0)
+
+
+def _kernel(echelon, m: int):
+    """``integer_kernel`` read off the back substitution of a forward
+    echelon of rows of width m."""
+    reduced = _back_substitute(echelon)
+    pivots = {c for c, _ in reduced}
     free = [c for c in range(m) if c not in pivots]
     basis = []
     for fc in free:
-        used = [(row, c) for row, c in zip(echelon, pivots) if row[fc]]
-        scale = lcm(*(row[c] for row, c in used))
+        used = [(c, row) for c, row in reduced if row[fc]]
+        scale = lcm(*(row[c] for c, row in used))
         v = [0] * m
         v[fc] = scale
-        for row, c in used:
+        for c, row in used:
             v[c] = -row[fc] * (scale // row[c])
         g = gcd(*v)
         basis.append([x // g for x in v])

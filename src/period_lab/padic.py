@@ -242,6 +242,14 @@ def parse_int(value, name: str = "value") -> int:
     raise SchemaError(f"field {name!r} must be an integer, got {value!r}")
 
 
+def parse_list(value, name: str) -> list:
+    """A list field, or a SchemaError naming the field: a string would
+    otherwise be read character by character."""
+    if not isinstance(value, list):
+        raise SchemaError(f"field {name!r} must be a list, got {value!r}")
+    return value
+
+
 def digit_sum(i: int, p: int) -> int:
     s = 0
     while i:

@@ -27,6 +27,12 @@ representable only for u in {0, 1, -1}; any other u is carried as a formal
 key and poisons definiteness (reported, never silently asserted) — the
 (p-1)-st roots of unity of order > 2 do not lie in the p^N-th cyclotomic
 field.
+
+One evaluation serves every reader: theta(phi^s(x)) at level N, from the
+terms read once per expression.  theta is s = 0, the kernel orbit probe
+runs s = 0, 1, ..., and the depth-n component that v_flat values is
+theta(phi^-n(x)) at level n + k_max, k_max the largest p-exponent of an
+eps-exponent's denominator.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from .padic import (
     format_rational,
     multiplicity,
     parse_int,
+    parse_list,
     parse_rational,
     rational_valuation,
     residue,
@@ -444,7 +451,7 @@ class TiltExpr:
         p_int = int(p)
         one = FqElement.one(p_int)
         terms = []
-        for it in items:
+        for it in parse_list(items, "expr"):
             if not isinstance(it, dict):
                 raise SchemaError(f"each term of 'expr' must be a JSON object, got {it!r}")
             u = it.get("u")
@@ -466,17 +473,6 @@ class TiltExpr:
 # ---------------------------------------------------------------------------
 # evaluation (theta) and the graded value model
 # ---------------------------------------------------------------------------
-
-
-def _root_exponent(a: Fraction, p: int, N: int) -> int:
-    """(p^N * a) as an integer mod p^N; the prime-to-p denominator part is
-    inverted modulo p^N.  Requires the p-part of a's denominator <= p^N."""
-    E = residue(a * Fraction(p) ** N, p, N)
-    if E is None:
-        raise ExponentTooFineError(
-            f"exponent {a} is finer than the evaluation level {N}"
-        )
-    return E
 
 
 @dataclass
@@ -541,6 +537,68 @@ def _teich_contribution(u: FqElement):
     return 1, (u.f, u.poly)
 
 
+def _theta_rows(x: TiltExpr):
+    """(p, k_max, rows): each term as the evaluation reads it, once per
+    expression.  k_max is the largest p-exponent of an eps-exponent's
+    denominator.  A row is (scale, a, c_num, c_den, teich, i): coeff times
+    the Teichmueller sign; the eps-exponent times p^k_max, p-integral, as
+    an int when it is one; the pflat exponent c = c_num/c_den; the piece
+    key of the Teichmueller part, or the FqElement itself when that key
+    moves under Frobenius (f > 1 and u != 1); and the p-power index.
+    """
+    p = x.p
+    k_max = max((multiplicity(m.a.denominator, p) for _, m, _ in x.terms), default=0)
+    rows = []
+    for coeff, m, i in x.terms:
+        a = m.a * p**k_max
+        sign, key = _teich_contribution(m.u)
+        teich = m.u if key is not None and m.u.f > 1 else key
+        rows.append((
+            coeff * sign,
+            a.numerator if a.denominator == 1 else a,
+            m.c.numerator,
+            m.c.denominator,
+            teich,
+            i,
+        ))
+    return p, k_max, rows
+
+
+def _theta_shifted(p: int, k_max: int, rows, N: int, s: int) -> GradedThetaValue:
+    """theta(phi^s(x)) at level N from the rows of x, for any integer s.
+
+    eps^a (pflat)^c [u] p^i contributes z^E, z of order p^N and E =
+    (p^k_max a) p^(N + s - k_max) mod p^N; times p^(c p^s + i), one divmod
+    of c p^s giving the integer power and the fractional part that keys
+    the Kummer piece; times [u^(p^s)], which moves only when f > 1 and
+    u != 1.  Each piece's exponent -> coefficient map is summed in one
+    pass, then reduced once.
+    """
+    t = N + s - k_max
+    modulus = p**N
+    lift = p**t if t >= 0 else 0  # 0: a goes through residue
+    up, down = (p**s, 1) if s >= 0 else (1, p**-s)
+    gathered: dict = {}
+    for scale, a, c_num, c_den, teich, i in rows:
+        if lift and type(a) is int:
+            E = a * lift % modulus
+        else:
+            E = residue(a * Fraction(p) ** t, p, N)
+            if E is None:
+                raise ExponentTooFineError(
+                    f"exponent {Fraction(a, p**k_max)} is finer than the evaluation level {N}"
+                )
+        q, r = divmod(c_num * up, c_den * down)
+        if isinstance(teich, FqElement):
+            teich = _teich_contribution(teich.frobenius(s))[1]
+        e = q + i
+        coeffs = gathered.setdefault((Fraction(r, c_den * down) if r else 0, teich), {})
+        coeffs[E] = coeffs.get(E, 0) + (scale * p**e if e >= 0 else Fraction(scale, p**-e))
+    ctx = CyclotomicContext(p, N)
+    pieces = {key: CycElt(ctx, c) for key, c in gathered.items()}
+    return GradedThetaValue(ctx, pieces, all(teich is None for _, teich in pieces))
+
+
 def theta(x: TiltExpr, N: int) -> GradedThetaValue:
     """Evaluate at level N: monomial eps^a (pflat)^c [u] p^i contributes
     z^(p^N a) p^(c+i) [u] with z of order p^N.
@@ -548,40 +606,15 @@ def theta(x: TiltExpr, N: int) -> GradedThetaValue:
     Rejects eps-exponents finer than p^N; flags Teichmueller parts without
     an exact cyclotomic image.
     """
-    terms = []
-    exact = True
-    for coeff, m, i in x.terms:
-        E = _root_exponent(m.a, x.p, N)
-        frac = m.c - int(m.c)  # c >= 0, so int() is the floor
-        sign, key = _teich_contribution(m.u)
-        if key is not None:
-            exact = False
-        e = int(m.c) + i
-        scale = coeff * sign * x.p**e if e >= 0 else Fraction(coeff * sign, x.p**-e)
-        terms.append(((frac, key), E, scale))
-    ctx = CyclotomicContext(x.p, N)
-    return GradedThetaValue(ctx, _gather(ctx, terms), exact)
-
-
-def _gather(ctx: CyclotomicContext, terms) -> dict:
-    """{piece key: CycElt} from (piece key, root exponent E, scale) triples
-    meaning scale * z^E: each piece's exponent -> coefficient map is summed
-    in one pass, then reduced once."""
-    gathered: dict = {}
-    for key, E, scale in terms:
-        coeffs = gathered.setdefault(key, {})
-        coeffs[E] = coeffs.get(E, 0) + scale
-    return {key: CycElt(ctx, coeffs) for key, coeffs in gathered.items()}
+    return _theta_shifted(*_theta_rows(x), N, 0)
 
 
 def ker_theta_orbit_probe(x: TiltExpr, N: int, n_max: int) -> list:
-    """[theta(phi^n(x)) == 0 for n = 0..n_max]."""
+    """[theta(phi^n(x)) == 0 for n = 0..n_max], from x's rows read once."""
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    out = []
-    for n in range(n_max + 1):
-        out.append(theta(x.frobenius(n), N).is_zero())
-    return out
+    rows = _theta_rows(x)
+    return [_theta_shifted(*rows, N, n).is_zero() for n in range(n_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -606,81 +639,36 @@ class VflatResult:
     value: Optional[Valuation]
 
 
-def _vflat_terms(x: TiltExpr):
-    """(k_max, rows): what v_flat reads of each term, once per expression.
-
-    k_max is the largest p-exponent of an eps-exponent's denominator.  A
-    row is (scale, a, c_num, c_den, teich): coeff times the Teichmueller
-    sign; the eps-exponent times p^k_max, p-integral, as an int when it is
-    one; the pflat exponent c = c_num/c_den; and the piece key of the
-    Teichmueller part, or the FqElement itself when that key moves with
-    the depth (f > 1 and u != 1: the depth-n part is u^(p^-n)).
-    """
-    p = x.p
-    k_max = max((multiplicity(m.a.denominator, p) for _, m, _ in x.terms), default=0)
-    rows = []
-    for coeff, m, _ in x.terms:
-        a = m.a * p**k_max
-        sign, key = _teich_contribution(m.u)
-        teich = m.u if key is not None and m.u.f > 1 else key
-        rows.append((
-            coeff * sign,
-            a.numerator if a.denominator == 1 else a,
-            m.c.numerator,
-            m.c.denominator,
-            teich,
-        ))
-    return k_max, rows
-
-
-def _component_value(p: int, k_max: int, rows, n: int):
-    """(value, conclusive) for p^n * v_p of the depth-n component of a
-    p-power-index-0 expression, from the rows of ``_vflat_terms``.
-
-    The depth-n component of eps^a (pflat)^c [u] is the n-fold Frobenius
-    shift: z^E with z of order p^M, M = n + k_max, and E = p^k_max a mod
-    p^M; times p^(c/p^n), whose integer part divmod(c_num, c_den p^n)
-    folds into the coefficient and whose fractional part keys the Kummer
-    piece; times [u^(1/p^n)], which moves only when f > 1 and n != 0 mod
-    f.  A lift valuation >= 1 means the component vanishes mod p (the
-    residue ring truncates there).
-    """
-    M = n + k_max
-    modulus, pn = p**M, p**n
-    terms = []
-    for scale, a, c_num, c_den, teich in rows:
-        E = a % modulus if a.denominator == 1 else residue(a, p, M)
-        q, r = divmod(c_num, c_den * pn)
-        frac = Fraction(r, c_den * pn) if r else 0
-        if isinstance(teich, FqElement):
-            teich = _teich_contribution(teich.frobenius(-n))[1]
-        terms.append(((frac, teich), E, scale * p**q))
-    pieces = _gather(CyclotomicContext(p, M), terms)
+def _component_value(value: GradedThetaValue, n: int):
+    """(value, conclusive) for p^n * v_p of the depth-n component, whose
+    graded value is ``value``: the least piece valuation below 1, INF when
+    none is (a lift valuation >= 1 means the component vanishes mod p, as
+    the residue ring truncates there)."""
     candidates = []
-    for (frac, key), elt in pieces.items():
+    for (frac, key), elt in value.pieces.items():
         v = elt.vp()
-        if v is INF:
-            continue
-        candidates.append((v + frac, key))
-    candidates = [c for c in candidates if c[0] < 1]  # vanishes mod p beyond
+        if v is not INF and v + frac < 1:
+            candidates.append((v + frac, key))
     if not candidates:
         return INF, True
     candidates.sort(key=lambda t: t[0])
     best_v, best_key = candidates[0]
     tied = len(candidates) > 1 and candidates[1][0] == best_v
     conclusive = (not tied) and best_key is None
-    return Fraction(p) ** n * best_v, conclusive
+    return Fraction(value.context.p) ** n * best_v, conclusive
 
 
 def vflat_sum(x: TiltExpr, depth: int) -> VflatResult:
     """Exact tilt valuation of a formal sum with p-power index 0, evaluated
     depth by depth.
 
-    Each term's exponents and Teichmueller part are read once
-    (``_vflat_terms``); each depth then costs a root exponent mod p^M, one
-    divmod for the pflat exponent and, for f > 1, a Frobenius power per
-    term (``_component_value``).  The depth-n component is an exact
-    element of the cyclotomic-Kummer graded model; its valuation is the
+    The depth-n component is theta(phi^-n(x)) at level n + k_max, k_max
+    the largest p-exponent of an eps-exponent's denominator.  Each term's
+    exponents and Teichmueller part are read once (``_theta_rows``); each
+    depth then costs a root exponent mod p^(n + k_max), one divmod for the
+    pflat exponent and, for f > 1, a Frobenius power per term
+    (``_theta_shifted``).  That component is an exact element of the
+    cyclotomic-Kummer graded model; its valuation is the
     unique minimum over graded pieces when that minimum is unique (always
     true within a piece).  Ties across pieces are reported as
     inconclusive, never resolved by fiat.
@@ -689,11 +677,11 @@ def vflat_sum(x: TiltExpr, depth: int) -> VflatResult:
         raise ValueError("v_flat applies to expressions with p-power index 0")
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
-    k_max, rows = _vflat_terms(x)
+    p, k_max, rows = _theta_rows(x)
     values = []
     all_ok = True
     for n in range(depth + 1):
-        v, ok = _component_value(x.p, k_max, rows, n)
+        v, ok = _component_value(_theta_shifted(p, k_max, rows, n + k_max, -n), n)
         values.append(v if ok else None)
         all_ok = all_ok and ok
     stabilized = (

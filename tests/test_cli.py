@@ -310,6 +310,10 @@ def test_batch_determinism(tmp_path, capsys):
         {"command": "polygon", "kind": "epsilon_minus_one", "p": 3,
          "window": "1000000000000000000000000000000"},
         {"command": "polygon", "kind": "t", "p": 3, "window": ["-2", 10**30]},
+        # a filtration step spanned by the zero vector
+        {"command": "phimod", "p": 5, "eisenstein": [-5, 1], "frobenius": [["1", "0"], ["0", "1"]],
+         "filtration": [{"jump": 0, "basis": [[["1"], ["0"]], [["0"], ["1"]]]},
+                        {"jump": 1, "basis": [[["0"], ["0"]]]}]},
     ],
 )
 def test_batch_isolates_invalid_field(tmp_path, capsys, bad):
@@ -473,6 +477,35 @@ def test_phimod_rejects_strings_and_numbers_where_lists_belong(tmp_path, capsys,
     good = {"command": "phimod", **_RANK2}
     f = tmp_path / "mods.jsonl"
     f.write_text("".join(json.dumps(x) + "\n" for x in (good, {"command": "phimod", **module}, good)))
+    code, batch = run_json(capsys, "batch", "--input", str(f))
+    assert code == 2
+    assert [r["status"] for r in batch["results"]] == ["ok", "error", "ok"]
+    assert batch["results"][1]["message"] == report["error"]
+
+
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        # strings were read character by character: orders "42" as [4, 2],
+        # the window "12" as [1, 2], the points "12" as one point (1, 2)
+        ("herbrand", {"e": 4, "orders": "42"}, "orders"),
+        ("polygon", {"kind": "t", "p": 3, "window": "12"}, "window"),
+        ("polygon", {"kind": "series", "points": "12"}, "points"),
+        ("polygon", {"kind": "series", "points": [["0", "1"], "12"]}, "points"),
+        ("tilt", {"p": 3, "op": "theta", "level": 2, "expr": "abc"}, "expr"),
+        ("char", {"op": "multiply", "factors": "x"}, "factors"),
+    ],
+)
+def test_strings_where_lists_belong_are_refused(tmp_path, capsys, command, payload, field):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(payload))
+    code, report = run_json(capsys, command, "--input", str(f))
+    assert code == 2
+    assert report["error"].startswith(f"field {field!r} must be a list")
+    # the middle line of a batch fails alone, with the same message
+    good = json.dumps({"command": "herbrand", "e": 4, "orders": [4, 2, 2]})
+    f = tmp_path / "bad.jsonl"
+    f.write_text("\n".join([good, json.dumps({"command": command, **payload}), good]) + "\n")
     code, batch = run_json(capsys, "batch", "--input", str(f))
     assert code == 2
     assert [r["status"] for r in batch["results"]] == ["ok", "error", "ok"]

@@ -582,6 +582,9 @@ def test_filtration_validation():
             [[F(1), F(0)], [F(0), F(1)]],
             [(0, full), (1, full)],  # not strictly decreasing
         )
+    # a last step spanned by the zero vector: graded_dims would list (1, 0)
+    with pytest.raises(ValueError, match="filtration subspaces must be nonzero"):
+        FilteredPhiModule(base, [[F(1), F(0)], [F(0), F(1)]], [(0, full), (1, [[0, 0]])])
 
 
 def test_ramified_base_field_dim2():
@@ -737,6 +740,38 @@ def test_depth_first_scan_matches_per_mask_reference(D):
         "padically_reducible_factor",
     )
     assert verdict.to_json() == admissibility_reference.is_admissible(D).to_json()
+
+
+@st.composite
+def filtrations_over_k(draw):
+    """A module of rank 2-6 over K of degree 1-3, identity Frobenius, with
+    Fil^j = span{v_i : h_i >= j} over a random K-basis v."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    e = draw(st.sampled_from((1, 2, 3)))
+    d = draw(st.integers(2, 6))
+    coords = st.lists(st.integers(-3, 3), min_size=e, max_size=e)
+    basis = [[draw(coords) for _ in range(d)] for _ in range(d)]
+    weights = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))
+    steps = [(j, [v for v, h in zip(basis, weights) if h >= j]) for j in sorted(set(weights))]
+    base = BaseFieldK(p, [-p] + [0] * (e - 1) + [1])
+    try:
+        return FilteredPhiModule(base, [[int(i == j) for j in range(d)] for i in range(d)], steps)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(filtrations_over_k())
+def test_annihilators_match_the_reference_elimination_over_k(D):
+    """Each step's annihilator, read off the back substitution of the
+    constructor's echelon, is the basis that the reference rref over K
+    gives once each vector is divided by its entry at its column."""
+    d, e = D.dim, D.base.e
+    normalized = [
+        [[ref.KElement(D.base, [F(x, v[c]) for x in v[i * e:(i + 1) * e]]) for i in range(d)] for v, c in ann]
+        for ann in D._annihilators
+    ]
+    assert normalized == admissibility_reference.k_annihilators(D)
 
 
 # ---------------------------------------------------------------------------

@@ -612,7 +612,7 @@ def test_restriction_of_scalars_ranks_and_annihilates(data):
     assert rank(restricted) == K.e * k_rank
     # sympy's rank of the K-span written as the Q-rows v pi^j
     assert to_sympy(_restriction_of_scalars(K, A)).rank() == K.e * k_rank
-    basis = restricted_kernel(restricted, K.e)
+    basis = restricted_kernel(extend_echelon([], restricted), m, K.e)
     assert len(basis) == m - k_rank
     vectors = [[ref.KElement(K, v[i * K.e:(i + 1) * K.e]) for i in range(m)] for v, _ in basis]
     for row in A:
@@ -673,7 +673,7 @@ def test_restriction_of_scalars_past_eisenstein_moduli(g, data):
     k_rank = DomainMatrix(A_K, (len(A), m), K).rank()
     restricted = restrict_scalars(A, g)
     assert rank(restricted) == e * k_rank
-    basis = restricted_kernel(restricted, e)
+    basis = restricted_kernel(extend_echelon([], restricted), m, e)
     assert len(basis) == m - k_rank
     for v, _ in basis:
         n = [to_sympy_field(K, v[i * e:(i + 1) * e]) for i in range(m)]

@@ -135,6 +135,23 @@ def test_modular_inverses_only_in_the_reduction_layers():
     assert files <= {"padic.py", "linalg.py"}, sorted(found)
 
 
+def test_no_module_imports_a_name_it_does_not_use():
+    """Every name a module of the package imports is read somewhere in
+    it, so a change that leaves an import orphaned fails here."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({(a.asname or a.name).split(".")[0]: node.lineno for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({a.asname or a.name: node.lineno for a in node.names})
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused, unused
+
+
 def test_scalar_serialization_roundtrip():
     x = F(-22, 7)
     assert format_rational(x) == "-22/7"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tilt_reference as ref
-from period_lab.padic import INF, residue
+from period_lab.padic import INF, multiplicity, residue
 from period_lab.tilt import (
     ExponentTooFineError,
     FqElement,
@@ -267,6 +267,64 @@ def test_theta_matches_per_term_accumulation(case, p_powers):
     assert theta(x, N).pieces == expected
 
 
+@st.composite
+def probe_case(draw):
+    """(x, N, n_max): a sum of up to three monomials with p-power indices,
+    pflat exponents c > 0 of p-power denominator and Teichmueller parts in
+    F_p or F_(p^2), in four draws of five times phi^-k(omega) =
+    sum_j [eps^(j/p^(k+1))] for a drawn k <= 4, so that theta(phi^n) of
+    the product vanishes at n = k.  N runs from 0 to k_max + 2 and n_max
+    up to 4."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = F(draw(st.integers(-4, 4)), p ** draw(st.integers(0, 1)))
+        c = F(draw(st.integers(1, 8)), p ** draw(st.integers(0, 2)))
+        f = draw(st.sampled_from((1, 1, 1, 1, 1, 2)))
+        if f == 1 and draw(st.sampled_from((True, True, True, False))):
+            u = FqElement(p, 1, (draw(st.sampled_from((1, p - 1))),))
+        else:
+            code = draw(st.integers(1, p**f - 1))
+            u = FqElement(p, f, (code % p, code // p))
+        terms.append((draw(st.sampled_from([-2, -1, 1, 2])), a, c, u, draw(st.integers(0, 2))))
+    # the product with phi^-k(omega), term by term
+    k = draw(st.integers(0, 4))
+    shifts = [F(j, p ** (k + 1)) for j in range(p)] if draw(st.integers(0, 4)) else [0]
+    x = TiltExpr(p, [(n, TiltMonomial(a + b, c, u), i) for n, a, c, u, i in terms for b in shifts])
+    k_max = max((multiplicity(m.a.denominator, p) for _, m, _ in x.terms), default=0)
+    # levels from k_max up, where no exponent is too fine, drawn more often
+    N = draw(st.one_of(st.integers(0, k_max + 2), st.integers(k_max, k_max + 2)))
+    return x, N, draw(st.sampled_from(range(5)))
+
+
+def reference_probe(x, N: int, n_max: int):
+    """The probe's entries from the reference pieces of phi^n(x), or the
+    error type the probe must raise first."""
+    out = []
+    for n in range(n_max + 1):
+        try:
+            pieces = ref.theta_pieces(x.frobenius(n), N)
+        except ValueError:
+            return ExponentTooFineError
+        live = [key for key, v in pieces.items() if not v.is_zero()]
+        if any(key[1] is not None for key in live):
+            return InexactTeichmullerError
+        out.append(not live)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(probe_case())
+def test_kernel_orbit_probe_matches_the_reference_at_every_shift(case):
+    x, N, n_max = case
+    expected = reference_probe(x, N, n_max)
+    if isinstance(expected, list):
+        assert ker_theta_orbit_probe(x, N, n_max) == expected
+    else:
+        with pytest.raises(expected):
+            ker_theta_orbit_probe(x, N, n_max)
+
+
 # -- theta ------------------------------------------------------------------------
 
 
@@ -281,8 +339,12 @@ def test_theta_identities():
 def test_theta_rejects_too_fine_exponents():
     p = 3
     x = TiltExpr.epsilon_power(p, F(1, p**4))
-    with pytest.raises(ExponentTooFineError):
+    message = "exponent 1/81 is finer than the evaluation level 3"
+    with pytest.raises(ExponentTooFineError, match=message):
         theta(x, 3)
+    # the probe raises at shift 0, naming the exponent as given
+    with pytest.raises(ExponentTooFineError, match=message):
+        ker_theta_orbit_probe(x, 3, 2)
     theta(x, 4)  # fine at the matching level
 
 
@@ -330,6 +392,10 @@ def test_kernel_orbit_probe():
         assert ker_theta_orbit_probe(TiltExpr.epsilon_minus_one(p), 4, 4) == [True] * 5
         assert ker_theta_orbit_probe(TiltExpr.omega(p), 4, 1) == [True, False]
     assert ker_theta_orbit_probe(TiltExpr.zero(3), 3, 3) == [True] * 4
+    # phi^-3(omega) = sum_j [eps^(j/p^4)]: theta(phi^n) vanishes at n = 3 alone
+    for p in (2, 3):
+        x = TiltExpr.omega(p).frobenius(-3)
+        assert ker_theta_orbit_probe(x, 5, 4) == [False, False, False, True, False]
 
 
 def test_generator_condition():
