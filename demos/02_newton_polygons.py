@@ -12,7 +12,6 @@ Run:  python demos/02_newton_polygons.py
 from fractions import Fraction as F
 
 from period_lab.polygons import (
-    SeriesProfile,
     ascii_sketch,
     epsilon_minus_one_polygon,
     frobenius_transform,
@@ -24,7 +23,7 @@ from period_lab.polygons import (
 p = 2
 
 # The generator polygon and its Minkowski arithmetic.
-gen = hull(SeriesProfile([(0, 1), (1, 0)]))
+gen = hull([(0, 1), (1, 0)])
 print("degree-one generator polygon:", gen.vertices)
 print("sum with itself merges the equal slopes:", minkowski_sum(gen, gen).vertices)
 

@@ -145,7 +145,7 @@ def run_polygon(payload: dict, args):
         for point in parse_list(_require(payload, "points"), "points"):
             x, v = parse_list(point, "points")
             pts.append((parse_rational(x), INF if v in (None, "inf") else parse_rational(v)))
-        poly = polygons.hull(polygons.SeriesProfile(pts))
+        poly = polygons.hull(pts)
     elif kind == "epsilon_minus_one":
         p = _require_prime(payload)
         _, hi = _ladder_window(p, 0, _require(payload, "window"))

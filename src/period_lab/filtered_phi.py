@@ -90,12 +90,6 @@ class AdmissibilityVerdict:
     newton_number: Fraction
     witness: Optional[dict] = None
 
-    @property
-    def is_admissible(self) -> bool:
-        if self.status == UNDECIDED:
-            raise ValueError("verdict is undecided")
-        return self.status == ADMISSIBLE
-
     def to_json(self) -> dict:
         out = {
             "status": self.status,
@@ -327,19 +321,11 @@ def _root_valuations(f, p) -> list:
 
 def _qp_eigenvalue_below(cp, p, threshold) -> Optional[dict]:
     """A witness that some Q_p-rational eigenvalue of the quadratic cp has
-    valuation < threshold, or None."""
-    c0, c1 = cp[0], cp[1]
-    v_small, v_large = _root_valuations(cp, p)
-    if v_small >= threshold:
-        return None
-    if v_small != v_large:
-        # two distinct integer slopes: the polynomial splits over Q_p
-        return {"type": "padic_eigenvalue", "valuation": format_rational(v_small)}
-    # equal valuations: roots live in Q_p iff the discriminant is a square
-    if v_small.denominator != 1:
-        return None  # non-integral valuation: no Q_p roots at all
-    disc = c1 * c1 - 4 * c0
-    if disc == 0 or is_padic_square(disc, p):
+    valuation < threshold, or None.  cp has a root in Q_p, and then both,
+    exactly when its discriminant is a square there: the degree-2 case of
+    ``_qp_irreducible``."""
+    v_small = _root_valuations(cp, p)[0]
+    if v_small < threshold and not _qp_irreducible(cp, p):
         return {"type": "padic_eigenvalue", "valuation": format_rational(v_small)}
     return None
 

@@ -128,35 +128,18 @@ def _below(s: tuple, t: tuple) -> bool:
     return s[0] * t[1] < t[0] * s[1]
 
 
-@dataclass(frozen=True)
-class SeriesProfile:
-    """Finitely many (abscissa, valuation-or-INF) points of a series.
+def hull(points) -> Polygon:
+    """Canonical polygon of a series: lower hull of its finite points,
+    vertical ray up on the left, horizontal ray on the right.
 
-    Abscissas may be rationals (i/e in the ramified convention); at least
-    one valuation must be finite for a hull to exist.
+    ``points`` are (abscissa, valuation) pairs of exact rationals, the
+    abscissas possibly fractional (i/e in the ramified convention); an INF
+    valuation marks a vanishing coefficient and is skipped.  At least one
+    valuation must be finite.  Vertices on the strictly descending part of
+    the hull survive; anything at or above the running minimum to the
+    right is swallowed by the horizontal ray.
     """
-
-    terms: tuple
-
-    def __init__(self, terms):
-        cleaned = []
-        for i, v in terms:
-            cleaned.append((Fraction(i), v if v is INF else Fraction(v)))
-        object.__setattr__(self, "terms", tuple(cleaned))
-
-    def finite_points(self):
-        return [(i, v) for i, v in self.terms if v is not INF]
-
-
-def hull(profile: SeriesProfile) -> Polygon:
-    """Canonical polygon of a series profile: lower hull of the finite
-    points, vertical ray up on the left, horizontal ray on the right.
-
-    Vertices on the strictly descending part of the hull survive; anything
-    at or above the running minimum to the right is swallowed by the
-    horizontal ray.
-    """
-    pts = profile.finite_points()
+    pts = [(i, v) for i, v in points if v is not INF]
     if not pts:
         raise ValueError("no finite valuation in the profile")
     chain = lower_hull(pts)

@@ -164,9 +164,6 @@ class RamificationData:
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "orders", orders)
 
-    def to_json(self) -> dict:
-        return {"e": self.e, "orders": list(self.orders)}
-
 
 def herbrand_phi(data: RamificationData) -> PLFunction:
     """phi(u) = (1/e) int_0^u Card G_t dt, Card G_t = g_i on [i, i+1)."""
@@ -259,14 +256,6 @@ class ZpExtensionProfile:
     @property
     def a_is_integral(self) -> bool:
         return self.a.denominator == 1
-
-    def to_json(self) -> dict:
-        return {
-            "e_F": self.e_F,
-            "a": format_rational(self.a),
-            "b": format_rational(self.b),
-            "a_is_integral": self.a_is_integral,
-        }
 
 
 def _different_term(profile: ZpExtensionProfile, p: int, x: int) -> Fraction:

@@ -1,8 +1,8 @@
 """Formal model of distinguished elements of the tilt and its Witt ring.
 
-An expression is a finite integer combination of monomials
+An expression is a finite integer combination of terms
 
-    eps^a * (pflat)^c * [u]   scaled by   p^i
+    coeff * eps^a * (pflat)^c * [u] * p^i
 
 where eps is the pinned compatible system of p-power roots of unity
 (depth-n component a primitive p^n-th root, so v_p(component_n - 1) =
@@ -13,10 +13,13 @@ addition with carries is deliberately not modeled, which is enough for all
 the identities handled here (the degree-one generator omega, the infinite
 product factorizations, the evaluation map theta and the tilt valuation).
 
-Exponent domains: ``a`` is any exact rational (the Galois action sends
-a to chi*a + c(g)*c, and chi may carry a prime-to-p denominator); ``c`` is
-a nonnegative rational with p-power denominator.  Evaluation stays exact
-because prime-to-p denominators are invertible modulo p^N.
+A term is the flat tuple (coeff, a, c, u, i), and ``TiltExpr.__init__`` is
+the one place that checks and merges terms.  Exponent domains: ``a`` is
+any exact rational (the Galois action sends a to chi*a + c(g)*c, and chi
+may carry a prime-to-p denominator); ``c`` is a nonnegative rational with
+p-power denominator; ``u`` is a nonzero element of characteristic p.
+Evaluation stays exact because prime-to-p denominators are invertible
+modulo p^N.
 
 theta sends eps^a (pflat)^c [u] p^i to z^(p^N a) * p^(c+i) * [u] with z a
 primitive p^N-th root of unity.  Values live in a graded module keyed by
@@ -48,6 +51,7 @@ from .padic import (
     Prime,
     SchemaError,
     Valuation,
+    as_fraction,
     format_rational,
     multiplicity,
     parse_int,
@@ -63,7 +67,7 @@ class InexactTeichmullerError(ValueError):
 
 
 class ExponentTooFineError(ValueError):
-    """A monomial exponent has p-part finer than the evaluation level."""
+    """A term's eps-exponent has p-part finer than the evaluation level."""
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +143,6 @@ class FqElement:
     def one(cls, p: int, f: int = 1) -> "FqElement":
         return cls(p, f, (1,))
 
-    @classmethod
-    def scalar(cls, p: int, value: int, f: int = 1) -> "FqElement":
-        return cls(p, f, (value,))
-
     def is_zero(self) -> bool:
         return not self.poly
 
@@ -183,37 +183,8 @@ class FqElement:
 
 
 # ---------------------------------------------------------------------------
-# monomials and expressions
+# expressions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TiltMonomial:
-    """eps^a * (pflat)^c * [u]; a rational, c >= 0 with p-power denominator,
-    u a nonzero finite-field element."""
-
-    a: Fraction
-    c: Fraction
-    u: FqElement
-
-    def __init__(self, a, c, u: FqElement):
-        a, c = Fraction(a), Fraction(c)
-        if c < 0:
-            raise ValueError("pflat exponent must be nonnegative")
-        if not _is_p_power(c.denominator, u.p):
-            raise ValueError("pflat exponent denominator must be a power of p")
-        if u.is_zero():
-            raise ValueError("Teichmueller part must be nonzero")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "u", u)
-
-    def key(self):
-        return (self.a, self.c, self.u.poly, self.u.f)
-
-    def vflat(self) -> Fraction:
-        """v_flat of the monomial: the pflat exponent (units contribute 0)."""
-        return self.c
 
 
 def _is_p_power(n: int, p: int) -> bool:
@@ -256,20 +227,18 @@ class GaloisElement:
             self.frob + other.frob,
         )
 
-    def to_json(self):
-        return {
-            "chi": format_rational(self.chi),
-            "c": format_rational(self.c),
-            "frob": self.frob,
-        }
-
 
 class TiltExpr:
-    """A finite formal integer combination of monomials times powers of p.
+    """A finite formal integer combination of terms eps^a (pflat)^c [u] p^i.
 
-    Terms are kept sorted and merged; the p-power index i must be >= 0 for
-    expressions asserted to be integral (checked by the operations that
-    need integrality, not at construction).
+    ``terms`` is a sorted tuple of flat terms (coeff, a, c, u, i): a
+    nonzero int coefficient, the eps-exponent a and the pflat exponent c
+    as Fractions, the Teichmueller part u as an ``FqElement`` and the
+    p-power index i.  The constructor is the one place that checks a term
+    (c >= 0 with p-power denominator, u nonzero of characteristic p) and
+    merges terms with the same (i, a, c, u), dropping those that cancel.
+    The index i must be >= 0 for expressions asserted to be integral
+    (checked by the operations that need integrality, not here).
     """
 
     __slots__ = ("prime", "terms")
@@ -277,18 +246,26 @@ class TiltExpr:
     def __init__(self, prime, terms):
         if isinstance(prime, int):
             prime = Prime(prime)
+        p = prime.p
         merged: dict = {}
-        for coeff, mono, ppow in terms:
-            if mono.u.p != prime.p:
+        for coeff, a, c, u, i in terms:
+            a, c = as_fraction(a), as_fraction(c)
+            if c < 0:
+                raise ValueError("pflat exponent must be nonnegative")
+            if not _is_p_power(c.denominator, p):
+                raise ValueError("pflat exponent denominator must be a power of p")
+            if u.is_zero():
+                raise ValueError("Teichmueller part must be nonzero")
+            if u.p != p:
                 raise ValueError("monomial field characteristic mismatch")
-            k = (ppow, mono.key())
-            cur_coeff, cur_mono = merged.get(k, (0, mono))
-            merged[k] = (cur_coeff + int(coeff), mono)
+            key = (i, a, c, u.poly, u.f)
+            prev = merged.get(key)
+            merged[key] = (int(coeff) + prev[0], u) if prev else (int(coeff), u)
         self.prime = prime
         self.terms = tuple(
-            (c, m, ppow)
-            for (ppow, _), (c, m) in sorted(merged.items())
-            if c != 0
+            (coeff, a, c, u, i)
+            for (i, a, c, _, _), (coeff, u) in sorted(merged.items())
+            if coeff
         )
 
     @property
@@ -302,31 +279,32 @@ class TiltExpr:
         return cls(p, [])
 
     @classmethod
+    def _term(cls, p, a=0, c=0, i=0) -> "TiltExpr":
+        """The one-term expression eps^a (pflat)^c p^i."""
+        return cls(p, [(1, a, c, FqElement.one(int(p)), i)])
+
+    @classmethod
     def one(cls, p) -> "TiltExpr":
-        p_int = int(p)
-        return cls(p, [(1, TiltMonomial(0, 0, FqElement.one(p_int)), 0)])
+        return cls._term(p)
 
     @classmethod
     def epsilon_power(cls, p, a) -> "TiltExpr":
         """[eps^a] as a one-term expression."""
-        p_int = int(p)
-        return cls(p, [(1, TiltMonomial(a, 0, FqElement.one(p_int)), 0)])
+        return cls._term(p, a=a)
 
     @classmethod
     def p_flat_power(cls, p, c=1) -> "TiltExpr":
         """[(pflat)^c]."""
-        p_int = int(p)
-        return cls(p, [(1, TiltMonomial(0, c, FqElement.one(p_int)), 0)])
+        return cls._term(p, c=c)
 
     @classmethod
     def teichmuller(cls, u: FqElement) -> "TiltExpr":
-        return cls(u.p, [(1, TiltMonomial(0, 0, u), 0)])
+        return cls(u.p, [(1, 0, 0, u, 0)])
 
     @classmethod
     def p_scalar(cls, p, i=1) -> "TiltExpr":
         """p^i as an expression (i >= 0)."""
-        p_int = int(p)
-        return cls(p, [(1, TiltMonomial(0, 0, FqElement.one(p_int)), i)])
+        return cls._term(p, i=i)
 
     @classmethod
     def epsilon_minus_one(cls, p) -> "TiltExpr":
@@ -341,34 +319,31 @@ class TiltExpr:
     def omega(cls, p) -> "TiltExpr":
         """omega = ([eps]-1)/([eps^{1/p}]-1) = sum_{j<p} [eps^{j/p}]."""
         p_int = int(p)
-        return cls(
-            p,
-            [
-                (1, TiltMonomial(Fraction(j, p_int), 0, FqElement.one(p_int)), 0)
-                for j in range(p_int)
-            ],
-        )
+        one = FqElement.one(p_int)
+        return cls(p, [(1, Fraction(j, p_int), 0, one, 0) for j in range(p_int)])
 
     # -- ring structure ------------------------------------------------------
 
     def __add__(self, other: "TiltExpr") -> "TiltExpr":
         self._check(other)
-        return TiltExpr(self.prime, list(self.terms) + list(other.terms))
+        return TiltExpr(self.prime, self.terms + other.terms)
 
     def __neg__(self) -> "TiltExpr":
-        return TiltExpr(self.prime, [(-c, m, i) for c, m, i in self.terms])
+        return TiltExpr(self.prime, [(-coeff, a, c, u, i) for coeff, a, c, u, i in self.terms])
 
     def __sub__(self, other: "TiltExpr") -> "TiltExpr":
         return self + (-other)
 
     def __mul__(self, other: "TiltExpr") -> "TiltExpr":
         self._check(other)
-        out = []
-        for c1, m1, i1 in self.terms:
-            for c2, m2, i2 in other.terms:
-                mono = TiltMonomial(m1.a + m2.a, m1.c + m2.c, m1.u * m2.u)
-                out.append((c1 * c2, mono, i1 + i2))
-        return TiltExpr(self.prime, out)
+        return TiltExpr(
+            self.prime,
+            [
+                (k1 * k2, a1 + a2, c1 + c2, u1 * u2, i1 + i2)
+                for k1, a1, c1, u1, i1 in self.terms
+                for k2, a2, c2, u2, i2 in other.terms
+            ],
+        )
 
     def _check(self, other):
         if not isinstance(other, TiltExpr) or other.prime != self.prime:
@@ -391,14 +366,14 @@ class TiltExpr:
         if not self.terms:
             return "TiltExpr(0)"
         bits = []
-        for c, m, i in self.terms:
-            part = f"{c}"
-            if m.a:
-                part += f"*eps^{m.a}"
-            if m.c:
-                part += f"*pflat^{m.c}"
-            if not m.u.is_one():
-                part += f"*[{list(m.u.poly)}]"
+        for coeff, a, c, u, i in self.terms:
+            part = f"{coeff}"
+            if a:
+                part += f"*eps^{a}"
+            if c:
+                part += f"*pflat^{c}"
+            if not u.is_one():
+                part += f"*[{list(u.poly)}]"
             if i:
                 part += f"*p^{i}"
             bits.append(part)
@@ -412,10 +387,7 @@ class TiltExpr:
         scale = Fraction(self.p) ** n
         return TiltExpr(
             self.prime,
-            [
-                (c, TiltMonomial(m.a * scale, m.c * scale, m.u.frobenius(n)), i)
-                for c, m, i in self.terms
-            ],
+            [(coeff, a * scale, c * scale, u.frobenius(n), i) for coeff, a, c, u, i in self.terms],
         )
 
     def galois_act(self, g: GaloisElement) -> "TiltExpr":
@@ -423,12 +395,8 @@ class TiltExpr:
         return TiltExpr(
             self.prime,
             [
-                (
-                    c,
-                    TiltMonomial(g.chi * m.a + g.c * m.c, m.c, m.u.frobenius(g.frob)),
-                    i,
-                )
-                for c, m, i in self.terms
+                (coeff, g.chi * a + g.c * c, c, u.frobenius(g.frob), i)
+                for coeff, a, c, u, i in self.terms
             ],
         )
 
@@ -437,37 +405,41 @@ class TiltExpr:
     def to_json(self):
         return [
             {
-                "coeff": c,
-                "a": format_rational(m.a),
-                "c": format_rational(m.c),
-                "u": m.u.to_json(),
+                "coeff": coeff,
+                "a": format_rational(a),
+                "c": format_rational(c),
+                "u": u.to_json(),
                 "p_power": i,
             }
-            for c, m, i in self.terms
+            for coeff, a, c, u, i in self.terms
         ]
 
     @classmethod
     def from_json(cls, p, items) -> "TiltExpr":
-        p_int = int(p)
-        one = FqElement.one(p_int)
-        terms = []
-        for it in parse_list(items, "expr"):
-            if not isinstance(it, dict):
-                raise SchemaError(f"each term of 'expr' must be a JSON object, got {it!r}")
-            u = it.get("u")
-            if u:
-                poly = [parse_int(x, "poly") for x in u["poly"]]
-                uel = FqElement(p_int, parse_int(u["f"], "f"), poly)
-            else:
-                uel = one
-            terms.append(
-                (
-                    parse_int(it["coeff"], "coeff"),
-                    TiltMonomial(parse_rational(it["a"]), parse_rational(it["c"]), uel),
-                    parse_int(it.get("p_power", 0), "p_power"),
-                )
-            )
-        return cls(p, terms)
+        """The expression of a JSON term list; each term is parsed and then
+        checked by the constructor before the next one is parsed."""
+        return cls(p, _parse_terms(int(p), parse_list(items, "expr")))
+
+
+def _parse_terms(p: int, items):
+    """(coeff, a, c, u, i) of each JSON term in turn."""
+    one = FqElement.one(p)
+    for it in items:
+        if not isinstance(it, dict):
+            raise SchemaError(f"each term of 'expr' must be a JSON object, got {it!r}")
+        u = it.get("u")
+        if u:
+            poly = [parse_int(x, "poly") for x in u["poly"]]
+            u = FqElement(p, parse_int(u["f"], "f"), poly)
+        else:
+            u = one
+        yield (
+            parse_int(it["coeff"], "coeff"),
+            parse_rational(it["a"]),
+            parse_rational(it["c"]),
+            u,
+            parse_int(it.get("p_power", 0), "p_power"),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -547,18 +519,17 @@ def _theta_rows(x: TiltExpr):
     moves under Frobenius (f > 1 and u != 1); and the p-power index.
     """
     p = x.p
-    k_max = max((multiplicity(m.a.denominator, p) for _, m, _ in x.terms), default=0)
+    k_max = max((multiplicity(a.denominator, p) for _, a, _, _, _ in x.terms), default=0)
     rows = []
-    for coeff, m, i in x.terms:
-        a = m.a * p**k_max
-        sign, key = _teich_contribution(m.u)
-        teich = m.u if key is not None and m.u.f > 1 else key
+    for coeff, a, c, u, i in x.terms:
+        a = a * p**k_max
+        sign, key = _teich_contribution(u)
         rows.append((
             coeff * sign,
             a.numerator if a.denominator == 1 else a,
-            m.c.numerator,
-            m.c.denominator,
-            teich,
+            c.numerator,
+            c.denominator,
+            u if key is not None and u.f > 1 else key,
             i,
         ))
     return p, k_max, rows
@@ -574,6 +545,8 @@ def _theta_shifted(p: int, k_max: int, rows, N: int, s: int) -> GradedThetaValue
     u != 1.  Each piece's exponent -> coefficient map is summed in one
     pass, then reduced once.
     """
+    if N < 0:
+        raise ValueError(f"level must be nonnegative, got {N}")
     t = N + s - k_max
     modulus = p**N
     lift = p**t if t >= 0 else 0  # 0: a goes through residue
@@ -600,7 +573,7 @@ def _theta_shifted(p: int, k_max: int, rows, N: int, s: int) -> GradedThetaValue
 
 
 def theta(x: TiltExpr, N: int) -> GradedThetaValue:
-    """Evaluate at level N: monomial eps^a (pflat)^c [u] p^i contributes
+    """Evaluate at level N: the term eps^a (pflat)^c [u] p^i contributes
     z^(p^N a) p^(c+i) [u] with z of order p^N.
 
     Rejects eps-exponents finer than p^N; flags Teichmueller parts without
@@ -673,7 +646,7 @@ def vflat_sum(x: TiltExpr, depth: int) -> VflatResult:
     true within a piece).  Ties across pieces are reported as
     inconclusive, never resolved by fiat.
     """
-    if any(i != 0 for _, _, i in x.terms):
+    if any(i != 0 for _, _, _, _, i in x.terms):
         raise ValueError("v_flat applies to expressions with p-power index 0")
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
@@ -722,7 +695,7 @@ def generator_condition_check(x: TiltExpr, N: int, depth: int) -> GeneratorRepor
     not carry Witt addition, so dropping the p multiples is the reduction).
     """
     t_zero = theta(x, N).is_zero()
-    reduced = TiltExpr(x.prime, [(c, m, i) for c, m, i in x.terms if i == 0])
+    reduced = TiltExpr(x.prime, [term for term in x.terms if term[4] == 0])
     vf = vflat_sum(reduced, depth)
     v_one = (vf.value == 1) if vf.stabilized else None
     return GeneratorReport(t_zero, vf, v_one)

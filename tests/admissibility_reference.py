@@ -7,11 +7,16 @@ Fraction and KElement elimination of ``linalg_reference`` on KElements
 built from the module's coordinate tuples, so that it shares nothing
 with the restriction of scalars the module's scan runs on.  The oracle
 tests compare its verdict and witness with ``is_admissible``.
+
+``qp_eigenvalue_below`` is the rank-2 eigenvalue test as it read before
+it was reduced to ``_qp_irreducible``: it decides with its own slope and
+discriminant cases whether the quadratic splits over Q_p.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 
 import linalg_reference as ref
 from period_lab.filtered_phi import (
@@ -22,6 +27,8 @@ from period_lab.filtered_phi import (
     _dim2_admissible,
     _factor_over_q,
     _qp_irreducible,
+    _root_valuations,
+    is_padic_square,
 )
 from period_lab.linalg import (
     clear_denominators,
@@ -30,6 +37,25 @@ from period_lab.linalg import (
     poly_eval_matrix,
 )
 from period_lab.padic import format_rational, rational_valuation
+
+
+def qp_eigenvalue_below(cp, p, threshold) -> Optional[dict]:
+    """A witness that some Q_p-rational eigenvalue of the quadratic cp has
+    valuation < threshold, or None."""
+    c0, c1 = cp[0], cp[1]
+    v_small, v_large = _root_valuations(cp, p)
+    if v_small >= threshold:
+        return None
+    if v_small != v_large:
+        # two distinct integer slopes: the polynomial splits over Q_p
+        return {"type": "padic_eigenvalue", "valuation": format_rational(v_small)}
+    # equal valuations: roots live in Q_p iff the discriminant is a square
+    if v_small.denominator != 1:
+        return None  # non-integral valuation: no Q_p roots at all
+    disc = c1 * c1 - 4 * c0
+    if disc == 0 or is_padic_square(disc, p):
+        return {"type": "padic_eigenvalue", "valuation": format_rational(v_small)}
+    return None
 
 
 @lru_cache(maxsize=16)

@@ -31,7 +31,6 @@ from period_lab.linalg import BaseFieldK, char_poly, mat_mul, nullspace, rationa
 from period_lab.padic import INF, factorial_valuation, lower_hull, nu, rational_valuation
 from period_lab.polygons import (
     Polygon,
-    SeriesProfile,
     epsilon_minus_one_polygon,
     hull,
     minkowski_sum,

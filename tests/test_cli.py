@@ -333,6 +333,24 @@ def test_batch_isolates_invalid_field(tmp_path, capsys, bad):
     assert [r["status"] for r in report["results"]] == ["ok", "error", "ok"]
 
 
+@pytest.mark.parametrize("op", ["theta", "probe", "generator-check"])
+def test_tilt_rejects_a_negative_level(tmp_path, capsys, op):
+    bad = {"p": 3, "op": op, "builtin": "omega", "level": -1}
+    message = "level must be nonnegative, got -1"
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(bad))
+    code, report = run_json(capsys, "tilt", "--input", str(f))
+    assert (code, report["error"]) == (2, message)
+    # as the middle line of a batch, that line alone fails
+    good = json.dumps({"command": "herbrand", "e": 4, "orders": [4, 2, 2]})
+    f = tmp_path / "bad.jsonl"
+    f.write_text("\n".join([good, json.dumps({"command": "tilt", **bad}), good]) + "\n")
+    code, report = run_json(capsys, "batch", "--input", str(f))
+    assert code == 2
+    assert [r["status"] for r in report["results"]] == ["ok", "error", "ok"]
+    assert report["results"][1]["message"] == message
+
+
 @pytest.mark.parametrize("kind, extra", [("epsilon_minus_one", {"window": "3"}), ("t", {"window": ["1", "3"]})])
 def test_polygon_rejects_non_prime(tmp_path, capsys, kind, extra):
     f = tmp_path / "poly.json"

@@ -6,7 +6,7 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import admissibility_reference
@@ -15,6 +15,7 @@ import linalg_reference as ref
 from period_lab.filtered_phi import (
     FilteredPhiModule,
     _matrix_inverse,
+    _qp_eigenvalue_below,
     dim1_correspondence,
     dim1_module,
     dim2_module,
@@ -292,6 +293,50 @@ def test_padic_square():
     assert is_padic_square(F(17), 2)  # 17 = 1 mod 8
     assert not is_padic_square(F(3), 2)
     assert not is_padic_square(F(8), 2)
+
+
+@st.composite
+def padic_number(draw, p, v):
+    """A nonzero rational of p-adic valuation v, with a unit part of small
+    height of either sign."""
+    num = draw(st.integers(1, 40).filter(lambda n: n % p))
+    den = draw(st.integers(1, 12).filter(lambda n: n % p))
+    return draw(st.sampled_from((1, -1))) * F(num, den) * F(p) ** v
+
+
+@st.composite
+def monic_quadratic(draw):
+    """(cp, p): x^2 + c1 x + c0 with c0 != 0, drawn as a product of two
+    rational linear factors (square discriminant, root valuations equal or
+    not), a square of one (discriminant 0), x^2 - d (half-integral root
+    valuations when v(d) is odd, square or nonsquare d otherwise), or two
+    free coefficients."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    vals = st.integers(-3, 3)
+    kind = draw(st.sampled_from(("split", "double", "pure", "free")))
+    if kind == "split":
+        r1, r2 = draw(padic_number(p, draw(vals))), draw(padic_number(p, draw(vals)))
+        return [r1 * r2, -(r1 + r2), F(1)], p
+    if kind == "double":
+        r = draw(padic_number(p, draw(vals)))
+        return [r * r, -2 * r, F(1)], p
+    if kind == "pure":
+        return [-draw(padic_number(p, draw(vals))), F(0), F(1)], p
+    c1 = draw(st.one_of(st.just(F(0)), padic_number(p, draw(vals))))
+    return [draw(padic_number(p, draw(vals))), c1, F(1)], p
+
+
+@settings(max_examples=400, deadline=None)
+@given(monic_quadratic(), st.integers(-3, 3))
+@example(([F(-3), F(0), F(1)], 3), 1)  # x^2 - 3: half-integral valuations
+@example(([F(-2), F(0), F(1)], 5), 1)  # x^2 - 2 at 5: nonsquare unit discriminant
+@example(([F(5), F(-6), F(1)], 5), 1)  # (x - 1)(x - 5): unequal valuations
+@example(([F(1), F(-2), F(1)], 7), 1)  # (x - 1)^2: discriminant 0
+def test_rank2_eigenvalue_test_matches_its_case_analysis(case, threshold):
+    cp, p = case
+    assert _qp_eigenvalue_below(cp, p, F(threshold)) == (
+        admissibility_reference.qp_eigenvalue_below(cp, p, F(threshold))
+    )
 
 
 # ---------------------------------------------------------------------------

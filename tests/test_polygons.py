@@ -16,7 +16,6 @@ from period_lab.polygons import (
     HORIZONTAL,
     VERTICAL,
     Polygon,
-    SeriesProfile,
     ascii_sketch,
     epsilon_minus_one_polygon,
     frobenius_transform,
@@ -30,23 +29,23 @@ from period_lab.tilt import TiltExpr, vflat_sum
 def newton_profile(x: TiltExpr, depth: int = 4):
     """(index, v_flat) profile of a formal series, one point per p-power.
 
-    Single-monomial coefficients are exact; composite coefficients use the
+    Single-term coefficients are exact (v_flat is the pflat exponent); composite coefficients use the
     stabilized depth valuation and raise if it is inconclusive (a formal
     sum cannot decide valuation ties without Witt arithmetic).
     """
     by_index: dict = {}
-    for c, m, i in x.terms:
-        by_index.setdefault(i, []).append((c, m, 0))
+    for coeff, a, c, u, i in x.terms:
+        by_index.setdefault(i, []).append((coeff, a, c, u, 0))
     points = []
     for i, terms in sorted(by_index.items()):
         if len(terms) == 1:
-            points.append((F(i), terms[0][1].vflat()))
+            points.append((F(i), terms[0][2]))  # the pflat exponent
             continue
         vf = vflat_sum(TiltExpr(x.prime, terms), depth)
         if not vf.stabilized:
             raise ValueError(f"valuation of the coefficient of p^{i} did not stabilize")
         points.append((F(i), vf.value))
-    return SeriesProfile(points)
+    return points
 
 
 def brute_minkowski(P, Q):
@@ -91,31 +90,31 @@ def random_canonical(rng, max_verts=4):
 
 
 def test_hull_examples():
-    P = hull(SeriesProfile([(0, 1), (1, 0)]))
+    P = hull([(0, 1), (1, 0)])
     assert P.vertices == ((0, 1), (1, 0))
-    assert hull(SeriesProfile([(0, 0)])).vertices == ((0, 0),)
+    assert hull([(0, 0)]).vertices == ((0, 0),)
     # interior point discarded
-    P2 = hull(SeriesProfile([(0, 3), (1, 1), (2, 0), (1, 5)]))
+    P2 = hull([(0, 3), (1, 1), (2, 0), (1, 5)])
     assert P2.vertices == ((0, 3), (1, 1), (2, 0))
     # ascending tail swallowed by the horizontal ray
-    P3 = hull(SeriesProfile([(0, 1), (1, 0), (2, 7)]))
+    P3 = hull([(0, 1), (1, 0), (2, 7)])
     assert P3.vertices == ((0, 1), (1, 0))
 
 
 def test_hull_rejects_all_infinite():
     with pytest.raises(ValueError):
-        hull(SeriesProfile([(0, INF), (1, INF)]))
+        hull([(0, INF), (1, INF)])
 
 
 def test_hull_idempotent():
     rng = random.Random(23)
     for _ in range(100):
         P = random_canonical(rng)
-        assert hull(SeriesProfile(list(P.vertices))).vertices == P.vertices
+        assert hull(list(P.vertices)).vertices == P.vertices
 
 
 def test_minkowski_identity_and_merge():
-    P = hull(SeriesProfile([(0, 1), (1, 0)]))
+    P = hull([(0, 1), (1, 0)])
     unit = Polygon([(0, 0)])
     assert minkowski_sum(P, unit).vertices == P.vertices
     # equal slopes coalesce into one segment
@@ -141,7 +140,7 @@ def test_minkowski_commutative_associative():
 
 
 def test_frobenius_transform():
-    P = hull(SeriesProfile([(0, 1), (1, 0)]))
+    P = hull([(0, 1), (1, 0)])
     assert frobenius_transform(P, 0, 3).vertices == P.vertices
     assert frobenius_transform(P, -1, 5).vertices == ((0, F(1, 5)), (1, 0))
     rng = random.Random(37)
@@ -212,7 +211,7 @@ def minkowski_chain(p, n_left, n_right):
     product_{n=1}^{n_left} phi^{n}(w0)/p assembled by Minkowski sums, as demo
     02 does, lifted by the geometric tail sum_{n > n_right} p^{-n} of the
     omitted right factors."""
-    gen = hull(SeriesProfile([(0, 1), (1, 0)]))
+    gen = hull([(0, 1), (1, 0)])
     acc = gen
     for n in range(1, n_right + 1):
         acc = minkowski_sum(acc, frobenius_transform(gen, -n, p))
@@ -340,7 +339,7 @@ def test_polygon_json_roundtrip():
     for P in (
         epsilon_minus_one_polygon(3, 3),
         t_polygon(2, -2, 2),
-        hull(SeriesProfile([(0, 1), (1, 0)])),
+        hull([(0, 1), (1, 0)]),
     ):
         assert Polygon.from_json(P.to_json()).vertices == P.vertices
 

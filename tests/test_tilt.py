@@ -13,7 +13,6 @@ from period_lab.tilt import (
     GaloisElement,
     InexactTeichmullerError,
     TiltExpr,
-    TiltMonomial,
     field_modulus,
     generator_condition_check,
     ker_theta_orbit_probe,
@@ -44,7 +43,7 @@ def random_expr(rng, p, allow_p_powers=False):
         a = F(rng.randrange(-6, 7), p ** rng.randrange(0, 2))
         c = F(rng.randrange(0, 6), p ** rng.randrange(0, 2))
         i = rng.randrange(0, 3) if allow_p_powers else 0
-        terms.append((rng.choice([-2, -1, 1, 2, 3]), TiltMonomial(a, c, FqElement.one(p)), i))
+        terms.append((rng.choice([-2, -1, 1, 2, 3]), a, c, FqElement.one(p), i))
     return TiltExpr(p, terms)
 
 
@@ -67,7 +66,7 @@ def test_multiplicative_identity():
 def test_generator_square_has_three_terms():
     sq = TiltExpr.p_flat_minus_p(3) * TiltExpr.p_flat_minus_p(3)
     assert len(sq.terms) == 3
-    coeffs = sorted(c for c, _, _ in sq.terms)
+    coeffs = sorted(term[0] for term in sq.terms)
     assert coeffs == [-2, 1, 1]
 
 
@@ -101,9 +100,7 @@ def test_galois_on_generators():
     g = GaloisElement(F(7), F(2))
     assert TiltExpr.epsilon_power(p, 1).galois_act(g) == TiltExpr.epsilon_power(p, 7)
     pf = TiltExpr.p_flat_power(p, 1).galois_act(g)
-    expected = TiltExpr(
-        p, [(1, TiltMonomial(F(2), F(1), FqElement.one(p)), 0)]
-    )
+    expected = TiltExpr(p, [(1, F(2), F(1), FqElement.one(p), 0)])
     assert pf == expected
     assert pf.galois_act(GaloisElement.identity()) == pf
 
@@ -126,7 +123,7 @@ def test_theta_galois_compatibility_on_epsilon_sums():
             terms = []
             for _ in range(rng.randrange(1, 4)):
                 a = F(rng.randrange(-8, 9), p ** rng.randrange(0, N))
-                terms.append((rng.choice([-1, 1, 2]), TiltMonomial(a, 0, FqElement.one(p)), 0))
+                terms.append((rng.choice([-1, 1, 2]), a, 0, FqElement.one(p), 0))
             x = TiltExpr(p, terms)
             chi = random_unit(rng, p)
             g = GaloisElement(chi, 0)
@@ -143,11 +140,15 @@ def test_theta_galois_compatibility_on_epsilon_sums():
 
 
 def test_vflat_monomial():
+    # a unit eps^a [u] has v_flat 0; (pflat)^c [u] has v_flat c
     p = 5
-    assert TiltMonomial(F(1, p), 0, FqElement.one(p)).vflat() == 0
-    assert TiltMonomial(0, 1, FqElement.one(p)).vflat() == 1
-    u = FqElement(p, 1, (2,))
-    assert TiltMonomial(0, F(3, p), u).vflat() == F(3, p)
+    one, minus_one = FqElement.one(p), FqElement(p, 1, (p - 1,))
+    for a, c, u, want in ((F(1, p), 0, one, 0), (0, 1, one, 1), (0, F(3, p), minus_one, F(3, p))):
+        res = vflat_sum(TiltExpr(p, [(1, a, c, u, 0)]), 2)
+        assert res.stabilized and res.value == want
+    # [2] has no exact cyclotomic image: its depths are reported, not asserted
+    res = vflat_sum(TiltExpr(p, [(1, 0, F(3, p), FqElement(p, 1, (2,)), 0)]), 2)
+    assert res.values == [None] * 3 and not res.stabilized
 
 
 def test_vflat_sum_epsilon_minus_one():
@@ -194,7 +195,7 @@ def test_vflat_rejects_p_powers():
 def test_integer_coefficients_divisible_by_p_vanish_mod_p():
     # p * [1] reduces to zero in the residue ring: valuation infinity
     p = 3
-    x = TiltExpr(p, [(p, TiltMonomial(0, 0, FqElement.one(p)), 0)])
+    x = TiltExpr(p, [(p, 0, 0, FqElement.one(p), 0)])
     res = vflat_sum(x, 2)
     assert res.values == [INF, INF, INF]
 
@@ -231,7 +232,7 @@ def formal_sum(draw):
         a = F(draw(st.integers(-3 * den, 3 * den)), den)
         c = F(draw(st.integers(0, 12)), p ** draw(st.integers(0, 2)))
         u = draw(teichmuller_unit(p))
-        terms.append((draw(st.sampled_from([-3, -2, -1, 1, 2, 3, p])), TiltMonomial(a, c, u), 0))
+        terms.append((draw(st.sampled_from([-3, -2, -1, 1, 2, 3, p])), a, c, u, 0))
     return TiltExpr(p, terms), draw(st.integers(0, LEVEL_CAP[p] - k_max))
 
 
@@ -257,7 +258,7 @@ def test_reference_inverse_frobenius_inverts_frobenius():
 @given(formal_sum(), st.lists(st.integers(-1, 2), min_size=MAX_TERMS, max_size=MAX_TERMS))
 def test_theta_matches_per_term_accumulation(case, p_powers):
     x, N = case
-    x = TiltExpr(x.p, [(c, m, i) for (c, m, _), i in zip(x.terms, p_powers)])
+    x = TiltExpr(x.p, [(*term[:4], i) for term, i in zip(x.terms, p_powers)])
     try:
         expected = ref.theta_pieces(x, N)
     except ValueError:
@@ -290,8 +291,8 @@ def probe_case(draw):
     # the product with phi^-k(omega), term by term
     k = draw(st.integers(0, 4))
     shifts = [F(j, p ** (k + 1)) for j in range(p)] if draw(st.integers(0, 4)) else [0]
-    x = TiltExpr(p, [(n, TiltMonomial(a + b, c, u), i) for n, a, c, u, i in terms for b in shifts])
-    k_max = max((multiplicity(m.a.denominator, p) for _, m, _ in x.terms), default=0)
+    x = TiltExpr(p, [(n, a + b, c, u, i) for n, a, c, u, i in terms for b in shifts])
+    k_max = max((multiplicity(a.denominator, p) for _, a, _, _, _ in x.terms), default=0)
     # levels from k_max up, where no exponent is too fine, drawn more often
     N = draw(st.one_of(st.integers(0, k_max + 2), st.integers(k_max, k_max + 2)))
     return x, N, draw(st.sampled_from(range(5)))
@@ -452,9 +453,82 @@ def test_tilt_expr_json_roundtrip():
 
 
 def test_monomial_validation():
-    with pytest.raises(ValueError):
-        TiltMonomial(0, F(1, 6), FqElement.one(3))  # denominator not a 3-power
-    with pytest.raises(ValueError):
-        TiltMonomial(0, -1, FqElement.one(3))
-    with pytest.raises(ValueError):
-        TiltMonomial(0, 0, FqElement(3, 1, (0,)))  # zero Teichmueller part
+    one = FqElement.one(3)
+    for c, u, message in (
+        (-1, one, "pflat exponent must be nonnegative"),
+        (F(1, 6), one, "pflat exponent denominator must be a power of p"),
+        (0, FqElement(3, 1, (0,)), "Teichmueller part must be nonzero"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TiltExpr(3, [(1, 0, c, u, 0)])
+        # the same fault, read from JSON, also when a zero coefficient
+        # would drop the term
+        item = {"coeff": 0, "a": "0", "c": str(c), "u": u.to_json()}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TiltExpr.from_json(3, [item])
+
+
+def test_first_bad_term_reports_first():
+    bad_c = {"coeff": 1, "a": "0", "c": "-1"}
+    bad_a = {"coeff": 1, "a": "abc", "c": "0"}
+    with pytest.raises(ValueError, match="^pflat exponent must be nonnegative$"):
+        TiltExpr.from_json(3, [bad_c, bad_a])
+    with pytest.raises(ValueError, match="abc"):
+        TiltExpr.from_json(3, [bad_a, bad_c])
+
+
+def test_field_characteristic_is_checked():
+    with pytest.raises(ValueError, match="^monomial field characteristic mismatch$"):
+        TiltExpr(3, [(1, 0, 0, FqElement.one(5), 0)])
+
+
+def test_cancelled_term_does_not_set_the_level():
+    # eps^(1/9) - eps^(1/9) is zero: no term is left to be too fine at level 0
+    p = 3
+    x = TiltExpr(p, [(1, F(1, 9), 0, FqElement.one(p), 0), (-1, F(1, 9), 0, FqElement.one(p), 0)])
+    assert x.is_zero()
+    assert theta(x, 0).is_zero()
+    assert ker_theta_orbit_probe(x, 0, 2) == [True] * 3
+    y = x + TiltExpr.p_flat_power(p, 1)
+    assert theta(y, 0).pieces == theta(TiltExpr.p_flat_power(p, 1), 0).pieces
+
+
+def test_terms_differing_only_in_the_p_power_stay_apart():
+    p = 3
+    x = TiltExpr(p, [(1, 0, 1, FqElement.one(p), 0), (-1, 0, 1, FqElement.one(p), 1)])
+    assert [term[4] for term in x.terms] == [0, 1]
+    assert not theta(x, 2).is_zero()
+    assert x == TiltExpr.p_flat_power(p, 1) - TiltExpr.p_flat_power(p, 1) * TiltExpr.p_scalar(p, 1)
+
+
+@st.composite
+def rewritten_sum(draw):
+    """(x, terms): a drawn sum and the same sum given as terms shuffled,
+    with some split into duplicate entries whose coefficients add up and
+    with pairs that cancel added."""
+    x, depth = draw(formal_sum())
+    terms = []
+    for coeff, a, c, u, i in x.terms:
+        part = draw(st.integers(-3, 3))
+        terms += [(part, a, c, u, i), (coeff - part, a, c, u, i)]
+    for coeff, a, c, u, i in draw(st.lists(st.sampled_from(x.terms), max_size=3)):
+        k = draw(st.integers(1, 3))
+        terms += [(k, a, c, u, i + 1), (-k, a, c, u, i + 1)]
+    return x, depth, draw(st.permutations(terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rewritten_sum())
+def test_rewritten_terms_build_the_merged_sum(case):
+    x, depth, terms = case
+    y = TiltExpr(x.p, terms)
+    assert y == x and y.terms == x.terms and repr(y) == repr(x)
+    assert TiltExpr.from_json(x.p, y.to_json()) == x
+    assert vflat_sum(y, depth) == vflat_sum(x, depth)
+    try:
+        want = theta(x, depth)
+    except ExponentTooFineError:
+        with pytest.raises(ExponentTooFineError):
+            theta(y, depth)
+        return
+    assert theta(y, depth).pieces == want.pieces

@@ -52,11 +52,11 @@ def theta_pieces(x, N: int) -> dict:
     """theta(x) at level N: {(fractional p-exponent, key): CycElt}."""
     ctx = CyclotomicContext(x.p, N)
     pieces = {}
-    for coeff, m, i in x.terms:
-        E = root_exponent(m.a, x.p, N)
-        frac = m.c - int(m.c)
-        sign, key = teichmuller_part(m.u)
-        scale = Fraction(coeff * sign) * Fraction(x.p) ** (int(m.c) + i)
+    for coeff, a, c, u, i in x.terms:
+        E = root_exponent(a, x.p, N)
+        frac = c - int(c)
+        sign, key = teichmuller_part(u)
+        scale = Fraction(coeff * sign) * Fraction(x.p) ** (int(c) + i)
         cur = pieces.get((frac, key), ctx.zero())
         pieces[(frac, key)] = cur + ctx.root_power(E).scale(scale)
     return pieces
@@ -67,15 +67,15 @@ def component_pieces(x, n: int) -> dict:
     expression: eps^a (pflat)^c [u] contributes z^(p^M a/p^n) with z of
     order p^M, M = n + k_max, times p^(c/p^n) times [u^(p^-n)]."""
     p = x.p
-    k_max = max((multiplicity(m.a.denominator, p) for _, m, _ in x.terms), default=0)
+    k_max = max((multiplicity(a.denominator, p) for _, a, _, _, _ in x.terms), default=0)
     M = n + k_max
     ctx = CyclotomicContext(p, M)
     pieces = {}
-    for coeff, m, _ in x.terms:
-        E = root_exponent(m.a / Fraction(p) ** n, p, M)
-        scale_exp = m.c / Fraction(p) ** n
+    for coeff, a, c, u, _ in x.terms:
+        E = root_exponent(a / Fraction(p) ** n, p, M)
+        scale_exp = c / Fraction(p) ** n
         frac = scale_exp - int(scale_exp)
-        sign, key = teichmuller_part(inverse_frobenius(m.u, n))
+        sign, key = teichmuller_part(inverse_frobenius(u, n))
         scale = Fraction(coeff * sign) * Fraction(p) ** int(scale_exp)
         cur = pieces.get((frac, key), ctx.zero())
         pieces[(frac, key)] = cur + ctx.root_power(E).scale(scale)

@@ -7,8 +7,11 @@ Builds every operation of the benchmark workloads (``perfbench/workloads.py``
 of this checkout) at the given seeds, writes their input files once, and
 runs every operation through ``period_lab.cli.main`` of each checkout, each
 checkout in its own interpreter with only its own ``src`` on the path.
-Lists every operation whose stdout or exit code differs and exits 1 if
-there is one, else prints the number of operations compared and exits 0.
+It also runs each checkout's own ``demos/*.py`` against that checkout's
+``src`` and compares them by file name.  Lists every operation and demo
+whose stdout or exit code differs (a demo that only one checkout has
+differs) and exits 1 if there is one, else prints the number of operations
+and demos compared and exits 0.
 """
 
 from __future__ import annotations
@@ -71,6 +74,21 @@ def run_checkout(checkout: Path, argvs: list) -> list:
     return json.loads(done.stdout)
 
 
+def run_demos(checkout: Path) -> dict:
+    """{file name: [exit code, stdout]} of each demo of the checkout, run
+    from its root with only its own ``src`` on the path."""
+    root = checkout.resolve()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(root / "src")
+    out = {}
+    for demo in sorted((root / "demos").glob("*.py")):
+        done = subprocess.run(
+            [sys.executable, str(demo)], capture_output=True, text=True, cwd=root, env=env
+        )
+        out[demo.name] = [done.returncode, done.stdout]
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the checkout to compare with")
@@ -93,10 +111,16 @@ def main(argv=None) -> int:
         ours = run_checkout(ROOT, argvs)
         theirs = run_checkout(args.parent, argvs)
     differ = [n for n, a, b in zip(names, ours, theirs) if a != b]
+    ours_demos, theirs_demos = run_demos(ROOT), run_demos(args.parent)
+    demos = sorted(set(ours_demos) | set(theirs_demos))
+    differ_demos = [d for d in demos if ours_demos.get(d) != theirs_demos.get(d)]
     for n in differ:
         print(f"differs: {n}")
+    for d in differ_demos:
+        print(f"differs: demo {d}")
     print(f"{len(names) - len(differ)} of {len(names)} operations print the same stdout and exit code")
-    return 1 if differ else 0
+    print(f"{len(demos) - len(differ_demos)} of {len(demos)} demos print the same stdout and exit code")
+    return 1 if differ or differ_demos else 0
 
 
 if __name__ == "__main__":
