@@ -43,10 +43,8 @@ only mod p^(s - (d-1)(-v)), so the weights are lifted that far only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Optional
 
 from .linalg import (
     char_poly,
@@ -57,6 +55,7 @@ from .linalg import (
 )
 from .padic import (
     Prime,
+    Record,
     as_fraction,
     centered,
     format_rational,
@@ -65,22 +64,19 @@ from .padic import (
     parse_int,
     parse_rational,
     rational_valuation,
+    require,
     residue,
 )
 
 
-@dataclass(frozen=True)
-class CharacterTriple:
+class CharacterTriple(Record):
     """(lambda, a, b): unramified part, cyclotomic exponent, tame exponent.
 
     lambda is a rational p-adic unit; a has p-free denominator; b is a
     residue mod p - 1.  Requires p > 2 (the unit group splits only then).
     """
 
-    prime: Prime
-    lam: Fraction
-    a: Fraction
-    b: int
+    __slots__ = ("prime", "lam", "a", "b")
 
     def __init__(self, prime, lam, a, b):
         if isinstance(prime, int):
@@ -123,23 +119,29 @@ class CharacterTriple:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "CharacterTriple":
+    def from_json(cls, obj: dict, where: str = "") -> "CharacterTriple":
+        """The character of a JSON object; ``where`` names the object in
+        the error for a missing field ("factors[1]")."""
         return cls(
-            parse_int(obj["p"], "p"),
-            parse_rational(obj["lambda"]),
-            parse_rational(obj["a"]),
+            parse_int(require(obj, "p", where), "p"),
+            parse_rational(require(obj, "lambda", where)),
+            parse_rational(require(obj, "a", where)),
             parse_int(obj.get("b", 0), "b"),
         )
 
 
-@dataclass(frozen=True)
-class ClassificationFlags:
-    unramified: bool
-    cp_admissible: bool
-    hodge_tate: bool
-    de_rham: bool
-    crystalline: bool
-    hodge_tate_weight: Optional[Fraction]
+class ClassificationFlags(Record):
+    __slots__ = ("unramified", "cp_admissible", "hodge_tate", "de_rham", "crystalline",
+                 "hodge_tate_weight")
+
+    def __init__(self, unramified: bool, cp_admissible: bool, hodge_tate: bool, de_rham: bool,
+                 crystalline: bool, hodge_tate_weight: Fraction | None):
+        object.__setattr__(self, "unramified", unramified)
+        object.__setattr__(self, "cp_admissible", cp_admissible)
+        object.__setattr__(self, "hodge_tate", hodge_tate)
+        object.__setattr__(self, "de_rham", de_rham)
+        object.__setattr__(self, "crystalline", crystalline)
+        object.__setattr__(self, "hodge_tate_weight", hodge_tate_weight)
 
     def to_json(self) -> dict:
         out = {
@@ -208,18 +210,15 @@ def _minus_identity(A):
     return tuple(tuple(x - D * (i == j) for j, x in enumerate(row)) for i, row in enumerate(B)), D
 
 
-@dataclass(frozen=True)
-class SenInput:
+class SenInput(Record):
     """Level r and the exact matrix A by which the level-r generator acts.
 
     ``minus_identity`` is (N, D) with A - I = N / D, N an int matrix and
     D > 0 (``_minus_identity``): the closeness check computes it, and
-    ``sen_operator`` sums its series on it."""
+    ``sen_operator`` sums its series on it.  It is read off ``matrix``,
+    so equality and the hash leave it out."""
 
-    prime: Prime
-    level: int
-    matrix: tuple
-    minus_identity: tuple = field(repr=False, compare=False)
+    __slots__ = ("prime", "level", "matrix", "minus_identity")
 
     def __init__(self, prime, level: int, matrix):
         if isinstance(prime, int):
@@ -246,6 +245,9 @@ class SenInput:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "minus_identity", (N, D))
 
+    def _key(self) -> tuple:
+        return self.prime, self.level, self.matrix
+
     @property
     def p(self) -> int:
         return self.prime.p
@@ -255,18 +257,20 @@ class SenInput:
         return len(self.matrix)
 
 
-@dataclass(frozen=True)
-class SenOperator:
+class SenOperator(Record):
     """log(A)/p^level to its stated p-adic precision.
 
     ``zero_part`` holds the exact facts on eigenvalue 0 that an
     approximant cannot carry: (multiplicity, whether that part is
     semi-simple)."""
 
-    prime: Prime
-    matrix: tuple
-    precision: int
-    zero_part: tuple
+    __slots__ = ("prime", "matrix", "precision", "zero_part")
+
+    def __init__(self, prime: Prime, matrix: tuple, precision: int, zero_part: tuple):
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "zero_part", zero_part)
 
     @property
     def p(self) -> int:
@@ -425,13 +429,19 @@ def is_trivial_via_sen(op: SenOperator) -> bool:
     return op.zero_part == (op.dim, True)
 
 
-@dataclass(frozen=True)
-class HodgeTateVerdict:
-    """Generalized weights plus the integrality/semisimplicity verdict."""
+class HodgeTateVerdict(Record):
+    """Generalized weights plus the integrality/semisimplicity verdict.
 
-    status: str  # "hodge-tate" | "not-hodge-tate" | "indeterminate"
-    generalized_weights: Optional[tuple]  # exact eigenvalues when computable
-    integer_weights: Optional[tuple]
+    ``status`` is "hodge-tate", "not-hodge-tate" or "indeterminate";
+    ``generalized_weights`` are the exact eigenvalues when computable."""
+
+    __slots__ = ("status", "generalized_weights", "integer_weights")
+
+    def __init__(self, status: str, generalized_weights: tuple | None,
+                 integer_weights: tuple | None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "generalized_weights", generalized_weights)
+        object.__setattr__(self, "integer_weights", integer_weights)
 
     def to_json(self) -> dict:
         out = {"status": self.status}

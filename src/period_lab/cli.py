@@ -33,6 +33,7 @@ from .padic import (
     parse_int,
     parse_list,
     parse_rational,
+    require,
 )
 
 SCHEMA = "period-lab/1"
@@ -72,15 +73,9 @@ def _parse_json(text: str, name: str) -> dict:
     return payload
 
 
-def _require(payload: dict, key: str):
-    if key not in payload:
-        raise SchemaError(f"missing required field {key!r}")
-    return payload[key]
-
-
 def _int(payload: dict, key: str, default=None) -> int:
     """An integer field; required when it has no default."""
-    value = _require(payload, key) if default is None else payload.get(key, default)
+    value = require(payload, key) if default is None else payload.get(key, default)
     return parse_int(value, key)
 
 
@@ -98,7 +93,7 @@ def _require_prime(payload: dict) -> int:
 
 def run_herbrand(payload: dict, args):
     e = _int(payload, "e")
-    orders = [parse_int(g, "orders") for g in parse_list(_require(payload, "orders"), "orders")]
+    orders = [parse_int(g, "orders") for g in parse_list(require(payload, "orders"), "orders")]
     data = ramification.RamificationData(e, orders)
     phi = ramification.herbrand_phi(data)
     psi = ramification.herbrand_psi(phi)
@@ -142,16 +137,16 @@ def run_polygon(payload: dict, args):
     kind = payload.get("kind", "series")
     if kind == "series":
         pts = []
-        for point in parse_list(_require(payload, "points"), "points"):
+        for point in parse_list(require(payload, "points"), "points"):
             x, v = parse_list(point, "points")
             pts.append((parse_rational(x), INF if v in (None, "inf") else parse_rational(v)))
         poly = polygons.hull(pts)
     elif kind == "epsilon_minus_one":
         p = _require_prime(payload)
-        _, hi = _ladder_window(p, 0, _require(payload, "window"))
+        _, hi = _ladder_window(p, 0, require(payload, "window"))
         poly = polygons.epsilon_minus_one_polygon(p, hi)
     elif kind == "t":
-        lo, hi = parse_list(_require(payload, "window"), "window")
+        lo, hi = parse_list(require(payload, "window"), "window")
         p = _require_prime(payload)
         poly = polygons.t_polygon(p, *_ladder_window(p, lo, hi))
     else:
@@ -173,7 +168,7 @@ def _tilt_expr(payload: dict, p: int) -> tilt.TiltExpr:
         if name not in builders:
             raise SchemaError(f"unknown builtin expression {name!r}")
         return builders[name](p)
-    return tilt.TiltExpr.from_json(p, _require(payload, "expr"))
+    return tilt.TiltExpr.from_json(p, require(payload, "expr"))
 
 
 def _theta_json(value: tilt.GradedThetaValue) -> dict:
@@ -250,8 +245,8 @@ def run_jet(payload: dict, args):
     order = _int(payload, "order", 6)
     if action == "verify-cocycle":
         g = tilt.GaloisElement(
-            parse_rational(_require(payload, "chi")),
-            parse_rational(_require(payload, "c")),
+            parse_rational(require(payload, "chi")),
+            parse_rational(require(payload, "c")),
             p=p,
         )
         ctx = jets.JetContext(p, order)
@@ -282,12 +277,12 @@ def run_char(payload: dict, args):
         chi = characters.CharacterTriple.from_json(payload)
         return {"character": chi.to_json(), "flags": characters.classify(chi).to_json()}, EXIT_OK
     if op == "multiply":
-        factors = parse_list(_require(payload, "factors"), "factors")
+        factors = parse_list(require(payload, "factors"), "factors")
         if not factors:
             raise SchemaError("multiply needs at least one factor")
-        acc = characters.CharacterTriple.from_json(factors[0])
-        for item in factors[1:]:
-            acc = acc.multiply(characters.CharacterTriple.from_json(item))
+        acc = characters.CharacterTriple.from_json(factors[0], "factors[0]")
+        for n, item in enumerate(factors[1:], 1):
+            acc = acc.multiply(characters.CharacterTriple.from_json(item, f"factors[{n}]"))
         return {"character": acc.to_json(), "flags": characters.classify(acc).to_json()}, EXIT_OK
     raise SchemaError(f"unknown char op {op!r}")
 
@@ -312,7 +307,7 @@ def run_sen(payload: dict, args):
     p = _require_prime(payload)
     level = _int(payload, "level", 1)
     precision = _sen_precision(p, _int(payload, "precision", 20))
-    rows = _require(payload, "matrix")
+    rows = require(payload, "matrix")
     if not rows or any(not isinstance(row, list) or len(row) != len(rows) for row in rows):
         raise SchemaError("field 'matrix' must be a nonempty square list of rows")
     matrix = [[parse_rational(x) for x in row] for row in rows]
@@ -371,7 +366,7 @@ def run_batch(args):
             continue
         try:
             payload = _parse_json(line, f"line {lineno}")
-            command = _require(payload, "command")
+            command = require(payload, "command")
             if command not in HANDLERS:
                 raise SchemaError(f"unknown command {command!r}")
             report, code = _run(command, payload, args)

@@ -34,23 +34,22 @@ exponent's coefficient first and build one element, reducing once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .padic import INF, Valuation, multiplicity
+from .padic import INF, Record, Valuation, multiplicity
 
 
-@dataclass(frozen=True)
-class CyclotomicContext:
+class CyclotomicContext(Record):
     """Fixed prime p and level N >= 0; the field Q(z), z of order p^N."""
 
-    p: int
-    N: int
+    __slots__ = ("p", "N")
 
-    def __post_init__(self):
-        if self.N < 0:
+    def __init__(self, p: int, N: int):
+        if N < 0:
             raise ValueError("level must be nonnegative")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "N", N)
 
     @property
     def order(self) -> int:

@@ -41,11 +41,9 @@ Decision coverage:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Optional
 
 from .characters import CharacterTriple
 from .linalg import (
@@ -67,6 +65,7 @@ from .linalg import (
     squarefree_certificate,
 )
 from .padic import (
+    Record,
     SchemaError,
     as_fraction,
     format_rational,
@@ -75,6 +74,7 @@ from .padic import (
     parse_rational,
     poly_newton_polygon,
     rational_valuation,
+    require,
     residue,
 )
 
@@ -83,12 +83,15 @@ NOT_ADMISSIBLE = "not-admissible"
 UNDECIDED = "undecided"
 
 
-@dataclass
-class AdmissibilityVerdict:
-    status: str
-    hodge_number: int
-    newton_number: Fraction
-    witness: Optional[dict] = None
+class AdmissibilityVerdict(Record):
+    __slots__ = ("status", "hodge_number", "newton_number", "witness")
+
+    def __init__(self, status: str, hodge_number: int, newton_number: Fraction,
+                 witness: dict | None = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "hodge_number", hodge_number)
+        object.__setattr__(self, "newton_number", newton_number)
+        object.__setattr__(self, "witness", witness)
 
     def to_json(self) -> dict:
         out = {
@@ -248,25 +251,29 @@ class FilteredPhiModule:
         """The module of a JSON object; a basis entry lists its coordinates
         on 1, pi, pi^2, ..., which the constructor reduces by E (for K =
         Q_p, to the rational sum c_i pi^i)."""
-        eisenstein = [parse_int(c, "eisenstein") for c in parse_list(obj["eisenstein"], "eisenstein")]
-        base = BaseFieldK(parse_int(obj["p"], "p"), eisenstein)
+        eisenstein = [
+            parse_int(c, "eisenstein")
+            for c in parse_list(require(obj, "eisenstein"), "eisenstein")
+        ]
+        base = BaseFieldK(parse_int(require(obj, "p"), "p"), eisenstein)
         frob = [
             [parse_rational(x) for x in parse_list(row, "frobenius")]
-            for row in parse_list(obj["frobenius"], "frobenius")
+            for row in parse_list(require(obj, "frobenius"), "frobenius")
         ]
         d = parse_int(obj.get("dim", len(frob)), "dim")
         if d != len(frob):
             raise SchemaError(f"declared dim {d!r}, but Frobenius has {len(frob)} rows")
         filtration = []
-        for step in parse_list(obj["filtration"], "filtration"):
+        for n, step in enumerate(parse_list(require(obj, "filtration"), "filtration")):
+            where = f"filtration[{n}]"
             vecs = []
-            for vec in parse_list(step["basis"], "basis"):
+            for vec in parse_list(require(step, "basis", where), "basis"):
                 if len(parse_list(vec, "basis")) != d:
                     raise SchemaError(
                         f"declared dim {d}, but a filtration vector has {len(vec)} entries"
                     )
                 vecs.append([[parse_rational(c) for c in parse_list(x, "basis")] for x in vec])
-            filtration.append((parse_int(step["jump"], "jump"), vecs))
+            filtration.append((parse_int(require(step, "jump", where), "jump"), vecs))
         return cls(base, frob, filtration)
 
 
@@ -319,7 +326,7 @@ def _root_valuations(f, p) -> list:
     return sorted(-slope for slope, n in poly_newton_polygon(points) for _ in range(n))
 
 
-def _qp_eigenvalue_below(cp, p, threshold) -> Optional[dict]:
+def _qp_eigenvalue_below(cp, p, threshold) -> dict | None:
     """A witness that some Q_p-rational eigenvalue of the quadratic cp has
     valuation < threshold, or None.  cp has a root in Q_p, and then both,
     exactly when its discriminant is a square there: the degree-2 case of
@@ -330,7 +337,7 @@ def _qp_eigenvalue_below(cp, p, threshold) -> Optional[dict]:
     return None
 
 
-def _line_is_rational(vecs) -> Optional[list]:
+def _line_is_rational(vecs) -> list | None:
     """A rational direction vector of a K-line, or None; the one vector
     spanning it is given by the coordinates of its entries.
 
@@ -402,7 +409,7 @@ def _dim2_stable_line(D, tH, tN, r, s, line_vec, alpha) -> AdmissibilityVerdict:
     return AdmissibilityVerdict(ADMISSIBLE, tH, tN)
 
 
-def _factor_over_q(cp, ell=None) -> Optional[list]:
+def _factor_over_q(cp, ell=None) -> list | None:
     """Monic irreducible factors over Q (lowest degree first), or None when
     the elementary method (root deflation + 'degree <= 3 without rational
     roots is irreducible') cannot certify the factorization.  ``ell`` is
@@ -442,7 +449,7 @@ def _qp_irreducible(f, p) -> bool:
     return None not in residues and _is_irreducible(residues, p)
 
 
-def _least_destabilizing(D: FilteredPhiModule, blocks, newton) -> Optional[list]:
+def _least_destabilizing(D: FilteredPhiModule, blocks, newton) -> list | None:
     """The blocks, ascending, of the least mask S with 0 < S < 2^k - 1
     whose subobject W_S (the span of the blocks in S) has t_H(W_S) >
     t_N(W_S), or None.  ``newton[i]`` is t_N of block i.

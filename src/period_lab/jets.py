@@ -33,24 +33,21 @@ the denominators in one pass.  ``coeffs`` reads the same map as Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .padic import Prime, format_rational, rational_valuation
+from .padic import Prime, Record, format_rational, rational_valuation
 from .tilt import GaloisElement
 
 
-@dataclass(frozen=True)
-class JetContext:
+class JetContext(Record):
     """Prime and truncation order; monomials of total degree >= order vanish.
 
     Any order works for the identities in scope (they hold degree-wise);
     the default 6 keeps expansions small.
     """
 
-    prime: Prime
-    order: int = 6
+    __slots__ = ("prime", "order")
 
     def __init__(self, prime, order: int = 6):
         if isinstance(prime, int):

@@ -43,22 +43,18 @@ log p (below p = 128 each residue is tried).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Optional
 
-from .padic import _is_probable_prime, centered, residue
+from .padic import Record, _is_probable_prime, centered, residue
 
 
-@dataclass(frozen=True)
-class BaseFieldK:
+class BaseFieldK(Record):
     """A totally ramified extension of Q_p presented by an Eisenstein
     polynomial (monic, integer coefficients; degree 1 means K = Q_p)."""
 
-    p: int
-    eisenstein: tuple
+    __slots__ = ("p", "eisenstein")
 
     def __init__(self, p: int, eisenstein):
         coeffs = tuple(int(c) for c in eisenstein)
@@ -370,7 +366,7 @@ def _monic_integer(a):
     return [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1], lead
 
 
-def squarefree_certificate(a) -> Optional[int]:
+def squarefree_certificate(a) -> int | None:
     """The least prime l in ``CERTIFYING_PRIMES`` modulo which the monic
     form (``_monic_integer``) of a rational polynomial a is squarefree,
     which proves a squarefree over Q, or None (also when a(0) = 0)."""
@@ -380,7 +376,7 @@ def squarefree_certificate(a) -> Optional[int]:
     return next((ell for ell in CERTIFYING_PRIMES if _is_squarefree_mod_p(g, ell)), None)
 
 
-def rational_roots(coeffs, ell: Optional[int] = None) -> list:
+def rational_roots(coeffs, ell: int | None = None) -> list:
     """All rational roots (with multiplicity) of a rational polynomial.
 
     Zeros come first; the other roots follow sorted by (denominator,
@@ -455,7 +451,7 @@ def poly_deflate(coeffs, root) -> list:
     return out
 
 
-def hensel_integer_roots(coeffs, p: int, precision: int) -> Optional[list]:
+def hensel_integer_roots(coeffs, p: int, precision: int) -> list | None:
     """Centered integer representatives of the simple Z_p-roots of a
     p-integral polynomial, certified to p^precision by Hensel lifting,
     in the ascending order of their residues mod p.

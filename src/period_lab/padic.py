@@ -26,14 +26,19 @@ Every reduction of a p-integral rational modulo a power of p goes through
 in (-m/2, m/2] of a class mod m), which are used by the Sen operator,
 Hensel lifting, theta's root exponents and the Q_p square and
 irreducibility tests.
+
+``Record`` is the base of the package's immutable values (primes,
+contexts, verdicts), a plain ``__slots__`` class: every command is one
+process that imports the package, and ``dataclasses`` would add its own
+import and its class generation to each start.  ``require``, ``parse_int`` and ``parse_list`` read the fields of
+JSON input, each with a SchemaError that names the field.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Optional
 
 
 class _Infinity:
@@ -115,15 +120,52 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Prime:
+class Record:
+    """Base of the package's immutable values.
+
+    A subclass names its fields in ``__slots__``, and its ``__init__``
+    sets them with ``object.__setattr__``; any later assignment raises.
+    Two records are equal when they are of the same class with equal
+    fields (``_key``), and equal records hash alike.  Equality tests
+    identity first: contexts and primes are compared on hot paths, and
+    there they are mostly the same object.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Prime(Record):
     """A verified prime number; the residue characteristic of everything."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not isinstance(self.p, int) or not _is_probable_prime(self.p):
-            raise ValueError(f"{self.p!r} is not a prime")
+    def __init__(self, p: int):
+        if not isinstance(p, int) or not _is_probable_prime(p):
+            raise ValueError(f"{p!r} is not a prime")
+        object.__setattr__(self, "p", p)
 
     def __int__(self):
         return self.p
@@ -156,7 +198,7 @@ def rational_valuation(x, p: int) -> Valuation:
     return Fraction(multiplicity(x.numerator, p) - multiplicity(x.denominator, p))
 
 
-def residue(x, p: int, N: int) -> Optional[int]:
+def residue(x, p: int, N: int) -> int | None:
     """The class of a rational x mod p^N, in [0, p^N); None when x is not
     p-integral."""
     if x.denominator % p == 0:
@@ -228,6 +270,17 @@ def parse_rational(text) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
     raise ValueError(f"cannot parse rational from {text!r}")
+
+
+def require(obj: dict, key: str, where: str = ""):
+    """The field ``key`` of a JSON object, or a SchemaError naming it and,
+    given ``where``, the object it was looked for in ("expr[2]"); also a
+    SchemaError when that is not an object."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where or 'the input'} must be a JSON object, got {obj!r}")
+    if key not in obj:
+        raise SchemaError(f"missing required field {key!r}" + (f" in {where}" if where else ""))
+    return obj[key]
 
 
 def parse_int(value, name: str = "value") -> int:

@@ -30,17 +30,15 @@ formula, so it is not used here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import INF, format_rational, lower_hull, parse_rational
+from .padic import INF, Record, format_rational, lower_hull, parse_rational, require
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(Record):
     """Vertex chain with strictly increasing slopes plus boundary rays.
 
     ``left_ray`` is VERTICAL (straight up from the leftmost vertex) or an
@@ -49,9 +47,7 @@ class Polygon:
     mark windowed views.
     """
 
-    vertices: tuple
-    left_ray: object = VERTICAL
-    right_ray: object = HORIZONTAL
+    __slots__ = ("vertices", "left_ray", "right_ray")
 
     def __init__(self, vertices, left_ray=VERTICAL, right_ray=HORIZONTAL):
         verts = tuple((Fraction(x), Fraction(y)) for x, y in vertices)
@@ -117,9 +113,9 @@ class Polygon:
             return parse_rational(r)
 
         return cls(
-            [(parse_rational(x), parse_rational(y)) for x, y in obj["vertices"]],
-            ray(obj["left_ray"], VERTICAL),
-            ray(obj["right_ray"], HORIZONTAL),
+            [(parse_rational(x), parse_rational(y)) for x, y in require(obj, "vertices")],
+            ray(require(obj, "left_ray"), VERTICAL),
+            ray(require(obj, "right_ray"), HORIZONTAL),
         )
 
 

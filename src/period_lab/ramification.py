@@ -24,14 +24,12 @@ constants exhibited from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import format_rational, parse_rational
+from .padic import Record, format_rational, parse_rational, require
 
 
-@dataclass(frozen=True)
-class PLFunction:
+class PLFunction(Record):
     """A continuous strictly increasing piecewise-linear bijection of R+.
 
     The graph starts at (0, 0), passes through ``breakpoints`` (sorted by
@@ -39,8 +37,7 @@ class PLFunction:
     breakpoint.  All coordinates and slopes are exact rationals.
     """
 
-    breakpoints: tuple
-    final_slope: Fraction
+    __slots__ = ("breakpoints", "final_slope")
 
     def __init__(self, breakpoints, final_slope):
         pts = [(Fraction(x), Fraction(y)) for x, y in breakpoints]
@@ -106,9 +103,6 @@ class PLFunction:
         final = self.final_slope * inner.final_slope
         return PLFunction(pts, final)
 
-    def is_identity(self) -> bool:
-        return not self.breakpoints and self.final_slope == 1
-
     def to_json(self) -> dict:
         return {
             "breakpoints": [[format_rational(x), format_rational(y)]
@@ -119,16 +113,15 @@ class PLFunction:
     @classmethod
     def from_json(cls, obj: dict) -> "PLFunction":
         pts = [(parse_rational(x), parse_rational(y))
-               for x, y in obj["breakpoints"]]
-        return cls(pts, parse_rational(obj["final_slope"]))
+               for x, y in require(obj, "breakpoints")]
+        return cls(pts, parse_rational(require(obj, "final_slope")))
 
 
 def _slope_between(a, b) -> Fraction:
     return Fraction(b[1] - a[1]) / (b[0] - a[0])
 
 
-@dataclass(frozen=True)
-class RamificationData:
+class RamificationData(Record):
     """Lower-numbering orders of the higher ramification groups.
 
     ``orders[i]`` is Card G_i; the list is nonincreasing, entries are >= 1
@@ -139,8 +132,7 @@ class RamificationData:
     merely cyclic prime-to-p, so divisibility is not required at i = 0.
     """
 
-    e: int
-    orders: tuple
+    __slots__ = ("e", "orders")
 
     def __init__(self, e: int, orders):
         orders = tuple(int(g) for g in orders)
@@ -226,15 +218,7 @@ def psi_r(r: int, u, p) -> Fraction:
     return p**j * (u - j) + geom
 
 
-def psi_r_function(r: int, p) -> PLFunction:
-    """psi_r as a PLFunction (breaks at 1..r, slopes 1, p, ..., p^r)."""
-    p = int(p)
-    pts = [(Fraction(j), psi_r(r, j, p)) for j in range(1, r + 1)]
-    return PLFunction(pts, Fraction(p**r))
-
-
-@dataclass(frozen=True)
-class ZpExtensionProfile:
+class ZpExtensionProfile(Record):
     """Constants (e_F, a, b) normalizing a ramified Z_p-tower.
 
     The tower's jump functions are psi_{F_r/F}(u) = e_F psi_r((u-a)/e_F) + b
@@ -242,9 +226,7 @@ class ZpExtensionProfile:
     rational a is accepted and merely flagged, not rejected.
     """
 
-    e_F: int
-    a: Fraction
-    b: Fraction
+    __slots__ = ("e_F", "a", "b")
 
     def __init__(self, e_F: int, a, b):
         if e_F < 1:
@@ -252,10 +234,6 @@ class ZpExtensionProfile:
         object.__setattr__(self, "e_F", int(e_F))
         object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "b", Fraction(b))
-
-    @property
-    def a_is_integral(self) -> bool:
-        return self.a.denominator == 1
 
 
 def _different_term(profile: ZpExtensionProfile, p: int, x: int) -> Fraction:

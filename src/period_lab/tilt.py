@@ -40,15 +40,14 @@ eps-exponent's denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .cyclotomic import CycElt, CyclotomicContext
 from .linalg import _is_irreducible, _poly_mulmod, _poly_powmod, _poly_rem
 from .padic import (
     INF,
     Prime,
+    Record,
     SchemaError,
     Valuation,
     as_fraction,
@@ -58,6 +57,7 @@ from .padic import (
     parse_list,
     parse_rational,
     rational_valuation,
+    require,
     residue,
 )
 
@@ -121,13 +121,10 @@ def field_modulus(p: int, f: int) -> tuple:
     return mod
 
 
-@dataclass(frozen=True)
-class FqElement:
+class FqElement(Record):
     """An element of F_{p^f}, as a reduced polynomial representative."""
 
-    p: int
-    f: int
-    poly: tuple
+    __slots__ = ("p", "f", "poly")
 
     def __init__(self, p: int, f: int, poly):
         p, f = int(p), int(f)
@@ -193,17 +190,14 @@ def _is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
-@dataclass(frozen=True)
-class GaloisElement:
+class GaloisElement(Record):
     """(chi, c, frob): the cyclotomic-character value (a rational p-adic
     unit), the Kummer cocycle value (rational with p-free denominator) and
     a power of the residue Frobenius."""
 
-    chi: Fraction
-    c: Fraction
-    frob: int
+    __slots__ = ("chi", "c", "frob")
 
-    def __init__(self, chi, c, frob=0, *, p: Optional[int] = None):
+    def __init__(self, chi, c, frob=0, *, p: int | None = None):
         chi, c = Fraction(chi), Fraction(c)
         if p is not None:
             if rational_valuation(chi, p) != 0:
@@ -424,19 +418,20 @@ class TiltExpr:
 def _parse_terms(p: int, items):
     """(coeff, a, c, u, i) of each JSON term in turn."""
     one = FqElement.one(p)
-    for it in items:
+    for n, it in enumerate(items):
         if not isinstance(it, dict):
             raise SchemaError(f"each term of 'expr' must be a JSON object, got {it!r}")
+        where = f"expr[{n}]"
         u = it.get("u")
         if u:
-            poly = [parse_int(x, "poly") for x in u["poly"]]
-            u = FqElement(p, parse_int(u["f"], "f"), poly)
+            poly = [parse_int(x, "poly") for x in require(u, "poly", f"{where}.u")]
+            u = FqElement(p, parse_int(require(u, "f", f"{where}.u"), "f"), poly)
         else:
             u = one
         yield (
-            parse_int(it["coeff"], "coeff"),
-            parse_rational(it["a"]),
-            parse_rational(it["c"]),
+            parse_int(require(it, "coeff", where), "coeff"),
+            parse_rational(require(it, "a", where)),
+            parse_rational(require(it, "c", where)),
             u,
             parse_int(it.get("p_power", 0), "p_power"),
         )
@@ -447,8 +442,7 @@ def _parse_terms(p: int, items):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GradedThetaValue:
+class GradedThetaValue(Record):
     """theta value in the Kummer-graded cyclotomic module.
 
     ``pieces`` maps (fractional p-exponent, teich key) to an exact
@@ -458,9 +452,12 @@ class GradedThetaValue:
     data and the value is only formally graded (``exact`` is False).
     """
 
-    context: CyclotomicContext
-    pieces: dict
-    exact: bool = True
+    __slots__ = ("context", "pieces", "exact")
+
+    def __init__(self, context: CyclotomicContext, pieces: dict, exact: bool):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "exact", exact)
 
     def _nonzero_pieces(self):
         return {k: v for k, v in self.pieces.items() if not v.is_zero()}
@@ -478,26 +475,6 @@ class GradedThetaValue:
         key = (Fraction(0), None)
         diff[key] = diff.get(key, self.context.zero()) - self.context.rational(q)
         return GradedThetaValue(self.context, diff, self.exact).is_zero()
-
-    def single_cyclotomic(self) -> CycElt:
-        """The value as one cyclotomic number, when it has no Kummer or
-        formal Teichmueller part."""
-        live = self._nonzero_pieces()
-        if not live:
-            return self.context.zero()
-        if set(live) != {(Fraction(0), None)}:
-            raise InexactTeichmullerError(
-                "value has Kummer or formal Teichmueller pieces"
-            )
-        return live[(Fraction(0), None)]
-
-    def substitute_root(self, m: int) -> "GradedThetaValue":
-        """Apply z -> z^m to every piece (the Galois action on values)."""
-        return GradedThetaValue(
-            self.context,
-            {k: v.substitute(m) for k, v in self.pieces.items()},
-            self.exact,
-        )
 
 
 def _teich_contribution(u: FqElement):
@@ -595,8 +572,7 @@ def ker_theta_orbit_probe(x: TiltExpr, N: int, n_max: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class VflatResult:
+class VflatResult(Record):
     """Depth-indexed values p^n v_p(component_n) with a stabilization flag.
 
     ``values[n]`` is the exact value at depth n (INF for a vanishing
@@ -606,10 +582,13 @@ class VflatResult:
     conclusive; only then does ``value`` assert v_flat.
     """
 
-    values: list
-    conclusive: bool
-    stabilized: bool
-    value: Optional[Valuation]
+    __slots__ = ("values", "conclusive", "stabilized", "value")
+
+    def __init__(self, values: list, conclusive: bool, stabilized: bool, value: Valuation | None):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "conclusive", conclusive)
+        object.__setattr__(self, "stabilized", stabilized)
+        object.__setattr__(self, "value", value)
 
 
 def _component_value(value: GradedThetaValue, n: int):
@@ -672,17 +651,19 @@ def vflat_sum(x: TiltExpr, depth: int) -> VflatResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GeneratorReport:
+class GeneratorReport(Record):
     """Checks for 'z generates the evaluation kernel': theta(z) = 0 and
     v_flat(z mod p) = 1."""
 
-    theta_is_zero: bool
-    vflat: VflatResult
-    vflat_is_one: Optional[bool]
+    __slots__ = ("theta_is_zero", "vflat", "vflat_is_one")
+
+    def __init__(self, theta_is_zero: bool, vflat: VflatResult, vflat_is_one: bool | None):
+        object.__setattr__(self, "theta_is_zero", theta_is_zero)
+        object.__setattr__(self, "vflat", vflat)
+        object.__setattr__(self, "vflat_is_one", vflat_is_one)
 
     @property
-    def passes(self) -> Optional[bool]:
+    def passes(self) -> bool | None:
         if self.vflat_is_one is None:
             return None if self.theta_is_zero else False
         return self.theta_is_zero and self.vflat_is_one

@@ -13,7 +13,7 @@ with the exponential built on it, and the closeness-to-the-identity check
 of ``SenInput`` by rational valuations that the integer check replaced.
 
 Helpers that the integer rewrite left unchanged (rational gcd, squarefree
-test, valuations, the operator and verdict dataclasses) come from the
+test, valuations, and the operator and verdict classes) come from the
 package.
 """
 

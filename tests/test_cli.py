@@ -317,20 +317,58 @@ def test_batch_determinism(tmp_path, capsys):
     ],
 )
 def test_batch_isolates_invalid_field(tmp_path, capsys, bad):
-    # alone: exit 2 with a JSON error, never a traceback
+    run_alone_and_in_batch(tmp_path, capsys, bad)
+
+
+def run_alone_and_in_batch(tmp_path, capsys, bad) -> tuple:
+    """The error messages of the line ``bad`` run alone and as the middle
+    line of a batch.  Alone it exits 2 with a JSON error, never a
+    traceback; in the batch only its line fails."""
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({k: v for k, v in bad.items() if k != "command"}))
     code, report = run_json(capsys, bad["command"], "--input", str(f))
     assert code == 2
     assert set(report) == {"schema", "error"}
-    # in a batch: only that line fails
     good = json.dumps({"command": "herbrand", "e": 4, "orders": [4, 2, 2]})
     f = tmp_path / "bad.jsonl"
     f.write_text("\n".join([good, json.dumps(bad), good]) + "\n")
-    code, report = run_json(capsys, "batch", "--input", str(f))
+    code, batch = run_json(capsys, "batch", "--input", str(f))
     assert code == 2
-    assert report["counts"] == {"ok": 2, "undecided": 0, "error": 1}
-    assert [r["status"] for r in report["results"]] == ["ok", "error", "ok"]
+    assert batch["counts"] == {"ok": 2, "undecided": 0, "error": 1}
+    assert [r["status"] for r in batch["results"]] == ["ok", "error", "ok"]
+    return report["error"], batch["results"][1]["message"]
+
+
+_TERM = {"coeff": 1, "a": "1/3", "c": "0"}
+_MODULE = {"p": 5, "eisenstein": [-5, 1], "frobenius": [["25"]],
+           "filtration": [{"jump": 2, "basis": [[["1"]]]}]}
+_CHARACTER = {"p": 5, "lambda": "2", "a": "1", "b": 0}
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"command": "tilt", "p": 3, "expr": [_TERM, {"a": "0", "c": "0"}]},
+         "missing required field 'coeff' in expr[1]"),
+        ({"command": "tilt", "p": 3, "expr": [{**_TERM, "u": {"f": 1}}]},
+         "missing required field 'poly' in expr[0].u"),
+        ({"command": "phimod", **{k: v for k, v in _MODULE.items() if k != "eisenstein"}},
+         "missing required field 'eisenstein'"),
+        ({"command": "phimod", **_MODULE,
+          "filtration": [{"jump": 0, "basis": [[["1"]]]}, {"basis": [[["1"]]]}]},
+         "missing required field 'jump' in filtration[1]"),
+        ({"command": "char", "op": "multiply",
+          "factors": [_CHARACTER, {k: v for k, v in _CHARACTER.items() if k != "p"}]},
+         "missing required field 'p' in factors[1]"),
+        # an item that is not an object is named as such, not as missing a field
+        ({"command": "char", "op": "multiply", "factors": [_CHARACTER, [5, "2", "1"]]},
+         "factors[1] must be a JSON object, got [5, '2', '1']"),
+        ({"command": "phimod", **_MODULE, "filtration": [[2, [[["1"]]]]]},
+         "filtration[0] must be a JSON object, got [2, [[['1']]]]"),
+    ],
+)
+def test_a_missing_field_and_a_non_object_are_named(tmp_path, capsys, bad, message):
+    assert run_alone_and_in_batch(tmp_path, capsys, bad) == (message, message)
 
 
 @pytest.mark.parametrize("op", ["theta", "probe", "generator-check"])

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from period_lab.characters import SenInput
+from period_lab.cyclotomic import CyclotomicContext
 from period_lab.padic import (
     INF,
     Prime,
@@ -150,6 +152,55 @@ def test_no_module_imports_a_name_it_does_not_use():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not unused, unused
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    """Every command is one process that imports the package, and
+    dataclasses (with the inspect, dis, ast and tokenize it loads), its
+    class generation and typing were most of what that import cost.
+    ``padic.Record`` gives the immutable values, and annotations need no
+    import under ``from __future__ import annotations``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in ("dataclasses", "typing")]
+    assert not found, found
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # -S: no site hooks, since a .pth file can load typing before the
+    # import and hide a module of the package that loads it again
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, period_lab.cli; "
+         "print(*[m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_records_compare_by_class_and_fields_and_stay_immutable():
+    assert Prime(5) == Prime(5) and hash(Prime(5)) == hash(Prime(5))
+    assert Prime(5) != Prime(7) and Prime(5) != 5
+    assert CyclotomicContext(5, 0) != CyclotomicContext(5, 1)
+    a, b = SenInput(3, 1, [[4, 3], [0, 1]]), SenInput(3, 1, [[F(4), F(3)], [F(0), F(1)]])
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert repr(CyclotomicContext(5, 1)) == "CyclotomicContext(p=5, N=1)"
+    with pytest.raises(AttributeError):
+        a.level = 2
+    with pytest.raises(AttributeError):
+        del a.matrix
+    assert a.level == 1 and a.matrix == b.matrix
 
 
 def test_scalar_serialization_roundtrip():

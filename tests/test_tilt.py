@@ -128,7 +128,7 @@ def test_theta_galois_compatibility_on_epsilon_sums():
             chi = random_unit(rng, p)
             g = GaloisElement(chi, 0)
             lhs = theta(x.galois_act(g), N)
-            rhs = theta(x, N).substitute_root(residue(chi, p, N))
+            rhs = ref.substitute_root(theta(x, N), residue(chi, p, N))
             keys = set(lhs.pieces) | set(rhs.pieces)
             for k in keys:
                 a_piece = lhs.pieces.get(k, lhs.context.zero())
@@ -357,7 +357,7 @@ def test_theta_prime_to_p_denominators_are_exact():
     # mixed denominator 3p: the prime-to-p part is inverted mod p^N
     val = theta(TiltExpr.epsilon_power(p, F(1, 3 * p)), N)
     expected_exponent = p ** (N - 1) * pow(3, -1, p**N) % p**N
-    assert val.single_cyclotomic() == val.context.root_power(expected_exponent)
+    assert ref.single_cyclotomic(val) == val.context.root_power(expected_exponent)
 
 
 def test_theta_kummer_grading():

@@ -8,6 +8,9 @@ It shares no helper with the code it checks: root exponents go through
 Frobenius u^(p^-n) is u^(p^(f - n mod f)), formed by repeated
 ``FqElement`` multiplication.  Each term is added into its piece by
 ``CycElt`` addition.
+
+Two readers of a theta value that only the tests use live here too:
+``single_cyclotomic`` and ``substitute_root``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from fractions import Fraction
 
 from period_lab.cyclotomic import CyclotomicContext
 from period_lab.padic import INF, multiplicity, residue
+from period_lab.tilt import GradedThetaValue, InexactTeichmullerError
 
 
 def teichmuller_part(u):
@@ -97,3 +101,22 @@ def component_value(x, n: int):
     best_v, best_key = candidates[0]
     tied = len(candidates) > 1 and candidates[1][0] == best_v
     return Fraction(x.p) ** n * best_v, (not tied) and best_key is None
+
+
+def single_cyclotomic(value):
+    """A theta value as one cyclotomic number, when it has no Kummer or
+    formal Teichmueller part."""
+    live = {k: v for k, v in value.pieces.items() if not v.is_zero()}
+    if not live:
+        return value.context.zero()
+    if set(live) != {(Fraction(0), None)}:
+        raise InexactTeichmullerError("value has Kummer or formal Teichmueller pieces")
+    return live[(Fraction(0), None)]
+
+
+def substitute_root(value, m: int):
+    """z -> z^m on every piece of a theta value (the Galois action on
+    values)."""
+    return GradedThetaValue(
+        value.context, {k: v.substitute(m) for k, v in value.pieces.items()}, value.exact
+    )
