@@ -44,7 +44,7 @@ only mod p^(s - (d-1)(-v)), so the weights are lifted that far only.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .linalg import (
     char_poly,
@@ -58,6 +58,7 @@ from .padic import (
     Record,
     as_fraction,
     centered,
+    format_ratio,
     format_rational,
     int_valuation,
     multiplicity,
@@ -225,7 +226,11 @@ class SenInput(Record):
             prime = Prime(prime)
         if level < 0:
             raise ValueError("level must be nonnegative")
-        mat = tuple(tuple(map(as_fraction, row)) for row in matrix)
+        # an int entry stays an int: the closeness check reads only
+        # numerators and denominators
+        mat = tuple(
+            tuple(x if type(x) is int else as_fraction(x) for x in row) for row in matrix
+        )
         d = len(mat)
         if any(len(row) != d for row in mat):
             raise ValueError("matrix must be square")
@@ -260,15 +265,19 @@ class SenInput(Record):
 class SenOperator(Record):
     """log(A)/p^level to its stated p-adic precision.
 
-    ``zero_part`` holds the exact facts on eigenvalue 0 that an
-    approximant cannot carry: (multiplicity, whether that part is
-    semi-simple)."""
+    The operator is ``numerators`` / ``denominator``: an int matrix over
+    the least common denominator of its entries, which ``matrix`` reads
+    back as Fractions.  ``zero_part`` holds the exact facts on eigenvalue
+    0 that an approximant cannot carry: (multiplicity, whether that part
+    is semi-simple)."""
 
-    __slots__ = ("prime", "matrix", "precision", "zero_part")
+    __slots__ = ("prime", "numerators", "denominator", "precision", "zero_part")
 
-    def __init__(self, prime: Prime, matrix: tuple, precision: int, zero_part: tuple):
+    def __init__(self, prime: Prime, numerators: tuple, denominator: int, precision: int,
+                 zero_part: tuple):
         object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "zero_part", zero_part)
 
@@ -278,12 +287,18 @@ class SenOperator(Record):
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return len(self.numerators)
+
+    @property
+    def matrix(self) -> tuple:
+        D = self.denominator
+        return tuple(tuple(Fraction(x, D) for x in row) for row in self.numerators)
 
     def to_json(self) -> dict:
+        D = self.denominator
         return {
             "p": self.p,
-            "matrix": [[format_rational(x) for x in row] for row in self.matrix],
+            "matrix": [[format_ratio(x, D) for x in row] for row in self.numerators],
             "precision": self.precision,
         }
 
@@ -311,7 +326,8 @@ def sen_operator(inp: SenInput, precision: int = 20) -> SenOperator:
     reduces the sum mod chi_X and evaluates the remainder at X with
     d - 1 products: O(n d) scalar steps plus O(d^4) for n terms, where
     a product per term took O(n d^3).  Each entry is its centered
-    representative (module docstring).
+    representative (module docstring), and the operator is kept as those
+    integers over p^(V+r), reduced by their one gcd.
     """
     p = inp.p
     r = inp.level
@@ -329,11 +345,14 @@ def sen_operator(inp: SenInput, precision: int = 20) -> SenOperator:
     X = [[x * unit % modulus for x in row] for row in N]
     chi = [c.numerator * pow(unit, d - k, modulus) % modulus for k, c in enumerate(cp)]
     acc = _series(X, _log_coefficients(p, n, V, precision + V), chi, modulus)
-    denom = p ** (V + r)
-    out = tuple(tuple(Fraction(centered(x, modulus), denom) for x in row) for row in acc)
+    acc = [[centered(x, modulus) for x in row] for row in acc]
+    g = gcd(p ** (V + r), *(x for row in acc for x in row))
+    out = tuple(tuple(x // g for x in row) for row in acc)
     m = next(k for k, c in enumerate(cp) if c)
     # m <= 1 leaves no room for a Jordan block at 0
-    return SenOperator(inp.prime, out, precision - r, (m, m < 2 or d - rank(N) == m))
+    return SenOperator(
+        inp.prime, out, p ** (V + r) // g, precision - r, (m, m < 2 or d - rank(N) == m)
+    )
 
 
 def _log_coefficients(p: int, n: int, V: int, N: int) -> list:
@@ -468,7 +487,7 @@ def hodge_tate_via_sen(op: SenOperator) -> HodgeTateVerdict:
     weights = [0] * m
     if m < d:
         # max(0, -v) is the p-power of the common denominator D
-        B, D = clear_denominators(op.matrix)
+        B, D = op.numerators, op.denominator
         lift = op.precision - (d - 1) * multiplicity(D, op.p)
         lifted = hensel_integer_roots(char_poly(B, D)[m:], op.p, lift) if lift >= 1 else None
         if lifted is None or len(lifted) != d - m:

@@ -27,11 +27,12 @@ from . import characters, filtered_phi, jets, polygons, ramification, tilt
 from .padic import (
     INF,
     MAX_DIGITS,
+    Prime,
     SchemaError,
-    _is_probable_prime,
     format_rational,
     parse_int,
     parse_list,
+    parse_number,
     parse_rational,
     require,
 )
@@ -79,11 +80,14 @@ def _int(payload: dict, key: str, default=None) -> int:
     return parse_int(value, key)
 
 
-def _require_prime(payload: dict) -> int:
+def _require_prime(payload: dict) -> Prime:
+    """The field 'p' as a ``Prime``, which the handler passes on, so that
+    its primality is tested once per command."""
     p = _int(payload, "p")
-    if not _is_probable_prime(p):
-        raise SchemaError(f"field 'p' must be a prime, got {p}")
-    return p
+    try:
+        return Prime(p)
+    except ValueError:
+        raise SchemaError(f"field 'p' must be a prime, got {p}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +146,12 @@ def run_polygon(payload: dict, args):
             pts.append((parse_rational(x), INF if v in (None, "inf") else parse_rational(v)))
         poly = polygons.hull(pts)
     elif kind == "epsilon_minus_one":
-        p = _require_prime(payload)
+        p = _require_prime(payload).p
         _, hi = _ladder_window(p, 0, require(payload, "window"))
         poly = polygons.epsilon_minus_one_polygon(p, hi)
     elif kind == "t":
         lo, hi = parse_list(require(payload, "window"), "window")
-        p = _require_prime(payload)
+        p = _require_prime(payload).p
         poly = polygons.t_polygon(p, *_ladder_window(p, lo, hi))
     else:
         raise SchemaError(f"unknown polygon kind {kind!r}")
@@ -157,7 +161,7 @@ def run_polygon(payload: dict, args):
     return report, EXIT_OK
 
 
-def _tilt_expr(payload: dict, p: int) -> tilt.TiltExpr:
+def _tilt_expr(payload: dict, prime: Prime) -> tilt.TiltExpr:
     if "builtin" in payload:
         name = payload["builtin"]
         builders = {
@@ -167,8 +171,8 @@ def _tilt_expr(payload: dict, p: int) -> tilt.TiltExpr:
         }
         if name not in builders:
             raise SchemaError(f"unknown builtin expression {name!r}")
-        return builders[name](p)
-    return tilt.TiltExpr.from_json(p, require(payload, "expr"))
+        return builders[name](prime)
+    return tilt.TiltExpr.from_json(prime, require(payload, "expr"))
 
 
 def _theta_json(value: tilt.GradedThetaValue) -> dict:
@@ -195,9 +199,9 @@ def _valuation_json(v):
 
 
 def run_tilt(payload: dict, args):
-    p = _require_prime(payload)
+    prime = _require_prime(payload)
     op = payload.get("op", "theta")
-    expr = _tilt_expr(payload, p)
+    expr = _tilt_expr(payload, prime)
     if op == "theta":
         level = _int(payload, "level", 3)
         value = tilt.theta(expr, level)
@@ -241,7 +245,8 @@ def run_tilt(payload: dict, args):
 
 def run_jet(payload: dict, args):
     action = payload.get("action", "verify-cocycle")
-    p = _require_prime(payload)
+    prime = _require_prime(payload)
+    p = prime.p
     order = _int(payload, "order", 6)
     if action == "verify-cocycle":
         g = tilt.GaloisElement(
@@ -249,12 +254,12 @@ def run_jet(payload: dict, args):
             parse_rational(require(payload, "c")),
             p=p,
         )
-        ctx = jets.JetContext(p, order)
+        ctx = jets.JetContext(prime, order)
         ok = jets.verify_cocycle(g, ctx)
         return {"verified": ok, "order": order, "p": p}, EXIT_OK
     if action == "gr-check":
         m = _int(payload, "m", order)
-        ok = jets.gr_generator_check(m, p)
+        ok = jets.gr_generator_check(m, prime)
         return {"generates_graded_piece": ok, "m": m, "p": p}, EXIT_OK
     raise SchemaError(f"unknown jet action {action!r}")
 
@@ -304,14 +309,14 @@ def _sen_precision(p: int, precision: int) -> int:
 
 
 def run_sen(payload: dict, args):
-    p = _require_prime(payload)
+    prime = _require_prime(payload)
     level = _int(payload, "level", 1)
-    precision = _sen_precision(p, _int(payload, "precision", 20))
+    precision = _sen_precision(prime.p, _int(payload, "precision", 20))
     rows = require(payload, "matrix")
     if not rows or any(not isinstance(row, list) or len(row) != len(rows) for row in rows):
         raise SchemaError("field 'matrix' must be a nonempty square list of rows")
-    matrix = [[parse_rational(x) for x in row] for row in rows]
-    inp = characters.SenInput(p, level, matrix)
+    matrix = [[parse_number(x) for x in row] for row in rows]
+    inp = characters.SenInput(prime, level, matrix)
     op = characters.sen_operator(inp, precision)
     verdict = characters.hodge_tate_via_sen(op)
     report = {

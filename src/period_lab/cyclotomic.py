@@ -5,10 +5,9 @@ z, reduced modulo the cyclotomic polynomial
 
     Phi_{p^N}(x) = 1 + x^{p^{N-1}} + x^{2 p^{N-1}} + ... + x^{(p-1) p^{N-1}}
 
-so exponents live in [0, phi(p^N)).  Three operations matter downstream:
+so exponents live in [0, phi(p^N)).  Two operations matter downstream:
 
 * exact zero test (coefficient-wise after reduction),
-* the Galois substitution z -> z^m for m prime to p,
 * the exact p-adic valuation.
 
 The valuation uses that z - 1 is a uniformizer with v_p(z - 1) =
@@ -76,9 +75,6 @@ class CyclotomicContext(Record):
         """z^k (k any integer; reduced mod p^N)."""
         return CycElt(self, {k % self.order: Fraction(1)})
 
-    def element(self, coeffs: dict) -> "CycElt":
-        return CycElt(self, {int(k): Fraction(v) for k, v in coeffs.items()})
-
 
 class CycElt:
     """A reduced element of Q(z); immutable in practice."""
@@ -112,30 +108,6 @@ class CycElt:
 
     def __sub__(self, other: "CycElt") -> "CycElt":
         return self + (-other)
-
-    def __mul__(self, other: "CycElt") -> "CycElt":
-        assert self.ctx == other.ctx
-        out: dict = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
-        return CycElt(self.ctx, out)
-
-    def scale(self, q) -> "CycElt":
-        q = Fraction(q)
-        if q == 0:
-            return self.ctx.zero()
-        return CycElt(self.ctx, {k: v * q for k, v in self.coeffs.items()})
-
-    def substitute(self, m: int) -> "CycElt":
-        """The field map z -> z^m (m must be prime to p)."""
-        if self.ctx.N > 0 and m % self.ctx.p == 0:
-            raise ValueError("substitution exponent must be prime to p")
-        return CycElt(
-            self.ctx,
-            {(k * m) % self.ctx.order: v for k, v in self.coeffs.items()},
-        )
 
     def vp(self) -> Valuation:
         """Exact p-adic valuation via the (z-1)-adic expansion."""

@@ -39,6 +39,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from fractions import Fraction
+from math import gcd
 
 
 class _Infinity:
@@ -229,6 +230,12 @@ def format_rational(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def format_ratio(n: int, d: int) -> str:
+    """``format_rational`` of n / d for ints n and d > 0, by one gcd."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 class SchemaError(Exception):
     """An input object that does not match its documented schema."""
 
@@ -254,22 +261,30 @@ def _check_exponent(literal: str, text) -> None:
         raise ValueError(f"the exponent of {text!r} expands past the {MAX_DIGITS:,}-digit cap")
 
 
-def parse_rational(text) -> Fraction:
+def parse_number(text) -> int | Fraction:
+    """A JSON rational as ``parse_rational`` reads it, but an int when it
+    is a plain integer: a JSON integer or a string of ASCII digits with an
+    optional sign."""
     if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
-        return Fraction(text)
+        return text
     if isinstance(text, str):
         literal = text.strip()
         # a plain ASCII integer skips Fraction's string parser; the rest,
         # "1_000" among them (rejected on Python 3.10), still goes to it
         digits = literal[1:] if literal[:1] in ("+", "-") else literal
         if digits.isascii() and digits.isdigit():
-            return Fraction(int(literal))
+            return int(literal)
         _check_exponent(literal, text)
         try:
             return Fraction(literal)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
     raise ValueError(f"cannot parse rational from {text!r}")
+
+
+def parse_rational(text) -> Fraction:
+    x = parse_number(text)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def require(obj: dict, key: str, where: str = ""):

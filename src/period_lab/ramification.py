@@ -25,8 +25,9 @@ constants exhibited from it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .padic import Record, format_rational, parse_rational, require
+from .padic import Record, as_fraction, format_ratio, parse_rational, require
 
 
 class PLFunction(Record):
@@ -34,16 +35,28 @@ class PLFunction(Record):
 
     The graph starts at (0, 0), passes through ``breakpoints`` (sorted by
     abscissa), and continues with ``final_slope`` to the right of the last
-    breakpoint.  All coordinates and slopes are exact rationals.
+    breakpoint.  All coordinates and slopes are exact rationals, held in
+    integers: breakpoint i is (xs[i] / x_den, ys[i] / y_den), each
+    denominator the least common one of the breakpoints kept, and the
+    final slope is slope[0] / slope[1] in lowest terms.  So equal functions
+    have equal fields, and ``breakpoints`` and ``final_slope`` read them
+    back as Fractions.
     """
 
-    __slots__ = ("breakpoints", "final_slope")
+    __slots__ = ("xs", "x_den", "ys", "y_den", "slope")
 
     def __init__(self, breakpoints, final_slope):
-        pts = [(Fraction(x), Fraction(y)) for x, y in breakpoints]
-        pts.sort()
+        pts = [(as_fraction(x), as_fraction(y)) for x, y in breakpoints]
+        # every coordinate over the lcm of all the denominators: order and
+        # slopes compare in integers, by cross-multiplication
+        dx = lcm(*(x.denominator for x, _ in pts))
+        dy = lcm(*(y.denominator for _, y in pts))
+        pts = sorted(
+            (x.numerator * (dx // x.denominator), y.numerator * (dy // y.denominator))
+            for x, y in pts
+        )
         cleaned = []
-        prev = (Fraction(0), Fraction(0))
+        prev = (0, 0)
         for x, y in pts:
             if (x, y) == prev:
                 continue
@@ -51,19 +64,38 @@ class PLFunction(Record):
                 raise ValueError("breakpoints must be strictly increasing")
             cleaned.append((x, y))
             prev = (x, y)
-        final_slope = Fraction(final_slope)
+        final_slope = as_fraction(final_slope)
         if final_slope <= 0:
             raise ValueError("final slope must be positive")
-        # drop breakpoints that do not change the slope
-        pruned = []
+        n, d = final_slope.numerator, final_slope.denominator
+        # drop breakpoints that do not change the slope: slope (y1 - y0) /
+        # (x1 - x0) in these units is the true one times dy / dx
+        xs, ys = [], []
+        px = py = 0
         for i, (x, y) in enumerate(cleaned):
-            before = _slope_between((0, 0) if not pruned else pruned[-1], (x, y))
-            nxt = cleaned[i + 1] if i + 1 < len(cleaned) else None
-            after = _slope_between((x, y), nxt) if nxt else final_slope
-            if before != after:
-                pruned.append((x, y))
-        object.__setattr__(self, "breakpoints", tuple(pruned))
-        object.__setattr__(self, "final_slope", final_slope)
+            if i + 1 < len(cleaned):
+                nx, ny = cleaned[i + 1]
+                same = (y - py) * (nx - x) == (ny - y) * (x - px)
+            else:
+                same = (y - py) * dx * d == n * (x - px) * dy
+            if not same:
+                xs.append(x)
+                ys.append(y)
+                px, py = x, y
+        # the least common denominators of what is kept
+        gx, gy = gcd(dx, *xs), gcd(dy, *ys)
+        _set(self, tuple(x // gx for x in xs), dx // gx, tuple(y // gy for y in ys), dy // gy,
+             (n, d))
+
+    @property
+    def breakpoints(self) -> tuple:
+        return tuple(
+            (Fraction(x, self.x_den), Fraction(y, self.y_den)) for x, y in zip(self.xs, self.ys)
+        )
+
+    @property
+    def final_slope(self) -> Fraction:
+        return Fraction(*self.slope)
 
     @classmethod
     def identity(cls) -> "PLFunction":
@@ -73,26 +105,31 @@ class PLFunction(Record):
         """Yield (x_start, y_start, slope) for each linear piece."""
         prev = (Fraction(0), Fraction(0))
         for x, y in self.breakpoints:
-            yield prev[0], prev[1], _slope_between(prev, (x, y))
+            yield prev[0], prev[1], (y - prev[1]) / (x - prev[0])
             prev = (x, y)
         yield prev[0], prev[1], self.final_slope
 
     def __call__(self, u) -> Fraction:
-        u = Fraction(u)
+        u = as_fraction(u)
         if u < 0:
             raise ValueError("Herbrand functions live on the nonnegative reals")
-        value = Fraction(0)
-        prev = (Fraction(0), Fraction(0))
-        for x, y in self.breakpoints:
-            if u <= x:
-                return prev[1] + _slope_between(prev, (x, y)) * (u - prev[0])
-            prev = (x, y)
-        return prev[1] + self.final_slope * (u - prev[0])
+        a, b = u.numerator, u.denominator
+        dx, dy = self.x_den, self.y_den
+        px = py = 0
+        for x, y in zip(self.xs, self.ys):
+            if a * dx <= x * b:
+                # py/dy + (y - py)/dy * dx/(x - px) * (a/b - px/dx)
+                return Fraction(
+                    py * (x - px) * b + (y - py) * (a * dx - px * b), dy * (x - px) * b
+                )
+            px, py = x, y
+        n, d = self.slope
+        return Fraction(py * d * b * dx + n * dy * (a * dx - px * b), dy * d * b * dx)
 
     def inverse(self) -> "PLFunction":
-        return PLFunction(
-            tuple((y, x) for x, y in self.breakpoints), 1 / self.final_slope
-        )
+        """The mirror image in the diagonal: the same integers, swapped."""
+        return _set(object.__new__(PLFunction), self.ys, self.y_den, self.xs, self.x_den,
+                    self.slope[::-1])
 
     def compose(self, inner: "PLFunction") -> "PLFunction":
         """Exact composition self o inner."""
@@ -105,9 +142,9 @@ class PLFunction(Record):
 
     def to_json(self) -> dict:
         return {
-            "breakpoints": [[format_rational(x), format_rational(y)]
-                            for x, y in self.breakpoints],
-            "final_slope": format_rational(self.final_slope),
+            "breakpoints": [[format_ratio(x, self.x_den), format_ratio(y, self.y_den)]
+                            for x, y in zip(self.xs, self.ys)],
+            "final_slope": format_ratio(*self.slope),
         }
 
     @classmethod
@@ -117,8 +154,15 @@ class PLFunction(Record):
         return cls(pts, parse_rational(require(obj, "final_slope")))
 
 
-def _slope_between(a, b) -> Fraction:
-    return Fraction(b[1] - a[1]) / (b[0] - a[0])
+def _set(f: PLFunction, xs: tuple, x_den: int, ys: tuple, y_den: int, slope: tuple):
+    """f with its fields set to these, which must already be in lowest
+    terms; ``inverse`` and ``herbrand_phi`` build theirs so, unchecked."""
+    object.__setattr__(f, "xs", xs)
+    object.__setattr__(f, "x_den", x_den)
+    object.__setattr__(f, "ys", ys)
+    object.__setattr__(f, "y_den", y_den)
+    object.__setattr__(f, "slope", slope)
+    return f
 
 
 class RamificationData(Record):
@@ -135,10 +179,11 @@ class RamificationData(Record):
     __slots__ = ("e", "orders")
 
     def __init__(self, e: int, orders):
-        orders = tuple(int(g) for g in orders)
+        orders = [int(g) for g in orders]
         # normalize away trailing trivial groups
         while orders and orders[-1] == 1:
-            orders = orders[:-1]
+            orders.pop()
+        orders = tuple(orders)
         if e < 1:
             raise ValueError("ramification index must be >= 1")
         if orders and orders[0] != e:
@@ -158,14 +203,22 @@ class RamificationData(Record):
 
 
 def herbrand_phi(data: RamificationData) -> PLFunction:
-    """phi(u) = (1/e) int_0^u Card G_t dt, Card G_t = g_i on [i, i+1)."""
-    e = Fraction(data.e)
-    pts = []
-    y = Fraction(0)
-    for i, g in enumerate(data.orders):
-        y += Fraction(g) / e
-        pts.append((Fraction(i + 1), y))
-    return PLFunction(pts, Fraction(1) / e)
+    """phi(u) = (1/e) int_0^u Card G_t dt, Card G_t = g_i on [i, i+1).
+
+    phi has slope g_i / e on [i, i + 1) and 1/e past the orders, so its
+    breakpoints are the (i + 1, (g_0 + ... + g_i) / e) with g_i != g_(i+1),
+    read off the running sum of the orders in one pass."""
+    e, orders = data.e, data.orders
+    xs, ys = [], []
+    total = 0
+    for i, (g, after) in enumerate(zip(orders, orders[1:] + (1,)), 1):
+        total += g
+        if g != after:
+            xs.append(i)
+            ys.append(total)
+    g = gcd(e, *ys)
+    ys = tuple(y // g for y in ys)
+    return _set(object.__new__(PLFunction), tuple(xs), 1, ys, e // g, (1, e))
 
 
 def herbrand_psi(phi: PLFunction) -> PLFunction:
@@ -187,18 +240,18 @@ def different_valuation(data: RamificationData) -> Fraction:
     """v_F(D) = (1/e) sum_i (Card G_i - 1), cross-checked against phi.
 
     The asymptotic form lim_t (phi(t) - t/e) is read off the final segment
-    of the Herbrand function and must agree exactly under the module's
-    integration convention.
+    of the Herbrand function, as y - x/e at its last breakpoint (x, y), and
+    must agree exactly under the module's integration convention.
     """
-    direct = Fraction(sum(g - 1 for g in data.orders), data.e)
+    e = data.e
+    total = sum(data.orders) - len(data.orders)
     phi = herbrand_phi(data)
-    if phi.breakpoints:
-        x, y = phi.breakpoints[-1]
-        asymptotic = y - x / Fraction(data.e)
-    else:
-        asymptotic = Fraction(0)
-    assert direct == asymptotic, "integration convention violated"
-    return direct
+    x, y = (phi.xs[-1], phi.ys[-1]) if phi.xs else (0, 0)
+    # total / e == y / y_den - x / (x_den e), cross-multiplied
+    assert total * phi.x_den * phi.y_den == y * phi.x_den * e - x * phi.y_den, (
+        "integration convention violated"
+    )
+    return Fraction(total, e)
 
 
 def psi_r(r: int, u, p) -> Fraction:

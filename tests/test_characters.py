@@ -540,8 +540,10 @@ def test_weights_of_a_non_integral_operator_stop_at_the_loss():
     op = sen_operator(inp, 32)
     assert op.precision == 30
     assert min(rational_valuation(x, 3) for row in op.matrix for x in row if x) == -1
-    moved = SenOperator(op.prime, ((op.matrix[0][0] + 3**30, op.matrix[0][1]), op.matrix[1]),
+    B, D = op.numerators, op.denominator
+    moved = SenOperator(op.prime, ((B[0][0] + 3**30 * D, B[0][1]), B[1]), D,
                         op.precision, op.zero_part)
+    assert moved.matrix == ((op.matrix[0][0] + 3**30, op.matrix[0][1]), op.matrix[1])
     lifts = [sorted(hensel_integer_roots(char_poly(A.matrix), 3, 30)) for A in (op, moved)]
     assert lifts[0] != lifts[1]
     verdict = hodge_tate_via_sen(op)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from period_lab import cli
+from period_lab import cli, padic
 from period_lab.cli import SchemaError, main
 from period_lab.filtered_phi import FilteredPhiModule
 
@@ -419,6 +419,46 @@ def test_phimod_and_sen_reject_non_prime(tmp_path, capsys, command, payload):
     assert code == 2
     assert [r["status"] for r in report["results"]] == ["ok", "error", "ok"]
     assert "prime" in report["results"][1]["message"]
+
+
+_PRIME_LINES = [
+    {"command": "tilt", "p": 5, "op": "theta", "builtin": "omega", "level": 2},
+    {"command": "tilt", "p": 3, "op": "vflat", "expr": [_TERM], "depth": 2},
+    {"command": "tilt", "p": 3, "op": "generator-check", "builtin": "epsilon_minus_one"},
+    {"command": "jet", "p": 5, "action": "verify-cocycle", "chi": "2", "c": "1", "order": 4},
+    {"command": "jet", "p": 3, "action": "gr-check", "m": 3},
+    {"command": "sen", "p": 3, "level": 1, "matrix": [["4", 3], ["0", "1"]], "precision": 10},
+]
+
+
+@pytest.mark.parametrize("line", _PRIME_LINES, ids=lambda line: f"{line['command']}-{line['p']}")
+def test_one_primality_test_per_line(tmp_path, capsys, monkeypatch, line):
+    # every binding of the Miller-Rabin test in the package counts
+    calls = []
+    test = padic._is_probable_prime
+
+    def counted(n):
+        calls.append(n)
+        return test(n)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("period_lab") and hasattr(module, "_is_probable_prime"):
+            monkeypatch.setattr(module, "_is_probable_prime", counted)
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps({k: v for k, v in line.items() if k != "command"}))
+    code, _ = run_json(capsys, line["command"], "--input", str(f))
+    assert code in (0, 3) and calls == [line["p"]]
+    calls.clear()
+    f.write_text(json.dumps(line) + "\n" + json.dumps(line) + "\n")
+    code, report = run_json(capsys, "batch", "--input", str(f))
+    assert report["counts"]["error"] == 0 and calls == [line["p"]] * 2
+
+
+def test_a_composite_p_keeps_its_message(tmp_path, capsys):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps({"p": 4, "level": 1, "matrix": [["5"]], "precision": 10}))
+    code, report = run_json(capsys, "sen", "--input", str(f))
+    assert code == 2 and report["error"] == "field 'p' must be a prime, got 4"
 
 
 def run_process(argv, stdin):

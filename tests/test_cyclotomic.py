@@ -40,7 +40,7 @@ def check_against_norm(p, N, coeffs):
     # the resultant is taken of the integer polynomial L g, which adds
     # phi(p^N) v_p(L) to its valuation
     ctx = CyclotomicContext(p, N)
-    elt = ctx.element(coeffs)
+    elt = CycElt(ctx, {int(k): F(v) for k, v in coeffs.items()})
     L = lcm(*(v.denominator for v in coeffs.values()))
     G = sympy.Poly(sum(int(v * L) * x**k for k, v in coeffs.items()), x, domain="ZZ")
     res = sympy.resultant(sympy.Poly(sympy.cyclotomic_poly(p**N, x), x, domain="ZZ"), G)

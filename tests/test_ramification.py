@@ -1,8 +1,12 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ramification_reference
 from ramification_reference import a_is_integral, is_identity, psi_r_function
 from period_lab.ramification import (
     PLFunction,
@@ -223,3 +227,151 @@ def test_ramification_data_validation():
         RamificationData(4, [2, 2])  # g_0 != e
     # divisibility is not required between g_0 and g_1 (tame-wild boundary)
     RamificationData(6, [6, 2, 2])
+
+
+# ---------------------------------------------------------------------------
+# the integer PLFunction against the Fraction implementation it replaced
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def ramification_data(draw):
+    """p, a tame part prime to p, up to four wild levels p^k (k falling),
+    each repeated 0-5 times, and trailing 1s."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    tame = draw(st.integers(1, 12).filter(lambda t: t % p))
+    levels = sorted(draw(st.sets(st.integers(1, 5), max_size=4)), reverse=True)
+    e = tame * p ** levels[0] if levels else tame
+    orders = [e]
+    for k in levels:
+        orders += [p**k] * draw(st.integers(0, 5))
+    orders += [1] * draw(st.integers(0, 3))
+    return RamificationData(e, orders)
+
+
+def coordinate():
+    """An int or a Fraction, 0 included."""
+    return st.one_of(st.integers(0, 6), st.fractions(0, 6, max_denominator=6))
+
+
+@st.composite
+def chain(draw):
+    """Breakpoints of an increasing chain, often with collinear points: each
+    step repeats the last one (scaled) or is drawn afresh."""
+    x = y = F(0)
+    pts = []
+    step = (F(1), F(1))
+    for _ in range(draw(st.integers(0, 6))):
+        if pts and draw(st.booleans()):
+            r = draw(st.fractions(F(1, 3), 3, max_denominator=4))
+            step = (step[0] * r, step[1] * r)
+        else:
+            step = (draw(st.fractions(F(1, 5), 3, max_denominator=5)),
+                    draw(st.fractions(F(1, 5), 3, max_denominator=5)))
+        x, y = x + step[0], y + step[1]
+        pts.append((x, y))
+    return pts
+
+
+@st.composite
+def raw_breakpoints(draw):
+    """(breakpoints, final slope): a chain, sometimes shuffled, with
+    duplicates, (0, 0), int coordinates where they are integers, or points
+    drawn at random; the final slope positive, zero or negative, or the
+    chain's last slope."""
+    pts = draw(st.one_of(chain(), st.lists(st.tuples(coordinate(), coordinate()), max_size=5)))
+    pts = [tuple(int(c) if c.denominator == 1 and draw(st.booleans()) else c for c in map(F, pt))
+           for pt in pts]
+    if pts and draw(st.booleans()):
+        pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    if draw(st.booleans()):
+        pts.append((0, 0))
+    pts = draw(st.permutations(pts))
+    slope = draw(st.one_of(st.fractions(-3, 3, max_denominator=4), st.just(F(1))))
+    return pts, slope
+
+
+def build(cls, pts, slope):
+    """cls(pts, slope), or the text of the ValueError it raises."""
+    try:
+        return cls(pts, slope)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_same(f, ref):
+    assert f.breakpoints == ref.breakpoints
+    assert f.final_slope == ref.final_slope
+    assert all(type(c) is F for pt in f.breakpoints for c in pt) and type(f.final_slope) is F
+    assert list(f.segments()) == list(ref.segments())
+    assert json.dumps(f.to_json()) == json.dumps(ref.to_json())
+
+
+def with_redundant_point(f, k=7):
+    """The breakpoints of f plus one on a segment or on the final ray, 1/k
+    of the way along: its denominators are larger than those of f."""
+    pts = [(F(0), F(0)), *f.breakpoints]
+    i = len(f.breakpoints) // 2
+    (x0, y0), nxt = pts[i], pts[i + 1] if i + 1 < len(pts) else None
+    dx, dy = (nxt[0] - x0, nxt[1] - y0) if nxt else (F(1), f.final_slope)
+    return [*f.breakpoints, (x0 + dx / k, y0 + dy / k)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ramification_data(), st.fractions(0, 40, max_denominator=12))
+def test_herbrand_functions_match_the_fraction_reference(data, u):
+    phi, ref = herbrand_phi(data), ramification_reference.herbrand_phi(data)
+    assert_same(phi, ref)
+    assert phi == PLFunction(ref.breakpoints, ref.final_slope)
+    assert_same(herbrand_psi(phi), ref.inverse())
+    assert herbrand_psi(phi) == PLFunction(ref.inverse().breakpoints, ref.inverse().final_slope)
+    assert phi(u) == ref(u) and herbrand_psi(phi)(u) == ref.inverse()(u)
+    assert different_valuation(data) == ramification_reference.different_valuation(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_breakpoints(), raw_breakpoints(),
+       st.lists(st.fractions(0, 12, max_denominator=9), max_size=4))
+def test_plfunction_matches_the_fraction_reference(first, second, us):
+    f, ref = build(PLFunction, *first), build(ramification_reference.PLFunction, *first)
+    if isinstance(ref, str):
+        assert f == ref  # the same ValueError text
+        return
+    assert_same(f, ref)
+    for u in us:
+        assert f(u) == ref(u)
+    errors = []
+    for h in (f, ref):
+        with pytest.raises(ValueError) as exc:
+            h(-F(1, 3))
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert_same(f.inverse(), ref.inverse())
+    assert f.inverse() == PLFunction(f.inverse().breakpoints, f.inverse().final_slope)
+    # equal functions have equal fields, whatever breakpoints they were given
+    redundant = PLFunction(with_redundant_point(f), f.final_slope)
+    assert redundant == f and hash(redundant) == hash(f)
+    assert PLFunction.from_json(f.to_json()) == f
+    g, ref_g = build(PLFunction, *second), build(ramification_reference.PLFunction, *second)
+    if not isinstance(ref_g, str):
+        assert_same(f.compose(g), ref.compose(ref_g))
+
+
+def test_a_redundant_breakpoint_leaves_no_trace_in_the_fields():
+    f = herbrand_phi(RamificationData(4, [4, 2, 2]))
+    g = PLFunction([(F(1, 3), F(1, 3)), (1, 1), (F(7, 3), F(5, 3)), (3, 2), (F(22, 7), F(57, 28))],
+                   F(1, 4))
+    assert g == f and hash(g) == hash(f)
+    assert (g.xs, g.x_den, g.ys, g.y_den, g.slope) == ((1, 3), 1, (1, 2), 1, (1, 4))
+    assert PLFunction([(F(1, 3), F(1, 3))], 1) == PLFunction.identity()
+
+
+def test_plfunction_error_texts():
+    for pts, slope, text in [
+        ([(1, 1), (1, 2)], 1, "breakpoints must be strictly increasing"),
+        ([(1, 1), (2, 1)], 1, "breakpoints must be strictly increasing"),
+        ([(1, 1)], 0, "final slope must be positive"),
+        ([(1, 1)], F(-1, 2), "final slope must be positive"),
+    ]:
+        assert build(PLFunction, pts, slope) == text
+        assert build(ramification_reference.PLFunction, pts, slope) == text

@@ -10,16 +10,36 @@ Frobenius u^(p^-n) is u^(p^(f - n mod f)), formed by repeated
 ``CycElt`` addition.
 
 Two readers of a theta value that only the tests use live here too:
-``single_cyclotomic`` and ``substitute_root``.
+``single_cyclotomic`` and ``substitute_root``, with the two operations on
+cyclotomic numbers that only they and this module need: ``scale`` and the
+Galois substitution ``substitute``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from period_lab.cyclotomic import CyclotomicContext
+from period_lab.cyclotomic import CycElt, CyclotomicContext
 from period_lab.padic import INF, multiplicity, residue
 from period_lab.tilt import GradedThetaValue, InexactTeichmullerError
+
+
+def scale(elt: CycElt, q) -> CycElt:
+    """q times a cyclotomic number."""
+    q = Fraction(q)
+    if q == 0:
+        return elt.ctx.zero()
+    return CycElt(elt.ctx, {k: v * q for k, v in elt.coeffs.items()})
+
+
+def substitute(elt: CycElt, m: int) -> CycElt:
+    """The field map z -> z^m (m must be prime to p)."""
+    if elt.ctx.N > 0 and m % elt.ctx.p == 0:
+        raise ValueError("substitution exponent must be prime to p")
+    return CycElt(
+        elt.ctx,
+        {(k * m) % elt.ctx.order: v for k, v in elt.coeffs.items()},
+    )
 
 
 def teichmuller_part(u):
@@ -60,9 +80,9 @@ def theta_pieces(x, N: int) -> dict:
         E = root_exponent(a, x.p, N)
         frac = c - int(c)
         sign, key = teichmuller_part(u)
-        scale = Fraction(coeff * sign) * Fraction(x.p) ** (int(c) + i)
+        factor = Fraction(coeff * sign) * Fraction(x.p) ** (int(c) + i)
         cur = pieces.get((frac, key), ctx.zero())
-        pieces[(frac, key)] = cur + ctx.root_power(E).scale(scale)
+        pieces[(frac, key)] = cur + scale(ctx.root_power(E), factor)
     return pieces
 
 
@@ -80,9 +100,9 @@ def component_pieces(x, n: int) -> dict:
         scale_exp = c / Fraction(p) ** n
         frac = scale_exp - int(scale_exp)
         sign, key = teichmuller_part(inverse_frobenius(u, n))
-        scale = Fraction(coeff * sign) * Fraction(p) ** int(scale_exp)
+        factor = Fraction(coeff * sign) * Fraction(p) ** int(scale_exp)
         cur = pieces.get((frac, key), ctx.zero())
-        pieces[(frac, key)] = cur + ctx.root_power(E).scale(scale)
+        pieces[(frac, key)] = cur + scale(ctx.root_power(E), factor)
     return pieces
 
 
@@ -118,5 +138,5 @@ def substitute_root(value, m: int):
     """z -> z^m on every piece of a theta value (the Galois action on
     values)."""
     return GradedThetaValue(
-        value.context, {k: v.substitute(m) for k, v in value.pieces.items()}, value.exact
+        value.context, {k: substitute(v, m) for k, v in value.pieces.items()}, value.exact
     )

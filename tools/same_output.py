@@ -7,11 +7,14 @@ Builds every operation of the benchmark workloads (``perfbench/workloads.py``
 of this checkout) at the given seeds, writes their input files once, and
 runs every operation through ``period_lab.cli.main`` of each checkout, each
 checkout in its own interpreter with only its own ``src`` on the path.
+Every operation runs twice: as the benchmark runs it (JSON reports) and
+again with ``--format text``, which prints Python reprs of the report
+values, so a report that changes the type of a value differs there.
 It also runs each checkout's own ``demos/*.py`` against that checkout's
 ``src`` and compares them by file name.  Lists every operation and demo
 whose stdout or exit code differs (a demo that only one checkout has
 differs) and exits 1 if there is one, else prints the number of operations
-and demos compared and exits 0.
+compared in each format and of demos, and exits 0.
 """
 
 from __future__ import annotations
@@ -108,19 +111,26 @@ def main(argv=None) -> int:
                 for op in workloads.WORKLOADS[name](seed):
                     names.append(f"{name} seed {seed} {op.name}")
                     argvs.append(argv_for(op, work))
+        argvs += [argv + ["--format", "text"] for argv in argvs]
         ours = run_checkout(ROOT, argvs)
         theirs = run_checkout(args.parent, argvs)
-    differ = [n for n, a, b in zip(names, ours, theirs) if a != b]
+    n = len(names)
+    differ = [name for name, a, b in zip(names, ours, theirs) if a != b]
+    differ_text = [name for name, a, b in zip(names, ours[n:], theirs[n:]) if a != b]
     ours_demos, theirs_demos = run_demos(ROOT), run_demos(args.parent)
     demos = sorted(set(ours_demos) | set(theirs_demos))
     differ_demos = [d for d in demos if ours_demos.get(d) != theirs_demos.get(d)]
-    for n in differ:
-        print(f"differs: {n}")
+    for name in differ:
+        print(f"differs: {name}")
+    for name in differ_text:
+        print(f"differs: {name} in text format")
     for d in differ_demos:
         print(f"differs: demo {d}")
-    print(f"{len(names) - len(differ)} of {len(names)} operations print the same stdout and exit code")
+    print(f"{n - len(differ)} of {n} operations print the same stdout and exit code")
     print(f"{len(demos) - len(differ_demos)} of {len(demos)} demos print the same stdout and exit code")
-    return 1 if differ or differ_demos else 0
+    print(f"{n - len(differ_text)} of {n} operations print the same stdout and exit code "
+          "in text format")
+    return 1 if differ or differ_text or differ_demos else 0
 
 
 if __name__ == "__main__":
