@@ -3,8 +3,8 @@ p-adic Hodge theory.
 
 Subpackages, one per concern:
 
-* ``padic``        exact rationals with p-adic valuations, Legendre/nu,
-                   polynomial Newton polygons
+* ``padic``        exact rationals with p-adic valuations, Legendre/nu
+* ``padic_poly``   polynomials mod p, over Z_p and over Q_p
 * ``ramification`` piecewise-linear Herbrand calculus and Z_p-tower
                    constants
 * ``polygons``     planar Newton polygons with rays, Minkowski sums, the

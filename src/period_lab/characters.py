@@ -46,13 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import (
-    char_poly,
-    clear_denominators,
-    hensel_integer_roots,
-    mat_mul,
-    rank,
-)
+from .linalg import char_poly, clear_denominators, mat_mul, rank
 from .padic import (
     Prime,
     Record,
@@ -68,6 +62,7 @@ from .padic import (
     require,
     residue,
 )
+from .padic_poly import hensel_integer_roots
 
 
 class CharacterTriple(Record):

@@ -164,6 +164,8 @@ def run_polygon(payload: dict, args):
 def _tilt_expr(payload: dict, prime: Prime) -> tilt.TiltExpr:
     if "builtin" in payload:
         name = payload["builtin"]
+        if not isinstance(name, str):
+            raise SchemaError(f"field 'builtin' must be a string, got {name!r}")
         builders = {
             "omega": tilt.TiltExpr.omega,
             "epsilon_minus_one": tilt.TiltExpr.epsilon_minus_one,
@@ -312,7 +314,7 @@ def run_sen(payload: dict, args):
     prime = _require_prime(payload)
     level = _int(payload, "level", 1)
     precision = _sen_precision(prime.p, _int(payload, "precision", 20))
-    rows = require(payload, "matrix")
+    rows = parse_list(require(payload, "matrix"), "matrix")
     if not rows or any(not isinstance(row, list) or len(row) != len(rows) for row in rows):
         raise SchemaError("field 'matrix' must be a nonempty square list of rows")
     matrix = [[parse_number(x) for x in row] for row in rows]
@@ -372,6 +374,8 @@ def run_batch(args):
         try:
             payload = _parse_json(line, f"line {lineno}")
             command = require(payload, "command")
+            if not isinstance(command, str):
+                raise SchemaError(f"field 'command' must be a string, got {command!r}")
             if command not in HANDLERS:
                 raise SchemaError(f"unknown command {command!r}")
             report, code = _run(command, payload, args)

@@ -17,12 +17,14 @@ filtration.
 Decision coverage:
 
 * dimension 1: admissible iff v_p(eigenvalue) = jump;
-* dimension 2: complete closed-form case analysis.  Eigenvalue valuations
-  come from the characteristic polynomial's Newton polygon; whether an
-  eigenvalue actually lives in Q_p (and hence spans a stable line) is
-  decided by an exact p-adic square test on the discriminant; whether the
-  middle filtration line is defined over Q_p is read off its coordinates
-  (the uniformizer powers form a Q_p-basis of K);
+* dimension 2: always decided, by two comparisons.  A middle filtration
+  line that is defined over Q_p (read off its coordinates: the
+  uniformizer powers form a Q_p-basis of K) and Frobenius-stable
+  destabilizes when its eigenvalue has valuation below the upper jump;
+  otherwise a Q_p-rational eigenvalue of valuation below the lower jump
+  does, its valuations read off the characteristic polynomial's Newton
+  polygon and its rationality from an exact p-adic square test on the
+  discriminant;
 * dimension >= 3 with squarefree characteristic polynomial (factored over
   Q by rational-root deflation, complete through cubic remainders): the
   Q-rational stable subspaces are exactly the sums of primary components,
@@ -48,16 +50,14 @@ from operator import mul
 from .characters import CharacterTriple
 from .linalg import (
     BaseFieldK,
-    _is_irreducible,
     char_poly,
     clear_denominators,
     extend_echelon,
+    factor_over_q,
     integer_kernel,
     is_squarefree,
     mat_mul,
-    poly_deflate,
     poly_eval_cleared,
-    rational_roots,
     reduce_mod,
     restrict_scalars,
     restricted_kernel,
@@ -72,11 +72,10 @@ from .padic import (
     parse_int,
     parse_list,
     parse_rational,
-    poly_newton_polygon,
     rational_valuation,
     require,
-    residue,
 )
+from .padic_poly import qp_irreducible, root_valuations
 
 ADMISSIBLE = "admissible"
 NOT_ADMISSIBLE = "not-admissible"
@@ -305,34 +304,13 @@ def dim2_module(p, frobenius, r: int, s: int, line=None) -> FilteredPhiModule:
 # ---------------------------------------------------------------------------
 
 
-def is_padic_square(x: Fraction, p: int) -> bool:
-    """Exact test for x being a square in Q_p (x != 0)."""
-    x = Fraction(x)
-    if x == 0:
-        return True
-    v = rational_valuation(x, p)
-    if v % 2:
-        return False
-    unit = x / Fraction(p) ** int(v)
-    if p == 2:
-        return residue(unit, 2, 3) == 1
-    return pow(residue(unit, p, 1), (p - 1) // 2, p) == 1
-
-
-def _root_valuations(f, p) -> list:
-    """Root valuations of a monic rational polynomial, ascending, off its
-    Newton polygon."""
-    points = [(i, rational_valuation(c, p)) for i, c in enumerate(f)]
-    return sorted(-slope for slope, n in poly_newton_polygon(points) for _ in range(n))
-
-
 def _qp_eigenvalue_below(cp, p, threshold) -> dict | None:
     """A witness that some Q_p-rational eigenvalue of the quadratic cp has
     valuation < threshold, or None.  cp has a root in Q_p, and then both,
     exactly when its discriminant is a square there: the degree-2 case of
-    ``_qp_irreducible``."""
-    v_small = _root_valuations(cp, p)[0]
-    if v_small < threshold and not _qp_irreducible(cp, p):
+    ``qp_irreducible``."""
+    v_small = root_valuations(cp, p)[0]
+    if v_small < threshold and not qp_irreducible(cp, p):
         return {"type": "padic_eigenvalue", "valuation": format_rational(v_small)}
     return None
 
@@ -361,92 +339,33 @@ def _line_is_rational(vecs) -> list | None:
 
 
 def _dim2_admissible(D: FilteredPhiModule, tH, tN) -> AdmissibilityVerdict:
-    p = D.base.p
-    cp = D.frobenius_char_poly
+    """Two comparisons, given t_H = t_N = r + s for the jumps r <= s.
+
+    A rational Frobenius-stable middle line, of eigenvalue alpha, carries
+    jump s and destabilizes when v(alpha) < s.  Every other Q_p-stable
+    line carries jump r and destabilizes when its eigenvalue has
+    valuation < r.  A stable middle line with v(alpha) >= s needs no
+    case of its own: the other eigenvalue beta is rational with v(beta) =
+    r + s - v(alpha) <= r, the smaller root valuation of the split
+    characteristic polynomial, so the second comparison finds the line of
+    beta exactly when v(beta) < r."""
     jumps = D.graded_dims()
-    if len(jumps) == 1:
-        r = s = jumps[0][0]
-        line_vec = None
-    else:
-        (r, _), (s, _) = jumps
-        line_vec = _line_is_rational(D._vectors[1])
-        if line_vec is not None:
-            # the (rational) filtration line v is Frobenius-stable iff
-            # Phi v = alpha v, alpha read at the first nonzero entry of v
-            img = [y for (y,) in mat_mul(D.frobenius, [[x] for x in line_vec])]
-            k = next(i for i, x in enumerate(line_vec) if x)
-            alpha = img[k] / line_vec[k]
-            if img == [alpha * x for x in line_vec]:
-                return _dim2_stable_line(D, tH, tN, r, s, line_vec, alpha)
-    # every Q_p-stable line carries induced jump r (none can equal the
-    # middle line), so the only constraint is on eigenvalue valuations
-    witness = _qp_eigenvalue_below(cp, p, Fraction(r))
+    r, s = jumps[0][0], jumps[-1][0]
+    line_vec = _line_is_rational(D._vectors[1]) if len(jumps) == 2 else None
+    if line_vec is not None:
+        # the (rational) filtration line v is Frobenius-stable iff
+        # Phi v = alpha v, alpha read at the first nonzero entry of v
+        img = [y for (y,) in mat_mul(D.frobenius, [[x] for x in line_vec])]
+        k = next(i for i, x in enumerate(line_vec) if x)
+        alpha = img[k] / line_vec[k]
+        # also when alpha = beta: t_N = 2 v(alpha) = r + s < 2s
+        if img == [alpha * x for x in line_vec] and rational_valuation(alpha, D.base.p) < s:
+            witness = {"type": "subobject", "basis": [[format_rational(x) for x in line_vec]]}
+            return AdmissibilityVerdict(NOT_ADMISSIBLE, tH, tN, witness)
+    witness = _qp_eigenvalue_below(D.frobenius_char_poly, D.base.p, Fraction(r))
     if witness is not None:
         return AdmissibilityVerdict(NOT_ADMISSIBLE, tH, tN, witness)
     return AdmissibilityVerdict(ADMISSIBLE, tH, tN)
-
-
-def _dim2_stable_line(D, tH, tN, r, s, line_vec, alpha) -> AdmissibilityVerdict:
-    """The filtration line is rational and Frobenius-stable with rational
-    eigenvalue alpha; the complementary eigenvalue is det/alpha."""
-    p = D.base.p
-    va = rational_valuation(alpha, p)
-    beta = D.frobenius_det / alpha
-    vb = rational_valuation(beta, p)
-    if va < s:
-        # also when alpha = beta: t_N = 2 v(alpha) = r + s < 2s
-        witness = {"type": "subobject", "basis": [[format_rational(x) for x in line_vec]]}
-        return AdmissibilityVerdict(NOT_ADMISSIBLE, tH, tN, witness)
-    if vb < r:
-        return AdmissibilityVerdict(
-            NOT_ADMISSIBLE,
-            tH,
-            tN,
-            {"type": "padic_eigenvalue", "valuation": format_rational(Fraction(vb))},
-        )
-    # with t_H = t_N these force v(alpha) = s, v(beta) = r exactly
-    assert va == s and vb == r
-    return AdmissibilityVerdict(ADMISSIBLE, tH, tN)
-
-
-def _factor_over_q(cp, ell=None) -> list | None:
-    """Monic irreducible factors over Q (lowest degree first), or None when
-    the elementary method (root deflation + 'degree <= 3 without rational
-    roots is irreducible') cannot certify the factorization.  ``ell`` is
-    the squarefree certificate of cp, or None."""
-    work = [Fraction(c) for c in cp]
-    factors = []
-    for root in rational_roots(work, ell):
-        factors.append([-root, Fraction(1)])
-        work = poly_deflate(work, root)
-    deg = len(work) - 1
-    if deg == 0:
-        return factors
-    if deg <= 3:
-        lead = work[-1]
-        factors.append([c / lead for c in work])
-        return factors
-    return None
-
-
-def _qp_irreducible(f, p) -> bool:
-    """True when a monic Q-irreducible factor is certified irreducible over
-    Q_p; False means only "not certified".
-
-    Degree 2: exactly when the discriminant is not a square in Q_p.
-    Otherwise: one Newton slope whose denominator is the degree (every root
-    generates a totally ramified extension of that degree), or p-integral
-    coefficients with an irreducible reduction mod p (Gauss's lemma)."""
-    deg = len(f) - 1
-    if deg == 1:
-        return True
-    if deg == 2:
-        return not is_padic_square(f[1] * f[1] - 4 * f[0], p)
-    vals = _root_valuations(f, p)
-    if vals[0] == vals[-1] and vals[0].denominator == deg:
-        return True
-    residues = tuple(residue(c, p, 1) for c in f)
-    return None not in residues and _is_irreducible(residues, p)
 
 
 def _least_destabilizing(D: FilteredPhiModule, blocks, newton) -> list | None:
@@ -518,7 +437,7 @@ def is_admissible(D: FilteredPhiModule) -> AdmissibilityVerdict:
             tN,
             {"type": "repeated_eigenvalues"},
         )
-    factors = _factor_over_q(cp, ell)
+    factors = factor_over_q(cp, ell)
     if factors is None:
         return AdmissibilityVerdict(
             UNDECIDED, tH, tN, {"type": "unfactored_characteristic_polynomial"}
@@ -552,7 +471,7 @@ def is_admissible(D: FilteredPhiModule) -> AdmissibilityVerdict:
     # the scan only saw Q-rational subobjects: a factor that splits over
     # Q_p has eigenlines it never examined
     for f in factors:
-        if not _qp_irreducible(f, D.base.p):
+        if not qp_irreducible(f, D.base.p):
             return AdmissibilityVerdict(
                 UNDECIDED,
                 tH,

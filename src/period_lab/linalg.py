@@ -31,14 +31,11 @@ rank e r whose kernel is its annihilator (``restricted_kernel``).
 
 Polynomials over Q are coefficient lists, lowest degree first: gcd,
 squarefree test (a certificate mod a small prime first, the exact gcd
-only without one), deflation, Hensel lifting of simple roots modulo a
-prime power (shared with the Sen weights in ``characters``), and
-rational roots by Hensel lifting with an exact check, in time
-polynomial in the bit-size of the coefficients.  Polynomials over F_p
-are tuples of residues, lowest degree first (shared with the finite
-fields of ``tilt``): products and powers modulo a polynomial, gcd,
-irreducibility, and roots by Cantor-Zassenhaus, in time polynomial in
-log p (below p = 128 each residue is tried).
+only without one), deflation, rational roots by Hensel lifting with an
+exact check, in time polynomial in the bit-size of the coefficients, and
+the factorization over Q that root deflation certifies
+(``factor_over_q``).  Everything modulo p, over Z_p or over Q_p, the
+Hensel lifting of the rational roots included, is in ``padic_poly``.
 """
 
 from __future__ import annotations
@@ -47,7 +44,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .padic import Record, _is_probable_prime, centered, residue
+from .padic import Record, is_probable_prime
+from .padic_poly import hensel_integer_roots, is_squarefree_mod_p, poly_eval
 
 
 class BaseFieldK(Record):
@@ -373,7 +371,7 @@ def squarefree_certificate(a) -> int | None:
     if len(a) < 2 or not a[0] or not a[-1]:
         return None
     g = _monic_integer(a)[0]
-    return next((ell for ell in CERTIFYING_PRIMES if _is_squarefree_mod_p(g, ell)), None)
+    return next((ell for ell in CERTIFYING_PRIMES if is_squarefree_mod_p(g, ell)), None)
 
 
 def rational_roots(coeffs, ell: int | None = None) -> list:
@@ -413,7 +411,7 @@ def rational_roots(coeffs, ell: int | None = None) -> list:
     if not squarefree:
         monic = [int(c) for c in squarefree_part([Fraction(c) for c in monic])]
         ell = 2
-        while not (_is_probable_prime(ell) and _is_squarefree_mod_p(monic, ell)):
+        while not (is_probable_prime(ell) and is_squarefree_mod_p(monic, ell)):
             ell += 1
     # every integer root divides monic[0], which is nonzero
     k = 1
@@ -431,12 +429,24 @@ def rational_roots(coeffs, ell: int | None = None) -> list:
     return [Fraction(0)] * zeros + found
 
 
-def poly_eval(coeffs, x):
-    """coeffs(x) by Horner, lowest degree first."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def factor_over_q(cp, ell=None) -> list | None:
+    """Monic irreducible factors over Q (lowest degree first), or None when
+    the elementary method (root deflation + 'degree <= 3 without rational
+    roots is irreducible') cannot certify the factorization.  ``ell`` is
+    the squarefree certificate of cp, or None."""
+    work = [Fraction(c) for c in cp]
+    factors = []
+    for root in rational_roots(work, ell):
+        factors.append([-root, Fraction(1)])
+        work = poly_deflate(work, root)
+    deg = len(work) - 1
+    if deg == 0:
+        return factors
+    if deg <= 3:
+        lead = work[-1]
+        factors.append([c / lead for c in work])
+        return factors
+    return None
 
 
 def poly_deflate(coeffs, root) -> list:
@@ -449,183 +459,3 @@ def poly_deflate(coeffs, root) -> list:
         out.append(acc)
     out.reverse()
     return out
-
-
-def hensel_integer_roots(coeffs, p: int, precision: int) -> list | None:
-    """Centered integer representatives of the simple Z_p-roots of a
-    p-integral polynomial, certified to p^precision by Hensel lifting,
-    in the ascending order of their residues mod p.
-
-    Returns None when the coefficients are not p-integral or some residue
-    root mod p is not simple (no certification possible there)."""
-    precision = max(precision, 1)
-    ints = [residue(c, p, precision) for c in coeffs]
-    if None in ints:
-        return None
-    modulus = p**precision
-    deriv = [(i * c) % modulus for i, c in enumerate(ints)][1:]
-    residues = _poly_trim(c % p for c in ints)
-    if not residues:
-        return None  # every residue is a root, and a multiple one
-
-    def ev(poly, x, mod):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % mod
-        return acc
-
-    roots = []
-    for r in _roots_mod_p(residues, p):
-        if ev(deriv, r, p) == 0:
-            return None  # multiple residue root: cannot lift simply
-        x, mod = r, p
-        while mod < modulus:
-            mod = min(mod * mod, modulus)
-            fx = ev(ints, x, mod)
-            dx = ev(deriv, x, mod)
-            x = (x - fx * pow(dx, -1, mod)) % mod
-        roots.append(centered(x, modulus))
-    return roots
-
-
-# ---------------------------------------------------------------------------
-# polynomials over F_p: tuples of residues, lowest degree first
-# ---------------------------------------------------------------------------
-
-
-def _poly_trim(v):
-    v = list(v)
-    while v and v[-1] == 0:
-        v.pop()
-    return tuple(v)
-
-
-def _poly_mulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1 or 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_rem(out, mod, p)
-
-
-def _poly_rem(a, mod, p):
-    """The remainder of a on division by mod."""
-    a = list(a)
-    d = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, p)
-    for i in range(len(a) - 1, d - 1, -1):
-        if a[i]:
-            q = a[i] * inv_lead % p
-            for j, m in enumerate(mod):
-                a[i - d + j] = (a[i - d + j] - q * m) % p
-    return _poly_trim(a[:d])
-
-
-def _poly_quo(a, b, p):
-    """The quotient of a on division by b."""
-    a = list(a)
-    d = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * (len(a) - d)
-    for i in range(len(q) - 1, -1, -1):
-        q[i] = c = a[i + d] * inv_lead % p
-        if c:
-            for j, m in enumerate(b):
-                a[i + j] = (a[i + j] - c * m) % p
-    return _poly_trim(q)
-
-
-def _poly_powmod(base, n, mod, p):
-    result = (1,)
-    base = _poly_rem(base, mod, p)
-    while n:
-        if n & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        n >>= 1
-    return result
-
-
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    return a
-
-
-def _x_power_minus_x(n, mod, p):
-    """x^n - x modulo mod."""
-    probe = list(_poly_powmod((0, 1), n, mod, p)) + [0, 0]
-    probe[1] = (probe[1] - 1) % p
-    return _poly_trim(probe)
-
-
-def _roots_mod_p(f, p) -> list:
-    """The distinct roots in F_p of a nonzero f, ascending.
-
-    They are the roots of g = gcd(f, x^p - x), a product of distinct
-    linear factors, which Cantor-Zassenhaus splits with the shifts
-    (x + a)^((p-1)/2) - 1 for a = 0, 1, ... in turn (Cantor-Zassenhaus,
-    Math. Comp. 1981).  Two distinct roots are told apart by (p - 1)/2 of
-    the p shifts, so a splitting shift always exists and is usually among
-    the first few; each costs time polynomial in log p.  Below p = 128,
-    where trying each residue costs less (a quarter of the time at
-    p = 31 and degree 8), the residues are tried instead."""
-    if p < 128:
-        return [r for r in range(p) if poly_eval(f, r) % p == 0]
-    g = _poly_gcd(f, _x_power_minus_x(p, f, p), p)
-    roots = []
-    pending = [g]
-    while pending:
-        g = pending.pop()
-        if len(g) < 2:
-            continue
-        if len(g) == 2:
-            roots.append(-g[0] * pow(g[1], -1, p) % p)
-            continue
-        a = 0
-        while True:
-            half = list(_poly_powmod((a, 1), (p - 1) // 2, g, p)) or [0]
-            half[0] -= 1
-            h = _poly_gcd(g, [c % p for c in half], p)
-            if 1 < len(h) < len(g):
-                pending += [h, _poly_quo(g, h, p)]
-                break
-            a += 1
-    return sorted(roots)
-
-
-def _is_squarefree_mod_p(f, p) -> bool:
-    """True when the integer polynomial f keeps its degree mod p and is
-    squarefree there: gcd(f, f') = 1 over F_p, so that every root of f
-    mod p is simple."""
-    residues = _poly_trim(c % p for c in f)
-    if len(residues) != len(f):
-        return False
-    deriv = [i * c % p for i, c in enumerate(residues)][1:]
-    return len(_poly_gcd(residues, deriv, p)) == 1
-
-
-def _prime_factors(n):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
-def _is_irreducible(poly, p):
-    f = len(poly) - 1
-    x = (0, 1)
-    if _poly_powmod(x, p**f, poly, p) != _poly_rem(x, poly, p):
-        return False
-    for q in _prime_factors(f):
-        if len(_poly_gcd(_x_power_minus_x(p ** (f // q), poly, p), poly, p)) > 1:
-            return False
-    return True

@@ -16,10 +16,8 @@ that control convergence of divided-power series:
   computations worth automating.
 
 Finally, ``lower_hull`` is the one lower-convex-hull routine of the
-package (``polygons`` builds on it), and ``poly_newton_polygon`` reads a
-polynomial's Newton slopes straight off it, from the (index, valuation
-of coefficient) pairs; the slope multiset is the negative of the
-root-valuation multiset.
+package: ``polygons`` builds on it, and ``padic_poly`` reads a
+polynomial's Newton slopes off it.
 
 Every reduction of a p-integral rational modulo a power of p goes through
 ``residue`` (its class in [0, p^N)) and ``centered`` (the representative
@@ -97,8 +95,8 @@ INF = _Infinity()
 Valuation = Fraction | _Infinity
 
 
-def _is_probable_prime(n: int) -> bool:
-    # deterministic Miller-Rabin; the witness set covers all n < 3.3 * 10^24
+def is_probable_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; the witness set covers all n < 3.3 * 10^24."""
     if n < 2:
         return False
     for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -164,7 +162,7 @@ class Prime(Record):
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not _is_probable_prime(p):
+        if not isinstance(p, int) or not is_probable_prime(p):
             raise ValueError(f"{p!r} is not a prime")
         object.__setattr__(self, "p", p)
 
@@ -382,20 +380,3 @@ def lower_hull(points: Iterable) -> list:
         hull.append(pt)
     return hull
 
-
-def poly_newton_polygon(coeff_valuations) -> list:
-    """Slopes-with-multiplicities of a polynomial's Newton polygon, from
-    its (index, valuation) pairs; INF marks a zero coefficient.
-
-    Returns [(slope, length)] in increasing slope order; the slopes are
-    the negatives of the root valuations, lengths count roots.  The hull
-    keeps no collinear vertex, so no two segments share a slope.
-    """
-    points = [(i, v) for i, v in coeff_valuations if v is not INF]
-    if not points:
-        raise ValueError("no finite valuation")
-    hull = lower_hull(points)
-    return [
-        ((y2 - y1) / (x2 - x1), int(x2 - x1))
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:])
-    ]

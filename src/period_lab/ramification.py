@@ -237,21 +237,10 @@ def compose_towers(outer: PLFunction, inner: PLFunction) -> PLFunction:
 
 
 def different_valuation(data: RamificationData) -> Fraction:
-    """v_F(D) = (1/e) sum_i (Card G_i - 1), cross-checked against phi.
-
-    The asymptotic form lim_t (phi(t) - t/e) is read off the final segment
-    of the Herbrand function, as y - x/e at its last breakpoint (x, y), and
-    must agree exactly under the module's integration convention.
-    """
-    e = data.e
-    total = sum(data.orders) - len(data.orders)
-    phi = herbrand_phi(data)
-    x, y = (phi.xs[-1], phi.ys[-1]) if phi.xs else (0, 0)
-    # total / e == y / y_den - x / (x_den e), cross-multiplied
-    assert total * phi.x_den * phi.y_den == y * phi.x_den * e - x * phi.y_den, (
-        "integration convention violated"
-    )
-    return Fraction(total, e)
+    """v_F(D) = (1/e) sum_i (Card G_i - 1), which is phi(t) - t/e on the
+    final segment of the Herbrand function under the module's
+    integration convention."""
+    return Fraction(sum(data.orders) - len(data.orders), data.e)
 
 
 def psi_r(r: int, u, p) -> Fraction:

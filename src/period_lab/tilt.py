@@ -43,7 +43,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import CycElt, CyclotomicContext
-from .linalg import _is_irreducible, _poly_mulmod, _poly_powmod, _poly_rem
 from .padic import (
     INF,
     Prime,
@@ -60,6 +59,7 @@ from .padic import (
     require,
     residue,
 )
+from .padic_poly import is_irreducible_mod_p, poly_mulmod, poly_powmod, poly_rem
 
 
 class InexactTeichmullerError(ValueError):
@@ -109,7 +109,7 @@ def field_modulus(p: int, f: int) -> tuple:
                 c, r = divmod(c, p)
                 coeffs.append(r)
             cand = tuple(coeffs) + (1,)
-            if _is_irreducible(cand, p):
+            if is_irreducible_mod_p(cand, p):
                 mod = cand
                 break
         else:
@@ -131,7 +131,7 @@ class FqElement(Record):
         if f < 1:
             raise ValueError("field degree must be >= 1")
         mod = field_modulus(p, f)
-        red = _poly_rem(tuple(int(x) % p for x in poly), mod, p)
+        red = poly_rem(tuple(int(x) % p for x in poly), mod, p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "poly", red)
@@ -151,7 +151,7 @@ class FqElement(Record):
             raise ValueError("mixed finite fields")
         mod = field_modulus(self.p, self.f)
         return FqElement(
-            self.p, self.f, _poly_mulmod(self.poly or (0,), other.poly or (0,), mod, self.p)
+            self.p, self.f, poly_mulmod(self.poly or (0,), other.poly or (0,), mod, self.p)
         )
 
     def power(self, n: int) -> "FqElement":
@@ -163,7 +163,7 @@ class FqElement(Record):
         group = self.p**self.f - 1
         n %= group
         mod = field_modulus(self.p, self.f)
-        return FqElement(self.p, self.f, _poly_powmod(self.poly, n, mod, self.p))
+        return FqElement(self.p, self.f, poly_powmod(self.poly, n, mod, self.p))
 
     def frobenius(self, n: int = 1) -> "FqElement":
         """u -> u^(p^n); negative n inverts (Frobenius is bijective here).
@@ -423,8 +423,9 @@ def _parse_terms(p: int, items):
             raise SchemaError(f"each term of 'expr' must be a JSON object, got {it!r}")
         where = f"expr[{n}]"
         u = it.get("u")
-        if u:
-            poly = [parse_int(x, "poly") for x in require(u, "poly", f"{where}.u")]
+        if u is not None:
+            poly = parse_list(require(u, "poly", f"{where}.u"), "poly")
+            poly = [parse_int(x, "poly") for x in poly]
             u = FqElement(p, parse_int(require(u, "f", f"{where}.u"), "f"), poly)
         else:
             u = one

@@ -9,12 +9,17 @@ with the restriction of scalars the module's scan runs on.  The oracle
 tests compare its verdict and witness with ``is_admissible``.
 
 ``qp_eigenvalue_below`` is the rank-2 eigenvalue test as it read before
-it was reduced to ``_qp_irreducible``: it decides with its own slope and
-discriminant cases whether the quadratic splits over Q_p.
+it was reduced to ``qp_irreducible``: it decides with its own slope and
+discriminant cases whether the quadratic splits over Q_p.  The rank-2
+verdict (``dim2_admissible``) is the one of ``filtered_phi`` before its
+stable-line case was folded into the eigenvalue test: a rational
+Frobenius-stable middle line is decided on its own
+(``dim2_stable_line``), from both eigenvalues.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -24,26 +29,25 @@ from period_lab.filtered_phi import (
     NOT_ADMISSIBLE,
     UNDECIDED,
     AdmissibilityVerdict,
-    _dim2_admissible,
-    _factor_over_q,
-    _qp_irreducible,
-    _root_valuations,
-    is_padic_square,
+    _line_is_rational,
 )
 from period_lab.linalg import (
     clear_denominators,
+    factor_over_q,
     is_squarefree,
+    mat_mul,
     nullspace,
     poly_eval_matrix,
 )
 from period_lab.padic import format_rational, rational_valuation
+from period_lab.padic_poly import is_padic_square, qp_irreducible, root_valuations
 
 
 def qp_eigenvalue_below(cp, p, threshold) -> Optional[dict]:
     """A witness that some Q_p-rational eigenvalue of the quadratic cp has
     valuation < threshold, or None."""
     c0, c1 = cp[0], cp[1]
-    v_small, v_large = _root_valuations(cp, p)
+    v_small, v_large = root_valuations(cp, p)
     if v_small >= threshold:
         return None
     if v_small != v_large:
@@ -56,6 +60,54 @@ def qp_eigenvalue_below(cp, p, threshold) -> Optional[dict]:
     if disc == 0 or is_padic_square(disc, p):
         return {"type": "padic_eigenvalue", "valuation": format_rational(v_small)}
     return None
+
+
+def dim2_admissible(D, tH, tN) -> AdmissibilityVerdict:
+    p = D.base.p
+    cp = D.frobenius_char_poly
+    jumps = D.graded_dims()
+    if len(jumps) == 1:
+        r = s = jumps[0][0]
+    else:
+        (r, _), (s, _) = jumps
+        line_vec = _line_is_rational(D._vectors[1])
+        if line_vec is not None:
+            # the (rational) filtration line v is Frobenius-stable iff
+            # Phi v = alpha v, alpha read at the first nonzero entry of v
+            img = [y for (y,) in mat_mul(D.frobenius, [[x] for x in line_vec])]
+            k = next(i for i, x in enumerate(line_vec) if x)
+            alpha = img[k] / line_vec[k]
+            if img == [alpha * x for x in line_vec]:
+                return dim2_stable_line(D, tH, tN, r, s, line_vec, alpha)
+    # every Q_p-stable line carries induced jump r (none can equal the
+    # middle line), so the only constraint is on eigenvalue valuations
+    witness = qp_eigenvalue_below(cp, p, Fraction(r))
+    if witness is not None:
+        return AdmissibilityVerdict(NOT_ADMISSIBLE, tH, tN, witness)
+    return AdmissibilityVerdict(ADMISSIBLE, tH, tN)
+
+
+def dim2_stable_line(D, tH, tN, r, s, line_vec, alpha) -> AdmissibilityVerdict:
+    """The filtration line is rational and Frobenius-stable with rational
+    eigenvalue alpha; the complementary eigenvalue is det/alpha."""
+    p = D.base.p
+    va = rational_valuation(alpha, p)
+    beta = D.frobenius_det / alpha
+    vb = rational_valuation(beta, p)
+    if va < s:
+        # also when alpha = beta: t_N = 2 v(alpha) = r + s < 2s
+        witness = {"type": "subobject", "basis": [[format_rational(x) for x in line_vec]]}
+        return AdmissibilityVerdict(NOT_ADMISSIBLE, tH, tN, witness)
+    if vb < r:
+        return AdmissibilityVerdict(
+            NOT_ADMISSIBLE,
+            tH,
+            tN,
+            {"type": "padic_eigenvalue", "valuation": format_rational(Fraction(vb))},
+        )
+    # with t_H = t_N these force v(alpha) = s, v(beta) = r exactly
+    assert va == s and vb == r
+    return AdmissibilityVerdict(ADMISSIBLE, tH, tN)
 
 
 @lru_cache(maxsize=16)
@@ -91,11 +143,11 @@ def is_admissible(D) -> AdmissibilityVerdict:
     if d == 1:
         return AdmissibilityVerdict(ADMISSIBLE, tH, tN)
     if d == 2:
-        return _dim2_admissible(D, tH, tN)
+        return dim2_admissible(D, tH, tN)
     cp = D.frobenius_char_poly
     if not is_squarefree(cp):
         return AdmissibilityVerdict(UNDECIDED, tH, tN, {"type": "repeated_eigenvalues"})
-    factors = _factor_over_q(cp)
+    factors = factor_over_q(cp)
     if factors is None:
         return AdmissibilityVerdict(
             UNDECIDED, tH, tN, {"type": "unfactored_characteristic_polynomial"}
@@ -120,7 +172,7 @@ def is_admissible(D) -> AdmissibilityVerdict:
                 },
             )
     for f in factors:
-        if not _qp_irreducible(f, D.base.p):
+        if not qp_irreducible(f, D.base.p):
             return AdmissibilityVerdict(
                 UNDECIDED,
                 tH,

@@ -36,8 +36,9 @@ from period_lab.characters import (
     sen_operator,
 )
 from period_lab.cli import main
-from period_lab.linalg import char_poly, clear_denominators, hensel_integer_roots, mat_mul
+from period_lab.linalg import char_poly, clear_denominators, mat_mul
 from period_lab.padic import centered, format_rational, int_valuation, rational_valuation
+from period_lab.padic_poly import hensel_integer_roots
 
 
 def random_triple(rng, p):

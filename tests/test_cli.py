@@ -371,6 +371,41 @@ def test_a_missing_field_and_a_non_object_are_named(tmp_path, capsys, bad, messa
     assert run_alone_and_in_batch(tmp_path, capsys, bad) == (message, message)
 
 
+_THETA = {"command": "tilt", "p": 3, "op": "theta", "level": 2}
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        # a string was read one character at a time ("12" as [1, 2], exit 0)
+        ({**_THETA, "expr": [{**_TERM, "u": {"f": 1, "poly": "12"}}]},
+         "field 'poly' must be a list, got '12'"),
+        # a number exited with "'int' object is not iterable"
+        ({**_THETA, "expr": [{**_TERM, "u": {"f": 1, "poly": 12}}]},
+         "field 'poly' must be a list, got 12"),
+        ({"command": "sen", "p": 7, "matrix": 7}, "field 'matrix' must be a list, got 7"),
+        # a u that is empty or false was read as the Teichmueller lift of 1
+        ({**_THETA, "expr": [{**_TERM, "u": {}}]}, "missing required field 'poly' in expr[0].u"),
+        ({**_THETA, "expr": [{**_TERM, "u": 0}]}, "expr[0].u must be a JSON object, got 0"),
+        # a list was looked up as a name: "unhashable type: 'list'"
+        ({**_THETA, "builtin": ["omega"]}, "field 'builtin' must be a string, got ['omega']"),
+    ],
+)
+def test_a_value_of_the_wrong_type_is_named(tmp_path, capsys, bad, message):
+    assert run_alone_and_in_batch(tmp_path, capsys, bad) == (message, message)
+
+
+def test_a_batch_command_that_is_not_a_string_is_named(tmp_path, capsys):
+    # a list was looked up among the handlers: "unhashable type: 'list'"
+    good = json.dumps({"command": "herbrand", "e": 4, "orders": [4, 2, 2]})
+    f = tmp_path / "bad.jsonl"
+    f.write_text("\n".join([good, json.dumps({**_THETA, "command": ["tilt"]}), good]) + "\n")
+    code, batch = run_json(capsys, "batch", "--input", str(f))
+    assert code == 2
+    assert [r["status"] for r in batch["results"]] == ["ok", "error", "ok"]
+    assert batch["results"][1]["message"] == "field 'command' must be a string, got ['tilt']"
+
+
 @pytest.mark.parametrize("op", ["theta", "probe", "generator-check"])
 def test_tilt_rejects_a_negative_level(tmp_path, capsys, op):
     bad = {"p": 3, "op": op, "builtin": "omega", "level": -1}
@@ -435,15 +470,15 @@ _PRIME_LINES = [
 def test_one_primality_test_per_line(tmp_path, capsys, monkeypatch, line):
     # every binding of the Miller-Rabin test in the package counts
     calls = []
-    test = padic._is_probable_prime
+    test = padic.is_probable_prime
 
     def counted(n):
         calls.append(n)
         return test(n)
 
     for module in list(sys.modules.values()):
-        if module.__name__.startswith("period_lab") and hasattr(module, "_is_probable_prime"):
-            monkeypatch.setattr(module, "_is_probable_prime", counted)
+        if module.__name__.startswith("period_lab") and hasattr(module, "is_probable_prime"):
+            monkeypatch.setattr(module, "is_probable_prime", counted)
     f = tmp_path / "in.json"
     f.write_text(json.dumps({k: v for k, v in line.items() if k != "command"}))
     code, _ = run_json(capsys, line["command"], "--input", str(f))

@@ -22,11 +22,11 @@ from period_lab.filtered_phi import (
     direct_sum,
     dual,
     is_admissible,
-    is_padic_square,
     tensor,
 )
 from period_lab.linalg import BaseFieldK, char_poly, det, mat_mul, rational_roots
 from period_lab.padic import rational_valuation
+from period_lab.padic_poly import is_padic_square
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 if str(PERFBENCH) not in sys.path:
@@ -337,6 +337,93 @@ def test_rank2_eigenvalue_test_matches_its_case_analysis(case, threshold):
     assert _qp_eigenvalue_below(cp, p, F(threshold)) == (
         admissibility_reference.qp_eigenvalue_below(cp, p, F(threshold))
     )
+
+
+def rank2_module(spec) -> FilteredPhiModule:
+    """The rank-2 module of a spec (p, E, r, s, alpha, beta, jordan, v, w,
+    line): Frobenius P J P^-1 for P = (v | w) and J = [[alpha, jordan],
+    [0, beta]], so that v spans a stable line of eigenvalue alpha, and
+    jumps r <= s with middle line ``line`` (coordinate lists on 1, pi,
+    ..., not yet reduced by E) when r < s."""
+    p, E, r, s, alpha, beta, jordan, v, w, line = spec
+    P = [[v[0], w[0]], [v[1], w[1]]]
+    frob = mat_mul(mat_mul(P, [[F(alpha), F(jordan)], [F(0), F(beta)]]), _matrix_inverse(P))
+    filtration = [(r, [[1, 0], [0, 1]])] + ([(s, [line])] if r < s else [])
+    return FilteredPhiModule(BaseFieldK(p, E), frob, filtration)
+
+
+@st.composite
+def rank2_spec(draw):
+    """A spec for ``rank2_module`` with t_H = t_N: p in {2, 3, 5, 7}, e in
+    {1, 2}, eigenvalue valuations with v(alpha) + v(beta) = r + s, equal
+    eigenvalues (scalar or a Jordan block) when the valuations allow, and
+    the middle line the eigenline of alpha or of beta, another rational
+    line or a line over K, each times a nonzero scalar of K."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    unit = st.integers(1, 20).filter(lambda n: n % p)
+    small = st.integers(-3, 3)
+    if draw(st.booleans()):
+        E = [-p, 1]
+    else:
+        E = [-p * draw(unit), p * draw(small), 1]
+    r = draw(st.integers(-2, 2))
+    s = r + draw(st.integers(0, 3))
+    va = draw(st.integers(r - 1, s + 1))
+
+    def eigenvalue(v):
+        return draw(st.sampled_from((1, -1))) * F(draw(unit), draw(unit)) * F(p) ** v
+
+    alpha = eigenvalue(va)
+    equal = 2 * va == r + s and draw(st.booleans())
+    beta = alpha if equal else eigenvalue(r + s - va)
+    jordan = int(equal and draw(st.booleans()))
+    v, w = [draw(small), draw(small)], [draw(small), draw(small)]
+    assume(v[0] * w[1] != v[1] * w[0])
+    kind = draw(st.sampled_from(("alpha", "beta", "rational", "K")))
+    if kind == "K":
+        entries = [[draw(small)], [0, draw(small)]]  # x + y pi, over Q only when e = 1
+    else:
+        entries = [[x] for x in {"alpha": v, "beta": w, "rational": [draw(small), draw(small)]}[kind]]
+    assume(any(any(x) for x in entries))
+    # times the scalar c of K, as polynomials in pi (the module reduces by E)
+    c = [draw(st.integers(1, 3))] + ([draw(small)] if len(E) == 3 else [])
+    line = [[sum(c[i] * x[k - i] for i in range(len(c)) if 0 <= k - i < len(x))
+             for k in range(len(c) + len(x) - 1)] for x in entries]
+    return p, E, r, s, alpha, beta, jordan, v, w, line
+
+
+# a stable middle line (the eigenline of alpha) at p = 3 with jumps 0 < 2,
+# for each outcome of the old stable-line case: v(alpha) = 1 < s, a
+# subobject; v(alpha) = 3 > s, so v(beta) = -1 < r; v(alpha) = s, admissible
+STABLE_LINE_CASES = [
+    ((3, [-3, 1], 0, 2, F(3), F(6), 0, [1, 0], [0, 1], [[1], [0]]), "subobject"),
+    ((3, [-3, 1], 0, 2, F(27), F(2, 3), 0, [1, 1], [0, 1], [[2], [2]]), "padic_eigenvalue"),
+    ((3, [-6, 3, 1], 0, 2, F(9), F(2), 0, [1, 2], [1, 0], [[1, 1], [2, 2]]), None),
+]
+
+
+@pytest.mark.parametrize("spec, witness", STABLE_LINE_CASES)
+def test_the_rank2_oracle_reaches_each_stable_line_outcome(spec, witness):
+    D = rank2_module(spec)
+    tH, tN = D.hodge_number(), D.newton_number()
+    alpha = spec[4]
+    assert tH == tN
+    verdict = admissibility_reference.dim2_stable_line(D, tH, tN, 0, 2, spec[7], alpha)
+    assert (verdict.witness or {}).get("type") == witness
+    assert admissibility_reference.is_admissible(D) == verdict
+
+
+@settings(max_examples=400, deadline=None)
+@given(rank2_spec())
+@example(STABLE_LINE_CASES[0][0])
+@example(STABLE_LINE_CASES[1][0])
+@example(STABLE_LINE_CASES[2][0])
+@example((5, [-5, 1], 1, 1, F(5), F(5), 1, [1, 0], [0, 1], [[1]]))  # one jump, a Jordan block
+@example((2, [-2, 1], 0, 2, F(2), F(2), 0, [1, 0], [0, 1], [[1], [1]]))  # scalar: every line stable
+def test_rank2_verdict_matches_the_stable_line_oracle(spec):
+    D = rank2_module(spec)
+    assert D.hodge_number() == D.newton_number()
+    assert is_admissible(D).to_json() == admissibility_reference.is_admissible(D).to_json()
 
 
 # ---------------------------------------------------------------------------

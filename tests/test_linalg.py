@@ -23,21 +23,16 @@ from period_lab.filtered_phi import FilteredPhiModule
 from period_lab.linalg import (
     CERTIFYING_PRIMES,
     BaseFieldK,
-    _is_squarefree_mod_p,
     _monic_integer,
-    _poly_trim,
-    _roots_mod_p,
     char_poly,
     clear_denominators,
     det,
     extend_echelon,
-    hensel_integer_roots,
     integer_kernel,
     intersect_rowspaces,
     is_squarefree,
     mat_mul,
     nullspace,
-    poly_eval,
     poly_eval_matrix,
     rank,
     rational_roots,
@@ -45,6 +40,13 @@ from period_lab.linalg import (
     restricted_kernel,
     rref,
     squarefree_certificate,
+)
+from period_lab.padic_poly import (
+    hensel_integer_roots,
+    is_squarefree_mod_p,
+    poly_eval,
+    poly_trim,
+    roots_mod_p,
 )
 
 # ---------------------------------------------------------------------------
@@ -179,8 +181,8 @@ def test_rational_roots_when_every_small_prime_merges_two_roots():
     primorial = 6469693230
     coeffs = _product([[-3, 1], [-3 - primorial, 1], [5, 1], [1, 1, 1]])
     ints = [int(c) for c in coeffs]
-    assert not any(_is_squarefree_mod_p(ints, ell) for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
-    assert _is_squarefree_mod_p(ints, 31)
+    assert not any(is_squarefree_mod_p(ints, ell) for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
+    assert is_squarefree_mod_p(ints, 31)
     expected = [F(3), F(-5), F(3 + primorial)]
     assert rational_roots(coeffs) == trial_division_roots(coeffs) == expected
     x = sympy.Symbol("x")
@@ -197,7 +199,7 @@ def test_rational_roots_when_every_small_prime_merges_two_roots():
 )
 def test_hensel_lifts_at_every_prime_the_squarefree_test_accepts(coeffs, lead, p, precision):
     f = coeffs + [lead]
-    assume(_is_squarefree_mod_p(f, p))
+    assume(is_squarefree_mod_p(f, p))
     assert hensel_integer_roots(f, p, precision) is not None
 
 
@@ -415,12 +417,12 @@ def test_rref_and_nullspace_of_int_rows_as_of_fraction_rows():
 
 
 @settings(max_examples=200, deadline=None)
-# below 128 _roots_mod_p is the scan itself; 131 and 1009 reach the splitting
+# below 128 roots_mod_p is the scan itself; 131 and 1009 reach the splitting
 @given(st.sampled_from([2, 3, 5, 7, 11, 13, 101, 131, 1009]), st.lists(st.integers(0, 10**6), min_size=1, max_size=9))
 def test_roots_mod_p_match_scan(p, coeffs):
-    f = _poly_trim(c % p for c in coeffs)
+    f = poly_trim(c % p for c in coeffs)
     assume(f)
-    assert _roots_mod_p(f, p) == [r for r in range(p) if poly_eval(f, r) % p == 0]
+    assert roots_mod_p(f, p) == [r for r in range(p) if poly_eval(f, r) % p == 0]
 
 
 @settings(max_examples=100, deadline=None)

@@ -23,10 +23,10 @@ from period_lab.padic import (
     nu,
     parse_int,
     parse_rational,
-    poly_newton_polygon,
     rational_valuation,
     residue,
 )
+from period_lab.padic_poly import poly_newton_polygon
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "period_lab"
 
@@ -117,9 +117,9 @@ def test_centered_is_congruent_and_in_the_half_open_range(x, p, N):
 
 
 def test_modular_inverses_only_in_the_reduction_layers():
-    """pow(x, -1, m) appears only in padic (the residue map) and linalg
-    (the F_p toolkit and Hensel steps): a new reduction of a rational
-    goes through ``residue``."""
+    """pow(x, -1, m) appears only in padic (the residue map) and
+    padic_poly (the F_p toolkit and Hensel steps): a new reduction of a
+    rational goes through ``residue``."""
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -134,7 +134,7 @@ def test_modular_inverses_only_in_the_reduction_layers():
                 found.add(f"{path.name}:{node.lineno}")
     files = {site.split(":")[0] for site in found}
     assert "padic.py" in files  # the guard sees the residue map itself
-    assert files <= {"padic.py", "linalg.py"}, sorted(found)
+    assert files <= {"padic.py", "padic_poly.py"}, sorted(found)
 
 
 def test_no_module_imports_a_name_it_does_not_use():
@@ -152,6 +152,47 @@ def test_no_module_imports_a_name_it_does_not_use():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not unused, unused
+
+
+def test_no_module_imports_a_private_name():
+    """What a module of the package takes from another has a public name:
+    no ``_name`` is imported from a sibling module or read off one."""
+    siblings = {path.stem for path in PACKAGE.glob("*.py")}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in siblings:
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.startswith("_")]
+    assert not found, found
+
+
+@pytest.mark.parametrize(
+    "module, words",
+    [
+        # matrices and Q[x]
+        ("linalg", r"mod_p|padic|qp_|hensel|newton|valuations|irreducible|prime"),
+        # modules, the scan and the verdicts; no polynomial routine
+        ("filtered_phi", r"mod_p|padic|hensel|newton|valuations|poly|root|factor|square|irreducible"),
+    ],
+)
+def test_polynomials_mod_p_and_over_qp_live_in_padic_poly(module, words):
+    """Neither linalg nor filtered_phi reduces a rational modulo a prime
+    power (``residue``, ``centered``) or defines a function that
+    padic_poly defines or whose name says it works mod p, over Z_p or
+    over Q_p (for filtered_phi, on polynomials at all)."""
+    home = {node.name for node in ast.parse((PACKAGE / "padic_poly.py").read_text()).body
+            if isinstance(node, ast.FunctionDef)}
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    reductions = sorted({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                        & {"residue", "centered"})
+    assert not reductions, reductions
+    defined = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert not [n for n in defined if n.lstrip("_") in home or re.search(words, n)]
 
 
 def test_no_module_imports_dataclasses_or_typing():

@@ -84,15 +84,16 @@ def test_different_examples():
 
 
 def test_different_asymptotic_consistency():
-    # the direct sum formula must agree with the final segment of phi;
-    # different_valuation asserts this internally, so just exercise it
+    # the sum formula of different_valuation is phi(t) - t/e at and past
+    # the last breakpoint of phi, under the integration convention
     rng = random.Random(13)
     for _ in range(100):
         data = random_data(rng, rng.choice([2, 3, 5]))
         phi = herbrand_phi(data)
         d = different_valuation(data)
-        t = (phi.breakpoints[-1][0] if phi.breakpoints else F(0)) + 10
-        assert phi(t) - t / data.e == d
+        last = phi.breakpoints[-1][0] if phi.breakpoints else F(0)
+        for t in (last, last + F(1, 3), last + 10):
+            assert phi(t) - t / data.e == d
 
 
 def test_ceiling_convention_would_break_the_different():
