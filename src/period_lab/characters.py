@@ -100,12 +100,6 @@ class CharacterTriple(Record):
             self.prime, self.lam * other.lam, self.a + other.a, self.b + other.b
         )
 
-    def inverse(self) -> "CharacterTriple":
-        return CharacterTriple(self.prime, 1 / self.lam, -self.a, -self.b)
-
-    def is_trivial(self) -> bool:
-        return self.lam == 1 and self.a == 0 and self.b == 0
-
     def to_json(self) -> dict:
         return {
             "p": self.p,

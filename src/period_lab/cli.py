@@ -137,12 +137,19 @@ def _ladder_window(p: int, lo, hi) -> tuple:
     return lo, hi
 
 
+def _pair(items: list, where: str, shape: str) -> list:
+    """``items`` when it holds two, else a SchemaError naming where it was read."""
+    if len(items) != 2:
+        raise SchemaError(f"{where} must be a pair {shape}, got {items!r}")
+    return items
+
+
 def run_polygon(payload: dict, args):
     kind = payload.get("kind", "series")
     if kind == "series":
         pts = []
-        for point in parse_list(require(payload, "points"), "points"):
-            x, v = parse_list(point, "points")
+        for n, point in enumerate(parse_list(require(payload, "points"), "points")):
+            x, v = _pair(parse_list(point, "points"), f"points[{n}]", "[x, v]")
             pts.append((parse_rational(x), INF if v in (None, "inf") else parse_rational(v)))
         poly = polygons.hull(pts)
     elif kind == "epsilon_minus_one":
@@ -150,7 +157,7 @@ def run_polygon(payload: dict, args):
         _, hi = _ladder_window(p, 0, require(payload, "window"))
         poly = polygons.epsilon_minus_one_polygon(p, hi)
     elif kind == "t":
-        lo, hi = parse_list(require(payload, "window"), "window")
+        lo, hi = _pair(parse_list(require(payload, "window"), "window"), "window", "[lo, hi]")
         p = _require_prime(payload).p
         poly = polygons.t_polygon(p, *_ladder_window(p, lo, hi))
     else:

@@ -64,9 +64,6 @@ class CyclotomicContext(Record):
     def zero(self) -> "CycElt":
         return CycElt(self, {})
 
-    def one(self) -> "CycElt":
-        return CycElt(self, {0: Fraction(1)})
-
     def rational(self, q) -> "CycElt":
         q = Fraction(q)
         return CycElt(self, {0: q} if q else {})

@@ -230,21 +230,6 @@ class FilteredPhiModule:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_json(self) -> dict:
-        def k_json(x: tuple):
-            return [format_rational(c) for c in x] or ["0"]
-
-        return {
-            "p": self.base.p,
-            "eisenstein": list(self.base.eisenstein),
-            "dim": self.dim,
-            "frobenius": [[format_rational(x) for x in row] for row in self.frobenius],
-            "filtration": [
-                {"jump": j, "basis": [[*map(k_json, vec)] for vec in vecs]}
-                for j, vecs in self.filtration
-            ],
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "FilteredPhiModule":
         """The module of a JSON object; a basis entry lists its coordinates

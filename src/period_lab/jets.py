@@ -15,7 +15,7 @@ identity this package needs is an equality, so the model decides them.
 Frobenius images may carry a nonzero constant term; that is the model
 reflecting that the evaluation kernel is not Frobenius-stable.
 
-Series: log1p and exp are the usual truncated series; binomial_pow raises
+Series: log1p is the usual truncated series; binomial_pow raises
 1 + x to any rational exponent with p-free denominator, and checks on the
 fly that the generalized binomial coefficients are p-integral (they are,
 for p-adically integral exponents; the check guards the caller's input).
@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .padic import Prime, Record, format_rational, rational_valuation
+from .padic import Prime, Record, rational_valuation
 from .tilt import GaloisElement
 
 
@@ -202,23 +202,6 @@ class JetElement:
             ((u_pows[i] * w_pows[j], v, self.den) for (i, j), v in self.nums.items()),
         )
 
-    def to_json(self) -> dict:
-        def mono(i, j):
-            parts = []
-            if i:
-                parts.append("u" if i == 1 else f"u^{i}")
-            if j:
-                parts.append("w" if j == 1 else f"w^{j}")
-            return " ".join(parts) or "1"
-
-        return {
-            "order": self.context.order,
-            "coeffs": [
-                {"monomial": mono(i, j), "value": format_rational(v)}
-                for (i, j), v in sorted(self.coeffs.items())
-            ],
-        }
-
     def __repr__(self):
         if not self.nums:
             return "Jet(0)"
@@ -288,22 +271,6 @@ def log1p(x: JetElement) -> JetElement:
         if power.is_zero():
             break
         terms.append((power, (-1) ** (i - 1), i))
-    return _combine(x.context, terms)
-
-
-def exp(x: JetElement) -> JetElement:
-    """exp(x) = sum_{i < order} x^i / i!, zero constant term required."""
-    if x.constant_term() != 0:
-        raise ValueError("exp needs a zero constant term")
-    power = x.context.one()
-    terms = [(power, 1, 1)]
-    fact = 1
-    for i in range(1, x.context.order):
-        power = power * x
-        fact *= i
-        if power.is_zero():
-            break
-        terms.append((power, 1, fact))
     return _combine(x.context, terms)
 
 

@@ -43,8 +43,8 @@ from math import gcd
 class _Infinity:
     """The single +infinity used for valuations of zero.
 
-    Compares strictly greater than every Fraction/int, is absorbing for
-    addition, and equal only to itself.
+    Compares strictly greater than every Fraction/int and equal only to
+    itself; it has no arithmetic, so a caller tests for it before adding.
     """
 
     _instance = None
@@ -74,19 +74,6 @@ class _Infinity:
 
     def __ge__(self, other):
         return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return self
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        raise ArithmeticError("negative infinity is not a valuation here")
 
 
 INF = _Infinity()

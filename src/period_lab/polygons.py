@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .padic import INF, Record, format_rational, lower_hull, parse_rational, require
+from .padic import INF, Record, format_rational, lower_hull
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
@@ -104,19 +104,6 @@ class Polygon(Record):
             "left_ray": ray(self.left_ray),
             "right_ray": ray(self.right_ray),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Polygon":
-        def ray(r, name):
-            if r == name:
-                return r
-            return parse_rational(r)
-
-        return cls(
-            [(parse_rational(x), parse_rational(y)) for x, y in require(obj, "vertices")],
-            ray(require(obj, "left_ray"), VERTICAL),
-            ray(require(obj, "right_ray"), HORIZONTAL),
-        )
 
 
 def _below(s: tuple, t: tuple) -> bool:

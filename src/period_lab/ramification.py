@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .padic import Record, as_fraction, format_ratio, parse_rational, require
+from .padic import Record, as_fraction, format_ratio
 
 
 class PLFunction(Record):
@@ -97,18 +97,6 @@ class PLFunction(Record):
     def final_slope(self) -> Fraction:
         return Fraction(*self.slope)
 
-    @classmethod
-    def identity(cls) -> "PLFunction":
-        return cls((), 1)
-
-    def segments(self):
-        """Yield (x_start, y_start, slope) for each linear piece."""
-        prev = (Fraction(0), Fraction(0))
-        for x, y in self.breakpoints:
-            yield prev[0], prev[1], (y - prev[1]) / (x - prev[0])
-            prev = (x, y)
-        yield prev[0], prev[1], self.final_slope
-
     def __call__(self, u) -> Fraction:
         u = as_fraction(u)
         if u < 0:
@@ -146,12 +134,6 @@ class PLFunction(Record):
                             for x, y in zip(self.xs, self.ys)],
             "final_slope": format_ratio(*self.slope),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PLFunction":
-        pts = [(parse_rational(x), parse_rational(y))
-               for x, y in require(obj, "breakpoints")]
-        return cls(pts, parse_rational(require(obj, "final_slope")))
 
 
 def _set(f: PLFunction, xs: tuple, x_den: int, ys: tuple, y_den: int, slope: tuple):

@@ -50,7 +50,6 @@ from .padic import (
     SchemaError,
     Valuation,
     as_fraction,
-    format_rational,
     multiplicity,
     parse_int,
     parse_list,
@@ -175,9 +174,6 @@ class FqElement(Record):
         exp = pow(self.p, n % self.f, group) if group > 1 else 1
         return self.power(exp)
 
-    def to_json(self):
-        return {"f": self.f, "poly": list(self.poly)}
-
 
 # ---------------------------------------------------------------------------
 # expressions
@@ -207,10 +203,6 @@ class GaloisElement(Record):
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "frob", int(frob))
-
-    @classmethod
-    def identity(cls) -> "GaloisElement":
-        return cls(1, 0, 0)
 
     def compose(self, other: "GaloisElement") -> "GaloisElement":
         """Group law: chi multiplies, the cocycle law
@@ -290,10 +282,6 @@ class TiltExpr:
     def p_flat_power(cls, p, c=1) -> "TiltExpr":
         """[(pflat)^c]."""
         return cls._term(p, c=c)
-
-    @classmethod
-    def teichmuller(cls, u: FqElement) -> "TiltExpr":
-        return cls(u.p, [(1, 0, 0, u, 0)])
 
     @classmethod
     def p_scalar(cls, p, i=1) -> "TiltExpr":
@@ -395,18 +383,6 @@ class TiltExpr:
         )
 
     # -- serialization --------------------------------------------------------
-
-    def to_json(self):
-        return [
-            {
-                "coeff": coeff,
-                "a": format_rational(a),
-                "c": format_rational(c),
-                "u": u.to_json(),
-                "p_power": i,
-            }
-            for coeff, a, c, u, i in self.terms
-        ]
 
     @classmethod
     def from_json(cls, p, items) -> "TiltExpr":

@@ -15,6 +15,10 @@ verdict (``dim2_admissible``) is the one of ``filtered_phi`` before its
 stable-line case was folded into the eigenvalue test: a rational
 Frobenius-stable middle line is decided on its own
 (``dim2_stable_line``), from both eigenvalues.
+
+``module_to_json`` writes a module as the object that
+``FilteredPhiModule.from_json`` reads, for the round-trip tests; no
+command prints one.
 """
 
 from __future__ import annotations
@@ -183,3 +187,22 @@ def is_admissible(D) -> AdmissibilityVerdict:
                 },
             )
     return AdmissibilityVerdict(ADMISSIBLE, tH, tN)
+
+
+def module_to_json(D) -> dict:
+    """A filtered phi-module as JSON; each basis entry lists its
+    coordinates on 1, pi, pi^2, ..."""
+
+    def k_json(x: tuple):
+        return [format_rational(c) for c in x] or ["0"]
+
+    return {
+        "p": D.base.p,
+        "eisenstein": list(D.base.eisenstein),
+        "dim": D.dim,
+        "frobenius": [[format_rational(x) for x in row] for row in D.frobenius],
+        "filtration": [
+            {"jump": j, "basis": [[*map(k_json, vec)] for vec in vecs]}
+            for j, vecs in D.filtration
+        ],
+    }

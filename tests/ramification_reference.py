@@ -1,6 +1,7 @@
-"""Herbrand-function helpers that only the tests use: the identity test
-on a piecewise-linear function, psi_r as one, and the Hasse-Arf flag on
-a tower profile.
+"""Herbrand-function helpers that only the tests use: a reader of the
+JSON that ``herbrand`` prints for a piecewise-linear function, the
+identity test on one, psi_r as one, and the Hasse-Arf flag on a tower
+profile.
 
 It also keeps the Fraction implementation of ``PLFunction``,
 ``herbrand_phi`` and ``different_valuation`` that the integer one in
@@ -16,6 +17,12 @@ from fractions import Fraction
 from period_lab import ramification
 from period_lab.padic import Record, format_rational, parse_rational, require
 from period_lab.ramification import ZpExtensionProfile, psi_r
+
+
+def plfunction_from_json(obj: dict) -> ramification.PLFunction:
+    """The function of what ``PLFunction.to_json`` prints."""
+    pts = [(parse_rational(x), parse_rational(y)) for x, y in require(obj, "breakpoints")]
+    return ramification.PLFunction(pts, parse_rational(require(obj, "final_slope")))
 
 
 def is_identity(f: ramification.PLFunction) -> bool:

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import io
 import json
 import os
@@ -404,6 +405,149 @@ def test_a_batch_command_that_is_not_a_string_is_named(tmp_path, capsys):
     assert code == 2
     assert [r["status"] for r in batch["results"]] == ["ok", "error", "ok"]
     assert batch["results"][1]["message"] == "field 'command' must be a string, got ['tilt']"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        # a series point or a t window of the wrong length exited 2 with
+        # Python's "too many values to unpack (expected 2)"
+        ({"command": "polygon", "kind": "series", "points": [[0, "1", 5]]},
+         "points[0] must be a pair [x, v], got [0, '1', 5]"),
+        ({"command": "polygon", "kind": "series", "points": [[0, "1"], [1]]},
+         "points[1] must be a pair [x, v], got [1]"),
+        ({"command": "polygon", "kind": "t", "p": 3, "window": [0]},
+         "window must be a pair [lo, hi], got [0]"),
+    ],
+)
+def test_a_pair_of_the_wrong_length_is_named(tmp_path, capsys, bad, message):
+    assert run_alone_and_in_batch(tmp_path, capsys, bad) == (message, message)
+
+
+_COCYCLE = {"command": "jet", "action": "verify-cocycle", "p": 3, "order": 4, "chi": "2", "c": "1"}
+_PHIMOD = {"command": "phimod", "p": 5, "eisenstein": [-5, 1]}
+
+
+def _vectors(*rows):
+    """Filtration basis vectors over Q_p from rational rows."""
+    return [[[str(x)] for x in row] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"command": "char", "op": "multiply", "factors": [_CHARACTER, {**_CHARACTER, "p": 7}]},
+         "mixed primes"),
+        ({**_COCYCLE, "chi": "3"}, "chi must be a p-adic unit"),
+        ({**_COCYCLE, "c": "1/3"}, "cocycle value must be p-integral"),
+        ({**_COCYCLE, "order": 0}, "truncation order must be >= 1"),
+        ({**_COCYCLE, "order": 1}, "the cocycle needs order >= 2"),
+        ({"command": "jet", "action": "gr-check", "p": 3, "m": -1}, "negative filtration order"),
+        ({"command": "herbrand", "e": 2, "orders": []}, "totally ramified model requires g_0 = e"),
+        ({"command": "herbrand", "e": 2, "orders": [2, 0]}, "group orders are >= 1"),
+        ({"command": "sen", "p": 3, "level": -1, "matrix": [[4]]}, "level must be nonnegative"),
+        ({**_PHIMOD, "frobenius": [["1", "0"], ["0"]],
+          "filtration": [{"jump": 0, "basis": _vectors((1, 0))}]},
+         "Frobenius matrix must be square"),
+        ({**_PHIMOD, "frobenius": [["1", "0"], ["0", "5"]], "filtration": [{"jump": 0, "basis": []}]},
+         "filtration subspaces must be nonzero"),
+        ({**_PHIMOD, "frobenius": [["1", "0", "0"], ["0", "5", "0"], ["0", "0", "25"]],
+          "filtration": [
+              {"jump": 0, "basis": _vectors((1, 0, 0), (0, 1, 0), (0, 0, 1))},
+              {"jump": 1, "basis": _vectors((1, 0, 0), (0, 1, 0))},
+              {"jump": 2, "basis": _vectors((0, 0, 1))},
+          ]},
+         "filtration subspaces must be nested"),
+        ({"command": "tilt", "p": 3, "op": "sum", "builtin": "omega"}, "unknown tilt op 'sum'"),
+        ({"command": "jet", "action": "sum", "p": 3}, "unknown jet action 'sum'"),
+        ({"command": "char", "op": "sum", **_CHARACTER}, "unknown char op 'sum'"),
+        ({"command": "char", "op": "multiply", "factors": []}, "multiply needs at least one factor"),
+    ],
+)
+def test_a_refused_input_keeps_its_message(tmp_path, capsys, bad, message):
+    assert run_alone_and_in_batch(tmp_path, capsys, bad) == (message, message)
+
+
+def test_an_input_path_that_does_not_exist(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    for command in ("herbrand", "batch"):
+        code, report = run_json(capsys, command, "--input", str(path))
+        assert code == 2
+        assert report["error"] == (
+            f"cannot read {path}: [Errno 2] No such file or directory: '{path}'"
+        )
+
+
+def test_blank_lines_of_a_batch_are_skipped(tmp_path, capsys):
+    good = json.dumps({"command": "herbrand", "e": 4, "orders": [4, 2, 2]})
+    f = tmp_path / "blank.jsonl"
+    f.write_text("\n".join(["", good, "   ", "\t", good, ""]) + "\n")
+    code, report = run_json(capsys, "batch", "--input", str(f))
+    assert code == 0
+    assert report["counts"] == {"ok": 2, "undecided": 0, "error": 0}
+    assert [r["line"] for r in report["results"]] == [2, 5]
+
+
+@pytest.mark.parametrize(
+    "payload, field, want",
+    [
+        # [2] at p = 5 is a 4th root of unity, outside every p^N-th cyclotomic field
+        ({"p": 5, "op": "theta", "level": 1, "expr": [{**_TERM, "a": "0", "u": {"f": 1, "poly": [2]}}]},
+         "is_zero", "inexact-teichmuller"),
+        ({"p": 3, "op": "vflat", "depth": 0, "builtin": "omega"}, "stabilized", False),
+    ],
+)
+def test_an_undecided_tilt_answer_exits_3(tmp_path, capsys, payload, field, want):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(payload))
+    code, report = run_json(capsys, "tilt", "--input", str(f))
+    assert code == 3 and report[field] == want
+
+
+# one small operation of each command; the tilt one reads an expression
+_EVERY_COMMAND = [
+    ("herbrand", {"e": 4, "orders": [4, 2, 2]}),
+    ("polygon", {"kind": "series", "points": [[0, "1"], [1, "0"]]}),
+    ("tilt", {"p": 3, "op": "theta", "level": 1, "expr": [_TERM]}),
+    ("jet", {"action": "gr-check", "p": 3, "m": 2}),
+    ("phimod", {"p": 5, "eisenstein": [-5, 1], "frobenius": [["25"]],
+                "filtration": [{"jump": 2, "basis": [[["1"]]]}]}),
+    ("char", {"op": "classify", **_CHARACTER}),
+    ("sen", {"p": 3, "level": 1, "matrix": [["4"]], "precision": 6}),
+]
+
+
+def test_every_json_method_in_the_package_is_one_a_command_calls(tmp_path, capsys):
+    # CPython 3.10 has no co_qualname, so a definition is its file and first
+    # line (its first decorator's line, as the code object records it)
+    src = Path(cli.__file__).resolve().parent
+    defined = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in ("to_json", "from_json"):
+                line = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+                defined[(str(path), line)] = f"{path.name}:{node.lineno} {node.name}"
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            called.add((code.co_filename, code.co_firstlineno))
+
+    f = tmp_path / "in.json"
+    for command, payload in _EVERY_COMMAND:
+        f.write_text(json.dumps(payload))
+        for fmt in ("json", "text"):
+            sys.setprofile(profile)
+            try:
+                code = main([command, "--input", str(f), "--format", fmt])
+            finally:
+                sys.setprofile(None)
+            capsys.readouterr()
+            assert code == 0, command
+    called = {(str(Path(name).resolve()), line) for name, line in called}
+    assert defined
+    assert sorted(name for key, name in defined.items() if key not in called) == []
 
 
 @pytest.mark.parametrize("op", ["theta", "probe", "generator-check"])

@@ -73,7 +73,7 @@ def test_vp_is_norm_valuation_at_level_343(g):
 def test_vp_examples():
     ctx = CyclotomicContext(3, 2)
     z = ctx.root_power(1)
-    assert (z - ctx.one()).vp() == F(1, 6)
+    assert (z - ctx.rational(1)).vp() == F(1, 6)
     assert ctx.rational(F(9, 2)).vp() == 2
     assert ctx.zero().vp() is INF
     assert CyclotomicContext(5, 0).rational(F(1, 25)).vp() == -2

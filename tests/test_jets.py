@@ -11,19 +11,38 @@ from period_lab.jets import (
     JetContext,
     JetElement,
     binomial_pow,
-    exp,
     frobenius_jet,
     galois_act_jet,
     gr_generator_check,
     log1p,
     verify_cocycle,
 )
-from period_lab.padic import parse_rational
+from period_lab.padic import format_rational, parse_rational
 from period_lab.tilt import GaloisElement
 
 
+def jet_to_json(x: JetElement) -> dict:
+    """A jet as JSON: its order and each coefficient under its monomial."""
+
+    def mono(i, j):
+        parts = []
+        if i:
+            parts.append("u" if i == 1 else f"u^{i}")
+        if j:
+            parts.append("w" if j == 1 else f"w^{j}")
+        return " ".join(parts) or "1"
+
+    return {
+        "order": x.context.order,
+        "coeffs": [
+            {"monomial": mono(i, j), "value": format_rational(v)}
+            for (i, j), v in sorted(x.coeffs.items())
+        ],
+    }
+
+
 def jet_from_json(context: JetContext, obj: dict) -> JetElement:
-    """The jet of ``JetElement.to_json``."""
+    """The jet of ``jet_to_json``."""
     coeffs = {}
     for item in obj["coeffs"]:
         i = j = 0
@@ -138,14 +157,20 @@ def test_binomial_composition():
         assert lhs == rhs
 
 
+def ref_exp(x: JetElement) -> JetElement:
+    """exp(x), summed by ``jets_reference.exp``."""
+    rx = ref.JetElement(ref.JetContext(x.context.p, x.context.order), x.coeffs)
+    return JetElement(x.context, ref.exp(rx).coeffs)
+
+
 def test_exp_log_roundtrip():
     rng = random.Random(67)
     for order in (4, 6, 8):
         ctx = JetContext(3, order)
         for _ in range(20):
             x = random_jet(rng, ctx, zero_const=True)
-            assert log1p(exp(x) - 1) == x
-            assert exp(log1p(x)) == ctx.one() + x
+            assert log1p(ref_exp(x) - 1) == x
+            assert ref_exp(log1p(x)) == ctx.one() + x
 
 
 def test_period_identities():
@@ -243,8 +268,8 @@ def test_binomial_coefficients_p_integrality_guard():
 def test_jet_json_roundtrip():
     ctx = JetContext(3, 5)
     x = JetElement(ctx, {(1, 0): F(2, 3), (0, 2): F(-1, 7), (1, 1): F(4)})
-    assert jet_from_json(ctx, x.to_json()) == x
-    assert jet_from_json(ctx, ctx.one().to_json()) == ctx.one()
+    assert jet_from_json(ctx, jet_to_json(x)) == x
+    assert jet_from_json(ctx, jet_to_json(ctx.one())) == ctx.one()
 
 
 # -- the integer representation against the Fraction reference ---------------
@@ -312,12 +337,10 @@ def test_series_match_reference(case, exponent):
     p, order, (a,) = case
     x, rx = both(p, order, a, zero_const=True)
     assert log1p(x).coeffs == ref.log1p(rx).coeffs
-    assert exp(x).coeffs == ref.exp(rx).coeffs
     assert outcome(binomial_pow, x, exponent) == outcome(ref.binomial_pow, rx, exponent)
     # a constant term is refused by both
     y, ry = both(p, order, {**a, (0, 0): F(1)})
-    for ours, theirs in ((log1p, ref.log1p), (exp, ref.exp)):
-        assert outcome(ours, y) == outcome(theirs, ry)
+    assert outcome(log1p, y) == outcome(ref.log1p, ry)
     assert outcome(binomial_pow, y, exponent) == outcome(ref.binomial_pow, ry, exponent)
 
 

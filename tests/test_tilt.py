@@ -102,7 +102,7 @@ def test_galois_on_generators():
     pf = TiltExpr.p_flat_power(p, 1).galois_act(g)
     expected = TiltExpr(p, [(1, F(2), F(1), FqElement.one(p), 0)])
     assert pf == expected
-    assert pf.galois_act(GaloisElement.identity()) == pf
+    assert pf.galois_act(GaloisElement(1, 0, 0)) == pf
 
 
 def test_galois_group_law():
@@ -375,13 +375,13 @@ def test_theta_kummer_grading():
 def test_theta_inexact_teichmuller_flagged():
     p = 5
     u = FqElement(p, 1, (2,))  # Teichmueller of 2: a 4th root of unity
-    x = TiltExpr.teichmuller(u)
+    x = TiltExpr(p, [(1, 0, 0, u, 0)])
     val = theta(x, 1)
     assert not val.exact
     with pytest.raises(InexactTeichmullerError):
         val.is_zero()
     # minus one is exact for odd p
-    y = TiltExpr.teichmuller(FqElement(p, 1, (p - 1,))) + TiltExpr.one(p)
+    y = TiltExpr(p, [(1, 0, 0, FqElement(p, 1, (p - 1,)), 0)]) + TiltExpr.one(p)
     assert theta(y, 1).is_zero()
 
 
@@ -438,9 +438,9 @@ def test_fq_arithmetic():
 
 def test_galois_frobenius_part_acts_on_teichmuller():
     u = FqElement(3, 2, (1, 1))
-    x = TiltExpr.teichmuller(u)
+    x = TiltExpr(3, [(1, 0, 0, u, 0)])
     g = GaloisElement(1, 0, frob=1)
-    assert x.galois_act(g) == TiltExpr.teichmuller(u.frobenius(1))
+    assert x.galois_act(g) == TiltExpr(3, [(1, 0, 0, u.frobenius(1), 0)])
 
 
 # -- serialization ------------------------------------------------------------------
@@ -449,7 +449,7 @@ def test_galois_frobenius_part_acts_on_teichmuller():
 def test_tilt_expr_json_roundtrip():
     p = 3
     x = TiltExpr.omega(p) * TiltExpr.p_flat_power(p, F(2, 3)) - TiltExpr.p_scalar(p, 2)
-    assert TiltExpr.from_json(p, x.to_json()) == x
+    assert TiltExpr.from_json(p, ref.expr_to_json(x)) == x
 
 
 def test_monomial_validation():
@@ -463,7 +463,7 @@ def test_monomial_validation():
             TiltExpr(3, [(1, 0, c, u, 0)])
         # the same fault, read from JSON, also when a zero coefficient
         # would drop the term
-        item = {"coeff": 0, "a": "0", "c": str(c), "u": u.to_json()}
+        item = {"coeff": 0, "a": "0", "c": str(c), "u": ref.fq_to_json(u)}
         with pytest.raises(ValueError, match=f"^{message}$"):
             TiltExpr.from_json(3, [item])
 
@@ -523,7 +523,7 @@ def test_rewritten_terms_build_the_merged_sum(case):
     x, depth, terms = case
     y = TiltExpr(x.p, terms)
     assert y == x and y.terms == x.terms and repr(y) == repr(x)
-    assert TiltExpr.from_json(x.p, y.to_json()) == x
+    assert TiltExpr.from_json(x.p, ref.expr_to_json(y)) == x
     assert vflat_sum(y, depth) == vflat_sum(x, depth)
     try:
         want = theta(x, depth)

@@ -13,6 +13,10 @@ Two readers of a theta value that only the tests use live here too:
 ``single_cyclotomic`` and ``substitute_root``, with the two operations on
 cyclotomic numbers that only they and this module need: ``scale`` and the
 Galois substitution ``substitute``.
+
+``expr_to_json`` writes an expression as the term list that
+``TiltExpr.from_json`` reads, for the round-trip tests; no command prints
+one.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from period_lab.cyclotomic import CycElt, CyclotomicContext
-from period_lab.padic import INF, multiplicity, residue
+from period_lab.padic import INF, format_rational, multiplicity, residue
 from period_lab.tilt import GradedThetaValue, InexactTeichmullerError
 
 
@@ -140,3 +144,17 @@ def substitute_root(value, m: int):
     return GradedThetaValue(
         value.context, {k: substitute(v, m) for k, v in value.pieces.items()}, value.exact
     )
+
+
+def fq_to_json(u) -> dict:
+    """A finite-field element as the ``u`` of a JSON term."""
+    return {"f": u.f, "poly": list(u.poly)}
+
+
+def expr_to_json(x) -> list:
+    """The JSON term list of an expression."""
+    return [
+        {"coeff": coeff, "a": format_rational(a), "c": format_rational(c), "u": fq_to_json(u),
+         "p_power": i}
+        for coeff, a, c, u, i in x.terms
+    ]
