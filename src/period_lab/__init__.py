@@ -19,8 +19,10 @@ Subpackages, one per concern:
                    and Sen operators
 * ``cli``          the ``period-lab`` command-line front end
 
-Everything is exact: ``fractions.Fraction`` coefficients throughout, a
-single +infinity sentinel for valuations of zero, and no floating point.
+Everything is exact: rationals are ``fractions.Fraction`` at the API
+boundary and integers over a common denominator on the hot paths, a
+single +infinity sentinel stands for valuations of zero, and there is no
+floating point.
 """
 
 __version__ = "0.1.0"

@@ -124,15 +124,6 @@ class ClassificationFlags(Record):
     __slots__ = ("unramified", "cp_admissible", "hodge_tate", "de_rham", "crystalline",
                  "hodge_tate_weight")
 
-    def __init__(self, unramified: bool, cp_admissible: bool, hodge_tate: bool, de_rham: bool,
-                 crystalline: bool, hodge_tate_weight: Fraction | None):
-        object.__setattr__(self, "unramified", unramified)
-        object.__setattr__(self, "cp_admissible", cp_admissible)
-        object.__setattr__(self, "hodge_tate", hodge_tate)
-        object.__setattr__(self, "de_rham", de_rham)
-        object.__setattr__(self, "crystalline", crystalline)
-        object.__setattr__(self, "hodge_tate_weight", hodge_tate_weight)
-
     def to_json(self) -> dict:
         out = {
             "unramified": self.unramified,
@@ -156,13 +147,14 @@ def classify(chi: CharacterTriple) -> ClassificationFlags:
     """
     a_integral = chi.a.denominator == 1
     b_zero = chi.b == 0
+    # unramified, cp_admissible, hodge_tate, de_rham, crystalline, hodge_tate_weight
     return ClassificationFlags(
-        unramified=chi.a == 0 and b_zero,
-        cp_admissible=chi.a == 0,
-        hodge_tate=a_integral,
-        de_rham=a_integral,
-        crystalline=a_integral and b_zero,
-        hodge_tate_weight=chi.a if a_integral else None,
+        chi.a == 0 and b_zero,
+        chi.a == 0,
+        a_integral,
+        a_integral,
+        a_integral and b_zero,
+        chi.a if a_integral else None,
     )
 
 
@@ -261,14 +253,6 @@ class SenOperator(Record):
     is semi-simple)."""
 
     __slots__ = ("prime", "numerators", "denominator", "precision", "zero_part")
-
-    def __init__(self, prime: Prime, numerators: tuple, denominator: int, precision: int,
-                 zero_part: tuple):
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "zero_part", zero_part)
 
     @property
     def p(self) -> int:
@@ -444,12 +428,6 @@ class HodgeTateVerdict(Record):
     ``generalized_weights`` are the exact eigenvalues when computable."""
 
     __slots__ = ("status", "generalized_weights", "integer_weights")
-
-    def __init__(self, status: str, generalized_weights: tuple | None,
-                 integer_weights: tuple | None):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "generalized_weights", generalized_weights)
-        object.__setattr__(self, "integer_weights", integer_weights)
 
     def to_json(self) -> dict:
         out = {"status": self.status}

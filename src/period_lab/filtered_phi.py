@@ -18,8 +18,8 @@ Decision coverage:
 
 * dimension 1: admissible iff v_p(eigenvalue) = jump;
 * dimension 2: always decided, by two comparisons.  A middle filtration
-  line that is defined over Q_p (read off its coordinates: the
-  uniformizer powers form a Q_p-basis of K) and Frobenius-stable
+  line that is defined over Q_p (read off its annihilator's coordinates:
+  the uniformizer powers form a Q_p-basis of K) and Frobenius-stable
   destabilizes when its eigenvalue has valuation below the upper jump;
   otherwise a Q_p-rational eigenvalue of valuation below the lower jump
   does, its valuations read off the characteristic polynomial's Newton
@@ -87,10 +87,7 @@ class AdmissibilityVerdict(Record):
 
     def __init__(self, status: str, hodge_number: int, newton_number: Fraction,
                  witness: dict | None = None):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "hodge_number", hodge_number)
-        object.__setattr__(self, "newton_number", newton_number)
-        object.__setattr__(self, "witness", witness)
+        super().__init__(status, hodge_number, newton_number, witness)
 
     def to_json(self) -> dict:
         out = {
@@ -300,27 +297,24 @@ def _qp_eigenvalue_below(cp, p, threshold) -> dict | None:
     return None
 
 
-def _line_is_rational(vecs) -> list | None:
-    """A rational direction vector of a K-line, or None; the one vector
-    spanning it is given by the coordinates of its entries.
+def _rational_line(D: FilteredPhiModule) -> list | None:
+    """The middle line of a rank-2 module as a rational vector with first
+    nonzero entry 1, or None when the line is not defined over Q_p.
 
-    Valid because the uniformizer powers are a Q_p-basis of K: the line
-    descends to Q_p iff every entry is a rational multiple q of a nonzero
-    entry (the pivot), that is iff its coordinates are q times the
-    pivot's, and then (q) spans it.
+    The line is spanned by (n_2, -n_1) for n the one K-basis vector of its
+    annihilator, which is the vector rref over K gives times an integer.
+    As the uniformizer powers are a Q_p-basis of K, the line descends to
+    Q_p iff no coordinate of n past pi^0 is nonzero.  Only this step's
+    annihilator is formed: the full step's, which ``_annihilators`` would
+    add, costs more than the whole test.
     """
-    (w,) = vecs
-    pivot = next((x for x in w if x), None)
-    if pivot is None:
+    e = D.base.e
+    ((n, _),) = restricted_kernel(D._echelons[1], 2, e)
+    if any(n[1:e]) or any(n[e + 1:]):
         return None
-    k = len(pivot) - 1  # the pivot's last coordinate is nonzero
-    scaled = []
-    for x in w:
-        q = (x[k] if len(x) > k else 0) / pivot[k]
-        if [*x, *[0] * (len(pivot) - len(x))] != [q * c for c in pivot]:
-            return None
-        scaled.append(q)
-    return scaled
+    line = (n[e], -n[0])
+    pivot = line[0] or line[1]
+    return [Fraction(x, pivot) for x in line]
 
 
 def _dim2_admissible(D: FilteredPhiModule, tH, tN) -> AdmissibilityVerdict:
@@ -336,7 +330,7 @@ def _dim2_admissible(D: FilteredPhiModule, tH, tN) -> AdmissibilityVerdict:
     beta exactly when v(beta) < r."""
     jumps = D.graded_dims()
     r, s = jumps[0][0], jumps[-1][0]
-    line_vec = _line_is_rational(D._vectors[1]) if len(jumps) == 2 else None
+    line_vec = _rational_line(D) if len(jumps) == 2 else None
     if line_vec is not None:
         # the (rational) filtration line v is Frobenius-stable iff
         # Phi v = alpha v, alpha read at the first nonzero entry of v

@@ -1,10 +1,10 @@
 """Exact p-adic valuations on rational numbers.
 
-Everything in this package is built on exact rationals: a scalar is a
-``fractions.Fraction`` together with a prime p, and its p-adic valuation
-(normalized by v_p(p) = 1) is always derivable exactly.  There is no
-floating point anywhere.  The distinguished value +infinity (valuation of
-zero) is the module-level singleton ``INF``.
+Everything in this package is built on exact rationals: ``Fraction`` at
+the API boundary, integers over a common denominator on the hot paths,
+and the p-adic valuation (normalized by v_p(p) = 1) of each is derivable
+exactly.  There is no floating point anywhere.  The distinguished value
++infinity (valuation of zero) is the module-level singleton ``INF``.
 
 Besides valuations, this module provides the two arithmetic functions
 that control convergence of divided-power series:
@@ -26,10 +26,11 @@ Hensel lifting, theta's root exponents and the Q_p square and
 irreducibility tests.
 
 ``Record`` is the base of the package's immutable values (primes,
-contexts, verdicts), a plain ``__slots__`` class: every command is one
-process that imports the package, and ``dataclasses`` would add its own
-import and its class generation to each start.  ``require``, ``parse_int`` and ``parse_list`` read the fields of
-JSON input, each with a SchemaError that names the field.
+contexts, verdicts), a plain ``__slots__`` class with one storing
+constructor: every command is one process that imports the package, and
+``dataclasses`` would add its own import and its class generation to
+each start.  ``require``, ``parse_int`` and ``parse_list`` read the
+fields of JSON input, each with a SchemaError that names the field.
 """
 
 from __future__ import annotations
@@ -109,15 +110,25 @@ def is_probable_prime(n: int) -> bool:
 class Record:
     """Base of the package's immutable values.
 
-    A subclass names its fields in ``__slots__``, and its ``__init__``
-    sets them with ``object.__setattr__``; any later assignment raises.
-    Two records are equal when they are of the same class with equal
-    fields (``_key``), and equal records hash alike.  Equality tests
-    identity first: contexts and primes are compared on hot paths, and
-    there they are mostly the same object.
+    A subclass names its fields in ``__slots__``.  ``Record.__init__``
+    stores its arguments in that order, so a subclass that only stores
+    defines no constructor; one that checks or converts its input keeps
+    its own and stores with ``object.__setattr__``.  Any later assignment
+    raises.  Two records are equal when they are of the same class with
+    equal fields (``_key``), and equal records hash alike.  Equality
+    tests identity first: contexts and primes are compared on hot paths,
+    and there they are mostly the same object.
     """
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        names = self.__slots__
+        if len(fields) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the {len(names)} fields "
+                            f"({', '.join(names)}), got {len(fields)}")
+        for name, value in zip(names, fields):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
@@ -249,17 +260,19 @@ def _check_exponent(literal: str, text) -> None:
 def parse_number(text) -> int | Fraction:
     """A JSON rational as ``parse_rational`` reads it, but an int when it
     is a plain integer: a JSON integer or a string of ASCII digits with an
-    optional sign."""
+    optional sign.  A string with an underscore is refused, as Python 3.10's
+    ``Fraction`` refuses it and later versions do not."""
     if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return text
     if isinstance(text, str):
         literal = text.strip()
-        # a plain ASCII integer skips Fraction's string parser; the rest,
-        # "1_000" among them (rejected on Python 3.10), still goes to it
+        # a plain ASCII integer skips Fraction's string parser
         digits = literal[1:] if literal[:1] in ("+", "-") else literal
         if digits.isascii() and digits.isdigit():
             return int(literal)
         _check_exponent(literal, text)
+        if "_" in literal:
+            raise ValueError(f"Invalid literal for Fraction: {literal!r}")
         try:
             return Fraction(literal)
         except ZeroDivisionError:
@@ -284,10 +297,11 @@ def require(obj: dict, key: str, where: str = ""):
 
 
 def parse_int(value, name: str = "value") -> int:
-    """An integer field: a JSON integer (not a bool) or an integer string."""
+    """An integer field: a JSON integer (not a bool) or an integer string
+    without underscores, which ``parse_number`` refuses too."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str):
+    if isinstance(value, str) and "_" not in value:
         try:
             return int(value)
         except ValueError:

@@ -84,8 +84,8 @@ class PLFunction(Record):
                 px, py = x, y
         # the least common denominators of what is kept
         gx, gy = gcd(dx, *xs), gcd(dy, *ys)
-        _set(self, tuple(x // gx for x in xs), dx // gx, tuple(y // gy for y in ys), dy // gy,
-             (n, d))
+        super().__init__(tuple(x // gx for x in xs), dx // gx, tuple(y // gy for y in ys),
+                         dy // gy, (n, d))
 
     @property
     def breakpoints(self) -> tuple:
@@ -115,9 +115,11 @@ class PLFunction(Record):
         return Fraction(py * d * b * dx + n * dy * (a * dx - px * b), dy * d * b * dx)
 
     def inverse(self) -> "PLFunction":
-        """The mirror image in the diagonal: the same integers, swapped."""
-        return _set(object.__new__(PLFunction), self.ys, self.y_den, self.xs, self.x_den,
-                    self.slope[::-1])
+        """The mirror image in the diagonal: the same integers, swapped,
+        stored unchecked as they are already in lowest terms."""
+        f = object.__new__(PLFunction)
+        Record.__init__(f, self.ys, self.y_den, self.xs, self.x_den, self.slope[::-1])
+        return f
 
     def compose(self, inner: "PLFunction") -> "PLFunction":
         """Exact composition self o inner."""
@@ -134,17 +136,6 @@ class PLFunction(Record):
                             for x, y in zip(self.xs, self.ys)],
             "final_slope": format_ratio(*self.slope),
         }
-
-
-def _set(f: PLFunction, xs: tuple, x_den: int, ys: tuple, y_den: int, slope: tuple):
-    """f with its fields set to these, which must already be in lowest
-    terms; ``inverse`` and ``herbrand_phi`` build theirs so, unchecked."""
-    object.__setattr__(f, "xs", xs)
-    object.__setattr__(f, "x_den", x_den)
-    object.__setattr__(f, "ys", ys)
-    object.__setattr__(f, "y_den", y_den)
-    object.__setattr__(f, "slope", slope)
-    return f
 
 
 class RamificationData(Record):
@@ -199,8 +190,10 @@ def herbrand_phi(data: RamificationData) -> PLFunction:
             xs.append(i)
             ys.append(total)
     g = gcd(e, *ys)
-    ys = tuple(y // g for y in ys)
-    return _set(object.__new__(PLFunction), tuple(xs), 1, ys, e // g, (1, e))
+    # already in lowest terms, so stored unchecked
+    f = object.__new__(PLFunction)
+    Record.__init__(f, tuple(xs), 1, tuple(y // g for y in ys), e // g, (1, e))
+    return f
 
 
 def herbrand_psi(phi: PLFunction) -> PLFunction:

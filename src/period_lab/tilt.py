@@ -48,7 +48,6 @@ from .padic import (
     Prime,
     Record,
     SchemaError,
-    Valuation,
     as_fraction,
     multiplicity,
     parse_int,
@@ -214,7 +213,7 @@ class GaloisElement(Record):
         )
 
 
-class TiltExpr:
+class TiltExpr(Record):
     """A finite formal integer combination of terms eps^a (pflat)^c [u] p^i.
 
     ``terms`` is a sorted tuple of flat terms (coeff, a, c, u, i): a
@@ -247,12 +246,12 @@ class TiltExpr:
             key = (i, a, c, u.poly, u.f)
             prev = merged.get(key)
             merged[key] = (int(coeff) + prev[0], u) if prev else (int(coeff), u)
-        self.prime = prime
-        self.terms = tuple(
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "terms", tuple(
             (coeff, a, c, u, i)
             for (i, a, c, _, _), (coeff, u) in sorted(merged.items())
             if coeff
-        )
+        ))
 
     @property
     def p(self) -> int:
@@ -330,16 +329,6 @@ class TiltExpr:
     def _check(self, other):
         if not isinstance(other, TiltExpr) or other.prime != self.prime:
             raise ValueError("mixed expressions")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TiltExpr)
-            and self.prime == other.prime
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.prime, self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -430,11 +419,6 @@ class GradedThetaValue(Record):
     """
 
     __slots__ = ("context", "pieces", "exact")
-
-    def __init__(self, context: CyclotomicContext, pieces: dict, exact: bool):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "exact", exact)
 
     def _nonzero_pieces(self):
         return {k: v for k, v in self.pieces.items() if not v.is_zero()}
@@ -561,12 +545,6 @@ class VflatResult(Record):
 
     __slots__ = ("values", "conclusive", "stabilized", "value")
 
-    def __init__(self, values: list, conclusive: bool, stabilized: bool, value: Valuation | None):
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "conclusive", conclusive)
-        object.__setattr__(self, "stabilized", stabilized)
-        object.__setattr__(self, "value", value)
-
 
 def _component_value(value: GradedThetaValue, n: int):
     """(value, conclusive) for p^n * v_p of the depth-n component, whose
@@ -633,11 +611,6 @@ class GeneratorReport(Record):
     v_flat(z mod p) = 1."""
 
     __slots__ = ("theta_is_zero", "vflat", "vflat_is_one")
-
-    def __init__(self, theta_is_zero: bool, vflat: VflatResult, vflat_is_one: bool | None):
-        object.__setattr__(self, "theta_is_zero", theta_is_zero)
-        object.__setattr__(self, "vflat", vflat)
-        object.__setattr__(self, "vflat_is_one", vflat_is_one)
 
     @property
     def passes(self) -> bool | None:

@@ -14,7 +14,9 @@ discriminant cases whether the quadratic splits over Q_p.  The rank-2
 verdict (``dim2_admissible``) is the one of ``filtered_phi`` before its
 stable-line case was folded into the eigenvalue test: a rational
 Frobenius-stable middle line is decided on its own
-(``dim2_stable_line``), from both eigenvalues.
+(``dim2_stable_line``), from both eigenvalues, and whether the middle
+line is defined over Q_p is read off the coordinates of a vector listed
+for it (``line_is_rational``), not off its annihilator.
 
 ``module_to_json`` writes a module as the object that
 ``FilteredPhiModule.from_json`` reads, for the round-trip tests; no
@@ -33,7 +35,6 @@ from period_lab.filtered_phi import (
     NOT_ADMISSIBLE,
     UNDECIDED,
     AdmissibilityVerdict,
-    _line_is_rational,
 )
 from period_lab.linalg import (
     clear_denominators,
@@ -66,6 +67,27 @@ def qp_eigenvalue_below(cp, p, threshold) -> Optional[dict]:
     return None
 
 
+def line_is_rational(vecs) -> Optional[list]:
+    """A rational direction vector of a K-line, or None, read off the
+    coordinates of the first nonzero vector listed for it.
+
+    Valid because the uniformizer powers are a Q_p-basis of K: the line
+    descends to Q_p iff every entry is a rational multiple q of a nonzero
+    entry (the pivot), that is iff its coordinates are q times the
+    pivot's, and then (q) spans it.
+    """
+    w = next(v for v in vecs if any(v))
+    pivot = next(x for x in w if x)
+    k = len(pivot) - 1  # the pivot's last coordinate is nonzero
+    scaled = []
+    for x in w:
+        q = (x[k] if len(x) > k else 0) / pivot[k]
+        if [*x, *[0] * (len(pivot) - len(x))] != [q * c for c in pivot]:
+            return None
+        scaled.append(q)
+    return scaled
+
+
 def dim2_admissible(D, tH, tN) -> AdmissibilityVerdict:
     p = D.base.p
     cp = D.frobenius_char_poly
@@ -74,7 +96,7 @@ def dim2_admissible(D, tH, tN) -> AdmissibilityVerdict:
         r = s = jumps[0][0]
     else:
         (r, _), (s, _) = jumps
-        line_vec = _line_is_rational(D._vectors[1])
+        line_vec = line_is_rational(D._vectors[1])
         if line_vec is not None:
             # the (rational) filtration line v is Frobenius-stable iff
             # Phi v = alpha v, alpha read at the first nonzero entry of v

@@ -148,7 +148,7 @@ def sen_operator(inp: SenInput, precision: int = 20) -> SenOperator:
                 acc[a][b] += coeff * power[a][b]
     scale = Fraction(1, p**r)
     out = tuple(tuple(x * scale for x in row) for row in acc)
-    return SenOperator(inp.prime, *clear_denominators(out), precision - r, zero_part=None)
+    return SenOperator(inp.prime, *clear_denominators(out), precision - r, None)
 
 
 def log_coefficients(p, precision):

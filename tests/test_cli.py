@@ -468,6 +468,59 @@ def test_a_refused_input_keeps_its_message(tmp_path, capsys, bad, message):
     assert run_alone_and_in_batch(tmp_path, capsys, bad) == (message, message)
 
 
+@pytest.mark.parametrize("eisenstein", [[-3, 1], [-3, 0, 1]])
+@pytest.mark.parametrize(
+    "line, more",
+    [
+        ([["1"], ["1"]], [["2"], ["2"]]),
+        ([["1"], ["1"]], [["0"], ["0"]]),
+        ([["1"], ["1"]], [["0", "1"], ["0", "1"]]),  # pi times the line
+        ([["1"], ["0"]], [["0", "2"], ["0"]]),  # the stable line of eigenvalue 1
+        ([["0", "1"], ["1"]], [["0", "2"], ["2"]]),  # over Q_p only when e = 1
+    ],
+)
+def test_a_middle_line_listed_twice_decides_as_listed_once(tmp_path, capsys, eisenstein, line,
+                                                           more):
+    """A rank-2 middle step that lists its line beside a K-multiple of it
+    gets the report of the step that lists the line once, alone and as
+    the middle line of a batch."""
+    def module(basis):
+        return {"command": "phimod", "p": 3, "eisenstein": eisenstein,
+                "frobenius": [["1", "0"], ["0", "3"]],
+                "filtration": [{"jump": 0, "basis": _vectors((1, 0), (0, 1))},
+                               {"jump": 1, "basis": basis}]}
+
+    def run(payload):
+        f = tmp_path / "module.json"
+        f.write_text(json.dumps({k: v for k, v in payload.items() if k != "command"}))
+        code, alone = run_json(capsys, "phimod", "--input", str(f))
+        assert alone.pop("schema") == "period-lab/1"
+        good = json.dumps({"command": "herbrand", "e": 4, "orders": [4, 2, 2]})
+        f = tmp_path / "batch.jsonl"
+        f.write_text("\n".join([good, json.dumps(payload), good]) + "\n")
+        batch_code, batch = run_json(capsys, "batch", "--input", str(f))
+        assert batch_code == 0
+        assert [r["status"] for r in batch["results"]] == ["ok", "ok", "ok"]
+        return code, alone, batch["results"][1]["report"]
+
+    code, report, in_batch = run(module([line]))
+    assert code == 0
+    assert in_batch == report
+    for basis in ([line, more], [more, line]):
+        assert run(module(basis)) == (code, report, report)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"command": "char", **_CHARACTER, "lambda": "1_001"}, "Invalid literal for Fraction: '1_001'"),
+        ({"command": "char", **_CHARACTER, "p": "1_1"}, "field 'p' must be an integer, got '1_1'"),
+    ],
+)
+def test_a_numeric_string_with_an_underscore_is_refused(tmp_path, capsys, bad, message):
+    assert run_alone_and_in_batch(tmp_path, capsys, bad) == (message, message)
+
+
 def test_an_input_path_that_does_not_exist(tmp_path, capsys):
     path = tmp_path / "absent.json"
     for command in ("herbrand", "batch"):

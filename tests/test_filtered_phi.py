@@ -342,14 +342,14 @@ def test_rank2_eigenvalue_test_matches_its_case_analysis(case, threshold):
 
 def rank2_module(spec) -> FilteredPhiModule:
     """The rank-2 module of a spec (p, E, r, s, alpha, beta, jordan, v, w,
-    line): Frobenius P J P^-1 for P = (v | w) and J = [[alpha, jordan],
+    basis): Frobenius P J P^-1 for P = (v | w) and J = [[alpha, jordan],
     [0, beta]], so that v spans a stable line of eigenvalue alpha, and
-    jumps r <= s with middle line ``line`` (coordinate lists on 1, pi,
-    ..., not yet reduced by E) when r < s."""
-    p, E, r, s, alpha, beta, jordan, v, w, line = spec
+    jumps r <= s with the middle line spanned by the vectors of ``basis``
+    (coordinate lists on 1, pi, ..., not yet reduced by E) when r < s."""
+    p, E, r, s, alpha, beta, jordan, v, w, basis = spec
     P = [[v[0], w[0]], [v[1], w[1]]]
     frob = mat_mul(mat_mul(P, [[F(alpha), F(jordan)], [F(0), F(beta)]]), _matrix_inverse(P))
-    filtration = [(r, [[1, 0], [0, 1]])] + ([(s, [line])] if r < s else [])
+    filtration = [(r, [[1, 0], [0, 1]])] + ([(s, basis)] if r < s else [])
     return FilteredPhiModule(BaseFieldK(p, E), frob, filtration)
 
 
@@ -359,7 +359,8 @@ def rank2_spec(draw):
     {1, 2}, eigenvalue valuations with v(alpha) + v(beta) = r + s, equal
     eigenvalues (scalar or a Jordan block) when the valuations allow, and
     the middle line the eigenline of alpha or of beta, another rational
-    line or a line over K, each times a nonzero scalar of K."""
+    line or a line over K, each times a nonzero scalar of K, and sometimes
+    listed beside a K-multiple of it (zero among them), in either order."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     unit = st.integers(1, 20).filter(lambda n: n % p)
     small = st.integers(-3, 3)
@@ -386,20 +387,26 @@ def rank2_spec(draw):
     else:
         entries = [[x] for x in {"alpha": v, "beta": w, "rational": [draw(small), draw(small)]}[kind]]
     assume(any(any(x) for x in entries))
-    # times the scalar c of K, as polynomials in pi (the module reduces by E)
-    c = [draw(st.integers(1, 3))] + ([draw(small)] if len(E) == 3 else [])
-    line = [[sum(c[i] * x[k - i] for i in range(len(c)) if 0 <= k - i < len(x))
-             for k in range(len(c) + len(x) - 1)] for x in entries]
-    return p, E, r, s, alpha, beta, jordan, v, w, line
+    def times(c, vector):
+        # c * vector, as polynomials in pi (the module reduces by E)
+        return [[sum(c[i] * x[k - i] for i in range(len(c)) if 0 <= k - i < len(x))
+                 for k in range(len(c) + len(x) - 1)] for x in vector]
+
+    line = times([draw(st.integers(1, 3))] + ([draw(small)] if len(E) == 3 else []), entries)
+    basis = [line]
+    if draw(st.booleans()):
+        # any scalar of K, pi = p when e = 1
+        basis.insert(draw(st.integers(0, 1)), times([draw(small), draw(small)], line))
+    return p, E, r, s, alpha, beta, jordan, v, w, basis
 
 
 # a stable middle line (the eigenline of alpha) at p = 3 with jumps 0 < 2,
 # for each outcome of the old stable-line case: v(alpha) = 1 < s, a
 # subobject; v(alpha) = 3 > s, so v(beta) = -1 < r; v(alpha) = s, admissible
 STABLE_LINE_CASES = [
-    ((3, [-3, 1], 0, 2, F(3), F(6), 0, [1, 0], [0, 1], [[1], [0]]), "subobject"),
-    ((3, [-3, 1], 0, 2, F(27), F(2, 3), 0, [1, 1], [0, 1], [[2], [2]]), "padic_eigenvalue"),
-    ((3, [-6, 3, 1], 0, 2, F(9), F(2), 0, [1, 2], [1, 0], [[1, 1], [2, 2]]), None),
+    ((3, [-3, 1], 0, 2, F(3), F(6), 0, [1, 0], [0, 1], [[[1], [0]]]), "subobject"),
+    ((3, [-3, 1], 0, 2, F(27), F(2, 3), 0, [1, 1], [0, 1], [[[2], [2]]]), "padic_eigenvalue"),
+    ((3, [-6, 3, 1], 0, 2, F(9), F(2), 0, [1, 2], [1, 0], [[[1, 1], [2, 2]]]), None),
 ]
 
 
@@ -419,8 +426,11 @@ def test_the_rank2_oracle_reaches_each_stable_line_outcome(spec, witness):
 @example(STABLE_LINE_CASES[0][0])
 @example(STABLE_LINE_CASES[1][0])
 @example(STABLE_LINE_CASES[2][0])
-@example((5, [-5, 1], 1, 1, F(5), F(5), 1, [1, 0], [0, 1], [[1]]))  # one jump, a Jordan block
-@example((2, [-2, 1], 0, 2, F(2), F(2), 0, [1, 0], [0, 1], [[1], [1]]))  # scalar: every line stable
+@example((5, [-5, 1], 1, 1, F(5), F(5), 1, [1, 0], [0, 1], [[[1]]]))  # one jump, a Jordan block
+@example((2, [-2, 1], 0, 2, F(2), F(2), 0, [1, 0], [0, 1], [[[1], [1]]]))  # scalar: every line stable
+# the stable line beside a zero vector, and pi times the line at e = 2
+@example((3, [-3, 1], 0, 2, F(3), F(6), 0, [1, 0], [0, 1], [[[0], [0]], [[1], [0]]]))
+@example((3, [-6, 3, 1], 0, 2, F(9), F(2), 0, [1, 2], [1, 0], [[[1, 1], [2, 2]], [[0, 1, 1], [0, 2, 2]]]))
 def test_rank2_verdict_matches_the_stable_line_oracle(spec):
     D = rank2_module(spec)
     assert D.hodge_number() == D.newton_number()

@@ -27,6 +27,7 @@ from period_lab.padic import (
     residue,
 )
 from period_lab.padic_poly import poly_newton_polygon
+from period_lab.tilt import FqElement, TiltExpr, VflatResult
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "period_lab"
 
@@ -242,6 +243,21 @@ def test_records_compare_by_class_and_fields_and_stay_immutable():
     with pytest.raises(AttributeError):
         del a.matrix
     assert a.level == 1 and a.matrix == b.matrix
+    # TiltExpr is a record too: its checking constructor merges the terms
+    x = TiltExpr(3, [(1, 0, 0, FqElement.one(3), 0), (1, 0, 0, FqElement.one(3), 0)])
+    y = TiltExpr(Prime(3), [(2, F(0), F(0), FqElement.one(3), 0)])
+    assert x == y and hash(x) == hash(y) and x is not y
+    assert x != TiltExpr.one(3) and x != TiltExpr(5, x.terms[:0]) and x != x.terms
+    with pytest.raises(AttributeError):
+        x.terms = ()
+    with pytest.raises(AttributeError):
+        del x.prime
+    assert x.terms == y.terms
+    # a record that only stores takes exactly its fields, in slot order
+    assert VflatResult([1], True, True, 1).value == 1
+    for fields in ((), ([1], True, True), ([1], True, True, 1, None)):
+        with pytest.raises(TypeError, match=r"^VflatResult takes the 4 fields \(values, "):
+            VflatResult(*fields)
 
 
 def test_scalar_serialization_roundtrip():
@@ -279,6 +295,17 @@ def test_parse_int_takes_integers_and_integer_strings_only():
             parse_int(bad, "e")
 
 
+@pytest.mark.parametrize("text", ["1_009", "-1_0", " 1_1 ", "+2_2", "1__0", "_1", "1_"])
+def test_both_parsers_refuse_an_underscore(text):
+    """Python 3.10's int takes "1_009" and its Fraction does not, 3.11's
+    takes both: the parsers refuse an underscore on every version."""
+    with pytest.raises(SchemaError, match="'e' must be an integer"):
+        parse_int(text, "e")
+    for literal in (text, text + "/3", text + ".5", text + "e2"):
+        with pytest.raises(ValueError, match="^Invalid literal for Fraction: "):
+            parse_rational(literal)
+
+
 @pytest.mark.parametrize("bad", ["1/0", " -3/0 ", True, 1.5, None])
 def test_parse_rational_rejects_with_value_error(bad):
     with pytest.raises(ValueError):
@@ -287,7 +314,10 @@ def test_parse_rational_rejects_with_value_error(bad):
 
 def _fraction_parse(text):
     """The string path of parse_rational without its integer shortcut:
-    Fraction's parser on the stripped text, a zero denominator reworded."""
+    Fraction's parser on the stripped text, a zero denominator reworded,
+    and an underscore refused as Python 3.10's parser refuses it."""
+    if "_" in text.strip():
+        raise ValueError(f"Invalid literal for Fraction: {text.strip()!r}")
     try:
         return F(text.strip())
     except ZeroDivisionError:

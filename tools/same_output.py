@@ -5,7 +5,8 @@
 
 Builds every operation of the benchmark workloads (``perfbench/workloads.py``
 of this checkout) at the given seeds and the operations of ``FIXED``, writes
-their input files once, and runs every operation through
+their input files and command lines once with the benchmark's own
+``write_inputs`` (``perfbench/run.py``), and runs every operation through
 ``period_lab.cli.main`` of each checkout, each checkout in its own
 interpreter with only its own ``src`` on the path.
 Every operation runs twice: as the benchmark runs it (JSON reports) and
@@ -72,23 +73,6 @@ json.dump(out, sys.stdout)
 """
 
 
-def argv_for(op, work: Path) -> list:
-    """The command line of one operation, as the benchmark builds it."""
-    if op.command == "jet":
-        pl = op.payload
-        argv = ["jet", pl["action"], "--p", str(pl["p"])]
-        if pl["action"] == "gr-check":
-            return argv + ["--m", str(pl["m"])]
-        return argv + ["--order", str(pl["order"]), "--chi", pl["chi"], "--c", pl["c"]]
-    if op.command == "batch":
-        path = work / f"{op.name}.jsonl"
-        path.write_text("".join(json.dumps(line) + "\n" for line in op.payload))
-    else:
-        path = work / f"{op.name}.json"
-        path.write_text(json.dumps(op.payload))
-    return [op.command, "--input", str(path)]
-
-
 def run_checkout(checkout: Path, argvs: list) -> list:
     src = checkout.resolve() / "src"
     if not (src / "period_lab" / "cli.py").is_file():
@@ -124,6 +108,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "perfbench"))
+    import run
     import workloads
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -132,14 +117,15 @@ def main(argv=None) -> int:
             for seed in args.seeds:
                 work = Path(tmp) / f"{name}-{seed}"
                 work.mkdir()
-                for op in workloads.WORKLOADS[name](seed):
-                    names.append(f"{name} seed {seed} {op.name}")
-                    argvs.append(argv_for(op, work))
+                ops = workloads.WORKLOADS[name](seed)
+                names += [f"{name} seed {seed} {op.name}" for op in ops]
+                argvs += run.write_inputs(ops, work)
         work = Path(tmp) / "fixed"
         work.mkdir()
-        for name, command, payload in FIXED:
-            names.append(f"fixed {name}")
-            argvs.append(argv_for(workloads.Op(name, "small", command, payload), work))
+        names += [f"fixed {name}" for name, _, _ in FIXED]
+        argvs += run.write_inputs(
+            [workloads.Op(name, "small", command, payload) for name, command, payload in FIXED], work
+        )
         argvs += [argv + ["--format", "text"] for argv in argvs]
         ours = run_checkout(ROOT, argvs)
         theirs = run_checkout(args.parent, argvs)
