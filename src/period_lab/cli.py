@@ -256,7 +256,7 @@ def run_jet(payload: dict, args):
     action = payload.get("action", "verify-cocycle")
     prime = _require_prime(payload)
     p = prime.p
-    order = _int(payload, "order", 6)
+    order = _jet_order(payload, "order", 6)
     if action == "verify-cocycle":
         g = tilt.GaloisElement(
             parse_rational(require(payload, "chi")),
@@ -267,7 +267,7 @@ def run_jet(payload: dict, args):
         ok = jets.verify_cocycle(g, ctx)
         return {"verified": ok, "order": order, "p": p}, EXIT_OK
     if action == "gr-check":
-        m = _int(payload, "m", order)
+        m = _jet_order(payload, "m", order)
         ok = jets.gr_generator_check(m, prime)
         return {"generates_graded_piece": ok, "m": m, "p": p}, EXIT_OK
     raise SchemaError(f"unknown jet action {action!r}")
@@ -315,6 +315,22 @@ def _sen_precision(p: int, precision: int) -> int:
         f"sen at p = {p}, precision {precision} would print integers past the "
         f"{MAX_DIGITS:,}-digit cap"
     )
+
+
+# verify-cocycle at p = 5, chi = 2 takes about 0.03 s at order 1,024 with
+# c = 1 and about 2 s with c = 1/2 or -7/3, where every degree of
+# (1+u)^c is nonzero, and about 10 s at order 2,048 with those c;
+# gr-check takes about 6 ms at m = 1,024
+MAX_JET_ORDER = 1024
+
+
+def _jet_order(payload: dict, key: str, default: int) -> int:
+    """The integer field ``key`` of a jet payload; a SchemaError past
+    MAX_JET_ORDER, before any work."""
+    value = _int(payload, key, default)
+    if value > MAX_JET_ORDER:
+        raise SchemaError(f"field {key!r} must be at most {MAX_JET_ORDER:,}, got {value}")
+    return value
 
 
 def run_sen(payload: dict, args):
@@ -493,25 +509,27 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="JSON input: file path or '-' for stdin")
     common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--precision", type=int, default=None)
-    common.add_argument("--order", type=int, default=None)
+    # the integer flags are strings that the handler reads like the JSON
+    # field they set (padic.parse_int), with the same error
+    common.add_argument("--precision")
+    common.add_argument("--order")
 
     for name in ("herbrand", "polygon", "phimod", "sen", "tilt"):
         sub.add_parser(name, parents=[common])
 
     jet_p = sub.add_parser("jet", parents=[common])
     jet_p.add_argument("action", nargs="?", choices=("verify-cocycle", "gr-check"))
-    jet_p.add_argument("--p", type=int)
+    jet_p.add_argument("--p")
     jet_p.add_argument("--chi")
     jet_p.add_argument("--c")
-    jet_p.add_argument("--m", type=int)
+    jet_p.add_argument("--m")
 
     char_p = sub.add_parser("char", parents=[common])
     char_p.add_argument("action", nargs="?", choices=("classify", "multiply"))
-    char_p.add_argument("--p", type=int)
+    char_p.add_argument("--p")
     char_p.add_argument("--lambda", dest="lam")
     char_p.add_argument("--a")
-    char_p.add_argument("--b", type=int)
+    char_p.add_argument("--b")
 
     sub.add_parser("batch", parents=[common])
     return parser

@@ -15,20 +15,27 @@ identity this package needs is an equality, so the model decides them.
 Frobenius images may carry a nonzero constant term; that is the model
 reflecting that the evaluation kernel is not Frobenius-stable.
 
-Series: log1p is the usual truncated series; binomial_pow raises
-1 + x to any rational exponent with p-free denominator, and checks on the
-fly that the generalized binomial coefficients are p-integral (they are,
-for p-adically integral exponents; the check guards the caller's input).
-The convention log p = 0 is wired in: log[pflat] is modeled by
-log1p(-w) = log((1/p)[pflat]).
+Series: log1p is the truncated series sum (-1)^(i-1) x^i / i, computed
+not from the powers of x but degree by degree from one series division
+(Brent and Kung, J. ACM 1978): the Euler derivation u d/du + w d/dw
+multiplies the part of total degree d by d and takes log(1 + x) to
+E(x) / (1 + x).  binomial_pow raises 1 + x to any rational exponent with
+p-free denominator, and checks on the fly that the generalized binomial
+coefficients are p-integral (they are, for p-adically integral
+exponents; the check guards the caller's input).  The convention
+log p = 0 is wired in: log[pflat] is modeled by log1p(-w) =
+log((1/p)[pflat]), so the cocycle's g(log[pflat]) is log1p(-g(w)) and
+needs no substitution.
 
 Representation: a jet stores integer numerators over one common
 denominator, ``nums`` {(i, j): int} and ``den`` > 0, reduced by one gcd
 after every operation (zero is {} over 1), so equal jets have equal
-(nums, den).  Products only visit pairs of total degree below the order:
-the smaller factor is sorted by degree and the scan over it breaks early.
-Sums, substitution and the series accumulate every term over the lcm of
-the denominators in one pass.  ``coeffs`` reads the same map as Fractions.
+(nums, den).  Products only visit pairs of total degree below a bound,
+the order or less: the smaller factor is sorted by degree and the scan
+over it breaks early.  A power of a jet without constant term bounds each
+partial product by what the factors still to come leave room for.  Sums,
+substitution and binomial_pow accumulate every term over the lcm of the
+denominators in one pass.  ``coeffs`` reads the same map as Fractions.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .padic import Prime, Record, rational_valuation
+from .padic import Prime, Record
 from .tilt import GaloisElement
 
 
@@ -154,37 +161,36 @@ class JetElement:
         if isinstance(other, (int, Fraction)):
             return _combine(self.context, ((self, other.numerator, other.denominator),))
         self._check(other)
-        a, b = self.nums, other.nums
-        if len(a) < len(b):
-            a, b = b, a
-        if b == _ONE:  # a constant 1/den: only the denominator changes
-            return _jet(self.context, dict(a), self.den * other.den)
-        room = self.context.order
-        inner = sorted((i + j, i, j, v) for (i, j), v in b.items())
-        out: dict = {}
-        get = out.get
-        for (i1, j1), v1 in a.items():
-            left = room - i1 - j1
-            for d, i2, j2, v2 in inner:
-                if d >= left:
-                    break
-                k = (i1 + i2, j1 + j2)
-                out[k] = get(k, 0) + v1 * v2
-        return _jet(self.context, out, self.den * other.den)
+        return _product(self, other, self.context.order)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "JetElement":
+        """Binary powering.  Every partial product is x^e for some e <= n,
+        and the factors still to come have total degree at least (n - e) v,
+        v the lowest total degree of x; so x^e is needed only below total
+        degree order - (n - e) v, which for x without constant term (v >= 1)
+        drops the terms that could only land past the order."""
         if n < 0:
             raise ValueError("negative powers need explicit inversion")
-        result = self.context.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        ctx = self.context
+        if n == 0:
+            return ctx.one()
+        v = self.min_total_degree()
+        if n * v >= ctx.order:
+            return ctx.zero()
+        result, r = None, 0
+        base, e = self, 1
+        while True:
+            if n & e:
+                r += e
+                result = base if result is None else _product(
+                    result, base, ctx.order - (n - r) * v
+                )
+            if r == n:
+                return result
+            e *= 2
+            base = _product(base, base, ctx.order - (n - e) * v)
 
     def min_total_degree(self) -> int:
         if not self.nums:
@@ -233,6 +239,29 @@ def _jet(context: JetContext, nums: dict, den: int) -> JetElement:
     return _reduce(x)
 
 
+def _product(x: JetElement, y: JetElement, room: int) -> JetElement:
+    """x * y without the monomials of total degree >= room (at most the
+    order): the smaller factor is sorted by degree, and the scan over it
+    stops at the first term that would reach the room."""
+    a, b = x.nums, y.nums
+    if len(a) < len(b):
+        a, b = b, a
+    if b == _ONE:  # a constant 1/den: only the denominator changes
+        out = {k: v for k, v in a.items() if k[0] + k[1] < room}
+        return _jet(x.context, out, x.den * y.den)
+    inner = sorted((i + j, i, j, v) for (i, j), v in b.items())
+    out: dict = {}
+    get = out.get
+    for (i1, j1), v1 in a.items():
+        left = room - i1 - j1
+        for d, i2, j2, v2 in inner:
+            if d >= left:
+                break
+            k = (i1 + i2, j1 + j2)
+            out[k] = get(k, 0) + v1 * v2
+    return _jet(x.context, out, x.den * y.den)
+
+
 def _combine(context: JetContext, terms) -> JetElement:
     """sum (a / b) x over the (x, a, b) in ``terms`` (b > 0), accumulated
     in one pass over the lcm of the denominators."""
@@ -259,19 +288,58 @@ def _powers(x: JetElement, n: int) -> list:
 
 
 def log1p(x: JetElement) -> JetElement:
-    """log(1 + x) = sum_{1 <= i < order} (-1)^(i-1) x^i / i.
+    """log(1 + x), solved degree by degree in integers.
+
+    The Euler derivation E = u d/du + w d/dw multiplies the part of total
+    degree d by d, and E log(1 + x) = E(x) / (1 + x); so the degree-d part
+    of the log is the degree-d part Q_d of that one quotient, divided by d.
+    With x = X / D and X_d the degree-d part of X,
+
+        Q_d = d X_d / D - sum_{1 <= k < d} X_k Q_(d-k) / D,
+
+    which is kept as integer numerators R_d over one denominator E_d,
+    reduced by their gcd at each degree so that no power of D builds up.
 
     Requires zero constant term (x in the first filtration step)."""
     if x.constant_term() != 0:
         raise ValueError("log1p needs a zero constant term")
-    terms = []
-    power = x.context.one()
-    for i in range(1, x.context.order):
-        power = power * x
-        if power.is_zero():
-            break
-        terms.append((power, (-1) ** (i - 1), i))
-    return _combine(x.context, terms)
+    D = x.den
+    parts: dict = {}  # degree k -> [(i, numerator of u^i w^(k-i) in X)]
+    for (i, j), v in x.nums.items():
+        parts.setdefault(i + j, []).append((i, v))
+    low = sorted(parts.items())
+    R, E = [[]], [1]  # Q_d = R_d / E_d, R_d as [(i, numerator of u^i w^(d-i))]
+    for d in range(1, x.context.order):
+        terms, Ed = [], D
+        for k, X in low:
+            if k >= d:
+                break
+            if R[d - k]:
+                De = D * E[d - k]
+                terms.append((X, R[d - k], De))
+                if Ed % De:
+                    Ed = lcm(Ed, De)
+        acc: dict = {}
+        get = acc.get
+        for i, v in parts.get(d, ()):
+            acc[i] = d * v * (Ed // D)
+        for X, r, De in terms:
+            scale = Ed // De
+            for i1, v1 in X:
+                v1 *= scale
+                for i2, v2 in r:
+                    acc[i1 + i2] = get(i1 + i2, 0) - v1 * v2
+        g = gcd(Ed, *acc.values()) if Ed != 1 else 1
+        R.append([(i, v // g) for i, v in acc.items() if v])
+        E.append(Ed // g)
+    # the degree-d part of the log is R_d / (d E_d)
+    den = lcm(*[d * e for d, e in enumerate(E) if d])
+    nums = {}
+    for d in range(1, len(R)):
+        scale = den // (d * E[d])
+        for i, v in R[d]:
+            nums[(i, d - i)] = v * scale
+    return _jet(x.context, nums, den)
 
 
 def binomial_pow(x: JetElement, exponent) -> JetElement:
@@ -291,7 +359,7 @@ def binomial_pow(x: JetElement, exponent) -> JetElement:
     for i in range(1, x.context.order):
         power = power * x
         binom = binom * (exponent - (i - 1)) / i
-        if rational_valuation(binom, p) < 0 and binom != 0:
+        if binom.denominator % p == 0:
             raise ArithmeticError(
                 f"binomial coefficient C({exponent}, {i}) is not p-integral"
             )
@@ -306,12 +374,16 @@ def binomial_pow(x: JetElement, exponent) -> JetElement:
 # ---------------------------------------------------------------------------
 
 
+def galois_w(g: GaloisElement, context: JetContext) -> JetElement:
+    """The image of w under g: 1 - (1+u)^c (1-w)."""
+    one = context.one()
+    return one - binomial_pow(context.u(), g.c) * (one - context.w())
+
+
 def galois_act_jet(g: GaloisElement, x: JetElement) -> JetElement:
     """Substitution action: u -> (1+u)^chi - 1, w -> 1 - (1+u)^c (1-w)."""
     ctx = x.context
-    u_img = binomial_pow(ctx.u(), g.chi) - 1
-    w_img = ctx.one() - binomial_pow(ctx.u(), g.c) * (ctx.one() - ctx.w())
-    return x.substitute(u_img, w_img)
+    return x.substitute(binomial_pow(ctx.u(), g.chi) - 1, galois_w(g, ctx))
 
 
 def frobenius_jet(x: JetElement) -> JetElement:
@@ -338,14 +410,15 @@ def frobenius_jet(x: JetElement) -> JetElement:
 def verify_cocycle(g: GaloisElement, context: JetContext) -> bool:
     """Check g(log[pflat]) = log[pflat] + c(g) * t exactly in the jets.
 
-    With y = log1p(-w) and t = log1p(u), the left side expands through
-    g(w) = 1 - (1+u)^c (1-w); equality holds because log(AB) = log A +
-    log B is a formal identity in the truncated free algebra."""
+    With y = log1p(-w) and t = log1p(u), the left side is log1p(-g(w)),
+    g(w) = 1 - (1+u)^c (1-w): y has no u, so substituting g(w) for w in
+    it gives the same truncated sum of -g(w)^j / j.  Equality holds
+    because log(AB) = log A + log B is a formal identity in the truncated
+    free algebra."""
     if context.order < 2:
         raise ValueError("the cocycle needs order >= 2")
     y = context.log_p_flat()
-    t = context.t()
-    return galois_act_jet(g, y) == y + g.c * t
+    return log1p(-galois_w(g, context)) == y + g.c * context.t()
 
 
 def gr_generator_check(m: int, p) -> bool:

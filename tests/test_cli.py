@@ -521,6 +521,63 @@ def test_a_numeric_string_with_an_underscore_is_refused(tmp_path, capsys, bad, m
     assert run_alone_and_in_batch(tmp_path, capsys, bad) == (message, message)
 
 
+@pytest.mark.parametrize(
+    "command, payload, flag, field",
+    [
+        ("tilt", {"p": 3, "op": "theta", "builtin": "omega"}, "--precision", "level"),
+        ("sen", {"p": 7, "level": 0, "matrix": [["50"]]}, "--precision", "precision"),
+        ("jet", {"action": "verify-cocycle", "p": 3, "chi": "2", "c": "1"}, "--order", "order"),
+        ("jet", {"action": "gr-check", "p": 3}, "--m", "m"),
+        ("jet", {"action": "gr-check", "m": 2}, "--p", "p"),
+        ("char", {"lambda": "1", "a": "0"}, "--p", "p"),
+        ("char", _CHARACTER, "--b", "b"),
+    ],
+)
+def test_an_integer_flag_reads_as_its_json_field(tmp_path, capsys, command, payload, flag, field):
+    # argparse's int() read "1_0" as 10, where the JSON field refuses it
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps({**payload, field: "1_0"}))
+    code, from_json = run_json(capsys, command, "--input", str(f))
+    assert code == 2
+    assert from_json["error"] == f"field {field!r} must be an integer, got '1_0'"
+    f.write_text(json.dumps(payload))
+    assert run_json(capsys, command, "--input", str(f), flag, "1_0") == (2, from_json)
+    if flag in ("--precision", "--order"):  # the common flags reach every batch line
+        f.write_text(json.dumps({**payload, "command": command}) + "\n")
+        code, report = run_json(capsys, "batch", "--input", str(f), flag, "1_0")
+        assert code == 2 and report["results"][0]["message"] == from_json["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["char", "classify", "--p", "1_1", "--lambda", "1", "--a", "0"],
+         "field 'p' must be an integer, got '1_1'"),
+        (["jet", "gr-check", "--p", "3", "--m", "1_0"], "field 'm' must be an integer, got '1_0'"),
+        (["jet", "gr-check", "--p", "3", "--m", "x"], "field 'm' must be an integer, got 'x'"),
+    ],
+)
+def test_a_bad_integer_flag_gets_the_json_error(capsys, argv, message):
+    assert run_json(capsys, *argv) == (2, {"schema": cli.SCHEMA, "error": message})
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"command": "jet", "action": "verify-cocycle", "p": 5, "chi": "2", "c": "1/2"}, "order"),
+        ({"command": "jet", "action": "gr-check", "p": 5}, "m"),
+    ],
+)
+def test_jet_orders_past_the_cap_are_refused_before_work(tmp_path, capsys, payload, field):
+    cap = cli.MAX_JET_ORDER
+    message = f"field {field!r} must be at most {cap:,}, got {cap + 1}"
+    start = time.perf_counter()
+    assert run_alone_and_in_batch(tmp_path, capsys, {**payload, field: cap + 1}) == (message, message)
+    assert time.perf_counter() - start < 1
+    code, report = run_json(capsys, "jet", "gr-check", "--p", "5", "--m", str(cap))
+    assert code == 0 and report["generates_graded_piece"] is True
+
+
 def test_an_input_path_that_does_not_exist(tmp_path, capsys):
     path = tmp_path / "absent.json"
     for command in ("herbrand", "batch"):
@@ -847,8 +904,9 @@ def test_every_subcommand_takes_the_common_flags(command):
     args = build_parser().parse_args(
         [command, "--input", "x.json", "--format", "text", "--precision", "7", "--order", "3"]
     )
+    # the integer flags stay strings: the handlers read them as JSON fields
     assert (args.command, args.input, args.format, args.precision, args.order) == (
-        command, "x.json", "text", 7, 3
+        command, "x.json", "text", "7", "3"
     )
 
 

@@ -13,6 +13,7 @@ from period_lab.jets import (
     binomial_pow,
     frobenius_jet,
     galois_act_jet,
+    galois_w,
     gr_generator_check,
     log1p,
     verify_cocycle,
@@ -371,3 +372,64 @@ def test_frobenius_galois_commute_matches_reference(case):
     assert frobenius_galois_commute(g, JetContext(p, order)) == ref.frobenius_galois_commute(
         g, ref.JetContext(p, order)
     )
+
+
+# -- log1p through the Euler operator, the cocycle without substitution, and
+# -- powers that drop terms past the order --------------------------------
+
+
+@st.composite
+def fractional_jet_case(draw):
+    """A context and the coefficients of a jet over a common denominator
+    D > 1 whose lowest total degree is 1 or 2."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    order = draw(st.integers(1, 12))
+    low = draw(st.sampled_from((1, 2)))
+    D = draw(st.integers(2, 12))
+    keys = st.tuples(st.integers(0, order), st.integers(0, order)).filter(lambda k: sum(k) >= low)
+    nums = draw(st.dictionaries(keys, st.integers(-30, 30).filter(bool), max_size=8))
+    nums[(low, 0) if draw(st.booleans()) else (0, low)] = 1
+    return p, order, {k: F(v, D) for k, v in nums.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(fractional_jet_case())
+def test_log1p_matches_reference_over_a_denominator(case):
+    p, order, coeffs = case
+    x, rx = both(p, order, coeffs)
+    assert x.is_zero() or x.den > 1
+    assert log1p(x).coeffs == ref.log1p(rx).coeffs
+    assert log1p(-x).coeffs == ref.log1p(-rx).coeffs
+    zero, rzero = both(p, order, {})
+    assert log1p(zero).coeffs == ref.log1p(rzero).coeffs == {}
+
+
+@st.composite
+def cocycle_case(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    order = draw(st.integers(2, 14))
+    chi = draw(rationals.filter(lambda q: q and q.numerator % p and q.denominator % p))
+    c = draw(st.one_of(st.just(F(1, 2)), rationals).filter(lambda q: q.denominator % p))
+    return p, order, GaloisElement(chi, c, p=p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cocycle_case())
+def test_the_cocycle_left_side_is_the_galois_action(case):
+    # verify_cocycle reads g(log[pflat]) as log1p(-g(w)), which is the
+    # substitution of g into log[pflat] = log1p(-w)
+    p, order, g = case
+    ctx = JetContext(p, order)
+    assert log1p(-galois_w(g, ctx)) == galois_act_jet(g, ctx.log_p_flat())
+    assert verify_cocycle(g, ctx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(jet_case(count=1, order_max=9), rationals.filter(bool))
+def test_powers_match_reference(case, q):
+    p, order, (a,) = case
+    x, rx = both(p, order, a, zero_const=True)
+    y, ry = x + q, rx + q
+    for n in range(order + 2):
+        assert (x**n).coeffs == (rx**n).coeffs
+        assert (y**n).coeffs == (ry**n).coeffs
