@@ -80,6 +80,52 @@ def _int(payload: dict, key: str, default=None) -> int:
     return parse_int(value, key)
 
 
+# Caps on the fields that set how much work a command does, each refused
+# with exit 2 before any work.  Times are of the slowest admitted runs
+# measured on 2 shared cores, in process:
+# - jet order and m: verify-cocycle at p = 5, chi = 2 takes about 0.03 s
+#   at order 1,024 with c = 1 and about 2 s with c = 1/2 or -7/3, where
+#   every degree of (1+u)^c is nonzero (about 10 s at order 2,048);
+#   gr-check takes about 6 ms at m = 1,024
+# - the digits of a jet's chi and c: the time grows with the digits of c,
+#   mostly of its denominator; at order 1,024, p = 5, c = 1/2 takes about
+#   1.5 s, 99/98 about 4 s, 999/998 about 6 s and 999999/999998 about 11 s
+# - tilt level: theta of omega at level 10^6 takes about 0.5 s at p = 3
+#   and 0.6 s at p = 5 (1.1 s at p = 7)
+# - tilt depth: v_flat of omega at depth 10,000 takes about 2 s at p = 3
+#   and 2.7 s at p = 5 (4 s at p = 7)
+# - the probe's level + n_max: it evaluates phi^n(x) at level N for every
+#   n <= n_max, on integers of about N + n p-digits; omega at level and
+#   n_max 4,000 takes 0.6 s at p = 3 and 1.9 s at p = 5, at 5,000 each 4 s
+#   at p = 5, at 20,000 each about 60 s at p = 3
+MAX_JET_ORDER = 1024
+MAX_JET_DIGITS = 3
+MAX_TILT_LEVEL = 1_000_000
+MAX_TILT_DEPTH = 10_000
+MAX_PROBE_LEVEL = 8_000
+
+
+def _int_at_most(payload: dict, key: str, default: int, cap: int) -> int:
+    """The integer field ``key``, or ``default``; a SchemaError past cap."""
+    value = _int(payload, key, default)
+    if value > cap:
+        raise SchemaError(f"field {key!r} must be at most {cap:,}, got {value}")
+    return value
+
+
+def _jet_rational(payload: dict, key: str):
+    """The rational field ``key`` of a jet payload; a SchemaError when its
+    numerator or denominator has more than MAX_JET_DIGITS digits."""
+    x = parse_rational(require(payload, key))
+    bound = 10**MAX_JET_DIGITS
+    if not -bound < x.numerator < bound or x.denominator >= bound:
+        raise SchemaError(
+            f"field {key!r} must have a numerator and a denominator of at most "
+            f"{MAX_JET_DIGITS} digits, got {format_rational(x)}"
+        )
+    return x
+
+
 def _require_prime(payload: dict) -> Prime:
     """The field 'p' as a ``Prime``, which the handler passes on, so that
     its primality is tested once per command."""
@@ -210,9 +256,17 @@ def _valuation_json(v):
 def run_tilt(payload: dict, args):
     prime = _require_prime(payload)
     op = payload.get("op", "theta")
+    # the integer fields of a known op are read and capped before the
+    # expression is
+    if op in ("theta", "generator-check"):
+        level = _int_at_most(payload, "level", 3, MAX_TILT_LEVEL)
+    if op in ("vflat", "generator-check"):
+        depth = _int_at_most(payload, "depth", 3, MAX_TILT_DEPTH)
+    if op == "probe":
+        level = _int_at_most(payload, "level", 3, MAX_PROBE_LEVEL)
+        n_max = _int_at_most(payload, "n_max", 3, MAX_PROBE_LEVEL - max(level, 0))
     expr = _tilt_expr(payload, prime)
     if op == "theta":
-        level = _int(payload, "level", 3)
         value = tilt.theta(expr, level)
         report = {"theta": _theta_json(value)}
         try:
@@ -222,7 +276,6 @@ def run_tilt(payload: dict, args):
             report["is_zero"] = "inexact-teichmuller"
             return report, EXIT_UNDECIDED
     if op == "vflat":
-        depth = _int(payload, "depth", 3)
         res = tilt.vflat_sum(expr, depth)
         report = {
             "values": [_valuation_json(v) for v in res.values],
@@ -234,13 +287,9 @@ def run_tilt(payload: dict, args):
             return report, EXIT_OK
         return report, EXIT_UNDECIDED
     if op == "probe":
-        level = _int(payload, "level", 3)
-        n_max = _int(payload, "n_max", 3)
         report = {"kernel_orbit": tilt.ker_theta_orbit_probe(expr, level, n_max)}
         return report, EXIT_OK
     if op == "generator-check":
-        level = _int(payload, "level", 3)
-        depth = _int(payload, "depth", 3)
         rep = tilt.generator_condition_check(expr, level, depth)
         report = {
             "theta_is_zero": rep.theta_is_zero,
@@ -256,18 +305,14 @@ def run_jet(payload: dict, args):
     action = payload.get("action", "verify-cocycle")
     prime = _require_prime(payload)
     p = prime.p
-    order = _jet_order(payload, "order", 6)
+    order = _int_at_most(payload, "order", 6, MAX_JET_ORDER)
     if action == "verify-cocycle":
-        g = tilt.GaloisElement(
-            parse_rational(require(payload, "chi")),
-            parse_rational(require(payload, "c")),
-            p=p,
-        )
+        g = tilt.GaloisElement(_jet_rational(payload, "chi"), _jet_rational(payload, "c"), p=p)
         ctx = jets.JetContext(prime, order)
         ok = jets.verify_cocycle(g, ctx)
         return {"verified": ok, "order": order, "p": p}, EXIT_OK
     if action == "gr-check":
-        m = _jet_order(payload, "m", order)
+        m = _int_at_most(payload, "m", order, MAX_JET_ORDER)
         ok = jets.gr_generator_check(m, prime)
         return {"generates_graded_piece": ok, "m": m, "p": p}, EXIT_OK
     raise SchemaError(f"unknown jet action {action!r}")
@@ -315,22 +360,6 @@ def _sen_precision(p: int, precision: int) -> int:
         f"sen at p = {p}, precision {precision} would print integers past the "
         f"{MAX_DIGITS:,}-digit cap"
     )
-
-
-# verify-cocycle at p = 5, chi = 2 takes about 0.03 s at order 1,024 with
-# c = 1 and about 2 s with c = 1/2 or -7/3, where every degree of
-# (1+u)^c is nonzero, and about 10 s at order 2,048 with those c;
-# gr-check takes about 6 ms at m = 1,024
-MAX_JET_ORDER = 1024
-
-
-def _jet_order(payload: dict, key: str, default: int) -> int:
-    """The integer field ``key`` of a jet payload; a SchemaError past
-    MAX_JET_ORDER, before any work."""
-    value = _int(payload, key, default)
-    if value > MAX_JET_ORDER:
-        raise SchemaError(f"field {key!r} must be at most {MAX_JET_ORDER:,}, got {value}")
-    return value
 
 
 def run_sen(payload: dict, args):

@@ -17,7 +17,8 @@ that control convergence of divided-power series:
 
 Finally, ``lower_hull`` is the one lower-convex-hull routine of the
 package: ``polygons`` builds on it, and ``padic_poly`` reads a
-polynomial's Newton slopes off it.
+polynomial's Newton slopes off it.  It runs its chain on integers, the
+coordinates scaled over the lcm of their denominators.
 
 Every reduction of a p-integral rational modulo a power of p goes through
 ``residue`` (its class in [0, p^N)) and ``centered`` (the representative
@@ -38,7 +39,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class _Infinity:
@@ -221,9 +222,8 @@ def format_rational(x) -> str:
     is, anything else goes through ``Fraction``."""
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    num, den = x.numerator, x.denominator
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def format_ratio(n: int, d: int) -> str:
@@ -261,15 +261,26 @@ def parse_number(text) -> int | Fraction:
     """A JSON rational as ``parse_rational`` reads it, but an int when it
     is a plain integer: a JSON integer or a string of ASCII digits with an
     optional sign.  A string with an underscore is refused, as Python 3.10's
-    ``Fraction`` refuses it and later versions do not."""
-    if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
-        return text
+    ``Fraction`` refuses it and later versions do not.
+
+    Two shapes skip ``Fraction``'s regular-expression parser: a plain
+    ASCII integer, and an ASCII "n/d" (optional sign, digits, a slash,
+    digits) with a nonzero denominator, which is ``Fraction(n, d)``.  Any
+    other string (a zero denominator, an underscore, an exponent, a
+    non-ASCII digit) takes the general path, so what is accepted and
+    every message are those of that path."""
+    # strings first: an isinstance test against Fraction, an abstract
+    # base class's subclass, costs about as much as the integer path
     if isinstance(text, str):
         literal = text.strip()
-        # a plain ASCII integer skips Fraction's string parser
         digits = literal[1:] if literal[:1] in ("+", "-") else literal
-        if digits.isascii() and digits.isdigit():
-            return int(literal)
+        if digits.isascii():
+            if digits.isdigit():
+                return int(literal)
+            num, slash, den = digits.partition("/")
+            if slash and num.isdigit() and den.isdigit() and den.strip("0"):
+                num = int(num)
+                return Fraction(-num if literal[0] == "-" else num, int(den))
         _check_exponent(literal, text)
         if "_" in literal:
             raise ValueError(f"Invalid literal for Fraction: {literal!r}")
@@ -277,6 +288,8 @@ def parse_number(text) -> int | Fraction:
             return Fraction(literal)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
+    if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
+        return text
     raise ValueError(f"cannot parse rational from {text!r}")
 
 
@@ -359,25 +372,36 @@ def nu(i: int, p) -> int:
 def lower_hull(points: Iterable) -> list:
     """Lower convex hull of finite points, by Andrew's monotone chain.
 
-    Points are (x, y) with exact rational coordinates; the result is the
-    vertex chain left to right with strictly increasing slopes.
+    Points are (x, y) with exact rational coordinates (ints or
+    Fractions); the result is the vertex chain left to right with
+    strictly increasing slopes, each vertex an (x, y) pair of Fractions.
+    The chain runs on integers: x and y are scaled by the lcm of their
+    denominators, which keeps the order of abscissas and the sign of
+    every cross product, and only the lowest point of each abscissa is
+    kept.
     """
-    pts = sorted(set((Fraction(x), Fraction(y)) for x, y in points))
-    # keep only the lowest point for each abscissa
-    best = {}
-    for x, y in pts:
-        if x not in best or y < best[x]:
-            best[x] = y
-    pts = sorted(best.items())
-    hull = []
+    pts = [(as_fraction(x), as_fraction(y)) for x, y in points]
+    dx = lcm(*(x.denominator for x, _ in pts))
+    dy = lcm(*(y.denominator for _, y in pts))
+    # integer abscissa -> (integer ordinate, the point)
+    lowest: dict = {}
     for pt in pts:
+        x, y = pt
+        X = x.numerator * (dx // x.denominator)
+        Y = y.numerator * (dy // y.denominator)
+        prev = lowest.get(X)
+        if prev is None or Y < prev[0]:
+            lowest[X] = (Y, pt)
+    hull = []
+    for X in sorted(lowest):
+        Y, pt = lowest[X]
         while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # drop x2 if it lies on or above the segment x1 -> pt
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+            (X1, Y1, _), (X2, Y2, _) = hull[-2], hull[-1]
+            # drop the middle point if it lies on or above the segment
+            # from the one before it to this one
+            if (Y2 - Y1) * (X - X1) >= (Y - Y1) * (X2 - X1):
                 hull.pop()
             else:
                 break
-        hull.append(pt)
-    return hull
-
+        hull.append((X, Y, pt))
+    return [pt for _, _, pt in hull]

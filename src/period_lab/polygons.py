@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .padic import INF, Record, format_rational, lower_hull
+from .padic import INF, Record, as_fraction, format_rational, lower_hull
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
@@ -50,7 +50,7 @@ class Polygon(Record):
     __slots__ = ("vertices", "left_ray", "right_ray")
 
     def __init__(self, vertices, left_ray=VERTICAL, right_ray=HORIZONTAL):
-        verts = tuple((Fraction(x), Fraction(y)) for x, y in vertices)
+        verts = tuple((as_fraction(x), as_fraction(y)) for x, y in vertices)
         if not verts:
             raise ValueError("a polygon needs at least one vertex")
         # each segment's slope in integers, (y2 - y1) b d f h over

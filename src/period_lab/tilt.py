@@ -14,7 +14,9 @@ the identities handled here (the degree-one generator omega, the infinite
 product factorizations, the evaluation map theta and the tilt valuation).
 
 A term is the flat tuple (coeff, a, c, u, i), and ``TiltExpr.__init__`` is
-the one place that checks and merges terms.  Exponent domains: ``a`` is
+the one place that checks and merges terms, on an integer key (the
+numerators and denominators of a and c): hashing and comparing Fractions
+cost more than the rest of the constructor.  Exponent domains: ``a`` is
 any exact rational (the Galois action sends a to chi*a + c(g)*c, and chi
 may carry a prime-to-p denominator); ``c`` is a nonnegative rational with
 p-power denominator; ``u`` is a nonzero element of characteristic p.
@@ -35,7 +37,13 @@ One evaluation serves every reader: theta(phi^s(x)) at level N, from the
 terms read once per expression.  theta is s = 0, the kernel orbit probe
 runs s = 0, 1, ..., and the depth-n component that v_flat values is
 theta(phi^-n(x)) at level n + k_max, k_max the largest p-exponent of an
-eps-exponent's denominator.
+eps-exponent's denominator.  The rows that evaluation reads hold
+p^k_max a as an int when it is one, from one integer divmod.  A term
+contributes p^(c p^s + i), and a power past p^MAX_P_EXPONENT, which has
+more than ``padic.MAX_DIGITS`` digits at every p, is refused with a
+ValueError before it is formed: otherwise a large pflat exponent or
+p-power index, or the growth of c p^n in the probe, would form integers
+of any size.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from fractions import Fraction
 from .cyclotomic import CycElt, CyclotomicContext
 from .padic import (
     INF,
+    MAX_DIGITS,
     Prime,
     Record,
     SchemaError,
@@ -52,7 +61,7 @@ from .padic import (
     multiplicity,
     parse_int,
     parse_list,
-    parse_rational,
+    parse_number,
     rational_valuation,
     require,
     residue,
@@ -222,6 +231,9 @@ class TiltExpr(Record):
     p-power index i.  The constructor is the one place that checks a term
     (c >= 0 with p-power denominator, u nonzero of characteristic p) and
     merges terms with the same (i, a, c, u), dropping those that cancel.
+    Terms are merged and sorted on the integer key (i, numerator and
+    denominator of a, of c, u's reduced polynomial, u's degree): a
+    canonical order, though not the order of a as a rational.
     The index i must be >= 0 for expressions asserted to be integral
     (checked by the operations that need integrality, not here).
     """
@@ -232,10 +244,12 @@ class TiltExpr(Record):
         if isinstance(prime, int):
             prime = Prime(prime)
         p = prime.p
+        # keyed and sorted on integers: hashing and comparing Fractions
+        # cost more than the rest of the constructor
         merged: dict = {}
         for coeff, a, c, u, i in terms:
             a, c = as_fraction(a), as_fraction(c)
-            if c < 0:
+            if c.numerator < 0:
                 raise ValueError("pflat exponent must be nonnegative")
             if not _is_p_power(c.denominator, p):
                 raise ValueError("pflat exponent denominator must be a power of p")
@@ -243,13 +257,13 @@ class TiltExpr(Record):
                 raise ValueError("Teichmueller part must be nonzero")
             if u.p != p:
                 raise ValueError("monomial field characteristic mismatch")
-            key = (i, a, c, u.poly, u.f)
+            key = (i, a.numerator, a.denominator, c.numerator, c.denominator, u.poly, u.f)
             prev = merged.get(key)
-            merged[key] = (int(coeff) + prev[0], u) if prev else (int(coeff), u)
+            merged[key] = (int(coeff) + prev[0], a, c, u) if prev else (int(coeff), a, c, u)
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "terms", tuple(
-            (coeff, a, c, u, i)
-            for (i, a, c, _, _), (coeff, u) in sorted(merged.items())
+            (coeff, a, c, u, key[0])
+            for key, (coeff, a, c, u) in sorted(merged.items())
             if coeff
         ))
 
@@ -386,18 +400,20 @@ def _parse_terms(p: int, items):
     for n, it in enumerate(items):
         if not isinstance(it, dict):
             raise SchemaError(f"each term of 'expr' must be a JSON object, got {it!r}")
-        where = f"expr[{n}]"
         u = it.get("u")
         if u is not None:
-            poly = parse_list(require(u, "poly", f"{where}.u"), "poly")
+            poly = parse_list(require(u, "poly", f"expr[{n}].u"), "poly")
             poly = [parse_int(x, "poly") for x in poly]
-            u = FqElement(p, parse_int(require(u, "f", f"{where}.u"), "f"), poly)
+            u = FqElement(p, parse_int(require(u, "f", f"expr[{n}].u"), "f"), poly)
         else:
             u = one
+        # a field is read directly; ``require`` runs only to name a missing
+        # one, and ``a`` and ``c`` become Fractions in the constructor
         yield (
-            parse_int(require(it, "coeff", where), "coeff"),
-            parse_rational(require(it, "a", where)),
-            parse_rational(require(it, "c", where)),
+            parse_int(it["coeff"] if "coeff" in it else require(it, "coeff", f"expr[{n}]"),
+                      "coeff"),
+            parse_number(it["a"] if "a" in it else require(it, "a", f"expr[{n}]")),
+            parse_number(it["c"] if "c" in it else require(it, "c", f"expr[{n}]")),
             u,
             parse_int(it.get("p_power", 0), "p_power"),
         )
@@ -458,13 +474,17 @@ def _theta_rows(x: TiltExpr):
     """
     p = x.p
     k_max = max((multiplicity(a.denominator, p) for _, a, _, _, _ in x.terms), default=0)
+    scale = p**k_max
     rows = []
     for coeff, a, c, u, i in x.terms:
-        a = a * p**k_max
+        # a p^k_max in one integer divmod; a Fraction only when it is not
+        # an integer
+        a_num = a.numerator * scale
+        q, r = divmod(a_num, a.denominator)
         sign, key = _teich_contribution(u)
         rows.append((
             coeff * sign,
-            a.numerator if a.denominator == 1 else a,
+            Fraction(a_num, a.denominator) if r else q,
             c.numerator,
             c.denominator,
             u if key is not None and u.f > 1 else key,
@@ -473,15 +493,22 @@ def _theta_rows(x: TiltExpr):
     return p, k_max, rows
 
 
+# the largest e with 2^e below 10^MAX_DIGITS: at every p, a power p^e with
+# |e| past it has more than MAX_DIGITS digits.  theta refuses to form one:
+# the p-exponent c p^s + i of a term grows with the pflat exponent c, the
+# p-power index i and, in the kernel orbit probe, as p^n
+MAX_P_EXPONENT = (10**MAX_DIGITS).bit_length() - 1
+
+
 def _theta_shifted(p: int, k_max: int, rows, N: int, s: int) -> GradedThetaValue:
     """theta(phi^s(x)) at level N from the rows of x, for any integer s.
 
     eps^a (pflat)^c [u] p^i contributes z^E, z of order p^N and E =
     (p^k_max a) p^(N + s - k_max) mod p^N; times p^(c p^s + i), one divmod
-    of c p^s giving the integer power and the fractional part that keys
-    the Kummer piece; times [u^(p^s)], which moves only when f > 1 and
-    u != 1.  Each piece's exponent -> coefficient map is summed in one
-    pass, then reduced once.
+    of c p^s (none when c = 0) giving the integer power and the fractional
+    part that keys the Kummer piece; times [u^(p^s)], which moves only
+    when f > 1 and u != 1.  Each piece's exponent -> coefficient map is
+    summed in one pass, then reduced once.
     """
     if N < 0:
         raise ValueError(f"level must be nonnegative, got {N}")
@@ -499,11 +526,23 @@ def _theta_shifted(p: int, k_max: int, rows, N: int, s: int) -> GradedThetaValue
                 raise ExponentTooFineError(
                     f"exponent {Fraction(a, p**k_max)} is finer than the evaluation level {N}"
                 )
-        q, r = divmod(c_num * up, c_den * down)
+        if c_num:
+            e, r = divmod(c_num * up, c_den * down)
+            frac = Fraction(r, c_den * down) if r else 0
+            e += i
+        else:
+            frac, e = 0, i
         if isinstance(teich, FqElement):
             teich = _teich_contribution(teich.frobenius(s))[1]
-        e = q + i
-        coeffs = gathered.setdefault((Fraction(r, c_den * down) if r else 0, teich), {})
+        if not -MAX_P_EXPONENT <= e <= MAX_P_EXPONENT:
+            raise ValueError(
+                f"theta would form a power of p past p^{MAX_P_EXPONENT:,}, "
+                f"which has more than {MAX_DIGITS:,} digits"
+            )
+        key = (frac, teich)
+        coeffs = gathered.get(key)
+        if coeffs is None:
+            coeffs = gathered[key] = {}
         coeffs[E] = coeffs.get(E, 0) + (scale * p**e if e >= 0 else Fraction(scale, p**-e))
     ctx = CyclotomicContext(p, N)
     pieces = {key: CycElt(ctx, c) for key, c in gathered.items()}
@@ -550,19 +589,27 @@ def _component_value(value: GradedThetaValue, n: int):
     """(value, conclusive) for p^n * v_p of the depth-n component, whose
     graded value is ``value``: the least piece valuation below 1, INF when
     none is (a lift valuation >= 1 means the component vanishes mod p, as
-    the residue ring truncates there)."""
-    candidates = []
+    the residue ring truncates there).  A piece's valuation plus its
+    fractional p-exponent is kept as an integer pair (num, den), and pairs
+    compare by cross-multiplication."""
+    best = None  # (num, den, key) of the least candidate
+    tied = False
     for (frac, key), elt in value.pieces.items():
         v = elt.vp()
-        if v is not INF and v + frac < 1:
-            candidates.append((v + frac, key))
-    if not candidates:
+        if v is INF:
+            continue
+        vd, fd = v.denominator, frac.denominator
+        num, den = v.numerator * fd + frac.numerator * vd, vd * fd
+        if num >= den:
+            continue
+        if best is None or num * best[1] < best[0] * den:
+            best, tied = (num, den, key), False
+        elif num * best[1] == best[0] * den:
+            tied = True
+    if best is None:
         return INF, True
-    candidates.sort(key=lambda t: t[0])
-    best_v, best_key = candidates[0]
-    tied = len(candidates) > 1 and candidates[1][0] == best_v
-    conclusive = (not tied) and best_key is None
-    return Fraction(value.context.p) ** n * best_v, conclusive
+    num, den, key = best
+    return Fraction(value.context.p**n * num, den), not tied and key is None
 
 
 def vflat_sum(x: TiltExpr, depth: int) -> VflatResult:

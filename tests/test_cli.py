@@ -578,6 +578,46 @@ def test_jet_orders_past_the_cap_are_refused_before_work(tmp_path, capsys, paylo
     assert code == 0 and report["generates_graded_piece"] is True
 
 
+@pytest.mark.parametrize(
+    "payload, field, cap",
+    [
+        ({"op": "theta", "builtin": "omega"}, "level", cli.MAX_TILT_LEVEL),
+        ({"op": "generator-check", "builtin": "omega"}, "level", cli.MAX_TILT_LEVEL),
+        ({"op": "vflat", "builtin": "omega"}, "depth", cli.MAX_TILT_DEPTH),
+        ({"op": "generator-check", "builtin": "omega"}, "depth", cli.MAX_TILT_DEPTH),
+        ({"op": "probe", "builtin": "omega"}, "level", cli.MAX_PROBE_LEVEL),
+        # the probe caps level + n_max
+        ({"op": "probe", "builtin": "omega", "level": 3}, "n_max", cli.MAX_PROBE_LEVEL - 3),
+        ({"op": "probe", "builtin": "omega", "level": 0}, "n_max", cli.MAX_PROBE_LEVEL),
+        # read before the expression, which is not parsed
+        ({"op": "vflat", "expr": "not a term list"}, "depth", cli.MAX_TILT_DEPTH),
+    ],
+)
+def test_tilt_fields_past_their_cap_are_refused_before_work(tmp_path, capsys, payload, field, cap):
+    message = f"field {field!r} must be at most {cap:,}, got {cap + 1}"
+    start = time.perf_counter()
+    bad = {"command": "tilt", "p": 5, **payload, field: cap + 1}
+    assert run_alone_and_in_batch(tmp_path, capsys, bad) == (message, message)
+    assert time.perf_counter() - start < 1
+
+
+def test_jet_rationals_past_the_digit_cap_are_refused(tmp_path, capsys):
+    """verify-cocycle's time grows with the digits of c and chi, which are
+    capped; at the cap a small order still answers."""
+    line = {"command": "jet", "action": "verify-cocycle", "p": 5, "order": 1024}
+    for chi, c, field, shown in (("2", "1/1000", "c", "1/1000"), ("2", "-1000", "c", "-1000"),
+                                 ("1001/3", "1", "chi", "1001/3")):
+        message = (f"field {field!r} must have a numerator and a denominator of at most "
+                   f"3 digits, got {shown}")
+        start = time.perf_counter()
+        bad = {**line, "chi": chi, "c": c}
+        assert run_alone_and_in_batch(tmp_path, capsys, bad) == (message, message)
+        assert time.perf_counter() - start < 1
+    code, report = run_json(capsys, "jet", "--p", "5", "--order", "6", "--chi=-998/997",
+                            "--c=-999/998")
+    assert code == 0 and report["verified"] is True
+
+
 def test_an_input_path_that_does_not_exist(tmp_path, capsys):
     path = tmp_path / "absent.json"
     for command in ("herbrand", "batch"):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import padic_reference
 from period_lab.characters import SenInput
 from period_lab.cyclotomic import CyclotomicContext
 from period_lab.padic import (
@@ -20,8 +21,10 @@ from period_lab.padic import (
     centered,
     factorial_valuation,
     format_rational,
+    lower_hull,
     nu,
     parse_int,
+    parse_number,
     parse_rational,
     rational_valuation,
     residue,
@@ -350,6 +353,74 @@ def test_parse_rational_matches_the_fraction_parser(text):
     else:
         got = parse_rational(text)
         assert got == want and type(got) is F
+
+
+# ASCII "n/d" literals, the shape parse_number reads without Fraction's
+# parser: signs, leading zeros, zero numerators and denominators, spaces
+_SLASHED = st.builds(
+    "{}{}{}{}/{}{}".format,
+    st.sampled_from(["", " ", "\t", "\u00a0"]),
+    st.sampled_from(["", "+", "-"]),
+    st.sampled_from(["", "0", "00"]),
+    st.integers(0, 10**30).map(str),
+    st.one_of(st.integers(0, 10**30).map(str), st.sampled_from(["0", "00", "007", "1"])),
+    st.sampled_from(["", " ", "\n"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SLASHED)
+@example("-0/5")
+@example(" +007/010 ")
+@example("-" + "9" * 4301 + "/3")
+@example("1/" + "9" * 4301)
+@example("1/0")
+@example("-3/000")
+@example("1_0/3")
+@example("\u0661/\u0662")
+@example("3/\u00b2")
+@example("1/2/3")
+@example("/3")
+@example("3/")
+def test_parse_number_reads_n_over_d_as_the_fraction_parser(text):
+    """The n/d shortcut gives Fraction's value, and any string it passes
+    on (a zero denominator, an underscore, a non-ASCII digit, which
+    Fraction reads) gets that parser's value or message."""
+    try:
+        want = _fraction_parse(text)
+    except ValueError as error:
+        with pytest.raises(ValueError) as got:
+            parse_number(text)
+        assert str(got.value) == str(error)
+    else:
+        got = parse_number(text)
+        assert got == want and type(got) is F
+
+
+def _nearby_points():
+    """Rational points from a small grid, so that abscissas repeat and
+    runs of points are collinear."""
+    coordinate = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
+    return st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    _nearby_points(),
+    _nearby_points().map(lambda pts: [(F(x.numerator), y) for x, y in pts]),
+    st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=12),
+    st.tuples(st.fractions(), st.fractions()).map(lambda pt: [pt]),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=9).map(
+        lambda xs: [(x, 2 * x + 1) for x in xs] + [(F(1, 2), F(2))]),
+))
+def test_lower_hull_matches_the_fraction_chain(points):
+    """The chain on integers gives the Fraction chain's vertices, as
+    Fraction pairs, on points with repeated abscissas, duplicates,
+    collinear runs and single points."""
+    got = lower_hull(points)
+    assert got == padic_reference.lower_hull(points)
+    assert all(type(x) is F and type(y) is F for x, y in got)
+    assert lower_hull(points + points[:3]) == got
 
 
 def test_exponent_literals_are_refused_past_the_digit_cap():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tilt_reference as ref
+from period_lab import tilt
 from period_lab.padic import INF, multiplicity, residue
 from period_lab.tilt import (
     ExponentTooFineError,
@@ -532,3 +534,57 @@ def test_rewritten_terms_build_the_merged_sum(case):
             theta(y, depth)
         return
     assert theta(y, depth).pieces == want.pieces
+
+
+@st.composite
+def raw_terms(draw):
+    """(p, terms): up to 30 unmerged terms from small ranges, so that
+    terms share keys and cancel: eps-exponents ints or Fractions over
+    1, p or p^2, pflat exponents with numerators 0 to 2 over the same
+    denominators (1/p and 1/p^2 share a numerator), Teichmueller parts
+    from ``teichmuller_unit`` and p-power indices 0 to 2."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    terms = []
+    for _ in range(draw(st.integers(0, 30))):
+        a = F(draw(st.integers(-3, 3)), p ** draw(st.integers(0, 2)))
+        if a.denominator == 1 and draw(st.booleans()):
+            a = a.numerator
+        c = F(draw(st.integers(0, 2)), p ** draw(st.integers(0, 2)))
+        u = draw(teichmuller_unit(p))
+        terms.append((draw(st.integers(-2, 2)), a, c, u, draw(st.integers(0, 2))))
+    return p, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_terms(), st.randoms(use_true_random=False))
+def test_tilt_expr_merges_as_the_fraction_keyed_reference(case, rnd):
+    """The integer-keyed merge keeps the terms of the Fraction-keyed one,
+    as a multiset, with a and c as Fractions; the input order does not
+    change the stored terms, the equality or the hash."""
+    p, terms = case
+    x = TiltExpr(p, terms)
+    assert Counter(x.terms) == Counter(ref.merge_terms(terms))
+    assert all(type(a) is F and type(c) is F for _, a, c, _, _ in x.terms)
+    shuffled = list(terms)
+    rnd.shuffle(shuffled)
+    y = TiltExpr(p, shuffled)
+    assert y.terms == x.terms and y == x and hash(y) == hash(x)
+
+
+def test_theta_refuses_a_p_power_past_the_digit_cap():
+    """theta forms p^(c p^s + i) per term: a p-power index, a pflat
+    exponent or, in the probe, n past the cap is refused before the power
+    is formed, and the largest admitted power still evaluates."""
+    cap = tilt.MAX_P_EXPONENT
+    assert 2**cap < 10**4300 < 2 ** (cap + 1)
+    message = r"^theta would form a power of p past p\^14,284, which has more than 4,300 digits$"
+    for x in (TiltExpr._term(2, i=cap + 1), TiltExpr._term(3, i=-cap - 1),
+              TiltExpr._term(2, c=cap + 1)):
+        with pytest.raises(ValueError, match=message):
+            theta(x, 1)
+    assert theta(TiltExpr._term(2, i=cap), 1).pieces[(0, None)].coeffs == {0: 2**cap}
+    # p^(p^n) - p at p = 2: 2^(2^13) is admitted, 2^(2^14) is not
+    x = TiltExpr.p_flat_minus_p(2)
+    assert ker_theta_orbit_probe(x, 1, 13) == [True] + [False] * 13
+    with pytest.raises(ValueError, match=message):
+        ker_theta_orbit_probe(x, 1, 14)

@@ -16,7 +16,8 @@ Galois substitution ``substitute``.
 
 ``expr_to_json`` writes an expression as the term list that
 ``TiltExpr.from_json`` reads, for the round-trip tests; no command prints
-one.
+one.  ``merge_terms`` merges a term list on Fraction keys, as the
+constructor did before it keyed terms by integers.
 """
 
 from __future__ import annotations
@@ -158,3 +159,14 @@ def expr_to_json(x) -> list:
          "p_power": i}
         for coeff, a, c, u, i in x.terms
     ]
+
+
+def merge_terms(terms) -> list:
+    """The terms (coeff, a, c, u, i) of a formal sum merged as
+    ``TiltExpr`` merged them before its integer key: keyed by (i, a, c,
+    u) with a and c as Fractions, the terms that cancel dropped."""
+    merged: dict = {}
+    for coeff, a, c, u, i in terms:
+        key = (i, Fraction(a), Fraction(c), u)
+        merged[key] = merged.get(key, 0) + coeff
+    return [(coeff, a, c, u, i) for (i, a, c, u), coeff in merged.items() if coeff]
