@@ -2,9 +2,11 @@
 
 Subcommands: herbrand, polygon, tilt, jet, phimod, char, sen, batch.
 Input is JSON (``--input FILE`` or ``-`` for stdin; the jet and char
-commands also accept everything through flags).  A flag that is given
-sets its payload field (``FLAGS``), over the input and over each line of
-a batch file; integer fields take a JSON integer or an integer string.
+commands also accept everything through flags).  The flags are declared
+once, in the tables ``COMMON_FLAGS``, ``FLAGS`` and ``ACTIONS`` that
+build the parser; a flag that is given sets its payload field, over the
+input and over each line of a batch file; integer fields take a JSON
+integer or an integer string.
 Reports are JSON by default (deterministic: sorted keys, no timestamps,
 schema version embedded) or plain text with ``--format text``.
 
@@ -74,43 +76,29 @@ def _parse_json(text: str, name: str) -> dict:
     return payload
 
 
-def _int(payload: dict, key: str, default=None) -> int:
-    """An integer field; required when it has no default."""
-    value = require(payload, key) if default is None else payload.get(key, default)
-    return parse_int(value, key)
+def _int(payload: dict, key: str, default=None, cap=None) -> int:
+    """An integer field; required when it has no default, refused past cap."""
+    value = parse_int(require(payload, key) if default is None else payload.get(key, default), key)
+    if cap is not None and value > cap:
+        raise SchemaError(f"field {key!r} must be at most {cap:,}, got {value}")
+    return value
 
 
 # Caps on the fields that set how much work a command does, each refused
-# with exit 2 before any work.  Times are of the slowest admitted runs
-# measured on 2 shared cores, in process:
-# - jet order and m: verify-cocycle at p = 5, chi = 2 takes about 0.03 s
-#   at order 1,024 with c = 1 and about 2 s with c = 1/2 or -7/3, where
-#   every degree of (1+u)^c is nonzero (about 10 s at order 2,048);
-#   gr-check takes about 6 ms at m = 1,024
-# - the digits of a jet's chi and c: the time grows with the digits of c,
-#   mostly of its denominator; at order 1,024, p = 5, c = 1/2 takes about
-#   1.5 s, 99/98 about 4 s, 999/998 about 6 s and 999999/999998 about 11 s
-# - tilt level: theta of omega at level 10^6 takes about 0.5 s at p = 3
-#   and 0.6 s at p = 5 (1.1 s at p = 7)
-# - tilt depth: v_flat of omega at depth 10,000 takes about 2 s at p = 3
-#   and 2.7 s at p = 5 (4 s at p = 7)
-# - the probe's level + n_max: it evaluates phi^n(x) at level N for every
-#   n <= n_max, on integers of about N + n p-digits; omega at level and
-#   n_max 4,000 takes 0.6 s at p = 3 and 1.9 s at p = 5, at 5,000 each 4 s
-#   at p = 5, at 20,000 each about 60 s at p = 3
+# with exit 2 before any work; the README's table of caps gives the
+# slowest admitted run of each, measured on 2 cores.  A jet's time grows
+# with its order and with the digits of c, mostly of its denominator.  The
+# tilt caps hold at every admitted p: v_flat's cost per depth grows about
+# as p^2 at large p (0.5 s at depth 3 at p = 1,009, 7.5 s at depth 1 at
+# p = 4,001), past what a depth cap scaled by p's bit length would bound.
+# The probe evaluates phi^n(x) at level N for every n <= n_max, each on
+# integers of N p-digits, so level and n_max share one cap.
 MAX_JET_ORDER = 1024
 MAX_JET_DIGITS = 3
+MAX_TILT_P = 7
 MAX_TILT_LEVEL = 1_000_000
 MAX_TILT_DEPTH = 10_000
 MAX_PROBE_LEVEL = 8_000
-
-
-def _int_at_most(payload: dict, key: str, default: int, cap: int) -> int:
-    """The integer field ``key``, or ``default``; a SchemaError past cap."""
-    value = _int(payload, key, default)
-    if value > cap:
-        raise SchemaError(f"field {key!r} must be at most {cap:,}, got {value}")
-    return value
 
 
 def _jet_rational(payload: dict, key: str):
@@ -126,10 +114,10 @@ def _jet_rational(payload: dict, key: str):
     return x
 
 
-def _require_prime(payload: dict) -> Prime:
-    """The field 'p' as a ``Prime``, which the handler passes on, so that
-    its primality is tested once per command."""
-    p = _int(payload, "p")
+def _require_prime(payload: dict, cap=None) -> Prime:
+    """The field 'p', at most ``cap``, as a ``Prime``, which the handler
+    passes on, so that its primality is tested once per command."""
+    p = _int(payload, "p", cap=cap)
     try:
         return Prime(p)
     except ValueError:
@@ -166,16 +154,18 @@ def run_herbrand(payload: dict, args):
 _DIGIT_LIMIT = 10**MAX_DIGITS
 
 
+def _below_digit_cap(p: int, e: int, factor: int = 1) -> bool:
+    """Whether p^e * factor, factor >= 1, is below 10^MAX_DIGITS; p^e is
+    not formed when p^e >= 2^((bits - 1) e) is already past the limit."""
+    return e * (p.bit_length() - 1) < _DIGIT_LIMIT.bit_length() and p ** max(e, 0) * factor < _DIGIT_LIMIT
+
+
 def _ladder_window(p: int, lo, hi) -> tuple:
     """The window ends as rationals; a SchemaError when the window would
     print an integer of more than MAX_DIGITS digits."""
     lo, hi = parse_rational(lo), parse_rational(hi)
     E = max(math.ceil(hi), 1 - math.floor(lo))
-    # p^E >= 2^((bits - 1) E) is past the limit without forming p^E
-    if (
-        E * (p.bit_length() - 1) >= _DIGIT_LIMIT.bit_length()
-        or p**E * lo.denominator * hi.denominator >= _DIGIT_LIMIT
-    ):
+    if not _below_digit_cap(p, E, lo.denominator * hi.denominator):
         raise SchemaError(
             f"polygon window [{format_rational(lo)}, {format_rational(hi)}] at p = {p} "
             f"would print integers past the {MAX_DIGITS:,}-digit cap"
@@ -254,17 +244,17 @@ def _valuation_json(v):
 
 
 def run_tilt(payload: dict, args):
-    prime = _require_prime(payload)
+    prime = _require_prime(payload, MAX_TILT_P)
     op = payload.get("op", "theta")
     # the integer fields of a known op are read and capped before the
     # expression is
     if op in ("theta", "generator-check"):
-        level = _int_at_most(payload, "level", 3, MAX_TILT_LEVEL)
+        level = _int(payload, "level", 3, cap=MAX_TILT_LEVEL)
     if op in ("vflat", "generator-check"):
-        depth = _int_at_most(payload, "depth", 3, MAX_TILT_DEPTH)
+        depth = _int(payload, "depth", 3, cap=MAX_TILT_DEPTH)
     if op == "probe":
-        level = _int_at_most(payload, "level", 3, MAX_PROBE_LEVEL)
-        n_max = _int_at_most(payload, "n_max", 3, MAX_PROBE_LEVEL - max(level, 0))
+        level = _int(payload, "level", 3, cap=MAX_PROBE_LEVEL)
+        n_max = _int(payload, "n_max", 3, cap=MAX_PROBE_LEVEL - max(level, 0))
     expr = _tilt_expr(payload, prime)
     if op == "theta":
         value = tilt.theta(expr, level)
@@ -305,14 +295,14 @@ def run_jet(payload: dict, args):
     action = payload.get("action", "verify-cocycle")
     prime = _require_prime(payload)
     p = prime.p
-    order = _int_at_most(payload, "order", 6, MAX_JET_ORDER)
+    order = _int(payload, "order", 6, cap=MAX_JET_ORDER)
     if action == "verify-cocycle":
         g = tilt.GaloisElement(_jet_rational(payload, "chi"), _jet_rational(payload, "c"), p=p)
         ctx = jets.JetContext(prime, order)
         ok = jets.verify_cocycle(g, ctx)
         return {"verified": ok, "order": order, "p": p}, EXIT_OK
     if action == "gr-check":
-        m = _int_at_most(payload, "m", order, MAX_JET_ORDER)
+        m = _int(payload, "m", order, cap=MAX_JET_ORDER)
         ok = jets.gr_generator_check(m, prime)
         return {"generates_graded_piece": ok, "m": m, "p": p}, EXIT_OK
     raise SchemaError(f"unknown jet action {action!r}")
@@ -349,12 +339,12 @@ def run_char(payload: dict, args):
 def _sen_precision(p: int, precision: int) -> int:
     """The precision; a SchemaError when the operator would print an
     integer of more than MAX_DIGITS digits.  Every printed numerator and
-    denominator is below p^(precision + V), V as in
+    denominator is below p^(precision + V), V >= 0 as in
     ``characters.log_series_length``, which the check reads only once
     p^precision itself is known to be below the cap."""
-    if precision * (p.bit_length() - 1) < _DIGIT_LIMIT.bit_length():
+    if _below_digit_cap(p, precision):
         V = characters.log_series_length(p, precision)[1]
-        if p ** max(precision + V, 0) < _DIGIT_LIMIT:
+        if _below_digit_cap(p, precision + V):
             return precision
     raise SchemaError(
         f"sen at p = {p}, precision {precision} would print integers past the "
@@ -382,24 +372,36 @@ def run_sen(payload: dict, args):
     return report, code
 
 
+# in the order that --help lists the subcommands, batch last
 HANDLERS = {
     "herbrand": run_herbrand,
     "polygon": run_polygon,
+    "phimod": run_phimod,
+    "sen": run_sen,
     "tilt": run_tilt,
     "jet": run_jet,
-    "phimod": run_phimod,
     "char": run_char,
-    "sen": run_sen,
 }
 
-# the payload field each command-line flag sets, per command; a flag that
-# is given wins over the input
+# The command line, declared once; build_parser, _run and main read it.
+# COMMON_FLAGS: every subcommand's flags and their argparse options (the
+# integer flags stay strings, read like the JSON field they set).  FLAGS:
+# the payload field each flag sets, per command, over the input; "action"
+# is the positional.  ACTIONS: its choices, for the commands that take
+# their whole input from flags when --input is absent.
+COMMON_FLAGS = {
+    "input": {"help": "JSON input: file path or '-' for stdin"},
+    "format": {"choices": ("json", "text"), "default": "json"},
+    "precision": {},
+    "order": {},
+}
 FLAGS = {
     "tilt": {"precision": "level"},
     "sen": {"precision": "precision"},
     "jet": {"action": "action", "order": "order", "p": "p", "chi": "chi", "c": "c", "m": "m"},
-    "char": {"action": "op", "p": "p", "lam": "lambda", "a": "a", "b": "b"},
+    "char": {"action": "op", "p": "p", "lambda": "lambda", "a": "a", "b": "b"},
 }
+ACTIONS = {"jet": ("verify-cocycle", "gr-check"), "char": ("classify", "multiply")}
 
 
 def _run(command: str, payload: dict, args):
@@ -533,34 +535,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact computations around p-adic period rings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # the flags every subcommand takes, declared once
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="JSON input: file path or '-' for stdin")
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    # the integer flags are strings that the handler reads like the JSON
-    # field they set (padic.parse_int), with the same error
-    common.add_argument("--precision")
-    common.add_argument("--order")
-
-    for name in ("herbrand", "polygon", "phimod", "sen", "tilt"):
-        sub.add_parser(name, parents=[common])
-
-    jet_p = sub.add_parser("jet", parents=[common])
-    jet_p.add_argument("action", nargs="?", choices=("verify-cocycle", "gr-check"))
-    jet_p.add_argument("--p")
-    jet_p.add_argument("--chi")
-    jet_p.add_argument("--c")
-    jet_p.add_argument("--m")
-
-    char_p = sub.add_parser("char", parents=[common])
-    char_p.add_argument("action", nargs="?", choices=("classify", "multiply"))
-    char_p.add_argument("--p")
-    char_p.add_argument("--lambda", dest="lam")
-    char_p.add_argument("--a")
-    char_p.add_argument("--b")
-
-    sub.add_parser("batch", parents=[common])
+    for flag, options in COMMON_FLAGS.items():
+        common.add_argument("--" + flag, **options)
+    for name in (*HANDLERS, "batch"):
+        command = sub.add_parser(name, parents=[common])
+        if name in ACTIONS:
+            command.add_argument("action", nargs="?", choices=ACTIONS[name])
+        for flag in FLAGS.get(name, ()):
+            if flag not in COMMON_FLAGS and flag != "action":
+                command.add_argument("--" + flag)
     return parser
 
 
@@ -577,7 +561,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "batch":
             return run_batch(args)
-        if args.command in ("jet", "char") and not args.input:
+        if args.command in ACTIONS and not args.input:
             payload = {}  # everything comes from the flags
         else:
             payload = _parse_json(_read_input(args), "<stdin>" if args.input == "-" else args.input)

@@ -514,12 +514,15 @@ def _theta_shifted(p: int, k_max: int, rows, N: int, s: int) -> GradedThetaValue
         raise ValueError(f"level must be nonnegative, got {N}")
     t = N + s - k_max
     modulus = p**N
-    lift = p**t if t >= 0 else 0  # 0: a goes through residue
+    # p^t mod p^N, which is 0 once t >= N, so that E stays below p^N;
+    # None: a goes through residue
+    lift = None if t < 0 else p**t if t < N else 0
     up, down = (p**s, 1) if s >= 0 else (1, p**-s)
     gathered: dict = {}
     for scale, a, c_num, c_den, teich, i in rows:
-        if lift and type(a) is int:
-            E = a * lift % modulus
+        if lift is not None:
+            # a is p-integral: its denominator is prime to p
+            E = (a if type(a) is int else residue(a, p, N)) * lift % modulus
         else:
             E = residue(a * Fraction(p) ** t, p, N)
             if E is None:

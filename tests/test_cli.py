@@ -591,6 +591,10 @@ def test_jet_orders_past_the_cap_are_refused_before_work(tmp_path, capsys, paylo
         ({"op": "probe", "builtin": "omega", "level": 0}, "n_max", cli.MAX_PROBE_LEVEL),
         # read before the expression, which is not parsed
         ({"op": "vflat", "expr": "not a term list"}, "depth", cli.MAX_TILT_DEPTH),
+        # p is read first, before the other fields and before primality
+        ({"op": "theta", "builtin": "omega"}, "p", cli.MAX_TILT_P),
+        ({"op": "vflat", "expr": "not a term list", "depth": 10**9}, "p", cli.MAX_TILT_P),
+        ({"op": "probe", "builtin": "omega", "level": 4000, "n_max": 4000}, "p", cli.MAX_TILT_P),
     ],
 )
 def test_tilt_fields_past_their_cap_are_refused_before_work(tmp_path, capsys, payload, field, cap):
@@ -599,6 +603,17 @@ def test_tilt_fields_past_their_cap_are_refused_before_work(tmp_path, capsys, pa
     bad = {"command": "tilt", "p": 5, **payload, field: cap + 1}
     assert run_alone_and_in_batch(tmp_path, capsys, bad) == (message, message)
     assert time.perf_counter() - start < 1
+
+
+def test_tilt_refuses_the_first_prime_past_its_cap(tmp_path, capsys):
+    # v_flat's cost per depth grows about as p^2; the cap itself answers
+    message = f"field 'p' must be at most {cli.MAX_TILT_P}, got 11"
+    bad = {"command": "tilt", "p": 11, "op": "generator-check", "builtin": "omega"}
+    assert run_alone_and_in_batch(tmp_path, capsys, bad) == (message, message)
+    f = tmp_path / "tilt.json"
+    f.write_text(json.dumps({"p": cli.MAX_TILT_P, "op": "generator-check", "builtin": "omega"}))
+    code, report = run_json(capsys, "tilt", "--input", str(f))
+    assert code == 0 and report["passes"] is True
 
 
 def test_jet_rationals_past_the_digit_cap_are_refused(tmp_path, capsys):
@@ -950,6 +965,93 @@ def test_every_subcommand_takes_the_common_flags(command):
     )
 
 
+# the parser's surface before the flags were declared in one table: per
+# subcommand, in --help's order, each argument's option strings, choices,
+# default and nargs after the help flag and the common flags
+_COMMON_SURFACE = [
+    (["--input"], None, None, None),
+    (["--format"], ("json", "text"), "json", None),
+    (["--precision"], None, None, None),
+    (["--order"], None, None, None),
+]
+_SURFACE = {
+    "herbrand": [], "polygon": [], "phimod": [], "sen": [], "tilt": [],
+    "jet": [([], ("verify-cocycle", "gr-check"), None, "?"), (["--p"], None, None, None),
+            (["--chi"], None, None, None), (["--c"], None, None, None), (["--m"], None, None, None)],
+    "char": [([], ("classify", "multiply"), None, "?"), (["--p"], None, None, None),
+             (["--lambda"], None, None, None), (["--a"], None, None, None), (["--b"], None, None, None)],
+    "batch": [],
+}
+
+
+def test_the_parser_surface_is_unchanged():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_SURFACE)
+    for name, extra in _SURFACE.items():
+        help_flag, *rest = sub.choices[name]._actions
+        assert help_flag.option_strings == ["-h", "--help"]
+        got = [(a.option_strings, a.choices, a.default, a.nargs) for a in rest]
+        assert got == _COMMON_SURFACE + extra, name
+
+
+_FLAG_BASE = {
+    "tilt": {"p": 5, "op": "theta", "builtin": "omega"},
+    "sen": {"p": 7, "level": 0, "matrix": [["50"]]},
+    "jet": {"p": 5, "chi": "2", "c": "1"},
+    "char": {"p": 5, "lambda": "1", "a": "1", "b": 0},
+    # gr-check is the one action that reads m
+    ("jet", "m"): {"p": 5, "action": "gr-check"},
+}
+_INTEGER_FIELDS = {"level", "precision", "order", "p", "m"}
+
+
+@pytest.mark.parametrize(
+    "command, flag, field",
+    [(command, flag, field) for command, flags in cli.FLAGS.items() for flag, field in flags.items()],
+)
+def test_every_flag_sets_its_field(tmp_path, capsys, command, flag, field):
+    """A given flag prints what its field set in the input prints, and
+    differs from the input without it: a bad integer comes back as that
+    field's error."""
+    value = cli.ACTIONS[command][-1] if flag == "action" else "x"
+    argv = [value] if flag == "action" else [f"--{flag}", value]
+    payload = _FLAG_BASE.get((command, flag), _FLAG_BASE[command])
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(payload))
+    base = run_json(capsys, command, "--input", str(f))
+    flagged = run_json(capsys, command, *argv, "--input", str(f))
+    f.write_text(json.dumps({**payload, field: value}))
+    assert flagged == run_json(capsys, command, "--input", str(f)) != base
+    if field in _INTEGER_FIELDS:
+        assert flagged == (2, {"schema": cli.SCHEMA, "error": f"field {field!r} must be an integer, got 'x'"})
+
+
+def _parent_ladder_below(p, e, factor):
+    # the window check before the two digit caps shared one test
+    return not (e * (p.bit_length() - 1) >= cli._DIGIT_LIMIT.bit_length()
+                or p**e * factor >= cli._DIGIT_LIMIT)
+
+
+def _parent_sen_below(p, e):
+    return e * (p.bit_length() - 1) < cli._DIGIT_LIMIT.bit_length() and p ** max(e, 0) < cli._DIGIT_LIMIT
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.integers(2, 10**6), e=st.integers(-100, 15_000),
+       factor=st.one_of(st.integers(1, 10**30), st.integers(1, 10**4400)))
+def test_below_digit_cap_is_the_two_checks_it_replaced(p, e, factor):
+    try:
+        parent = _parent_ladder_below(p, e, factor)
+    except OverflowError:
+        # e < 0 made p**e a float, which a factor past 10^308 overflowed
+        # (a traceback): the cap now refuses such a window
+        assert e < 0 and factor > 10**300
+        assert cli._below_digit_cap(p, e, factor) == (factor < cli._DIGIT_LIMIT)
+        return
+    assert cli._below_digit_cap(p, e, factor) == parent
+    assert cli._below_digit_cap(p, e) == _parent_sen_below(p, e)
+
+
 def test_flags_do_not_carry_over_between_calls(capsys):
     code, out = run_cli(capsys, "jet", "gr-check", "--p", "3", "--m", "2", "--format", "text")
     assert code == 0 and "generates_graded_piece: True" in out
@@ -1108,6 +1210,20 @@ def test_polygon_windows_past_the_digit_cap_are_refused_before_work(tmp_path, ca
     code, report = run_json(capsys, "polygon", "--input", str(single))
     assert code == 0
     assert report["polygon"]["right_ray"] == f"-1/{101**2100}"
+
+
+def test_a_reversed_window_with_a_long_denominator_exits_2(tmp_path, capsys):
+    # lo > hi <= 0 gives E < 0, and p**E was a float that a denominator
+    # past 10^308 overflowed: a traceback, not a JSON error
+    d = 10**400
+    for hi, error in (("-1", "empty window"), (f"-{d + 1}/{d}", "empty window")):
+        line = {"command": "polygon", "kind": "t", "p": 3, "window": [f"{2 * d + 1}/{d}", hi]}
+        assert run_alone_and_in_batch(tmp_path, capsys, line) == (error, error)
+    # den(lo) den(hi) = 10^4400 is past the cap, whatever E is
+    d = 10**2200
+    line = {"command": "polygon", "kind": "t", "p": 3, "window": [f"{2 * d + 1}/{d}", f"-{d + 1}/{d}"]}
+    error = run_alone_and_in_batch(tmp_path, capsys, line)[0]
+    assert "4,300-digit cap" in error
 
 
 def test_sen_precisions_past_the_digit_cap_are_refused_before_work(tmp_path, capsys):
