@@ -3,10 +3,11 @@
 Subcommands: herbrand, polygon, tilt, jet, phimod, char, sen, batch.
 Input is JSON (``--input FILE`` or ``-`` for stdin; the jet and char
 commands also accept everything through flags).  The flags are declared
-once, in the tables ``COMMON_FLAGS``, ``FLAGS`` and ``ACTIONS`` that
-build the parser; a flag that is given sets its payload field, over the
-input and over each line of a batch file; integer fields take a JSON
-integer or an integer string.
+once, in the tables ``COMMON_FLAGS``, ``FLAGS`` and ``ACTIONS``, which
+``parse_args`` reads argv from directly; a flag takes its whole name only,
+and one that is given sets its payload field, over the input and over
+each line of a batch file; integer fields take a JSON integer or an
+integer string.
 Reports are JSON by default (deterministic: sorted keys, no timestamps,
 schema version embedded) or plain text with ``--format text``.
 
@@ -19,11 +20,10 @@ else 0.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import sys
+import types
 
 from . import characters, filtered_phi, jets, polygons, ramification, tilt
 from .padic import (
@@ -383,9 +383,10 @@ HANDLERS = {
     "char": run_char,
 }
 
-# The command line, declared once; build_parser, _run and main read it.
-# COMMON_FLAGS: every subcommand's flags and their argparse options (the
-# integer flags stay strings, read like the JSON field they set).  FLAGS:
+# The command line, declared once; parse_args, --help, _run and main read
+# it.  COMMON_FLAGS: every subcommand's flags, each with its help text or
+# its choices and default (every flag's value stays a string, the integer
+# flags read like the JSON field they set).  FLAGS:
 # the payload field each flag sets, per command, over the input; "action"
 # is the positional.  ACTIONS: its choices, for the commands that take
 # their whole input from flags when --input is absent.
@@ -529,35 +530,113 @@ def _emit_text(report: dict, indent: int = 0):
             print(f"{pad}{key}: {value}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="period-lab",
-        description="exact computations around p-adic period rings",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    for flag, options in COMMON_FLAGS.items():
-        common.add_argument("--" + flag, **options)
-    for name in (*HANDLERS, "batch"):
-        command = sub.add_parser(name, parents=[common])
-        if name in ACTIONS:
-            command.add_argument("action", nargs="?", choices=ACTIONS[name])
-        for flag in FLAGS.get(name, ()):
-            if flag not in COMMON_FLAGS and flag != "action":
-                command.add_argument("--" + flag)
-    return parser
+COMMANDS = (*HANDLERS, "batch")
+PROG = "period-lab"
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call of the process: building it
-    costs more than a small command.  Every parse returns a fresh
-    namespace, so nothing carries over from one call to the next."""
-    return build_parser()
+def _flags(command: str) -> list:
+    """The flags of command, in --help's order: the common ones first."""
+    return [*COMMON_FLAGS, *(f for f in FLAGS.get(command, ()) if f not in COMMON_FLAGS and f != "action")]
+
+
+def _choices(choices) -> str:
+    return "{" + ",".join(choices) + "}"
+
+
+def _metavar(flag: str) -> str:
+    choices = COMMON_FLAGS.get(flag, {}).get("choices")
+    return _choices(choices) if choices else flag.upper()
+
+
+def _usage(command=None) -> str:
+    if command is None:
+        return f"usage: {PROG} [-h] {_choices(COMMANDS)} ..."
+    words = [f"usage: {PROG} {command} [-h]", *(f"[--{flag} {_metavar(flag)}]" for flag in _flags(command))]
+    if command in ACTIONS:
+        words.append(f"[{_choices(ACTIONS[command])}]")
+    return " ".join(words)
+
+
+def _help(command=None) -> str:
+    lines = [_usage(command), "", "exact computations around p-adic period rings", ""]
+    if command is None:
+        return "\n".join([*lines, "commands:", *(f"  {name}" for name in COMMANDS)])
+    if command in ACTIONS:
+        lines += ["action:", f"  {_choices(ACTIONS[command])}"]
+    lines += ["flags:", "  -h, --help"]
+    for flag in _flags(command):
+        lines.append(f"  --{flag} {_metavar(flag)}  {COMMON_FLAGS.get(flag, {}).get('help', '')}".rstrip())
+    return "\n".join(lines)
+
+
+def _refuse(command, message: str):
+    """A usage error: the usage line and the message on stderr, nothing
+    on stdout, exit 2."""
+    print(_usage(command), file=sys.stderr)
+    print(f"{PROG}{'' if command is None else ' ' + command}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_SCHEMA)
+
+
+def _invalid_choice(name: str, value: str, choices) -> str:
+    return f"argument {name}: invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+
+
+def parse_args(argv=None) -> types.SimpleNamespace:
+    """The command line read from the tables: the command, each of its
+    flags (None when not given, --format json by default) and, for the
+    commands of ACTIONS, the action.  A flag takes its whole name only, as
+    ``--flag value`` or ``--flag=value``; the token after a flag is its
+    value unless it is -h, --help or starts with "--", so a negative
+    rational can follow its flag.  A repeated flag keeps its last value,
+    the action may stand anywhere, and after "--" every token is
+    positional.  -h or --help prints usage and exits 0; anything else the
+    tables do not declare exits 2."""
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv:
+        _refuse(None, "the following arguments are required: command")
+    command, *rest = argv
+    if command in ("-h", "--help"):
+        print(_help())
+        raise SystemExit(EXIT_OK)
+    if command not in COMMANDS:
+        _refuse(None, _invalid_choice("command", command, COMMANDS))
+    flags = _flags(command)
+    args = dict.fromkeys(flags)
+    args.update((flag, options["default"]) for flag, options in COMMON_FLAGS.items() if "default" in options)
+    actions = ACTIONS.get(command)
+    if actions:
+        args["action"] = None
+    positional_only = False
+    tokens = iter(rest)
+    for token in tokens:
+        if positional_only or token == "-" or not token.startswith("-"):
+            if not actions or args["action"] is not None:
+                _refuse(command, f"unrecognized arguments: {token}")
+            if token not in actions:
+                _refuse(command, _invalid_choice("action", token, actions))
+            args["action"] = token
+        elif token == "--":
+            positional_only = True
+        elif token in ("-h", "--help"):
+            print(_help(command))
+            raise SystemExit(EXIT_OK)
+        else:
+            flag, given, value = token[2:].partition("=")
+            if not token.startswith("--") or flag not in flags:
+                _refuse(command, f"unrecognized arguments: {token}")
+            if not given:
+                value = next(tokens, None)
+                if value is None or value in ("-h", "--help") or value.startswith("--"):
+                    _refuse(command, f"argument --{flag}: expected one argument")
+            choices = COMMON_FLAGS.get(flag, {}).get("choices")
+            if choices and value not in choices:
+                _refuse(command, _invalid_choice("--" + flag, value, choices))
+            args[flag] = value
+    return types.SimpleNamespace(command=command, **args)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         if args.command == "batch":
             return run_batch(args)

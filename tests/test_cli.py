@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cli_reference
 from period_lab import cli, padic
 from period_lab.cli import SchemaError, main
 from period_lab.filtered_phi import FilteredPhiModule
@@ -954,9 +955,7 @@ def test_strings_where_lists_belong_are_refused(tmp_path, capsys, command, paylo
 
 @pytest.mark.parametrize("command", ["herbrand", "polygon", "tilt", "jet", "phimod", "char", "sen", "batch"])
 def test_every_subcommand_takes_the_common_flags(command):
-    from period_lab.cli import build_parser
-
-    args = build_parser().parse_args(
+    args = cli.parse_args(
         [command, "--input", "x.json", "--format", "text", "--precision", "7", "--order", "3"]
     )
     # the integer flags stay strings: the handlers read them as JSON fields
@@ -967,7 +966,8 @@ def test_every_subcommand_takes_the_common_flags(command):
 
 # the parser's surface before the flags were declared in one table: per
 # subcommand, in --help's order, each argument's option strings, choices,
-# default and nargs after the help flag and the common flags
+# default and nargs after the help flag and the common flags; the tables
+# still build the same argparse parser in cli_reference
 _COMMON_SURFACE = [
     (["--input"], None, None, None),
     (["--format"], ("json", "text"), "json", None),
@@ -985,13 +985,175 @@ _SURFACE = {
 
 
 def test_the_parser_surface_is_unchanged():
-    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    sub = next(a for a in cli_reference.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == list(_SURFACE)
     for name, extra in _SURFACE.items():
         help_flag, *rest = sub.choices[name]._actions
         assert help_flag.option_strings == ["-h", "--help"]
         got = [(a.option_strings, a.choices, a.default, a.nargs) for a in rest]
         assert got == _COMMON_SURFACE + extra, name
+
+
+def _read(reader, argv):
+    """vars() of the namespace that reader gives argv, or its exit code,
+    with stdout and stderr kept apart: a refusal prints nothing to stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return vars(reader(argv))
+    except SystemExit as exc:
+        assert exc.code != 2 or (out.getvalue() == "" and "error:" in err.getvalue())
+        return exc.code
+
+
+# the flag names of every command, the positional tokens and the values
+# the parity test draws: "-7/3" goes to the reference in its "=" form, as
+# argparse reads a value that starts with "-" as a flag unless it looks
+# like a negative number
+_ARGV_FLAGS = sorted({*cli.COMMON_FLAGS, *(f for flags in cli.FLAGS.values() for f in flags)} - {"action"})
+_ARGV_VALUES = ["x", "-", "7", "-2", "-7/3", "json", "xml", ""]
+_ARGV_STRAY = ["x", "-", "7", "-2", "-x", "divide", "batch"]
+_ARGV_UNKNOWN = ["--nope", "--inputs", "--zz=1", "-x"]
+
+
+@st.composite
+def _argv_pairs(draw):
+    """(argv for the reader, argv for the reference): a command with its
+    flags in both forms, repeated or not, and its action, then in half the
+    draws up to three faults.  A flag another flag of the command starts
+    with (--p without --p, a prefix argparse would expand) is not drawn,
+    nor -h, nor a "--" that argparse leaves over: "--" stands only on jet
+    and char, right before the action or at the end."""
+    command = draw(st.sampled_from(cli.COMMANDS))
+    flags = cli._flags(command)
+    others = [f for f in _ARGV_FLAGS if not any(g.startswith(f) for g in flags)]
+
+    def flag(name, value):
+        equals = [f"--{name}={value}"]
+        ours = [f"--{name}", value] if draw(st.booleans()) else equals
+        return ours, equals if value == "-7/3" else ours
+
+    items = []
+    for _ in range(draw(st.integers(0, 6))):
+        name = draw(st.sampled_from(flags))
+        items.append(flag(name, draw(st.sampled_from(("json", "text") if name == "format" else _ARGV_VALUES))))
+    actions = cli.ACTIONS.get(command)
+    action = draw(st.sampled_from([None, *actions])) if actions else None
+    dashes = ["--"] if actions and draw(st.booleans()) else []
+    if action is not None:
+        items.insert(draw(st.integers(0, len(items))), ([*dashes, action],) * 2)
+    elif dashes:
+        items.append((dashes, dashes))
+    bare = []
+    for _ in range(draw(st.integers(1, 3)) if draw(st.booleans()) else 0):
+        fault = draw(st.sampled_from(["unknown", "stray", "other", "format", "bare", "command"]))
+        if fault == "command":
+            command = "nope"
+            continue
+        if fault == "bare":
+            # a flag with no value left, at the end
+            bare = [f"--{draw(st.sampled_from(flags + others))}"]
+            continue
+        if fault == "unknown":
+            item = ([draw(st.sampled_from(_ARGV_UNKNOWN))],) * 2
+        elif fault == "stray":
+            item = ([draw(st.sampled_from(_ARGV_STRAY))],) * 2
+        elif fault == "other":
+            item = flag(draw(st.sampled_from(others)), draw(st.sampled_from(_ARGV_VALUES)))
+        else:
+            item = flag("format", draw(st.sampled_from(["xml", "x", "-", "", "JSON"])))
+        items.insert(draw(st.integers(0, len(items))), item)
+    return ([command, *(t for ours, _ in items for t in ours), *bare],
+            [command, *(t for _, ref in items for t in ref), *bare])
+
+
+_REFERENCE = cli_reference.build_parser()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(pair=_argv_pairs())
+def test_the_reader_agrees_with_the_argparse_reference(pair):
+    ours, reference = pair
+    assert _read(cli.parse_args, ours) == _read(_REFERENCE.parse_args, reference)
+
+
+@pytest.mark.parametrize("argv", [
+    ["jet", "verify-cocycle", "--p", "5", "--order", "6", "--chi", "2", "--c", "1"],
+    ["jet", "--p", "5", "gr-check", "--m", "3", "--p", "7"],
+    ["char", "--p=5", "--", "classify"],
+    ["tilt", "--input", "-", "--format=text", "--precision", "-2"],
+    ["batch", "--input=", "--order", "7"],
+])
+def test_the_reader_reads_what_the_reference_reads(argv):
+    ours = _read(cli.parse_args, argv)
+    assert isinstance(ours, dict)
+    assert ours == _read(_REFERENCE.parse_args, argv)
+
+
+@pytest.mark.parametrize("command, flag, base", [
+    ("jet", "chi", ["verify-cocycle", "--p", "5", "--order", "6", "--c", "1"]),
+    ("jet", "c", ["verify-cocycle", "--p", "5", "--order", "6", "--chi", "2"]),
+    ("char", "lambda", ["classify", "--p", "5", "--a", "1", "--b", "0"]),
+    ("char", "a", ["classify", "--p", "5", "--lambda", "1", "--b", "0"]),
+])
+def test_a_negative_rational_can_follow_its_flag(tmp_path, capsys, command, flag, base):
+    # argparse took "-7/3" for a flag and exited 2 ("expected one
+    # argument"), where --c=-7/3 and the field "c": "-7/3" were read
+    spaced = run_cli(capsys, command, *base, f"--{flag}", "-7/3")
+    assert spaced == run_cli(capsys, command, *base, f"--{flag}=-7/3")
+    assert spaced[0] == 0
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps({cli.FLAGS[command][flag]: "-7/3"}))
+    assert spaced == run_cli(capsys, command, *base, "--input", str(f))
+
+
+@pytest.mark.parametrize("command", ["herbrand", "polygon", "phimod", "sen", "tilt", "batch"])
+@pytest.mark.parametrize("form", [["--p", "7"], ["--p=7"], ["--prec", "7"], ["--in", "-"]])
+def test_a_flag_takes_its_whole_name_only(capsys, command, form):
+    # argparse read --p as --precision on these commands: sen ran at
+    # precision 7 and tilt at level 7
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", "-", *form])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"unrecognized arguments: {form[0]}" in err
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_names_every_command_or_every_flag_and_choice(capsys, command):
+    for flag in ("--help", "-h"):
+        with pytest.raises(SystemExit) as exc:
+            main([flag] if command is None else [command, flag])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, err) == (0, "")
+        if command is None:
+            assert all(name in out for name in cli.COMMANDS)
+            continue
+        assert all(f"--{flag_name}" in out for flag_name in cli._flags(command))
+        assert all(choice in out for choice in (*cli.ACTIONS.get(command, ()), "json", "text"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["jet", "--nope"], ["tilt", "--format", "xml"], ["tilt", "--format=xml"], ["char", "divide"],
+    [], ["nope"], ["--input", "x", "tilt"], ["jet", "--p"], ["jet", "--p", "--m", "2"],
+    ["jet", "gr-check", "classify"], ["tilt", "x"], ["--", "jet"], ["jet", "--", "--p", "5"],
+])
+def test_a_usage_error_exits_2_and_prints_nothing(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: period-lab") and "error: " in err
+
+
+def test_the_command_line_exits_as_main_does():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    cases = [(["--help"], 0), (["jet", "--help"], 0), (["jet", "--nope"], 2), (["sen", "--input", "-", "--p", "7"], 2)]
+    for argv, code in cases:
+        proc = subprocess.run([sys.executable, "-m", "period_lab.cli", *argv], capture_output=True,
+                              text=True, env=env, timeout=30, stdin=subprocess.DEVNULL)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert (proc.stdout == "") == (code == 2)
 
 
 _FLAG_BASE = {
@@ -1059,21 +1221,6 @@ def test_flags_do_not_carry_over_between_calls(capsys):
     code, report = run_json(capsys, "jet", "gr-check", "--m", "2")
     assert code == 2
     assert "'p'" in report["error"]
-
-
-def test_main_builds_the_parser_once(monkeypatch, capsys):
-    from period_lab import cli
-
-    built = []
-    real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
-    cli._parser.cache_clear()
-    try:
-        assert run_json(capsys, "jet", "gr-check", "--p", "2", "--m", "3")[0] == 0
-        assert run_json(capsys, "jet", "gr-check", "--p", "3", "--m", "2")[0] == 0
-    finally:
-        cli._parser.cache_clear()
-    assert built == [1]
 
 
 @pytest.mark.parametrize("eisenstein", [[0, 1], [-9, 1], [1, 1]])

@@ -221,12 +221,15 @@ def test_no_module_imports_dataclasses_or_typing():
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
     # -S: no site hooks, since a .pth file can load typing before the
-    # import and hide a module of the package that loads it again
+    # import and hide a module of the package that loads it again; the
+    # command line is read from cli's own tables, without argparse and the
+    # gettext it loads
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, period_lab.cli; "
-         "print(*[m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"],
+         "print(*[m for m in ('dataclasses', 'inspect', 'typing', 'argparse', 'gettext') "
+         "if m in sys.modules])"],
         capture_output=True, text=True, timeout=10,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
