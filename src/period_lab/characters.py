@@ -312,11 +312,11 @@ def sen_operator(inp: SenInput, precision: int = 20) -> SenOperator:
     n, V = log_series_length(p, precision)
     N, D = inp.minus_identity
     d = inp.dim
-    cp = char_poly(N)
+    cp = char_poly(N, 1)
     modulus = p ** (precision + V)
     unit = residue(Fraction(1, D), p, precision + V)
     X = [[x * unit % modulus for x in row] for row in N]
-    chi = [c.numerator * pow(unit, d - k, modulus) % modulus for k, c in enumerate(cp)]
+    chi = [c * pow(unit, d - k, modulus) % modulus for k, c in enumerate(cp)]
     acc = _series(X, _log_coefficients(p, n, V, precision + V), chi, modulus)
     acc = [[centered(x, modulus) for x in row] for row in acc]
     g = gcd(p ** (V + r), *(x for row in acc for x in row))
@@ -372,7 +372,7 @@ def matrix_exp_truncated(prime, M, precision: int = 20):
     n, fact_n = included[-1] if included else (0, 1)
     denom = fact_n * D**n
     terms = [(i, denom // (f * D**i)) for i, f in included]
-    acc = _series(N, terms, [c.numerator for c in char_poly(N)])
+    acc = _series(N, terms, char_poly(N, 1))
     return [
         [Fraction(x + denom * (a == b), denom) for b, x in enumerate(row)]
         for a, row in enumerate(acc)

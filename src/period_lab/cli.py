@@ -13,9 +13,11 @@ schema version embedded) or plain text with ``--format text``.
 
 Exit codes: 0 success; 2 schema/parse errors (position-annotated for
 malformed JSON); 3 for first-class "undecided"/"inconclusive" verdicts,
-which are outcomes, not failures.  Batch mode isolates per-line errors
-and exits 2 iff any line failed hard, else 3 iff any line was undecided,
-else 0.
+which are outcomes, not failures; 4 for an internal error, any other
+exception a handler raises, reported as "internal error: <Type>:
+<message>" with its traceback on stderr.  Batch mode isolates per-line errors
+and exits 4 iff any line met an internal error, else 2 iff any line
+failed hard, else 3 iff any line was undecided, else 0.
 """
 
 from __future__ import annotations
@@ -44,11 +46,20 @@ SCHEMA = "period-lab/1"
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_UNDECIDED = 3
+EXIT_INTERNAL = 4
 
 
 # exceptions that mean "this input is malformed": exit 2, and in batch only
-# the offending line fails
+# the offending line fails; any other exception is an internal error
 INPUT_ERRORS = (SchemaError, ValueError, KeyError, TypeError)
+
+
+def _internal_error(exc: Exception) -> str:
+    """The error an internal fault reports; its traceback goes to stderr."""
+    import traceback  # only on this path: it is not loaded at start-up
+
+    traceback.print_exception(exc, file=sys.stderr)
+    return f"internal error: {type(exc).__name__}: {exc}"
 
 
 def _read_input(args) -> str:
@@ -423,6 +434,7 @@ def run_batch(args):
     lines = _read_input(args).splitlines()
     results = []
     counts = {"ok": 0, "undecided": 0, "error": 0}
+    internal = False
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -440,8 +452,15 @@ def run_batch(args):
         except INPUT_ERRORS as exc:
             counts["error"] += 1
             results.append({"line": lineno, "status": "error", "message": str(exc)})
+        except Exception as exc:
+            counts["error"] += 1
+            internal = True
+            results.append({"line": lineno, "status": "internal-error",
+                            "message": _internal_error(exc)})
     summary = {"schema": SCHEMA, "counts": counts, "results": results}
     _emit(summary, args)
+    if internal:
+        return EXIT_INTERNAL
     if counts["error"]:
         return EXIT_SCHEMA
     if counts["undecided"]:
@@ -648,6 +667,9 @@ def main(argv=None) -> int:
     except INPUT_ERRORS as exc:
         _emit({"schema": SCHEMA, "error": str(exc)}, args)
         return EXIT_SCHEMA
+    except Exception as exc:
+        _emit({"schema": SCHEMA, "error": _internal_error(exc)}, args)
+        return EXIT_INTERNAL
     report = {"schema": SCHEMA, **report}
     _emit(report, args)
     return code

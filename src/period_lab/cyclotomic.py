@@ -40,26 +40,30 @@ from .padic import INF, Record, Valuation, multiplicity
 
 
 class CyclotomicContext(Record):
-    """Fixed prime p and level N >= 0; the field Q(z), z of order p^N."""
+    """Fixed prime p and level N >= 0; the field Q(z), z of order p^N.
 
-    __slots__ = ("p", "N")
+    ``order`` (p^N), ``degree`` (phi(p^N), 1 when N = 0: the field is Q)
+    and ``block`` (p^(N-1), 1 when N = 0) are formed once, from one
+    power, here; they are read off p and N, so equality, the hash and the
+    repr leave them out."""
+
+    __slots__ = ("p", "N", "order", "degree", "block")
 
     def __init__(self, p: int, N: int):
         if N < 0:
             raise ValueError("level must be nonnegative")
+        block = p ** (N - 1) if N > 0 else 1
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "N", N)
+        object.__setattr__(self, "order", block * p if N > 0 else 1)
+        object.__setattr__(self, "degree", block * (p - 1) if N > 0 else 1)
+        object.__setattr__(self, "block", block)
 
-    @property
-    def order(self) -> int:
-        return self.p ** self.N
+    def _key(self) -> tuple:
+        return self.p, self.N
 
-    @property
-    def degree(self) -> int:
-        """phi(p^N); 1 when N = 0 (the field is Q)."""
-        if self.N == 0:
-            return 1
-        return (self.p - 1) * self.p ** (self.N - 1)
+    def __repr__(self):
+        return f"CyclotomicContext(p={self.p!r}, N={self.N!r})"
 
     def zero(self) -> "CycElt":
         return CycElt(self, {})
@@ -143,8 +147,7 @@ class CycElt:
 def _reduce(ctx: CyclotomicContext, coeffs: dict) -> dict:
     """Reduce exponents mod p^N, then through the Phi relation into
     [0, phi(p^N)), dropping zero coefficients."""
-    order, degree = ctx.order, ctx.degree
-    block = ctx.p ** (ctx.N - 1) if ctx.N > 0 else 1
+    order, degree, block = ctx.order, ctx.degree, ctx.block
     out: dict = {}
     for k, v in coeffs.items():
         if not v:

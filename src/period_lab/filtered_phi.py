@@ -26,9 +26,12 @@ Decision coverage:
   polygon and its rationality from an exact p-adic square test on the
   discriminant;
 * dimension >= 3 with squarefree characteristic polynomial (factored over
-  Q by rational-root deflation, complete through cubic remainders): the
-  Q-rational stable subspaces are exactly the sums of primary components,
-  a finite scan, and any destabilizing one among them is a sound witness.
+  Q by rational-root deflation, complete through cubic remainders, in
+  ints on its monic integer form g(y) = lead^(n-1) f(y / lead), whose
+  rational roots are integers): the Q-rational stable subspaces are
+  exactly the sums of primary components, each the integer kernel of one
+  integer matrix (lead B - y D I for a root y, Frobenius = B / D), a
+  finite scan, and any destabilizing one among them is a sound witness.
   "admissible" further needs every factor of degree >= 2 certified
   irreducible over Q_p (quadratic: nonsquare discriminant; cubic: one
   Newton slope of denominator 3, or p-integral and irreducible mod p), so
@@ -69,9 +72,10 @@ from .padic import (
     SchemaError,
     as_fraction,
     format_rational,
+    multiplicity,
     parse_int,
     parse_list,
-    parse_rational,
+    parse_number,
     rational_valuation,
     require,
 )
@@ -113,15 +117,20 @@ class FilteredPhiModule:
     kept as its reduced coordinate tuples, which ``filtration`` shows, and
     as the forward echelon (``extend_echelon``) of the integer rows of its
     restriction of scalars to Q (``restrict_scalars``), which every rank
-    and annihilator of the module reads.
+    and annihilator of the module reads.  The Frobenius matrix is kept as
+    the pair (B, D) of ``clear_denominators``, B an integer matrix and
+    Frobenius = B / D, which its characteristic polynomial and primary
+    components read; ``frobenius`` shows it with Fraction entries.
     """
 
     def __init__(self, base: BaseFieldK, frobenius, filtration):
         self.base = base
-        self.frobenius = [[as_fraction(x) for x in row] for row in frobenius]
-        d = len(self.frobenius)
-        if any(len(row) != d for row in self.frobenius):
+        # int entries stay ints, as clear_denominators takes them
+        frobenius = [[x if type(x) is int else as_fraction(x) for x in row] for row in frobenius]
+        d = len(frobenius)
+        if any(len(row) != d for row in frobenius):
             raise ValueError("Frobenius matrix must be square")
+        self._frobenius_cleared = clear_denominators(frobenius)
         if self.frobenius_char_poly[0] == 0:
             raise ValueError("Frobenius must be invertible")
         E, e = base.eisenstein, base.e
@@ -162,7 +171,14 @@ class FilteredPhiModule:
 
     @property
     def dim(self) -> int:
-        return len(self.frobenius)
+        return len(self._frobenius_cleared[0])
+
+    @cached_property
+    def frobenius(self) -> list:
+        """The Frobenius matrix, its entries Fractions: B / D for the pair
+        (B, D) of ``clear_denominators`` that the module keeps."""
+        B, D = self._frobenius_cleared
+        return [[Fraction(x, D) for x in row] for row in B]
 
     @property
     def filtration(self) -> list:
@@ -186,11 +202,6 @@ class FilteredPhiModule:
     def newton_number(self) -> Fraction:
         v = rational_valuation(self.frobenius_det, self.base.p)
         return Fraction(v)
-
-    @cached_property
-    def _frobenius_cleared(self) -> tuple:
-        """(B, D) with Frobenius = B / D, B an integer matrix."""
-        return clear_denominators(self.frobenius)
 
     @cached_property
     def frobenius_char_poly(self) -> list:
@@ -231,14 +242,15 @@ class FilteredPhiModule:
     def from_json(cls, obj: dict) -> "FilteredPhiModule":
         """The module of a JSON object; a basis entry lists its coordinates
         on 1, pi, pi^2, ..., which the constructor reduces by E (for K =
-        Q_p, to the rational sum c_i pi^i)."""
+        Q_p, to the rational sum c_i pi^i).  Entries are read by
+        ``parse_number``, so an integer stays an int."""
         eisenstein = [
             parse_int(c, "eisenstein")
             for c in parse_list(require(obj, "eisenstein"), "eisenstein")
         ]
         base = BaseFieldK(parse_int(require(obj, "p"), "p"), eisenstein)
         frob = [
-            [parse_rational(x) for x in parse_list(row, "frobenius")]
+            [parse_number(x) for x in parse_list(row, "frobenius")]
             for row in parse_list(require(obj, "frobenius"), "frobenius")
         ]
         d = parse_int(obj.get("dim", len(frob)), "dim")
@@ -253,7 +265,7 @@ class FilteredPhiModule:
                     raise SchemaError(
                         f"declared dim {d}, but a filtration vector has {len(vec)} entries"
                     )
-                vecs.append([[parse_rational(c) for c in parse_list(x, "basis")] for x in vec])
+                vecs.append([[parse_number(c) for c in parse_list(x, "basis")] for x in vec])
             filtration.append((parse_int(require(step, "jump", where), "jump"), vecs))
         return cls(base, frob, filtration)
 
@@ -393,6 +405,26 @@ def _least_destabilizing(D: FilteredPhiModule, blocks, newton) -> list | None:
     return None if mask is None else [i for i in range(k) if mask >> i & 1]
 
 
+def _primary_components(D: FilteredPhiModule, lead: int, factors) -> tuple:
+    """(components, the t_N of each) for the (lead, factors) of
+    ``factor_over_q``.  A factor h of degree k in y = lead x stands for
+    the monic factor h(lead x) / lead^k of the characteristic polynomial.
+    Its primary component is the kernel of h(lead Frobenius), for a root
+    y the kernel of lead B - y D I with Frobenius = B / D (no product), as
+    primitive integer vectors with their free columns (``integer_kernel``);
+    its t_N is v_p of that monic factor's constant term, v_p(h(0)) -
+    k v_p(lead)."""
+    B, den = D._frobenius_cleared
+    components = [
+        integer_kernel(poly_eval_cleared([c * lead**i for i, c in enumerate(h)], B, den)[0])
+        for h in factors
+    ]
+    assert all(len(c) == len(h) - 1 for (c, _), h in zip(components, factors))
+    p = D.base.p
+    v_lead = multiplicity(lead, p)
+    return components, [multiplicity(h[0], p) - (len(h) - 1) * v_lead for h in factors]
+
+
 def is_admissible(D: FilteredPhiModule) -> AdmissibilityVerdict:
     """Decide weak admissibility; see the module docstring for coverage."""
     tH = D.hodge_number()
@@ -416,21 +448,14 @@ def is_admissible(D: FilteredPhiModule) -> AdmissibilityVerdict:
             tN,
             {"type": "repeated_eigenvalues"},
         )
-    factors = factor_over_q(cp, ell)
-    if factors is None:
+    factored = factor_over_q(cp, ell)
+    if factored is None:
         return AdmissibilityVerdict(
             UNDECIDED, tH, tN, {"type": "unfactored_characteristic_polynomial"}
         )
-    # each primary component as primitive integer vectors, with its free
-    # columns; its t_N is the valuation of its factor's constant term
-    B, den = D._frobenius_cleared
-    components = [integer_kernel(poly_eval_cleared(f, B, den)[0]) for f in factors]
-    assert all(len(c) == len(f) - 1 for (c, _), f in zip(components, factors))
-    chosen = _least_destabilizing(
-        D,
-        [c for c, _ in components],
-        [int(rational_valuation(f[0], D.base.p)) for f in factors],
-    )
+    lead, factors = factored
+    components, newton = _primary_components(D, lead, factors)
+    chosen = _least_destabilizing(D, [c for c, _ in components], newton)
     if chosen is not None:
         # the witness prints each component's basis as nullspace does
         rows = [
@@ -448,8 +473,12 @@ def is_admissible(D: FilteredPhiModule) -> AdmissibilityVerdict:
             },
         )
     # the scan only saw Q-rational subobjects: a factor that splits over
-    # Q_p has eigenlines it never examined
-    for f in factors:
+    # Q_p has eigenlines it never examined.  A linear factor has none, and
+    # only the last factor can be of degree 2 or 3
+    h = factors[-1]
+    k = len(h) - 1
+    if k > 1:
+        f = [Fraction(c, lead ** (k - i)) for i, c in enumerate(h)]
         if not qp_irreducible(f, D.base.p):
             return AdmissibilityVerdict(
                 UNDECIDED,

@@ -22,7 +22,7 @@ substitution), so a kernel comes out as primitive integer vectors
 basis or rref is asked for.  Characteristic polynomials come from the
 Faddeev-LeVerrier recurrence, and polynomials of a matrix from Horner's
 rule, both run on the integer matrix left after clearing denominators
-once.
+once, and neither multiplies by the identity.
 
 K-vectors reach that elimination by restriction of scalars
 (``restrict_scalars``): f in K^d becomes the e rows of the Q-matrix of
@@ -34,8 +34,10 @@ squarefree test (a certificate mod a small prime first, the exact gcd
 only without one), deflation, rational roots by Hensel lifting with an
 exact check, in time polynomial in the bit-size of the coefficients, and
 the factorization over Q that root deflation certifies
-(``factor_over_q``).  Everything modulo p, over Z_p or over Q_p, the
-Hensel lifting of the rational roots included, is in ``padic_poly``.
+(``factor_over_q``).  The roots and the factorization are taken in ints
+on the monic integer form of the polynomial (``_monic_integer``), whose
+rational roots are integers.  Everything modulo p, over Z_p or over Q_p,
+the Hensel lifting of the rational roots included, is in ``padic_poly``.
 """
 
 from __future__ import annotations
@@ -75,10 +77,11 @@ class BaseFieldK(Record):
 
 
 def reduce_mod(coords, eisenstein) -> tuple:
-    """The Fraction coordinates on 1, pi, ..., pi^(e-1) of the polynomial
-    in pi with rational coefficients ``coords``, reduced by pi^e =
-    -(lower terms of E), trailing zeros dropped: at e = 1 its value."""
-    coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
+    """The coordinates on 1, pi, ..., pi^(e-1) of the polynomial in pi
+    with rational coefficients ``coords``, reduced by pi^e = -(lower terms
+    of E), trailing zeros dropped: at e = 1 its value.  Int coordinates
+    stay ints, and anything else but a Fraction becomes one."""
+    coords = [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coords]
     e = len(eisenstein) - 1
     while len(coords) > e:
         top = coords.pop()
@@ -223,25 +226,34 @@ def intersect_rowspaces(A, B):
     return [row[n:] for row, pivot in zip(echelon, pivots) if pivot >= n]
 
 
-def char_poly(A, D: int = 1) -> list:
-    """Characteristic polynomial det(XI - A / D) of a rational matrix A
-    (or of the pair that ``clear_denominators`` returns), monic, lowest
-    degree first, by the Faddeev-LeVerrier recurrence.
+def char_poly(A, D: int | None = None) -> list:
+    """Characteristic polynomial det(XI - A / D), monic, lowest degree
+    first, by the Faddeev-LeVerrier recurrence.
 
-    With A / D = B / D' for an integer matrix B, the recurrence runs on B
-    in ints, where its divisions by k are exact, and the coefficient of
-    X^k is the one of B divided by D'^(n-k)."""
+    Given D > 0, A is an integer matrix (with D, the pair that
+    ``clear_denominators`` returns), and the coefficient of X^k is c_k /
+    D^(n-k): an int when D = 1, a Fraction otherwise.  Without D, A is a
+    rational matrix, its denominators are cleared first, and every
+    coefficient is a Fraction.
+
+    The recurrence runs on the integer matrix B in ints, where its
+    divisions by k are exact: M_1 = B, and M_k = B (M_(k-1) + c_(n-k+1) I),
+    with c_(n-k) = -trace(M_k) / k."""
+    fractions = D is None
+    if fractions:
+        A, D = clear_denominators(A)
     n = len(A)
-    B, scale = clear_denominators(A)
-    D *= scale
     c = [0] * (n + 1)
     c[n] = 1
-    M = [[0] * n for _ in range(n)]
+    M = [list(row) for row in A]
     for k in range(1, n + 1):
-        for i in range(n):
-            M[i][i] += c[n - k + 1]
-        M = mat_mul(B, M)
+        if k > 1:
+            for i in range(n):
+                M[i][i] += c[n - k + 1]
+            M = mat_mul(A, M)
         c[n - k] = -sum(M[i][i] for i in range(n)) // k
+    if D == 1 and not fractions:
+        return c
     return [Fraction(ck, D ** (n - k)) for k, ck in enumerate(c)]
 
 
@@ -269,18 +281,20 @@ def poly_eval_cleared(coeffs, B, D):
 
     With coeffs = c / L for integers, coeffs(B / D) is sum c_j D^(k-j)
     B^j over L D^k (k the degree), and the sum is run by Horner's rule on
-    B in ints."""
+    B in ints, from c_k B: a linear polynomial costs no product."""
     n = len(B)
     (c,), L = clear_denominators([coeffs])
     k = len(c) - 1
-    acc = [[0] * n for _ in range(n)]
-    for j in range(k, -1, -1):
-        if j < k:
+    if k < 1:
+        return [[c[0] if c and i == j else 0 for j in range(n)] for i in range(n)], L
+    acc = [[c[k] * x for x in row] for row in B]
+    for j in range(k - 1, -1, -1):
+        if j < k - 1:
             acc = mat_mul(acc, B)
         term = c[j] * D ** (k - j)
         for i in range(n):
             acc[i][i] += term
-    return acc, L * D ** max(k, 0)
+    return acc, L * D**k
 
 
 def nullspace(A) -> list:
@@ -319,8 +333,9 @@ def _kernel(echelon, m: int):
 
 
 def poly_gcd_q(a, b) -> list:
-    """Monic gcd of rational polynomials (lowest degree first)."""
-    a, b = list(a), list(b)
+    """Monic gcd of rational polynomials (lowest degree first), in
+    Fractions whatever the entries."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
     while a and a[-1] == 0:
         a.pop()
     while b and b[-1] == 0:
@@ -392,10 +407,11 @@ def rational_roots(coeffs, ell: int | None = None) -> list:
     root is simple: ``ell``, the ``squarefree_certificate`` the caller
     may pass, else that of a, else the least prime at which the
     squarefree part over Q (one exact gcd with the derivative) stays
-    squarefree, and then multiplicities come from deflating a.  The
-    roots are lifted to l^k > 2 |constant term| and checked exactly.
+    squarefree, and then multiplicities come from deflating the monic
+    form in ints.  The roots are lifted to l^k > 2 |constant term| and
+    checked exactly.
     """
-    a = [Fraction(c) for c in coeffs]
+    a = [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coeffs]
     while a and a[-1] == 0:
         a.pop()
     if not a:
@@ -408,45 +424,51 @@ def rational_roots(coeffs, ell: int | None = None) -> list:
     if ell is None:
         ell = squarefree_certificate(a)
     squarefree = ell is not None
+    lifted = monic
     if not squarefree:
-        monic = [int(c) for c in squarefree_part([Fraction(c) for c in monic])]
+        lifted = [int(c) for c in squarefree_part(monic)]
         ell = 2
-        while not (is_probable_prime(ell) and is_squarefree_mod_p(monic, ell)):
+        while not (is_probable_prime(ell) and is_squarefree_mod_p(lifted, ell)):
             ell += 1
-    # every integer root divides monic[0], which is nonzero
+    # every integer root divides lifted[0], which is nonzero
     k = 1
-    while ell**k <= 2 * abs(monic[0]):
+    while ell**k <= 2 * abs(lifted[0]):
         k += 1
     found = []
-    for y in hensel_integer_roots(monic, ell, k):
-        if poly_eval(monic, y) == 0:
-            x = Fraction(y, lead)
-            found.append(x)
+    for y in hensel_integer_roots(lifted, ell, k):
+        if poly_eval(lifted, y) == 0:
+            found.append(Fraction(y, lead))
             # a root of the squarefree part may be a multiple root of a
-            while not squarefree and poly_eval(a := poly_deflate(a, x), x) == 0:
-                found.append(x)
+            while not squarefree and poly_eval(monic := poly_deflate(monic, y), y) == 0:
+                found.append(Fraction(y, lead))
     found.sort(key=lambda x: (x.denominator, abs(x.numerator), x < 0))
     return [Fraction(0)] * zeros + found
 
 
-def factor_over_q(cp, ell=None) -> list | None:
-    """Monic irreducible factors over Q (lowest degree first), or None when
-    the elementary method (root deflation + 'degree <= 3 without rational
-    roots is irreducible') cannot certify the factorization.  ``ell`` is
-    the squarefree certificate of cp, or None."""
-    work = [Fraction(c) for c in cp]
+def factor_over_q(cp, ell: int | None = None) -> tuple | None:
+    """The factorization over Q of a rational polynomial cp of degree
+    n >= 1 with cp(0) != 0, on its monic integer form g(y) = lead^(n-1)
+    f(y / lead) (``_monic_integer``, f the integer multiple of cp), or
+    None when the elementary method (root deflation + 'degree <= 3
+    without rational roots is irreducible') cannot certify it.
+
+    Returns (lead, factors): the factors are monic integer polynomials in
+    y (lowest degree first), y - lead r for each rational root r of cp in
+    the order of ``rational_roots``, then what is left of g after
+    deflating them out in ints, when its degree is 1 to 3.  A factor h of
+    degree k stands for the monic factor h(lead x) / lead^k of cp.
+    ``ell`` is the squarefree certificate of cp, or None."""
+    g, lead = _monic_integer(cp)
     factors = []
-    for root in rational_roots(work, ell):
-        factors.append([-root, Fraction(1)])
-        work = poly_deflate(work, root)
-    deg = len(work) - 1
-    if deg == 0:
-        return factors
-    if deg <= 3:
-        lead = work[-1]
-        factors.append([c / lead for c in work])
-        return factors
-    return None
+    for root in rational_roots(cp, ell):
+        y = root.numerator * (lead // root.denominator)
+        factors.append([-y, 1])
+        g = poly_deflate(g, y)
+    if len(g) > 4:
+        return None
+    if len(g) > 1:
+        factors.append(g)
+    return lead, factors
 
 
 def poly_deflate(coeffs, root) -> list:

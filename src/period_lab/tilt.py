@@ -513,7 +513,8 @@ def _theta_shifted(p: int, k_max: int, rows, N: int, s: int) -> GradedThetaValue
     if N < 0:
         raise ValueError(f"level must be nonnegative, got {N}")
     t = N + s - k_max
-    modulus = p**N
+    ctx = CyclotomicContext(p, N)
+    modulus = ctx.order
     # p^t mod p^N, which is 0 once t >= N, so that E stays below p^N;
     # None: a goes through residue
     lift = None if t < 0 else p**t if t < N else 0
@@ -547,7 +548,6 @@ def _theta_shifted(p: int, k_max: int, rows, N: int, s: int) -> GradedThetaValue
         if coeffs is None:
             coeffs = gathered[key] = {}
         coeffs[E] = coeffs.get(E, 0) + (scale * p**e if e >= 0 else Fraction(scale, p**-e))
-    ctx = CyclotomicContext(p, N)
     pieces = {key: CycElt(ctx, c) for key, c in gathered.items()}
     return GradedThetaValue(ctx, pieces, all(teich is None for _, teich in pieces))
 

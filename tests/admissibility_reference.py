@@ -21,6 +21,14 @@ for it (``line_is_rational``), not off its annihilator.
 ``module_to_json`` writes a module as the object that
 ``FilteredPhiModule.from_json`` reads, for the round-trip tests; no
 command prints one.
+
+``char_poly``, ``poly_eval_cleared``, ``rational_roots`` and
+``factor_over_q`` are the Fraction pipeline of the rank >= 3 scan that
+the integer factorization of ``period_lab.linalg`` replaced, word for
+word: the scan here factors with them, and the tests compare the
+integer factors, components and t_N with theirs.  A module keeps int
+coordinates as ints, so the rank-2 verdict converts the coordinates it
+reads with ``Fraction`` before dividing them.
 """
 
 from __future__ import annotations
@@ -37,15 +45,25 @@ from period_lab.filtered_phi import (
     AdmissibilityVerdict,
 )
 from period_lab.linalg import (
+    _monic_integer,
     clear_denominators,
-    factor_over_q,
     is_squarefree,
     mat_mul,
     nullspace,
+    poly_deflate,
     poly_eval_matrix,
+    squarefree_certificate,
+    squarefree_part,
 )
-from period_lab.padic import format_rational, rational_valuation
-from period_lab.padic_poly import is_padic_square, qp_irreducible, root_valuations
+from period_lab.padic import format_rational, is_probable_prime, rational_valuation
+from period_lab.padic_poly import (
+    hensel_integer_roots,
+    is_padic_square,
+    is_squarefree_mod_p,
+    poly_eval,
+    qp_irreducible,
+    root_valuations,
+)
 
 
 def qp_eigenvalue_below(cp, p, threshold) -> Optional[dict]:
@@ -96,7 +114,8 @@ def dim2_admissible(D, tH, tN) -> AdmissibilityVerdict:
         r = s = jumps[0][0]
     else:
         (r, _), (s, _) = jumps
-        line_vec = line_is_rational(D._vectors[1])
+        # the module keeps int coordinates as ints, which / would make floats
+        line_vec = line_is_rational([[tuple(map(Fraction, x)) for x in v] for v in D._vectors[1]])
         if line_vec is not None:
             # the (rational) filtration line v is Frobenius-stable iff
             # Phi v = alpha v, alpha read at the first nonzero entry of v
@@ -228,3 +247,130 @@ def module_to_json(D) -> dict:
             for j, vecs in D.filtration
         ],
     }
+
+
+# ---------------------------------------------------------------------------
+# the Fraction pipeline of the rank >= 3 scan that the integer one of
+# period_lab.linalg replaced, word for word: the characteristic polynomial
+# from the product B I on, the rational roots deflated out of the
+# polynomial over Fractions, Horner's rule from c_k I, and the factors as
+# monic rational polynomials
+# ---------------------------------------------------------------------------
+
+
+def char_poly(A, D: int = 1) -> list:
+    """Characteristic polynomial det(XI - A / D) of a rational matrix A
+    (or of the pair that ``clear_denominators`` returns), monic, lowest
+    degree first, by the Faddeev-LeVerrier recurrence.
+
+    With A / D = B / D' for an integer matrix B, the recurrence runs on B
+    in ints, where its divisions by k are exact, and the coefficient of
+    X^k is the one of B divided by D'^(n-k)."""
+    n = len(A)
+    B, scale = clear_denominators(A)
+    D *= scale
+    c = [0] * (n + 1)
+    c[n] = 1
+    M = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for i in range(n):
+            M[i][i] += c[n - k + 1]
+        M = mat_mul(B, M)
+        c[n - k] = -sum(M[i][i] for i in range(n)) // k
+    return [Fraction(ck, D ** (n - k)) for k, ck in enumerate(c)]
+
+
+def poly_eval_cleared(coeffs, B, D):
+    """(C, den) with coeffs(B / D) = C / den, for an integer matrix B and
+    an integer D > 0 (the pair of ``clear_denominators``) and C an
+    integer matrix.
+
+    With coeffs = c / L for integers, coeffs(B / D) is sum c_j D^(k-j)
+    B^j over L D^k (k the degree), and the sum is run by Horner's rule on
+    B in ints."""
+    n = len(B)
+    (c,), L = clear_denominators([coeffs])
+    k = len(c) - 1
+    acc = [[0] * n for _ in range(n)]
+    for j in range(k, -1, -1):
+        if j < k:
+            acc = mat_mul(acc, B)
+        term = c[j] * D ** (k - j)
+        for i in range(n):
+            acc[i][i] += term
+    return acc, L * D ** max(k, 0)
+
+
+def rational_roots(coeffs, ell: int | None = None) -> list:
+    """All rational roots (with multiplicity) of a rational polynomial.
+
+    Zeros come first; the other roots follow sorted by (denominator,
+    |numerator|, positive first), equal roots adjacent.  That is the
+    order in which a search over the candidates p/q of the rational root
+    theorem meets them, and it fixes the order of the primary components
+    in the admissibility scan.
+
+    Hensel lifting with an exact check (von zur Gathen-Gerhard, *Modern
+    Computer Algebra*, ch. 15) instead of a search over divisors, so the
+    work is polynomial in the bit-size of the coefficients: with y =
+    lead * x the integer polynomial becomes monic (``_monic_integer``),
+    whose rational roots are integers dividing its constant term.  It is
+    taken modulo a prime l at which it is squarefree, so every residue
+    root is simple: ``ell``, the ``squarefree_certificate`` the caller
+    may pass, else that of a, else the least prime at which the
+    squarefree part over Q (one exact gcd with the derivative) stays
+    squarefree, and then multiplicities come from deflating a.  The
+    roots are lifted to l^k > 2 |constant term| and checked exactly.
+    """
+    a = [Fraction(c) for c in coeffs]
+    while a and a[-1] == 0:
+        a.pop()
+    if not a:
+        raise ValueError("zero polynomial")
+    zeros = next(i for i, c in enumerate(a) if c)
+    a = a[zeros:]
+    if len(a) == 1:
+        return [Fraction(0)] * zeros
+    monic, lead = _monic_integer(a)
+    if ell is None:
+        ell = squarefree_certificate(a)
+    squarefree = ell is not None
+    if not squarefree:
+        monic = [int(c) for c in squarefree_part([Fraction(c) for c in monic])]
+        ell = 2
+        while not (is_probable_prime(ell) and is_squarefree_mod_p(monic, ell)):
+            ell += 1
+    # every integer root divides monic[0], which is nonzero
+    k = 1
+    while ell**k <= 2 * abs(monic[0]):
+        k += 1
+    found = []
+    for y in hensel_integer_roots(monic, ell, k):
+        if poly_eval(monic, y) == 0:
+            x = Fraction(y, lead)
+            found.append(x)
+            # a root of the squarefree part may be a multiple root of a
+            while not squarefree and poly_eval(a := poly_deflate(a, x), x) == 0:
+                found.append(x)
+    found.sort(key=lambda x: (x.denominator, abs(x.numerator), x < 0))
+    return [Fraction(0)] * zeros + found
+
+
+def factor_over_q(cp, ell=None) -> list | None:
+    """Monic irreducible factors over Q (lowest degree first), or None when
+    the elementary method (root deflation + 'degree <= 3 without rational
+    roots is irreducible') cannot certify the factorization.  ``ell`` is
+    the squarefree certificate of cp, or None."""
+    work = [Fraction(c) for c in cp]
+    factors = []
+    for root in rational_roots(work, ell):
+        factors.append([-root, Fraction(1)])
+        work = poly_deflate(work, root)
+    deg = len(work) - 1
+    if deg == 0:
+        return factors
+    if deg <= 3:
+        lead = work[-1]
+        factors.append([c / lead for c in work])
+        return factors
+    return None

@@ -341,6 +341,40 @@ def run_alone_and_in_batch(tmp_path, capsys, bad) -> tuple:
     return report["error"], batch["results"][1]["message"]
 
 
+@pytest.mark.parametrize("fault", [IndexError("list index out of range"),
+                                   AssertionError("a component of the wrong size")])
+def test_an_internal_fault_exits_4_and_fails_only_its_batch_line(tmp_path, capsys, monkeypatch, fault):
+    """A handler that raises anything but an input error is an internal
+    error.  Alone it exits 4 with a JSON error naming the exception's type
+    and message, never a traceback; as the middle line of a batch its line
+    gets the status internal-error, counted under error, the lines around
+    it are still answered, and the file exits 4.  Each time the traceback
+    goes to stderr."""
+
+    def broken(payload, args):
+        raise fault
+
+    monkeypatch.setitem(cli.HANDLERS, "phimod", broken)
+    f = tmp_path / "module.json"
+    f.write_text("{}")
+    code = main(["phimod", "--input", str(f)])
+    out, err = capsys.readouterr()
+    assert code == 4
+    message = f"internal error: {type(fault).__name__}: {fault}"
+    assert json.loads(out) == {"schema": cli.SCHEMA, "error": message}
+    # the traceback goes to stderr, for whoever reports the fault
+    assert err.startswith("Traceback") and err.rstrip().endswith(f"{type(fault).__name__}: {fault}")
+    good = json.dumps({"command": "herbrand", "e": 4, "orders": [4, 2, 2]})
+    f = tmp_path / "faulty.jsonl"
+    f.write_text("\n".join([good, json.dumps({"command": "phimod"}), good]) + "\n")
+    code, batch = run_json(capsys, "batch", "--input", str(f))
+    assert code == 4
+    assert batch["counts"] == {"ok": 2, "undecided": 0, "error": 1}
+    assert [r["status"] for r in batch["results"]] == ["ok", "internal-error", "ok"]
+    assert batch["results"][1] == {"line": 2, "status": "internal-error", "message": message}
+    assert batch["results"][0]["report"] == batch["results"][2]["report"]
+
+
 _TERM = {"coeff": 1, "a": "1/3", "c": "0"}
 _MODULE = {"p": 5, "eisenstein": [-5, 1], "frobenius": [["25"]],
            "filtration": [{"jump": 2, "basis": [[["1"]]]}]}

@@ -19,7 +19,8 @@ import admissibility_reference
 import linalg_reference as ref
 import period_lab
 import sen_reference
-from period_lab.filtered_phi import FilteredPhiModule
+from period_lab import filtered_phi
+from period_lab.filtered_phi import FilteredPhiModule, _matrix_inverse
 from period_lab.linalg import (
     CERTIFYING_PRIMES,
     BaseFieldK,
@@ -28,6 +29,7 @@ from period_lab.linalg import (
     clear_denominators,
     det,
     extend_echelon,
+    factor_over_q,
     integer_kernel,
     intersect_rowspaces,
     is_squarefree,
@@ -41,6 +43,7 @@ from period_lab.linalg import (
     rref,
     squarefree_certificate,
 )
+from period_lab.padic import rational_valuation
 from period_lab.padic_poly import (
     hensel_integer_roots,
     is_squarefree_mod_p,
@@ -316,6 +319,114 @@ def test_induced_hodge_number_matches_zassenhaus(e):
             ]
             dims = admissibility_reference.intersection_dims(D, rows)
             assert D.induced_hodge_number(dims) == zassenhaus_hodge_number(D, rows)
+
+
+# ---------------------------------------------------------------------------
+# the integer factorization of the Frobenius against the Fraction pipeline
+# it replaced (admissibility_reference, the parent's word for word)
+# ---------------------------------------------------------------------------
+
+# eigenvalues of admissibility seed 23 phimod-49, a direct sum of a rank-2
+# block (-7, 24) and four rank-1 pieces: every prime of CERTIFYING_PRIMES
+# divides a difference of two of them, so no prime <= 29 certifies it
+UNCERTIFIED = (-7, 24, -90, 11, 48, -126)
+
+
+@st.composite
+def frobenius_draws(draw):
+    """(p, Frobenius, kind) with Frobenius = P diag(blocks) P^-1: rank 3
+    to 7; rational eigenvalues with integer or rational values (so the
+    monic integer form has lead > 1, and ordering the roots by x differs
+    from ordering them by y = lead x), a repeated one, or an irreducible
+    quadratic, cubic or quartic block; P with entries of up to 256 bits,
+    or the direct-sum shape of seed 23 phimod-49 (a conjugated rank-2
+    block beside rank-1 pieces) with the eigenvalues of ``UNCERTIFIED``
+    scaled by a rational unit."""
+    kind = draw(st.sampled_from(["integer", "rational", "repeated", "block", "uncertified"]))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    bits = draw(st.sampled_from([2, 16, 256]))
+    # entries of about ``bits`` bits, or zero
+    entry = st.one_of(st.just(0), st.integers(2 ** (bits - 1), 2**bits),
+                      st.integers(-(2**bits), -(2 ** (bits - 1))))
+    if kind == "uncertified":
+        scale = draw(st.builds(F, st.sampled_from([1, -1, 5, 7]), st.sampled_from([1, 1, 2, 9])))
+        lam = [scale * x for x in UNCERTIFIED]
+        while True:
+            P2 = draw(st.lists(st.lists(entry, min_size=2, max_size=2), min_size=2, max_size=2))
+            if P2[0][0] * P2[1][1] != P2[0][1] * P2[1][0]:
+                break
+        P2 = [[F(x) for x in row] for row in P2]
+        top = mat_mul(mat_mul(P2, [[lam[0], 0], [0, lam[1]]]), _matrix_inverse(P2))
+        n = len(lam)
+        frob = [[F(0)] * n for _ in range(n)]
+        for i in range(2):
+            frob[i][:2] = top[i]
+        for i in range(2, n):
+            frob[i][i] = lam[i]
+        return p, frob, kind
+    n = draw(st.integers(3, 7))
+    den = st.sampled_from([1]) if kind == "integer" else st.sampled_from([1, 1, 2, 3, 4, 6, 9])
+    value = st.builds(F, st.integers(-40, 40).filter(bool), den)
+    blocks = []
+    if kind == "block":
+        # x^2 - c, x^3 - c or x^4 - c, none of them with a rational root
+        k = draw(st.integers(2, min(4, n)))
+        c = draw(st.sampled_from([2, 3, -5, 6, 7, 10]))
+        blocks.append([[F(0)] * (k - 1) + [F(c)]] + [[F(int(i == j)) for j in range(k)] for i in range(k - 1)])
+    roots = draw(st.lists(value, min_size=n - sum(map(len, blocks)), max_size=n - sum(map(len, blocks)),
+                          unique=True))
+    if kind == "repeated" and len(roots) > 1:
+        roots[-1] = roots[0]
+    blocks += [[[x]] for x in roots]
+    B = [[F(0)] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            B[at + i][at:at + len(row)] = row
+        at += len(block)
+    while True:
+        P = [[F(x) for x in row] for row in
+             draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))]
+        if rank(P) == n:
+            break
+    return p, mat_mul(mat_mul(P, B), _matrix_inverse(P)), kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(frobenius_draws())
+def test_the_integer_factorization_matches_the_fraction_pipeline(draw):
+    """char_poly, squarefree_certificate, factor_over_q, the primary
+    components and their t_N against the parent's pipeline: the same
+    characteristic polynomial and squarefree verdict, the same factors in
+    the same order (each a factor h in y = lead x, read as the monic
+    h(lead x) / lead^k), the same integer kernels and the same t_N."""
+    p, frob, kind = draw
+    n = len(frob)
+    D = FilteredPhiModule(BaseFieldK.qp(p), frob, [(0, [[int(i == j) for j in range(n)] for i in range(n)])])
+    B, den = D._frobenius_cleared
+    cp, want_cp = D.frobenius_char_poly, admissibility_reference.char_poly(frob)
+    assert cp == want_cp
+    ell = squarefree_certificate(cp)
+    squarefree = ell is not None or is_squarefree(cp)
+    assert squarefree == (squarefree_certificate(want_cp) is not None or is_squarefree(want_cp))
+    assert squarefree == (kind != "repeated")
+    if kind == "uncertified":
+        assert ell is None
+    if not squarefree:
+        return
+    got, want = factor_over_q(cp, ell), admissibility_reference.factor_over_q(want_cp, ell)
+    assert (got is None) == (want is None)
+    if want is None:
+        assert kind == "block"  # a quartic block: no rational root, degree 4
+        return
+    lead, factors = got
+    assert all(type(c) is int for h in factors for c in h)
+    assert [[F(c, lead ** (len(h) - 1 - i)) for i, c in enumerate(h)] for h in factors] == want
+    components, newton = filtered_phi._primary_components(D, lead, factors)
+    assert components == [
+        integer_kernel(admissibility_reference.poly_eval_cleared(f, B, den)[0]) for f in want
+    ]
+    assert newton == [int(rational_valuation(f[0], p)) for f in want]
 
 
 # ---------------------------------------------------------------------------
