@@ -13,7 +13,6 @@ from fractions import Fraction as F
 from period_lab.ramification import (
     RamificationData,
     ZpExtensionProfile,
-    compose_towers,
     different_valuation,
     herbrand_phi,
     herbrand_psi,
@@ -47,7 +46,7 @@ print("psi o phi fixes", [str(F(u)) for u in (F(1, 2), 1, F(7, 3), 12)])
 g_data = RamificationData(p * p, [p * p, p * p, p, p])
 h_data = RamificationData(p, [p, p, p, p])
 q_data = RamificationData(p, [p, p])
-assert compose_towers(herbrand_phi(q_data), herbrand_phi(h_data)) == herbrand_phi(g_data)
+assert herbrand_phi(q_data).compose(herbrand_phi(h_data)) == herbrand_phi(g_data)
 print("tower composition law verified on the cyclic p^2 example")
 
 # The normalized jump function psi_r of a ramified Z_p-tower: slope p^j on

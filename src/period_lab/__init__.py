@@ -3,7 +3,7 @@ p-adic Hodge theory.
 
 Subpackages, one per concern:
 
-* ``padic``        exact rationals with p-adic valuations, Legendre/nu
+* ``padic``        exact rationals with p-adic valuations, the lower hull
 * ``padic_poly``   polynomials mod p, over Z_p and over Q_p
 * ``ramification`` piecewise-linear Herbrand calculus and Z_p-tower
                    constants

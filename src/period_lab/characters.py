@@ -54,7 +54,6 @@ from .padic import (
     centered,
     format_ratio,
     format_rational,
-    int_valuation,
     multiplicity,
     parse_int,
     parse_rational,
@@ -338,51 +337,10 @@ def _log_coefficients(p: int, n: int, V: int, N: int) -> list:
     return [(i, (L // i * u if i % 2 else -(L // i) * u) % modulus) for i in range(1, n + 1)]
 
 
-def matrix_exp_truncated(prime, M, precision: int = 20):
-    """exp(M) by the truncated series, for v_p(M) above the margin; the
-    reconstruction partner of the operator (action of the level-s
-    generator is exp(p^s * operator) for s large).
-
-    Term i has valuation at least margin*i - v_p(i!), and is included
-    when that bound is at most the precision.  The series stops where
-    margin*i - (i-1)/(p-1) exceeds the precision: that lower bound for
-    every later term's valuation only grows, as v_p(i!) <= (i-1)/(p-1).
-    Summed in ints over one common denominator by ``_series``, reduced
-    mod the characteristic polynomial of the integer matrix and evaluated
-    at it with d - 1 products (exact over Z by Cayley-Hamilton): O(n d)
-    scalar steps plus O(d^4) for n terms, where n powers took O(n d^3).
-    """
-    if isinstance(prime, int):
-        prime = Prime(prime)
-    p = prime.p
-    margin = _log_margin(p)
-    M = [[Fraction(x) for x in row] for row in M]
-    for row in M:
-        for x in row:
-            if x != 0 and rational_valuation(x, p) < margin:
-                raise ValueError("entries too large for the exponential")
-    included = []
-    fact = i = 1
-    while margin * i - Fraction(i - 1, p - 1) <= precision:
-        if margin * i - int_valuation(fact, p) <= precision:
-            included.append((i, fact))
-        i += 1
-        fact *= i
-    N, D = clear_denominators(M)
-    n, fact_n = included[-1] if included else (0, 1)
-    denom = fact_n * D**n
-    terms = [(i, denom // (f * D**i)) for i, f in included]
-    acc = _series(N, terms, char_poly(N, 1))
-    return [
-        [Fraction(x + denom * (a == b), denom) for b, x in enumerate(row)]
-        for a, row in enumerate(acc)
-    ]
-
-
-def _series(N, terms, chi, modulus=None) -> list:
-    """sum of c N^i over the (i, c) in terms, in ints; the i distinct.
+def _series(N, terms, chi, modulus) -> list:
+    """sum of c N^i over the (i, c) in terms, mod modulus; the i distinct.
     chi is the characteristic polynomial of N, monic, lowest degree
-    first; given a modulus, N and chi are reduced by it, and so is the sum.
+    first; N and chi are reduced by the modulus, and so is the sum.
 
     By Cayley-Hamilton the sum is r(N) for r the polynomial sum c x^i
     reduced mod chi.  r is d ints, built by Horner's rule from the top
@@ -398,19 +356,14 @@ def _series(N, terms, chi, modulus=None) -> list:
     for i in range(max(coeffs, default=0), -1, -1):
         # x rem + c_i - top chi, the x^d terms cancelling
         top = rem[-1]
-        shifted = zip((coeffs.get(i, 0), *rem), low)
-        if modulus:
-            rem = [(a - top * b) % modulus for a, b in shifted]
-        else:
-            rem = [a - top * b for a, b in shifted]
+        rem = [(a - top * b) % modulus for a, b in zip((coeffs.get(i, 0), *rem), low)]
     out = [[0] * d for _ in range(d)]
     for k, coef in enumerate(reversed(rem)):
         if k:
             out = mat_mul(out, N)
         for a in range(d):
             out[a][a] += coef
-        if modulus:
-            out = [[x % modulus for x in row] for row in out]
+        out = [[x % modulus for x in row] for row in out]
     return out
 
 

@@ -64,7 +64,6 @@ from .linalg import (
     reduce_mod,
     restrict_scalars,
     restricted_kernel,
-    rref,
     squarefree_certificate,
 )
 from .padic import (
@@ -114,10 +113,10 @@ class FilteredPhiModule:
 
     A basis entry is a rational or a sequence (list or tuple) of
     coordinates on 1, pi, pi^2, ..., reduced by E here.  Each basis is
-    kept as its reduced coordinate tuples, which ``filtration`` shows, and
-    as the forward echelon (``extend_echelon``) of the integer rows of its
-    restriction of scalars to Q (``restrict_scalars``), which every rank
-    and annihilator of the module reads.  The Frobenius matrix is kept as
+    kept as its reduced coordinate tuples and as the forward echelon
+    (``extend_echelon``) of the integer rows of its restriction of
+    scalars to Q (``restrict_scalars``), which every rank and annihilator
+    of the module reads.  The Frobenius matrix is kept as
     the pair (B, D) of ``clear_denominators``, B an integer matrix and
     Frobenius = B / D, which its characteristic polynomial and primary
     components read; ``frobenius`` shows it with Fraction entries.
@@ -179,15 +178,6 @@ class FilteredPhiModule:
         (B, D) of ``clear_denominators`` that the module keeps."""
         B, D = self._frobenius_cleared
         return [[Fraction(x, D) for x in row] for row in B]
-
-    @property
-    def filtration(self) -> list:
-        """(jump, basis) per step, each basis entry its reduced coordinate
-        tuple."""
-        return list(zip(self._jumps, self._vectors))
-
-    def jumps(self) -> list:
-        return list(self._jumps)
 
     def graded_dims(self) -> list:
         """[(jump, dim gr^jump)] over the filtration jumps."""
@@ -490,83 +480,6 @@ def is_admissible(D: FilteredPhiModule) -> AdmissibilityVerdict:
                 },
             )
     return AdmissibilityVerdict(ADMISSIBLE, tH, tN)
-
-
-# ---------------------------------------------------------------------------
-# duals, tensors, direct sums
-# ---------------------------------------------------------------------------
-
-
-def _matrix_inverse(A):
-    n = len(A)
-    aug = [list(map(Fraction, A[i])) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    echelon, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in echelon]
-
-
-def dual(D: FilteredPhiModule) -> FilteredPhiModule:
-    """Dual module: inverse-transpose Frobenius; the m-th dual filtration
-    step annihilates the (1-m)-th original one."""
-    frob = list(zip(*_matrix_inverse(D.frobenius)))
-    d, e = D.dim, D.base.e
-    # the annihilators of the steps after the first as coordinate lists,
-    # each vector divided by its entry at its column, then the full space
-    anns = [
-        [[[Fraction(x, v[c]) for x in v[i * e:(i + 1) * e]] for i in range(d)] for v, c in ann]
-        for ann in D._annihilators[1:]
-    ] + [[[int(i == j) for j in range(d)] for i in range(d)]]
-    # dual jumps are -m_k < ... < -m_1 with subspaces ann(W_{i+1})
-    return FilteredPhiModule(D.base, frob, [(-j, ann) for j, ann in zip(D._jumps[::-1], anns[::-1])])
-
-
-def _vec_kron(v, w, product=mul):
-    return [product(a, b) for a in v for b in w]
-
-
-def _coord_product(a, b) -> list:
-    """The product of two coordinate tuples as polynomials in pi, not
-    reduced by E."""
-    out = [0] * (len(a) + len(b))
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def tensor(D1: FilteredPhiModule, D2: FilteredPhiModule) -> FilteredPhiModule:
-    """Tensor product: Kronecker Frobenius, convolution filtration
-    Fil^m = sum over a + b = m of Fil^a tensor Fil^b; every sum a + b of
-    jumps is a jump, its graded piece holding gr^a tensor gr^b."""
-    if D1.base != D2.base:
-        raise ValueError("mixed base fields")
-    frob = [_vec_kron(a, b) for a in D1.frobenius for b in D2.frobenius]
-    pairs = [(j1 + j2, vecs1, vecs2) for j1, vecs1 in D1.filtration for j2, vecs2 in D2.filtration]
-    filtration = [
-        (mu, [_vec_kron(v, w, _coord_product) for j, vecs1, vecs2 in pairs if j >= mu for v in vecs1 for w in vecs2])
-        for mu in sorted({j for j, _, _ in pairs})
-    ]
-    return FilteredPhiModule(D1.base, frob, filtration)
-
-
-def direct_sum(D1: FilteredPhiModule, D2: FilteredPhiModule) -> FilteredPhiModule:
-    """Block-diagonal Frobenius; Fil^m is the sum of the two Fil^m, and
-    every jump of either summand is a jump of the sum."""
-    if D1.base != D2.base:
-        raise ValueError("mixed base fields")
-    d1, d2 = D1.dim, D2.dim
-    frob = [[*row, *[0] * d2] for row in D1.frobenius] + [[*[0] * d1, *row] for row in D2.frobenius]
-
-    def fil_at(D, m):
-        # the subspace at level m: that of the least jump >= m (none past the last)
-        return next((vecs for j, vecs in D.filtration if j >= m), [])
-
-    filtration = [
-        (mu, [[*v, *[()] * d2] for v in fil_at(D1, mu)] + [[*[()] * d1, *v] for v in fil_at(D2, mu)])
-        for mu in sorted({*D1.jumps(), *D2.jumps()})
-    ]
-    return FilteredPhiModule(D1.base, frob, filtration)
 
 
 # ---------------------------------------------------------------------------

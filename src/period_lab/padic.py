@@ -6,19 +6,10 @@ and the p-adic valuation (normalized by v_p(p) = 1) of each is derivable
 exactly.  There is no floating point anywhere.  The distinguished value
 +infinity (valuation of zero) is the module-level singleton ``INF``.
 
-Besides valuations, this module provides the two arithmetic functions
-that control convergence of divided-power series:
-
-* ``factorial_valuation(i, p)`` = v_p(i!) = (i - s_p(i)) / (p - 1) where
-  s_p(i) is the digit sum of i in radix p, and
-* ``nu(i, p)``, the smallest n with v_p(n!) + i >= 0 (and 0 for i >= 0),
-  which has the erratic O(log|i|) overshoot over -i(p-1) that makes these
-  computations worth automating.
-
-Finally, ``lower_hull`` is the one lower-convex-hull routine of the
-package: ``polygons`` builds on it, and ``padic_poly`` reads a
-polynomial's Newton slopes off it.  It runs its chain on integers, the
-coordinates scaled over the lcm of their denominators.
+``lower_hull`` is the one lower-convex-hull routine of the package:
+``polygons`` builds on it, and ``padic_poly`` reads a polynomial's
+Newton slopes off it.  It runs its chain on integers, the coordinates
+scaled over the lcm of their denominators.
 
 Every reduction of a p-integral rational modulo a power of p goes through
 ``residue`` (its class in [0, p^N)) and ``centered`` (the representative
@@ -172,13 +163,6 @@ class Prime(Record):
         return f"Prime({self.p})"
 
 
-def int_valuation(n: int, p: int) -> Valuation:
-    """v_p of a plain integer (INF for 0)."""
-    if n == 0:
-        return INF
-    return Fraction(multiplicity(n, p))
-
-
 def multiplicity(n: int, p: int) -> int:
     """v_p of a nonzero integer, as a plain int."""
     v = 0
@@ -328,45 +312,6 @@ def parse_list(value, name: str) -> list:
     if not isinstance(value, list):
         raise SchemaError(f"field {name!r} must be a list, got {value!r}")
     return value
-
-
-def digit_sum(i: int, p: int) -> int:
-    s = 0
-    while i:
-        i, r = divmod(i, p)
-        s += r
-    return s
-
-
-def factorial_valuation(i: int, p) -> int:
-    """v_p(i!) = (i - s_p(i)) / (p - 1), an exact nonnegative integer."""
-    if i < 0:
-        raise ValueError("factorial of a negative integer")
-    p = int(p)
-    num = i - digit_sum(i, p)
-    assert num % (p - 1) == 0
-    return num // (p - 1)
-
-
-def nu(i: int, p) -> int:
-    """Smallest n with v_p(n!) + i >= 0; zero for i >= 0.
-
-    Computed by binary search on the nondecreasing v_p(n!), not by a
-    closed form: the overshoot above -i(p-1) genuinely oscillates on the
-    scale of (p-1) log_p|i| and is not bounded.  v_p((p|i|)!) >= |i|
-    brackets the answer.
-    """
-    if i >= 0:
-        return 0
-    p = int(p)
-    lo, hi = 0, -i * p  # v_p(lo!) < -i <= v_p(hi!)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if factorial_valuation(mid, p) + i >= 0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def lower_hull(points: Iterable) -> list:

@@ -16,10 +16,11 @@ the alternative convention Card G_t = Card G_{ceil(t)} fails that identity
 already on the tame example orders = [p-1] and is therefore not used (the
 discrepancy is asserted against in the tests).
 
+``PLFunction.compose`` carries the transitivity law of a tower of steps.
 The module also carries the explicit machinery of ramified Z_p-towers:
 the normalized jump function psi_r, the exact different of an
 intermediate step of the tower, and the trace-decay / additive-Hilbert-90
-constants exhibited from it.
+constants exhibited from it, the trace-decay one in closed form.
 """
 
 from __future__ import annotations
@@ -122,7 +123,12 @@ class PLFunction(Record):
         return f
 
     def compose(self, inner: "PLFunction") -> "PLFunction":
-        """Exact composition self o inner."""
+        """Exact composition self o inner.
+
+        For a tower F subset L1 subset L2 the transitivity law reads
+        phi_{L2/F} = phi_{L1/F}.compose(phi_{L2/L1}) and, on the inverses,
+        psi_{L2/F} = psi_{L2/L1}.compose(psi_{L1/F}).
+        """
         xs = {x for x, _ in inner.breakpoints}
         inv = inner.inverse()
         xs.update(inv(bx) for bx, _ in self.breakpoints)
@@ -166,11 +172,12 @@ class RamificationData(Record):
         for a, b in zip(orders, orders[1:]):
             if b > a:
                 raise ValueError("orders must be nonincreasing")
+        # before the divisibility test, which would divide by a zero order
+        if any(g < 1 for g in orders):
+            raise ValueError("group orders are >= 1")
         for i in range(1, len(orders) - 1):
             if orders[i] % orders[i + 1] != 0:
                 raise ValueError("Card G_{i+1} must divide Card G_i for i >= 1")
-        if any(g < 1 for g in orders):
-            raise ValueError("group orders are >= 1")
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "orders", orders)
 
@@ -199,16 +206,6 @@ def herbrand_phi(data: RamificationData) -> PLFunction:
 def herbrand_psi(phi: PLFunction) -> PLFunction:
     """Exact piecewise-linear inverse of an increasing PL bijection."""
     return phi.inverse()
-
-
-def compose_towers(outer: PLFunction, inner: PLFunction) -> PLFunction:
-    """Exact composition outer o inner.
-
-    For a tower F subset L1 subset L2 the transitivity law reads
-    phi_{L2/F} = compose(phi_{L1/F}, phi_{L2/L1}) and, on the inverses,
-    psi_{L2/F} = compose(psi_{L2/L1}, psi_{L1/F}).
-    """
-    return outer.compose(inner)
 
 
 def different_valuation(data: RamificationData) -> Fraction:
@@ -267,7 +264,8 @@ def trace_decay_bound(profile: ZpExtensionProfile, p, r: int, s: int) -> Fractio
              + (p^s - 1)/(p^s (p - 1)) - (p^r - 1)/(p^r (p - 1)).
 
     Traces down the tower decrease valuations by at most (s - r) minus a
-    bounded defect; see ``trace_decay_defect`` for that defect.
+    defect bounded by |b/e_F + 1/(p-1)|; ``trace_decay_constant`` takes
+    its sup.
     """
     p = int(p)
     if not 0 <= r <= s:
@@ -279,26 +277,19 @@ def trace_decay_bound(profile: ZpExtensionProfile, p, r: int, s: int) -> Fractio
     )
 
 
-def trace_decay_defect(profile: ZpExtensionProfile, p, r: int, s: int) -> Fraction:
-    """(s - r) - v_p(D_{F_s/F_r}); uniformly bounded by |b/e_F + 1/(p-1)|."""
-    return Fraction(s - r) - trace_decay_bound(profile, p, r, s)
-
-
 def trace_decay_constant(profile: ZpExtensionProfile, p, window: int) -> Fraction:
     """The constant c_1 exhibited as (sup of the defect over the window) + 1.
 
-    The sup is over 0 <= r <= s <= window; the defect is monotone in each
-    argument, so the window sup already equals the global sup once the
-    window is nonempty, but we scan anyway to keep the exhibition honest.
+    The defect (s - r) - v_p(D_{F_s/F_r}) is c (p^-s - p^-r) for
+    c = b/e_F + 1/(p - 1), so its sup over 0 <= r <= s <= window is
+    max(0, -c) (1 - p^-window), reached at r = 0, s = window; an empty
+    window (window < 0) leaves the sup at 0.
     """
     p = int(p)
-    best = Fraction(0)
-    for r in range(window + 1):
-        for s in range(r, window + 1):
-            d = trace_decay_defect(profile, p, r, s)
-            if d > best:
-                best = d
-    return best + 1
+    if window < 0:
+        return Fraction(1)
+    c = profile.b / profile.e_F + Fraction(1, p - 1)
+    return max(0, -c) * (1 - Fraction(1, p**window)) + 1
 
 
 def hilbert90_constant(c1) -> Fraction:

@@ -274,10 +274,6 @@ class TiltExpr(Record):
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, p) -> "TiltExpr":
-        return cls(p, [])
-
-    @classmethod
     def _term(cls, p, a=0, c=0, i=0) -> "TiltExpr":
         """The one-term expression eps^a (pflat)^c p^i."""
         return cls(p, [(1, a, c, FqElement.one(int(p)), i)])
@@ -343,9 +339,6 @@ class TiltExpr(Record):
     def _check(self, other):
         if not isinstance(other, TiltExpr) or other.prime != self.prime:
             raise ValueError("mixed expressions")
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __repr__(self):
         if not self.terms:

@@ -22,6 +22,10 @@ for it (``line_is_rational``), not off its annihilator.
 ``FilteredPhiModule.from_json`` reads, for the round-trip tests; no
 command prints one.
 
+``filtration``, ``dual``, ``tensor`` and ``direct_sum`` build the
+modules that the duality, tensor and direct-sum tests decide, from the
+module's jumps and reduced coordinate tuples; no command builds one.
+
 ``char_poly``, ``poly_eval_cleared``, ``rational_roots`` and
 ``factor_over_q`` are the Fraction pipeline of the rank >= 3 scan that
 the integer factorization of ``period_lab.linalg`` replaced, word for
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Optional
 
 import linalg_reference as ref
@@ -43,6 +48,7 @@ from period_lab.filtered_phi import (
     NOT_ADMISSIBLE,
     UNDECIDED,
     AdmissibilityVerdict,
+    FilteredPhiModule,
 )
 from period_lab.linalg import (
     _monic_integer,
@@ -52,6 +58,7 @@ from period_lab.linalg import (
     nullspace,
     poly_deflate,
     poly_eval_matrix,
+    rref,
     squarefree_certificate,
     squarefree_part,
 )
@@ -244,7 +251,7 @@ def module_to_json(D) -> dict:
         "frobenius": [[format_rational(x) for x in row] for row in D.frobenius],
         "filtration": [
             {"jump": j, "basis": [[*map(k_json, vec)] for vec in vecs]}
-            for j, vecs in D.filtration
+            for j, vecs in filtration(D)
         ],
     }
 
@@ -374,3 +381,86 @@ def factor_over_q(cp, ell=None) -> list | None:
         factors.append([c / lead for c in work])
         return factors
     return None
+
+
+# ---------------------------------------------------------------------------
+# duals, tensors, direct sums
+# ---------------------------------------------------------------------------
+
+
+def filtration(D) -> list:
+    """(jump, basis) per step, each basis entry its reduced coordinate
+    tuple."""
+    return list(zip(D._jumps, D._vectors))
+
+
+def matrix_inverse(A):
+    n = len(A)
+    aug = [list(map(Fraction, A[i])) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
+    echelon, pivots = rref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in echelon]
+
+
+def dual(D):
+    """Dual module: inverse-transpose Frobenius; the m-th dual filtration
+    step annihilates the (1-m)-th original one."""
+    frob = list(zip(*matrix_inverse(D.frobenius)))
+    d, e = D.dim, D.base.e
+    # the annihilators of the steps after the first as coordinate lists,
+    # each vector divided by its entry at its column, then the full space
+    anns = [
+        [[[Fraction(x, v[c]) for x in v[i * e:(i + 1) * e]] for i in range(d)] for v, c in ann]
+        for ann in D._annihilators[1:]
+    ] + [[[int(i == j) for j in range(d)] for i in range(d)]]
+    # dual jumps are -m_k < ... < -m_1 with subspaces ann(W_{i+1})
+    return FilteredPhiModule(D.base, frob, [(-j, ann) for j, ann in zip(D._jumps[::-1], anns[::-1])])
+
+
+def _vec_kron(v, w, product=mul):
+    return [product(a, b) for a in v for b in w]
+
+
+def _coord_product(a, b) -> list:
+    """The product of two coordinate tuples as polynomials in pi, not
+    reduced by E."""
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def tensor(D1, D2):
+    """Tensor product: Kronecker Frobenius, convolution filtration
+    Fil^m = sum over a + b = m of Fil^a tensor Fil^b; every sum a + b of
+    jumps is a jump, its graded piece holding gr^a tensor gr^b."""
+    if D1.base != D2.base:
+        raise ValueError("mixed base fields")
+    frob = [_vec_kron(a, b) for a in D1.frobenius for b in D2.frobenius]
+    pairs = [(j1 + j2, vecs1, vecs2) for j1, vecs1 in filtration(D1) for j2, vecs2 in filtration(D2)]
+    steps = [
+        (mu, [_vec_kron(v, w, _coord_product) for j, vecs1, vecs2 in pairs if j >= mu for v in vecs1 for w in vecs2])
+        for mu in sorted({j for j, _, _ in pairs})
+    ]
+    return FilteredPhiModule(D1.base, frob, steps)
+
+
+def direct_sum(D1, D2):
+    """Block-diagonal Frobenius; Fil^m is the sum of the two Fil^m, and
+    every jump of either summand is a jump of the sum."""
+    if D1.base != D2.base:
+        raise ValueError("mixed base fields")
+    d1, d2 = D1.dim, D2.dim
+    frob = [[*row, *[0] * d2] for row in D1.frobenius] + [[*[0] * d1, *row] for row in D2.frobenius]
+
+    def fil_at(D, m):
+        # the subspace at level m: that of the least jump >= m (none past the last)
+        return next((vecs for j, vecs in filtration(D) if j >= m), [])
+
+    steps = [
+        (mu, [[*v, *[()] * d2] for v in fil_at(D1, mu)] + [[*[()] * d1, *v] for v in fil_at(D2, mu)])
+        for mu in sorted({*D1._jumps, *D2._jumps})
+    ]
+    return FilteredPhiModule(D1.base, frob, steps)

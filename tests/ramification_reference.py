@@ -3,6 +3,11 @@ JSON that ``herbrand`` prints for a piecewise-linear function, the
 identity test on one, psi_r as one, and the Hasse-Arf flag on a tower
 profile.
 
+``trace_decay_defect`` and ``trace_decay_constant`` are the trace-decay
+defect and the O(window^2) scan of it that the closed form of
+``period_lab.ramification.trace_decay_constant`` replaced, kept as the
+oracle the tests compare it with.
+
 It also keeps the Fraction implementation of ``PLFunction``,
 ``herbrand_phi`` and ``different_valuation`` that the integer one in
 ``period_lab.ramification`` replaced, as the oracle the tests compare it
@@ -16,7 +21,7 @@ from fractions import Fraction
 
 from period_lab import ramification
 from period_lab.padic import Record, format_rational, parse_rational, require
-from period_lab.ramification import ZpExtensionProfile, psi_r
+from period_lab.ramification import ZpExtensionProfile, psi_r, trace_decay_bound
 
 
 def plfunction_from_json(obj: dict) -> ramification.PLFunction:
@@ -38,6 +43,24 @@ def psi_r_function(r: int, p) -> ramification.PLFunction:
 
 def a_is_integral(profile: ZpExtensionProfile) -> bool:
     return profile.a.denominator == 1
+
+
+def trace_decay_defect(profile: ZpExtensionProfile, p, r: int, s: int) -> Fraction:
+    """(s - r) - v_p(D_{F_s/F_r}); uniformly bounded by |b/e_F + 1/(p-1)|."""
+    return Fraction(s - r) - trace_decay_bound(profile, p, r, s)
+
+
+def trace_decay_constant(profile: ZpExtensionProfile, p, window: int) -> Fraction:
+    """(sup of the defect over 0 <= r <= s <= window, and 0) + 1, by a scan
+    of every pair."""
+    p = int(p)
+    best = Fraction(0)
+    for r in range(window + 1):
+        for s in range(r, window + 1):
+            d = trace_decay_defect(profile, p, r, s)
+            if d > best:
+                best = d
+    return best + 1
 
 
 class PLFunction(Record):

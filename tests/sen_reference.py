@@ -9,7 +9,8 @@ Also kept: the coefficient table of the integer operator as it was built
 before the one-inverse table, a Fraction and a ``residue`` per term, with
 its term count; the power-by-power integer series (one matrix product per
 term) that the reduction mod the characteristic polynomial replaced,
-with the exponential built on it, and the closeness-to-the-identity check
+with the exponential built on it (the one the Sen tests build their
+inputs with; the package has none), and the closeness-to-the-identity check
 of ``SenInput`` by rational valuations that the integer check replaced.
 
 Helpers that the integer rewrite left unchanged (rational gcd, squarefree
@@ -35,7 +36,7 @@ from period_lab.linalg import (
     poly_gcd_q,
 )
 from period_lab.linalg import mat_mul as int_mat_mul  # the integer product
-from period_lab.padic import Prime, int_valuation, multiplicity, rational_valuation, residue
+from period_lab.padic import Prime, multiplicity, rational_valuation, residue
 
 
 def mat_mul(A, B):
@@ -248,7 +249,7 @@ def matrix_exp_truncated(prime, M, precision: int = 20):
     included = []
     fact = i = 1
     while margin * i - Fraction(i - 1, p - 1) <= precision:
-        if margin * i - int_valuation(fact, p) <= precision:
+        if margin * i - multiplicity(fact, p) <= precision:
             included.append((i, fact))
         i += 1
         fact *= i

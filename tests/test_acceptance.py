@@ -9,27 +9,27 @@ import random
 import time
 from fractions import Fraction as F
 
-from ramification_reference import is_identity, psi_r_function
+from admissibility_reference import dual, filtration, matrix_inverse, tensor
+from padic_reference import factorial_valuation, nu
+from ramification_reference import is_identity, psi_r_function, trace_decay_defect
+from sen_reference import matrix_exp_truncated
 from period_lab.characters import (
     CharacterTriple,
     SenInput,
     classify,
     hodge_tate_via_sen,
     is_trivial_via_sen,
-    matrix_exp_truncated,
     sen_operator,
 )
 from period_lab.filtered_phi import (
     FilteredPhiModule,
     dim1_module,
     dim2_module,
-    dual,
     is_admissible,
-    tensor,
 )
 from period_lab.jets import JetContext, frobenius_jet, galois_act_jet, log1p, verify_cocycle
 from period_lab.linalg import BaseFieldK, char_poly, mat_mul, nullspace, rational_roots
-from period_lab.padic import INF, factorial_valuation, lower_hull, nu, rational_valuation
+from period_lab.padic import INF, lower_hull, rational_valuation
 from period_lab.polygons import (
     Polygon,
     epsilon_minus_one_polygon,
@@ -40,12 +40,10 @@ from period_lab.polygons import (
 from period_lab.ramification import (
     RamificationData,
     ZpExtensionProfile,
-    compose_towers,
     different_valuation,
     herbrand_phi,
     herbrand_psi,
     psi_r,
-    trace_decay_defect,
 )
 from period_lab.tilt import (
     GaloisElement,
@@ -180,14 +178,14 @@ def _rank(rows):
 
 def _oracle_subspace_numbers(module, rows):
     dims = []
-    for _, vecs in module.filtration:
+    for _, vecs in filtration(module):
         # over Q_p each entry is one coordinate, or () for zero
         k_rows = [[x[0] if x else F(0) for x in v] for v in vecs]
         both = [list(r) for r in rows] + k_rows
         dims.append(_rank(rows) + _rank(k_rows) - _rank(both))
     dims.append(0)
     t_h = sum(
-        j * (dims[i] - dims[i + 1]) for i, (j, _) in enumerate(module.filtration)
+        j * (dims[i] - dims[i + 1]) for i, (j, _) in enumerate(filtration(module))
     )
     n = len(rows)
     coords = []
@@ -267,9 +265,7 @@ def test_criterion_5_admissibility_suite():
         P = [[F(rng.randrange(-3, 4)) for _ in range(3)] for _ in range(3)]
         if _det(P) == 0:
             continue
-        from period_lab.filtered_phi import _matrix_inverse
-
-        Phi = mat_mul(mat_mul(P, [[eigs[i] if i == j else F(0) for j in range(3)] for i in range(3)]), _matrix_inverse(P))
+        Phi = mat_mul(mat_mul(P, [[eigs[i] if i == j else F(0) for j in range(3)] for i in range(3)]), matrix_inverse(P))
         jumps = sorted(rng.sample(range(-2, 4), 3))
         full = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
         v1 = [F(rng.randrange(-3, 4)) for _ in range(3)]
@@ -366,8 +362,8 @@ def test_criterion_7_ramification_suite():
         data = RamificationData(g0, orders)
         phi = herbrand_phi(data)
         psi = herbrand_psi(phi)
-        assert is_identity(compose_towers(psi, phi))
-        assert is_identity(compose_towers(phi, psi))
+        assert is_identity(psi.compose(phi))
+        assert is_identity(phi.compose(psi))
         d = different_valuation(data)
         tail = (phi.breakpoints[-1][0] if phi.breakpoints else F(0)) + 7
         assert phi(tail) - tail / data.e == d

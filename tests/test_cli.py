@@ -497,6 +497,10 @@ def _vectors(*rows):
         ({"command": "jet", "action": "sum", "p": 3}, "unknown jet action 'sum'"),
         ({"command": "char", "op": "sum", **_CHARACTER}, "unknown char op 'sum'"),
         ({"command": "char", "op": "multiply", "factors": []}, "multiply needs at least one factor"),
+        # a zero order past g_1 is refused before the divisibility test
+        # divides by it
+        ({"command": "herbrand", "e": 4, "orders": [4, 2, 0]}, "group orders are >= 1"),
+        ({"command": "herbrand", "e": 4, "orders": [4, 2, 2, 0]}, "group orders are >= 1"),
     ],
 )
 def test_a_refused_input_keeps_its_message(tmp_path, capsys, bad, message):
@@ -748,6 +752,93 @@ def test_every_json_method_in_the_package_is_one_a_command_calls(tmp_path, capsy
     called = {(str(Path(name).resolve()), line) for name, line in called}
     assert defined
     assert sorted(name for key, name in defined.items() if key not in called) == []
+
+
+# run in a fresh interpreter, so that no cache an earlier test filled (the
+# field moduli of tilt, say) keeps a function from being called: every
+# operation of the three benchmark workloads at seed 1, the fixed
+# operations of tools/same_output.py in JSON and text, --help at the top
+# and for each command, and every demo, all under one profiler; prints
+# the (file, first line) of each function called
+_REACHED_CHILD = r"""
+import contextlib, io, json, runpy, sys, tempfile
+from pathlib import Path
+
+root = Path(sys.argv[1])
+sys.path[:0] = [str(root / "perfbench"), str(root / "tools")]
+import run, workloads
+from same_output import FIXED
+from period_lab import cli
+
+reached = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        reached.add(frame.f_code)
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    ops = [op for make in workloads.WORKLOADS.values() for op in make(1)]
+    fixed = [workloads.Op(name, "small", command, payload) for name, command, payload in FIXED]
+    argvs = run.write_inputs(ops + fixed, Path(tmp))
+    argvs += [argv + ["--format", "text"] for argv in argvs[len(ops):]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            for argv in argvs:
+                cli.main(argv)
+            for argv in [["--help"], *([command, "--help"] for command in cli.COMMANDS)]:
+                with contextlib.suppress(SystemExit):
+                    cli.main(argv)
+            for demo in sorted((root / "demos").glob("*.py")):
+                runpy.run_path(str(demo), run_name="__main__")
+        finally:
+            sys.setprofile(None)
+json.dump([[code.co_filename, code.co_firstlineno] for code in reached], sys.stdout)
+"""
+
+# public functions that no command and no demo reaches in that run, and
+# what holds each: the traced benchmark run looks up every name of
+# perfbench/tracing.py TARGETS, and these are reached by an edge branch
+_HELD_BY_A_BRANCH = {
+    "jets.JetContext.zero": "JetElement.__pow__, when the power vanishes below the order",
+    "linalg.squarefree_part": "phimod, on a squarefree characteristic polynomial that no "
+                              "prime up to 29 certifies (rational_roots with no certificate)",
+    "tilt.FqElement.power": "tilt probe past n = 0 on Teichmueller parts of f > 1 that "
+                            "cancel at the level (theta of phi^n applies Frobenius to them)",
+}
+
+
+def test_every_public_function_in_the_package_is_reached():
+    # keyed as in the JSON-method guard above: CPython 3.10 has no
+    # co_qualname, so a definition is its file and first line
+    root = Path(__file__).resolve().parents[1]
+    src = Path(cli.__file__).resolve().parent
+    defined = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            owner, members = "", [node]
+            if isinstance(node, ast.ClassDef):
+                owner, members = node.name + ".", node.body
+            for f in members:
+                if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"):
+                    line = min([f.lineno, *(d.lineno for d in f.decorator_list)])
+                    defined[(str(path), line)] = f"{path.stem}.{owner}{f.name}"
+    proc = subprocess.run(
+        [sys.executable, "-c", _REACHED_CHILD, str(root)], capture_output=True, text=True,
+        timeout=600, env={**os.environ, "PYTHONPATH": str(src.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    reached = {(str(Path(name).resolve()), line) for name, line in json.loads(proc.stdout)}
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(root / "perfbench"))
+    held = {f"{module}.{name}" for _, module, name, *_ in tracing.TARGETS} | set(_HELD_BY_A_BRANCH)
+    assert set(_HELD_BY_A_BRANCH) <= set(defined.values())
+    assert sorted(name for key, name in defined.items() if key not in reached and name not in held) == []
 
 
 @pytest.mark.parametrize("op", ["theta", "probe", "generator-check"])

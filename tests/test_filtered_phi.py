@@ -11,18 +11,16 @@ from hypothesis import strategies as st
 
 import admissibility_reference
 import linalg_reference as ref
+from admissibility_reference import direct_sum, dual, filtration, matrix_inverse, tensor
 
+from period_lab.characters import classify
 from period_lab.filtered_phi import (
     FilteredPhiModule,
-    _matrix_inverse,
     _qp_eigenvalue_below,
     dim1_correspondence,
     dim1_module,
     dim2_module,
-    direct_sum,
-    dual,
     is_admissible,
-    tensor,
 )
 from period_lab.linalg import BaseFieldK, char_poly, det, mat_mul, rational_roots
 from period_lab.padic import rational_valuation
@@ -75,12 +73,12 @@ def oracle_subspace_numbers(module, rows):
     """(t_H, t_N) of a stable rational subspace, recomputed from scratch."""
     # t_H: intersection dimensions against each filtration step
     dims = []
-    for _, vecs in module.filtration:
+    for _, vecs in filtration(module):
         k_rows = [[_value(x) for x in v] for v in vecs]
         dims.append(oracle_intersection_dim([list(r) for r in rows], k_rows))
     dims.append(0)
     t_h = sum(
-        j * (dims[i] - dims[i + 1]) for i, (j, _) in enumerate(module.filtration)
+        j * (dims[i] - dims[i + 1]) for i, (j, _) in enumerate(filtration(module))
     )
     # t_N: determinant of the restriction in a solved basis
     import itertools
@@ -195,6 +193,33 @@ def test_dim1_correspondence():
     assert (t3.lam, t3.a, t3.b) == (1, 0, 0)
     with pytest.raises(ValueError):
         dim1_correspondence(5, 5, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.fractions(min_value=-60, max_value=60, max_denominator=20).filter(bool),
+    st.integers(-4, 4),
+    st.integers(-4, 4),
+)
+def test_dim1_correspondence_agrees_with_classify_and_is_admissible(p, u, k, r):
+    # lambda = u p^k with u a p-adic unit (any sign), and one jump r: the
+    # rank-1 module is admissible exactly when the dictionary gives a
+    # character, and that character is crystalline of the module's one
+    # Hodge-Tate weight, -r
+    assume(rational_valuation(u, p) == 0)
+    lam = u * F(p) ** k
+    verdict = is_admissible(dim1_module(p, lam, r))
+    try:
+        chi = dim1_correspondence(p, lam, r)
+    except ValueError:
+        assert verdict.status == "not-admissible"
+        return
+    assert verdict.status == "admissible"
+    flags = classify(chi)
+    assert flags.crystalline
+    assert flags.hodge_tate_weight == -r
+    assert dim1_module(p, lam, r).hodge_tate_weights() == [-r]
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +373,7 @@ def rank2_module(spec) -> FilteredPhiModule:
     (coordinate lists on 1, pi, ..., not yet reduced by E) when r < s."""
     p, E, r, s, alpha, beta, jordan, v, w, basis = spec
     P = [[v[0], w[0]], [v[1], w[1]]]
-    frob = mat_mul(mat_mul(P, [[F(alpha), F(jordan)], [F(0), F(beta)]]), _matrix_inverse(P))
+    frob = mat_mul(mat_mul(P, [[F(alpha), F(jordan)], [F(0), F(beta)]]), matrix_inverse(P))
     filtration = [(r, [[1, 0], [0, 1]])] + ([(s, basis)] if r < s else [])
     return FilteredPhiModule(BaseFieldK(p, E), frob, filtration)
 
@@ -460,10 +485,9 @@ def random_dim3_instance(rng, p):
         Pinv_frob = None
         D0 = [[eigs[i] if i == j else F(0) for j in range(3)] for i in range(3)]
         # Phi = P D0 P^{-1}
-        from period_lab.filtered_phi import _matrix_inverse
         from period_lab.linalg import mat_mul
 
-        Phi = mat_mul(mat_mul(P, D0), _matrix_inverse(P))
+        Phi = mat_mul(mat_mul(P, D0), matrix_inverse(P))
         jumps = sorted(rng.sample(range(-2, 4), rng.choice([2, 3])))
         # random strictly decreasing filtration subspaces over Q
         full = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
@@ -664,12 +688,12 @@ def change_of_basis(D: FilteredPhiModule, P) -> FilteredPhiModule:
     """Transport the module along an invertible rational matrix P (new
     coordinates = P^{-1} old): conjugated Frobenius, transformed bases."""
     P = [[F(x) for x in row] for row in P]
-    Pinv = _matrix_inverse(P)
+    Pinv = matrix_inverse(P)
     frob = mat_mul(Pinv, mat_mul(D.frobenius, P))
     # a row v of a step's basis becomes (P^{-1} v)^T = v^T (P^{-1})^T
     steps = [
         (j, mat_mul([[_value(x) for x in v] for v in vecs], list(zip(*Pinv))))
-        for j, vecs in D.filtration
+        for j, vecs in filtration(D)
     ]
     return FilteredPhiModule(D.base, frob, steps)
 
@@ -770,7 +794,7 @@ def rank2_line_modules(draw):
     assume(l1 != l2)
     P = draw(st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2), min_size=2, max_size=2))
     assume(P[0][0] * P[1][1] != P[0][1] * P[1][0])
-    frob = mat_mul(mat_mul(P, [[l1, 0], [0, l2]]), _matrix_inverse(P))
+    frob = mat_mul(mat_mul(P, [[l1, 0], [0, l2]]), matrix_inverse(P))
     coords = st.lists(st.integers(-3, 3), min_size=e, max_size=e)
     kind = draw(st.sampled_from(["eigenvector", "rational", "over K"]))
     if kind == "eigenvector":
@@ -858,7 +882,7 @@ def scanned_modules(draw, primes=(2, 3, 5), degrees=(1, 2, 3), ranks=range(3, 9)
     for i, j, c in draw(st.lists(moves, max_size=3 * d)):
         if i != j:
             P[i] = [a + c * b for a, b in zip(P[i], P[j])]
-    frob = mat_mul(mat_mul(P, B), _matrix_inverse(P))
+    frob = mat_mul(mat_mul(P, B), matrix_inverse(P))
     base = BaseFieldK(p, [-p] + [0] * (e - 1) + [1])
     coords = st.lists(st.integers(-3, 3), min_size=e, max_size=e)
     basis = [[draw(coords) for _ in range(d)] for _ in range(d)]
@@ -937,10 +961,10 @@ def _agree_where_decided(a, b):
 def test_double_dual_and_dual_admissibility_over_ramified_k(D):
     DD = dual(dual(D))
     assert DD.frobenius == D.frobenius
-    assert DD.jumps() == D.jumps()
+    assert DD._jumps == D._jumps
     assert DD.graded_dims() == D.graded_dims()
     # each step spans the K-space it spanned, by the reference elimination
-    for (_, old), (_, new) in zip(D.filtration, DD.filtration):
+    for (_, old), (_, new) in zip(filtration(D), filtration(DD)):
         old, new = ([[ref.KElement(D.base, x) for x in v] for v in vecs] for vecs in (old, new))
         assert ref.rank(old) == ref.rank(new) == ref.rank(old + new)
     _agree_where_decided(D, dual(D))
@@ -1032,7 +1056,7 @@ def test_qp_from_json_matches_the_kelement_path(obj):
     assert is_admissible(D).to_json() == is_admissible(via_k).to_json()
     # each entry is sum c_i pi^i, computed apart from both paths
     pi = -obj["eisenstein"][0]
-    for (_, vecs), step in zip(D.filtration, obj["filtration"]):
+    for (_, vecs), step in zip(filtration(D), obj["filtration"]):
         for vec, raw in zip(vecs, step["basis"]):
             assert [_value(x) for x in vec] == [
                 sum(F(c) * pi**i for i, c in enumerate(coords)) for coords in raw

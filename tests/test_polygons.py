@@ -320,7 +320,7 @@ def test_tilt_product_polygon_is_minkowski_sum():
                 used.add(i)
                 c = F(rng.randrange(0, 8), p ** rng.randrange(0, 2))
                 terms.append((i, c))
-            expr = TiltExpr.zero(p)
+            expr = TiltExpr(p, [])
             for i, c in terms:
                 expr = expr + TiltExpr.p_flat_power(p, c) * TiltExpr.p_scalar(p, i)
             return expr

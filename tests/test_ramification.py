@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramification_reference
-from ramification_reference import a_is_integral, is_identity, psi_r_function
+from ramification_reference import a_is_integral, is_identity, psi_r_function, trace_decay_defect
 from period_lab.ramification import (
     PLFunction,
     RamificationData,
     ZpExtensionProfile,
-    compose_towers,
     different_valuation,
     herbrand_phi,
     herbrand_psi,
@@ -20,7 +19,6 @@ from period_lab.ramification import (
     psi_r,
     trace_decay_bound,
     trace_decay_constant,
-    trace_decay_defect,
 )
 
 
@@ -70,8 +68,8 @@ def test_psi_inverts_phi():
         data = random_data(rng, p)
         phi = herbrand_phi(data)
         psi = herbrand_psi(phi)
-        assert is_identity(compose_towers(psi, phi))
-        assert is_identity(compose_towers(phi, psi))
+        assert is_identity(psi.compose(phi))
+        assert is_identity(phi.compose(psi))
         u = F(rng.randrange(0, 60), rng.randrange(1, 9))
         assert psi(phi(u)) == u
 
@@ -115,12 +113,12 @@ def test_composition_on_explicit_towers():
         g_data = RamificationData(p * p, [p * p, p * p, p, p])
         h_data = RamificationData(p, [p, p, p, p])
         q_data = RamificationData(p, [p, p])
-        composed = compose_towers(herbrand_phi(q_data), herbrand_phi(h_data))
+        composed = herbrand_phi(q_data).compose(herbrand_phi(h_data))
         assert composed == herbrand_phi(g_data)
     # identity laws
     f = herbrand_phi(RamificationData(3, [3, 3]))
-    assert compose_towers(PLFunction((), 1), f) == f
-    assert compose_towers(f, PLFunction((), 1)) == f
+    assert PLFunction((), 1).compose(f) == f
+    assert f.compose(PLFunction((), 1)) == f
 
 
 def test_psi_dual_composition_law():
@@ -132,7 +130,7 @@ def test_psi_dual_composition_law():
     psi_g = herbrand_psi(herbrand_phi(g_data))
     psi_h = herbrand_psi(herbrand_phi(h_data))
     psi_q = herbrand_psi(herbrand_phi(q_data))
-    assert compose_towers(psi_h, psi_q) == psi_g
+    assert psi_h.compose(psi_q) == psi_g
 
 
 def test_psi_r_closed_form():
@@ -208,6 +206,22 @@ def test_trace_decay_constant_and_hilbert90():
     assert hilbert90_constant(c1) == c1 + 1
     assert hilbert90_constant(0) == 1
     assert hilbert90_constant(F(5, 2)) == F(7, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11]),
+    st.integers(1, 6),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+    st.integers(-2, 12),
+)
+def test_trace_decay_constant_matches_the_scan(p, e_F, b, window):
+    # the closed form max(0, -c) (1 - p^-window) + 1, c = b/e_F + 1/(p-1),
+    # against the sup of the defect over every pair 0 <= r <= s <= window
+    prof = ZpExtensionProfile(e_F, 0, b)
+    got = trace_decay_constant(prof, p, window)
+    assert got == ramification_reference.trace_decay_constant(prof, p, window)
+    assert type(got) is F
 
 
 def test_profile_flags_non_integer_shift():
