@@ -37,10 +37,16 @@ Decision coverage:
   Newton slope of denominator 3, or p-integral and irreducible mod p), so
   that the Q-rational subobjects are all the subobjects; otherwise the
   verdict is undecided with witness ``padically_reducible_factor``.  The
-  scan walks the subsets of components depth first: each component's
-  products with each filtration step's annihilator are formed once, and
-  adding a component extends one echelon per step by its products alone
-  (in ints for every e), so a subspace costs no elimination from scratch;
+  components are first split into parts whose products with each
+  filtration step's annihilator are independent at every step (the
+  connected components of a vector matroid, one elimination per step),
+  so t_H - t_N of a sum is the sum over the parts: a direct sum in any
+  basis costs sum_P 2^|P| subsets in place of 2^k, and the least
+  destabilizing sum is read back from the parts' tables.  A part, or a
+  module of one part, is walked depth first: each component's products
+  are formed once, and adding a component extends one echelon per step
+  by its products alone (in ints for every e), so a subspace costs no
+  elimination from scratch;
 * everything else: undecided, a first-class outcome.
 """
 
@@ -53,18 +59,19 @@ from operator import mul
 from .characters import CharacterTriple
 from .linalg import (
     BaseFieldK,
+    certify_squarefree,
     char_poly,
     clear_denominators,
     extend_echelon,
     factor_over_q,
+    fundamental_circuits,
     integer_kernel,
-    is_squarefree,
     mat_mul,
+    monic_integer,
     poly_eval_cleared,
     reduce_mod,
     restrict_scalars,
     restricted_kernel,
-    squarefree_certificate,
 )
 from .padic import (
     Record,
@@ -124,12 +131,15 @@ class FilteredPhiModule:
 
     def __init__(self, base: BaseFieldK, frobenius, filtration):
         self.base = base
-        # int entries stay ints, as clear_denominators takes them
+        # int entries stay ints, and an int matrix is its own cleared pair
         frobenius = [[x if type(x) is int else as_fraction(x) for x in row] for row in frobenius]
         d = len(frobenius)
         if any(len(row) != d for row in frobenius):
             raise ValueError("Frobenius matrix must be square")
-        self._frobenius_cleared = clear_denominators(frobenius)
+        if all(type(x) is int for row in frobenius for x in row):
+            self._frobenius_cleared = frobenius, 1
+        else:
+            self._frobenius_cleared = clear_denominators(frobenius)
         if self.frobenius_char_poly[0] == 0:
             raise ValueError("Frobenius must be invertible")
         E, e = base.eisenstein, base.e
@@ -217,8 +227,9 @@ class FilteredPhiModule:
         f . n = 0 for every f in the step) as ``restricted_kernel`` gives
         it from the step's echelon: integer vectors of the coordinates of
         n_1, ..., n_d on 1, pi, ..., pi^(e-1), so the scan's products stay
-        in ints."""
-        return [restricted_kernel(ech, self.dim, self.base.e) for ech in self._echelons]
+        in ints.  The first step is the full space, whose annihilator is
+        empty and not computed."""
+        return [[]] + [restricted_kernel(ech, self.dim, self.base.e) for ech in self._echelons[1:]]
 
     def induced_hodge_number(self, dims) -> int:
         """t_H of a subspace W with the intersection filtration over K,
@@ -349,50 +360,143 @@ def _dim2_admissible(D: FilteredPhiModule, tH, tN) -> AdmissibilityVerdict:
     return AdmissibilityVerdict(ADMISSIBLE, tH, tN)
 
 
-def _least_destabilizing(D: FilteredPhiModule, blocks, newton) -> list | None:
-    """The blocks, ascending, of the least mask S with 0 < S < 2^k - 1
-    whose subobject W_S (the span of the blocks in S) has t_H(W_S) >
-    t_N(W_S), or None.  ``newton[i]`` is t_N of block i.
+def _split(products) -> list:
+    """The finest partition of the blocks 0..k-1 into parts, each a sorted
+    list, such that at every step the rank of all the rows is the sum of
+    the ranks of each part's rows.  ``products[b][s]`` are block b's rows
+    at step s.
 
-    A depth-first walk from the highest block down that takes "exclude"
-    before "include" meets the masks in increasing order.  The blocks are
-    the primary components of a squarefree Frobenius, so dim W_S is the
-    sum of their sizes, and a filtration step F with annihilator N meets
-    W_S in dimension dim W_S - rank_K(W_S N), the K-rank being the rank of
-    the restricted rows of the K-rows (w . n)_n over e.  Each block's
-    restricted products with each N are formed once, and an "include" edge
-    extends the echelon of each step by the new block's products alone."""
-    k = len(blocks)
+    Such a partition splits the vector matroid on each step's rows into
+    separators, and the separators form a Boolean algebra whose atoms are
+    the matroid's connected components, which two rows share when some
+    fundamental circuit of one basis holds both (Oxley, *Matroid Theory*,
+    2nd ed., ch. 4).  So one elimination per step finds them
+    (``fundamental_circuits``), and a union-find joins the blocks of each
+    circuit over all the steps."""
+    k = len(products)
+    parent = list(range(k))
+
+    def root(b):
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        return b
+
+    parts = k
+    for s in range(len(products[0])):
+        if parts == 1:
+            break
+        owners = [b for b in range(k) for _ in products[b][s]]
+        for circuit in fundamental_circuits([row for block in products for row in block[s]]):
+            roots = {root(owners[i]) for i in circuit}
+            first = roots.pop()
+            for b in roots:
+                parent[b] = first
+            parts -= len(roots)
+            if parts == 1:
+                break
+    grouped = {}
+    for b in range(k):
+        grouped.setdefault(root(b), []).append(b)
+    return list(grouped.values())
+
+
+def _block_products(D: FilteredPhiModule, blocks) -> list:
+    """products[b][s]: the restricted rows of the K-rows (w . n)_n for the
+    vectors w of block b and a K-basis n of the annihilator of step s + 1
+    (the full first step has none)."""
     E, e = D.base.eisenstein, D.base.e
     # the j-th coordinate of w . n is the product of w with n[j::e], the
     # j-th coordinates of n's entries
-    steps = [[[n[j::e] for j in range(e)] for n, _ in ann] for ann in D._annihilators]
-    products = [
+    steps = [[[n[j::e] for j in range(e)] for n, _ in ann] for ann in D._annihilators[1:]]
+    return [
         [
             restrict_scalars([[[sum(map(mul, w, c)) for c in n] for n in ann] for w in block], E)
             for ann in steps
         ]
         for block in blocks
     ]
-    full = 2**k - 1
 
-    def walk(i, mask, dim, newton_sum, echelons):
-        if i < 0:
-            if 0 < mask < full:
-                dims = [dim - len(echelon) // e for echelon in echelons]
-                if D.induced_hodge_number(dims) > newton_sum:
-                    return mask
-            return None
-        return walk(i - 1, mask, dim, newton_sum, echelons) or walk(
-            i - 1,
-            mask | 1 << i,
-            dim + len(blocks[i]),
-            newton_sum + newton[i],
-            [extend_echelon(ech, rows) for ech, rows in zip(echelons, products[i])],
-        )
 
-    mask = walk(k - 1, 0, 0, 0, [[] for _ in steps])
-    return None if mask is None else [i for i in range(k) if mask >> i & 1]
+def _least_destabilizing(D: FilteredPhiModule, blocks, newton) -> list | None:
+    """The blocks, ascending, of the least mask S with 0 < S < 2^k - 1
+    whose subobject W_S (the span of the blocks in S) has f(S) = t_H(W_S)
+    - t_N(W_S) > 0, or None.  ``newton[i]`` is t_N of block i.
+
+    The blocks are the primary components of a squarefree Frobenius, so
+    dim W_S is the sum of their sizes, and a filtration step F with
+    annihilator N meets W_S in dimension dim W_S - rank_K(W_S N), the
+    K-rank being the rank of the restricted rows of the K-rows (w . n)_n
+    over e.  The full first step has N = 0 and is left out.  Each block's
+    restricted products with each N are formed once, and the subsets are
+    walked depth first from the highest block down, "exclude" before
+    "include", so that the masks come in increasing order and an
+    "include" edge extends the echelon of each step by the new block's
+    products alone.
+
+    First the blocks are split (``_split``) into parts whose rows are
+    independent at every step.  Then every rank, so f too, is a sum over
+    the parts, f(S) = sum_P f(S ∩ P), and f(∅) = f(all) = 0, so some S
+    destabilizes iff sum_P max_{T ⊆ P} f(T) > 0: each part is walked on
+    its own, sum_P 2^|P| subsets in place of 2^k.  The least S is then
+    fixed bit by bit from the highest block down, keeping "exclude" while
+    the best completion still has f > 0.  A module of one part is walked
+    as a whole, and the walk stops at the first S with f(S) > 0."""
+    k, e = len(blocks), D.base.e
+    products = _block_products(D, blocks)
+
+    def walk(part, leaf, whole=None):
+        """Calls leaf(mask, f) on the nonempty subsets of ``part`` in
+        increasing order of their masks over its positions, until one
+        returns a mask; not on the mask ``whole`` of all the blocks,
+        whose f is t_H - t_N = 0, nor on the empty one."""
+
+        def visit(i, mask, dim, newton_sum, echelons):
+            if i < 0:
+                if mask == 0 or mask == whole:
+                    return None
+                dims = [dim] + [dim - len(echelon) // e for echelon in echelons]
+                return leaf(mask, D.induced_hodge_number(dims) - newton_sum)
+            b = part[i]
+            return visit(i - 1, mask, dim, newton_sum, echelons) or visit(
+                i - 1,
+                mask | 1 << i,
+                dim + len(blocks[b]),
+                newton_sum + newton[b],
+                [extend_echelon(ech, rows) for ech, rows in zip(echelons, products[b])],
+            )
+
+        return visit(len(part) - 1, 0, 0, 0, [[] for _ in products[0]])
+
+    parts = _split(products)
+    if len(parts) == 1:
+        mask = walk(range(k), lambda mask, f: mask if f > 0 else None, 2**k - 1)
+        return None if mask is None else [i for i in range(k) if mask >> i & 1]
+    # tables[q][T] = f(T) for the subsets T of part q, by their masks
+    tables = []
+    for part in parts:
+        table = [0] * 2 ** len(part)
+        walk(part, table.__setitem__)
+        tables.append(table)
+    best = [max(table) for table in tables]
+    total = sum(best)
+    if total <= 0:
+        return None
+    where = {b: (q, i) for q, part in enumerate(parts) for i, b in enumerate(part)}
+    fixed = [0] * len(parts)  # each part's bits fixed so far, by position
+    chosen = []
+    for b in reversed(range(k)):
+        q, i = where[b]
+        # the subsets of part q that agree with the fixed bits and leave
+        # out block b are the masks fixed[q] + 0 .. 2^i - 1
+        excluded = max(tables[q][fixed[q]:fixed[q] + (1 << i)])
+        if total - best[q] + excluded > 0:
+            total += excluded - best[q]
+            best[q] = excluded
+        else:
+            fixed[q] |= 1 << i
+            chosen.append(b)
+    return chosen[::-1]
 
 
 def _primary_components(D: FilteredPhiModule, lead: int, factors) -> tuple:
@@ -429,16 +533,18 @@ def is_admissible(D: FilteredPhiModule) -> AdmissibilityVerdict:
     if d == 2:
         return _dim2_admissible(D, tH, tN)
     cp = D.frobenius_char_poly
-    # a small prime proves cp squarefree; the exact gcd runs without one
-    ell = squarefree_certificate(cp)
-    if ell is None and not is_squarefree(cp):
+    # a small prime proves cp squarefree; the exact gcd runs once without
+    # one, and the roots are found modulo the prime it leads to
+    form = monic_integer(cp)
+    ell = certify_squarefree(cp, form)
+    if ell is None:
         return AdmissibilityVerdict(
             UNDECIDED,
             tH,
             tN,
             {"type": "repeated_eigenvalues"},
         )
-    factored = factor_over_q(cp, ell)
+    factored = factor_over_q(cp, ell, form)
     if factored is None:
         return AdmissibilityVerdict(
             UNDECIDED, tH, tN, {"type": "unfactored_characteristic_polynomial"}

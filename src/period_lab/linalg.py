@@ -31,13 +31,15 @@ rank e r whose kernel is its annihilator (``restricted_kernel``).
 
 Polynomials over Q are coefficient lists, lowest degree first: gcd,
 squarefree test (a certificate mod a small prime first, the exact gcd
-only without one), deflation, rational roots by Hensel lifting with an
-exact check, in time polynomial in the bit-size of the coefficients, and
-the factorization over Q that root deflation certifies
-(``factor_over_q``).  The roots and the factorization are taken in ints
-on the monic integer form of the polynomial (``_monic_integer``), whose
-rational roots are integers.  Everything modulo p, over Z_p or over Q_p,
-the Hensel lifting of the rational roots included, is in ``padic_poly``.
+only without one, and then once: ``certify_squarefree``), deflation,
+rational roots by Hensel lifting with an exact check, in time polynomial
+in the bit-size of the coefficients, and the factorization over Q that
+root deflation certifies (``factor_over_q``).  The roots and the
+factorization are taken in ints on the monic integer form of the
+polynomial (``monic_integer``), whose rational roots are integers; a
+caller that holds that form passes it on.  Everything modulo p, over
+Z_p or over Q_p, the Hensel lifting of the rational roots included, is
+in ``padic_poly``.
 """
 
 from __future__ import annotations
@@ -46,8 +48,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .padic import Record, is_probable_prime
-from .padic_poly import hensel_integer_roots, is_squarefree_mod_p, poly_eval
+from .padic import Record
+from .padic_poly import (
+    hensel_integer_roots,
+    is_squarefree_mod_p,
+    least_squarefree_prime,
+    poly_eval,
+)
 
 
 class BaseFieldK(Record):
@@ -188,6 +195,32 @@ def extend_echelon(echelon, rows) -> list:
     return out
 
 
+def fundamental_circuits(rows):
+    """For each integer row that vanishes when cleared at the pivots of
+    the rows before it, as ``extend_echelon`` clears it, the indices of
+    its fundamental circuit: the rows of the one linear relation between
+    it and the rows before it that do not vanish (a basis of their span),
+    its own index last.  Yields them row by row, so a caller can stop.
+
+    Each row is tagged by a unit vector past its columns, which the
+    elimination carries along, so a vanishing row holds its relation in
+    its tags."""
+    n = len(rows)
+    echelon = []
+    for t, row in enumerate(rows):
+        m = len(row)
+        row = list(row) + [0] * n
+        row[m + t] = 1
+        for c, top in echelon:
+            if row[c]:
+                row = _clear_entry(row, top, c)
+        c = next((j for j in range(m) if row[j]), None)
+        if c is None:
+            yield [i for i in range(t + 1) if row[m + i]]
+        else:
+            echelon.append((c, row))
+
+
 def _back_substitute(echelon) -> list:
     """The reduced echelon of a forward echelon, sorted by pivot column:
     each row, from the last up, is cleared at the pivots of the rows after
@@ -270,23 +303,23 @@ def det(A) -> Fraction:
 
 def poly_eval_matrix(coeffs, A):
     """coeffs(A) for a rational polynomial, lowest degree first."""
-    C, den = poly_eval_cleared(coeffs, *clear_denominators(A))
-    return [[Fraction(x, den) for x in row] for row in C]
-
-
-def poly_eval_cleared(coeffs, B, D):
-    """(C, den) with coeffs(B / D) = C / den, for an integer matrix B and
-    an integer D > 0 (the pair of ``clear_denominators``) and C an
-    integer matrix.
-
-    With coeffs = c / L for integers, coeffs(B / D) is sum c_j D^(k-j)
-    B^j over L D^k (k the degree), and the sum is run by Horner's rule on
-    B in ints, from c_k B: a linear polynomial costs no product."""
-    n = len(B)
     (c,), L = clear_denominators([coeffs])
+    C, den = poly_eval_cleared(c, *clear_denominators(A))
+    return [[Fraction(x, L * den) for x in row] for row in C]
+
+
+def poly_eval_cleared(c, B, D):
+    """(C, D^k) with c(B / D) = C / D^k, for integer coefficients c of
+    degree k (lowest degree first), an integer matrix B and an integer
+    D > 0 (the pair of ``clear_denominators``), C an integer matrix.
+
+    c(B / D) is sum c_j D^(k-j) B^j over D^k, and the sum is run by
+    Horner's rule on B in ints, from c_k B: a linear polynomial costs no
+    product."""
+    n = len(B)
     k = len(c) - 1
     if k < 1:
-        return [[c[0] if c and i == j else 0 for j in range(n)] for i in range(n)], L
+        return [[c[0] if c and i == j else 0 for j in range(n)] for i in range(n)], 1
     acc = [[c[k] * x for x in row] for row in B]
     for j in range(k - 1, -1, -1):
         if j < k - 1:
@@ -294,23 +327,23 @@ def poly_eval_cleared(coeffs, B, D):
         term = c[j] * D ** (k - j)
         for i in range(n):
             acc[i][i] += term
-    return acc, L * D**k
+    return acc, D**k
 
 
 def nullspace(A) -> list:
     """Basis of the right kernel, one vector per free column c with a 1
-    at c and 0 at the other free columns: the integer kernel, each vector
-    divided by its entry at c."""
-    basis, free = integer_kernel(A)
+    at c and 0 at the other free columns: the integer kernel of the
+    cleared rows, each vector divided by its entry at c."""
+    basis, free = integer_kernel(clear_denominators(A)[0])
     return [[Fraction(x, v[c]) for x in v] for v, c in zip(basis, free)]
 
 
 def integer_kernel(rows):
-    """The right kernel of rational rows as primitive integer vectors;
+    """The right kernel of integer rows as primitive integer vectors;
     returns (vectors, free columns).  There is one vector per free column
     c, positive at c and zero at the other free columns, so ``nullspace``
     is each divided by its entry at c."""
-    return _kernel(extend_echelon([], clear_denominators(rows)[0]), len(rows[0]) if rows else 0)
+    return _kernel(extend_echelon([], rows), len(rows[0]) if rows else 0)
 
 
 def _kernel(echelon, m: int):
@@ -368,7 +401,7 @@ def squarefree_part(a) -> list:
 CERTIFYING_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
-def _monic_integer(a):
+def monic_integer(a):
     """(g, lead) for a rational polynomial a of degree n >= 1: with f the
     integer multiple of a by the lcm of its denominators and lead its
     leading coefficient, the monic integer g(y) = lead^(n-1) f(y / lead)."""
@@ -379,17 +412,34 @@ def _monic_integer(a):
     return [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1], lead
 
 
-def squarefree_certificate(a) -> int | None:
+def squarefree_certificate(a, form=None) -> int | None:
     """The least prime l in ``CERTIFYING_PRIMES`` modulo which the monic
-    form (``_monic_integer``) of a rational polynomial a is squarefree,
-    which proves a squarefree over Q, or None (also when a(0) = 0)."""
+    form (``monic_integer``) of a rational polynomial a is squarefree,
+    which proves a squarefree over Q, or None (also when a(0) = 0).
+    ``form`` is that monic form when the caller holds it."""
     if len(a) < 2 or not a[0] or not a[-1]:
         return None
-    g = _monic_integer(a)[0]
+    g = (form or monic_integer(a))[0]
     return next((ell for ell in CERTIFYING_PRIMES if is_squarefree_mod_p(g, ell)), None)
 
 
-def rational_roots(coeffs, ell: int | None = None) -> list:
+def certify_squarefree(a, form=None) -> int | None:
+    """A prime l modulo which the monic form g (``monic_integer``) of a
+    rational polynomial a with a(0) != 0 is squarefree, which certifies
+    a squarefree, or None when a has a repeated factor.  That is a's
+    ``squarefree_certificate`` when it has one.  Otherwise the exact gcd
+    (``is_squarefree``) decides, and runs this once: for a squarefree a
+    the least prime past ``CERTIFYING_PRIMES`` modulo which g is
+    squarefree follows, so that ``rational_roots`` needs no gcd of its
+    own.  ``form`` is g's pair when the caller holds it."""
+    form = form or monic_integer(a)
+    ell = squarefree_certificate(a, form)
+    if ell is None and is_squarefree(a):
+        ell = least_squarefree_prime(form[0], CERTIFYING_PRIMES[-1] + 1)
+    return ell
+
+
+def rational_roots(coeffs, ell: int | None = None, form=None) -> list:
     """All rational roots (with multiplicity) of a rational polynomial.
 
     Zeros come first; the other roots follow sorted by (denominator,
@@ -401,15 +451,16 @@ def rational_roots(coeffs, ell: int | None = None) -> list:
     Hensel lifting with an exact check (von zur Gathen-Gerhard, *Modern
     Computer Algebra*, ch. 15) instead of a search over divisors, so the
     work is polynomial in the bit-size of the coefficients: with y =
-    lead * x the integer polynomial becomes monic (``_monic_integer``),
+    lead * x the integer polynomial becomes monic (``monic_integer``;
+    ``form`` is that pair when the caller holds it and coeffs(0) != 0),
     whose rational roots are integers dividing its constant term.  It is
     taken modulo a prime l at which it is squarefree, so every residue
-    root is simple: ``ell``, the ``squarefree_certificate`` the caller
-    may pass, else that of a, else the least prime at which the
-    squarefree part over Q (one exact gcd with the derivative) stays
-    squarefree, and then multiplicities come from deflating the monic
-    form in ints.  The roots are lifted to l^k > 2 |constant term| and
-    checked exactly.
+    root is simple: ``ell``, a ``certify_squarefree`` the caller may pass,
+    else the ``squarefree_certificate`` of the polynomial, else the least
+    prime at which the squarefree part over Q (one exact gcd with the
+    derivative) stays squarefree, and then multiplicities come from
+    deflating the monic form in ints.  The roots are lifted to l^k > 2
+    |constant term| and checked exactly.
     """
     a = [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coeffs]
     while a and a[-1] == 0:
@@ -420,16 +471,14 @@ def rational_roots(coeffs, ell: int | None = None) -> list:
     a = a[zeros:]
     if len(a) == 1:
         return [Fraction(0)] * zeros
-    monic, lead = _monic_integer(a)
+    monic, lead = form = form or monic_integer(a)
     if ell is None:
-        ell = squarefree_certificate(a)
+        ell = squarefree_certificate(a, form)
     squarefree = ell is not None
     lifted = monic
     if not squarefree:
         lifted = [int(c) for c in squarefree_part(monic)]
-        ell = 2
-        while not (is_probable_prime(ell) and is_squarefree_mod_p(lifted, ell)):
-            ell += 1
+        ell = least_squarefree_prime(lifted)
     # every integer root divides lifted[0], which is nonzero
     k = 1
     while ell**k <= 2 * abs(lifted[0]):
@@ -445,10 +494,10 @@ def rational_roots(coeffs, ell: int | None = None) -> list:
     return [Fraction(0)] * zeros + found
 
 
-def factor_over_q(cp, ell: int | None = None) -> tuple | None:
+def factor_over_q(cp, ell: int | None = None, form=None) -> tuple | None:
     """The factorization over Q of a rational polynomial cp of degree
     n >= 1 with cp(0) != 0, on its monic integer form g(y) = lead^(n-1)
-    f(y / lead) (``_monic_integer``, f the integer multiple of cp), or
+    f(y / lead) (``monic_integer``, f the integer multiple of cp), or
     None when the elementary method (root deflation + 'degree <= 3
     without rational roots is irreducible') cannot certify it.
 
@@ -457,10 +506,11 @@ def factor_over_q(cp, ell: int | None = None) -> tuple | None:
     the order of ``rational_roots``, then what is left of g after
     deflating them out in ints, when its degree is 1 to 3.  A factor h of
     degree k stands for the monic factor h(lead x) / lead^k of cp.
-    ``ell`` is the squarefree certificate of cp, or None."""
-    g, lead = _monic_integer(cp)
+    ``ell`` is the ``certify_squarefree`` of cp, or None, and ``form`` the
+    pair (g, lead) when the caller holds it."""
+    g, lead = form = form or monic_integer(cp)
     factors = []
-    for root in rational_roots(cp, ell):
+    for root in rational_roots(cp, ell, form):
         y = root.numerator * (lead // root.denominator)
         factors.append([-y, 1])
         g = poly_deflate(g, y)

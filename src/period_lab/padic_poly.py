@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .padic import INF, centered, lower_hull, rational_valuation, residue
+from .padic import INF, centered, is_probable_prime, lower_hull, rational_valuation, residue
 
 
 def poly_eval(coeffs, x):
@@ -144,6 +144,16 @@ def is_squarefree_mod_p(f, p) -> bool:
         return False
     deriv = [i * c % p for i, c in enumerate(residues)][1:]
     return len(poly_gcd(residues, deriv, p)) == 1
+
+
+def least_squarefree_prime(f, ell: int = 2) -> int:
+    """The least prime >= ell modulo which the integer polynomial f is
+    squarefree (``is_squarefree_mod_p``).  f must be squarefree over Q
+    with a leading coefficient of +-1: then only the finitely many primes
+    that divide its discriminant fail, and the search ends."""
+    while not (is_probable_prime(ell) and is_squarefree_mod_p(f, ell)):
+        ell += 1
+    return ell
 
 
 def prime_factors(n):

@@ -18,6 +18,12 @@ Frobenius-stable middle line is decided on its own
 line is defined over Q_p is read off the coordinates of a vector listed
 for it (``line_is_rational``), not off its annihilator.
 
+``least_destabilizing`` is the depth-first walk of
+``period_lab.filtered_phi`` as it read before the blocks were split into
+parts whose rows are independent at every step: one walk over all 2^k
+subsets, the full first step included.  The split tests put it in place
+of ``filtered_phi._least_destabilizing`` and compare the verdicts.
+
 ``module_to_json`` writes a module as the object that
 ``FilteredPhiModule.from_json`` reads, for the round-trip tests; no
 command prints one.
@@ -51,13 +57,15 @@ from period_lab.filtered_phi import (
     FilteredPhiModule,
 )
 from period_lab.linalg import (
-    _monic_integer,
     clear_denominators,
+    extend_echelon,
     is_squarefree,
     mat_mul,
+    monic_integer,
     nullspace,
     poly_deflate,
     poly_eval_matrix,
+    restrict_scalars,
     rref,
     squarefree_certificate,
     squarefree_part,
@@ -237,6 +245,52 @@ def is_admissible(D) -> AdmissibilityVerdict:
     return AdmissibilityVerdict(ADMISSIBLE, tH, tN)
 
 
+def least_destabilizing(D: FilteredPhiModule, blocks, newton) -> list | None:
+    """The blocks, ascending, of the least mask S with 0 < S < 2^k - 1
+    whose subobject W_S (the span of the blocks in S) has t_H(W_S) >
+    t_N(W_S), or None.  ``newton[i]`` is t_N of block i.
+
+    A depth-first walk from the highest block down that takes "exclude"
+    before "include" meets the masks in increasing order.  The blocks are
+    the primary components of a squarefree Frobenius, so dim W_S is the
+    sum of their sizes, and a filtration step F with annihilator N meets
+    W_S in dimension dim W_S - rank_K(W_S N), the K-rank being the rank of
+    the restricted rows of the K-rows (w . n)_n over e.  Each block's
+    restricted products with each N are formed once, and an "include" edge
+    extends the echelon of each step by the new block's products alone."""
+    k = len(blocks)
+    E, e = D.base.eisenstein, D.base.e
+    # the j-th coordinate of w . n is the product of w with n[j::e], the
+    # j-th coordinates of n's entries
+    steps = [[[n[j::e] for j in range(e)] for n, _ in ann] for ann in D._annihilators]
+    products = [
+        [
+            restrict_scalars([[[sum(map(mul, w, c)) for c in n] for n in ann] for w in block], E)
+            for ann in steps
+        ]
+        for block in blocks
+    ]
+    full = 2**k - 1
+
+    def walk(i, mask, dim, newton_sum, echelons):
+        if i < 0:
+            if 0 < mask < full:
+                dims = [dim - len(echelon) // e for echelon in echelons]
+                if D.induced_hodge_number(dims) > newton_sum:
+                    return mask
+            return None
+        return walk(i - 1, mask, dim, newton_sum, echelons) or walk(
+            i - 1,
+            mask | 1 << i,
+            dim + len(blocks[i]),
+            newton_sum + newton[i],
+            [extend_echelon(ech, rows) for ech, rows in zip(echelons, products[i])],
+        )
+
+    mask = walk(k - 1, 0, 0, 0, [[] for _ in steps])
+    return None if mask is None else [i for i in range(k) if mask >> i & 1]
+
+
 def module_to_json(D) -> dict:
     """A filtered phi-module as JSON; each basis entry lists its
     coordinates on 1, pi, pi^2, ..."""
@@ -320,7 +374,7 @@ def rational_roots(coeffs, ell: int | None = None) -> list:
     Hensel lifting with an exact check (von zur Gathen-Gerhard, *Modern
     Computer Algebra*, ch. 15) instead of a search over divisors, so the
     work is polynomial in the bit-size of the coefficients: with y =
-    lead * x the integer polynomial becomes monic (``_monic_integer``),
+    lead * x the integer polynomial becomes monic (``monic_integer``),
     whose rational roots are integers dividing its constant term.  It is
     taken modulo a prime l at which it is squarefree, so every residue
     root is simple: ``ell``, the ``squarefree_certificate`` the caller
@@ -338,7 +392,7 @@ def rational_roots(coeffs, ell: int | None = None) -> list:
     a = a[zeros:]
     if len(a) == 1:
         return [Fraction(0)] * zeros
-    monic, lead = _monic_integer(a)
+    monic, lead = monic_integer(a)
     if ell is None:
         ell = squarefree_certificate(a)
     squarefree = ell is not None

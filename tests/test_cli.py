@@ -803,8 +803,8 @@ json.dump([[code.co_filename, code.co_firstlineno] for code in reached], sys.std
 # perfbench/tracing.py TARGETS, and these are reached by an edge branch
 _HELD_BY_A_BRANCH = {
     "jets.JetContext.zero": "JetElement.__pow__, when the power vanishes below the order",
-    "linalg.squarefree_part": "phimod, on a squarefree characteristic polynomial that no "
-                              "prime up to 29 certifies (rational_roots with no certificate)",
+    "linalg.squarefree_part": "rational_roots (a TARGETS name) on a polynomial with a repeated "
+                              "root and no certificate passed; phimod passes one",
     "tilt.FqElement.power": "tilt probe past n = 0 on Teichmueller parts of f > 1 that "
                             "cancel at the level (theta of phi^n applies Frobenius to them)",
 }

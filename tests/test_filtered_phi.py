@@ -4,6 +4,7 @@ import time
 from fractions import Fraction as F
 from math import isqrt
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,6 +14,7 @@ import admissibility_reference
 import linalg_reference as ref
 from admissibility_reference import direct_sum, dual, filtration, matrix_inverse, tensor
 
+from period_lab import filtered_phi
 from period_lab.characters import classify
 from period_lab.filtered_phi import (
     FilteredPhiModule,
@@ -22,7 +24,16 @@ from period_lab.filtered_phi import (
     dim2_module,
     is_admissible,
 )
-from period_lab.linalg import BaseFieldK, char_poly, det, mat_mul, rational_roots
+from period_lab.linalg import (
+    BaseFieldK,
+    certify_squarefree,
+    char_poly,
+    det,
+    factor_over_q,
+    mat_mul,
+    monic_integer,
+    rational_roots,
+)
 from period_lab.padic import rational_valuation
 from period_lab.padic_poly import is_padic_square
 
@@ -31,6 +42,7 @@ if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 import modules  # noqa: E402
 import oracles  # noqa: E402
+import workloads  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -829,6 +841,17 @@ def test_rank2_stable_line_matches_brute_force(obj):
 # ---------------------------------------------------------------------------
 
 
+def _unimodular_moves(draw, d):
+    """An integer matrix of determinant 1: the identity after up to 3 d
+    random row additions."""
+    P = [[F(int(i == j)) for j in range(d)] for i in range(d)]
+    moves = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.sampled_from([-2, -1, 1, 2]))
+    for i, j, c in draw(st.lists(moves, max_size=3 * d)):
+        if i != j:
+            P[i] = [a + c * b for a, b in zip(P[i], P[j])]
+    return P
+
+
 @st.composite
 def scanned_modules(draw, primes=(2, 3, 5), degrees=(1, 2, 3), ranks=range(3, 9)):
     """A module of rank 3-8 over K of degree 1-3 (or of the given primes,
@@ -877,11 +900,7 @@ def scanned_modules(draw, primes=(2, 3, 5), degrees=(1, 2, 3), ranks=range(3, 9)
         B[i][i] = signs[i] * units[i] * F(p) ** vals[i]
     if quadratic:
         B[d - 2][d - 1], B[d - 1][d - 2], B[d - 1][d - 1] = -c0, F(1), -c1
-    P = [[F(int(i == j)) for j in range(d)] for i in range(d)]
-    moves = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.sampled_from([-2, -1, 1, 2]))
-    for i, j, c in draw(st.lists(moves, max_size=3 * d)):
-        if i != j:
-            P[i] = [a + c * b for a, b in zip(P[i], P[j])]
+    P = _unimodular_moves(draw, d)
     frob = mat_mul(mat_mul(P, B), matrix_inverse(P))
     base = BaseFieldK(p, [-p] + [0] * (e - 1) + [1])
     coords = st.lists(st.integers(-3, 3), min_size=e, max_size=e)
@@ -1009,6 +1028,146 @@ def test_rank_13_direct_sum_decides_within_budget():
     verdict = is_admissible(D)
     assert time.perf_counter() - start < 1.5
     assert verdict.status == "admissible"
+
+
+# ---------------------------------------------------------------------------
+# the split into direct summands before the walk
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def conjugated_direct_sums(draw):
+    """A direct sum of rank 3-10 over K of degree 1 or 2 whose parts, of
+    rank 1-4, are built as ``scanned_modules`` builds a module: distinct
+    rational eigenvalues (their units distinct over all parts), at most
+    one irreducible quadratic block in all, t_H = t_N in each part, and a
+    planted eigenline of valuation below the part's top weight in some.
+    The sum is then conjugated by a random integer P of determinant 1, so
+    that its summands do not show in the coordinates."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    e = draw(st.sampled_from((1, 2)))
+    ranks = []
+    while len(ranks) < 2 or sum(ranks) < 3 or (sum(ranks) < 10 and draw(st.booleans())):
+        ranks.append(draw(st.integers(1, min(4, 10 - sum(ranks)))))
+    d = sum(ranks)
+    quadratic = draw(st.sampled_from([None] + [q for q, r in enumerate(ranks) if r >= 3]))
+    n_lin = d - 2 * (quadratic is not None)
+    units = draw(
+        st.lists(st.integers(1, 60).filter(lambda u: u % p), min_size=n_lin, max_size=n_lin, unique=True)
+    )
+    coords = st.lists(st.integers(-3, 3), min_size=e, max_size=e)
+    frob = [[F(0)] * d for _ in range(d)]
+    basis, weights = [], []
+    offset = 0
+    for q, r in enumerate(ranks):
+        lin = r - 2 if q == quadratic else r
+        planted = lin >= 2 and draw(st.booleans())
+        top = draw(st.sampled_from([1, 2]))
+        part_weights = draw(st.lists(st.integers(0, top), min_size=r, max_size=r))
+        vals = draw(st.lists(st.integers(top - 2, top), min_size=lin, max_size=lin))
+        if planted:
+            line = draw(st.integers(1, lin - 1))
+            part_weights[-1] = top
+            vals[line] = min(vals[line], top - 1)
+        vq = 0
+        B = [[F(0)] * r for _ in range(r)]
+        if q == quadratic:
+            c0 = draw(st.sampled_from([1, -1, 2, -2, 7])) * F(p) ** draw(st.integers(-1, 2))
+            c1 = F(draw(st.integers(-5, 5)))
+            disc = c1 * c1 - 4 * c0
+            assume(disc < 0 or isqrt(disc.numerator) ** 2 != disc.numerator
+                   or isqrt(disc.denominator) ** 2 != disc.denominator)
+            vq = rational_valuation(c0, p)
+            B[r - 2][r - 1], B[r - 1][r - 2], B[r - 1][r - 1] = -c0, F(1), -c1
+        vals[0] = sum(part_weights) - sum(vals[1:]) - vq
+        for i in range(lin):
+            B[i][i] = draw(st.sampled_from([1, -1])) * units.pop() * F(p) ** vals[i]
+        P = _unimodular_moves(draw, r)
+        block = mat_mul(mat_mul(P, B), matrix_inverse(P))
+        for i in range(r):
+            frob[offset + i][offset:offset + r] = block[i]
+        part_basis = [[draw(coords) for _ in range(r)] for _ in range(r)]
+        if planted:
+            part_basis[-1] = [[int(x)] + [0] * (e - 1) for x in (row[line] for row in P)]
+        zero = [0] * e
+        basis += [[zero] * offset + v + [zero] * (d - offset - r) for v in part_basis]
+        weights += part_weights
+        offset += r
+    Q = _unimodular_moves(draw, d)
+    frob = mat_mul(mat_mul(Q, frob), matrix_inverse(Q))
+    basis = [
+        [[sum(int(a) * x[l] for a, x in zip(row, v)) for l in range(e)] for row in Q] for v in basis
+    ]
+    steps = [(j, [v for v, h in zip(basis, weights) if h >= j]) for j in sorted(set(weights))]
+    try:
+        return FilteredPhiModule(BaseFieldK(p, [-p] + [0] * (e - 1) + [1]), frob, steps)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(conjugated_direct_sums())
+def test_split_walk_matches_the_unsplit_reference(D):
+    verdict = is_admissible(D).to_json()
+    unsplit = admissibility_reference.least_destabilizing
+    with mock.patch.object(filtered_phi, "_least_destabilizing", unsplit):
+        assert verdict == is_admissible(D).to_json()
+
+
+def _split_components(D):
+    """(blocks, parts): the primary components that ``is_admissible``
+    walks, and their split."""
+    cp = D.frobenius_char_poly
+    form = monic_integer(cp)
+    lead, factors = factor_over_q(cp, certify_squarefree(cp, form), form)
+    blocks = [c for c, _ in filtered_phi._primary_components(D, lead, factors)[0]]
+    return blocks, filtered_phi._split(filtered_phi._block_products(D, blocks))
+
+
+def test_the_split_finds_the_planted_summands():
+    # the CI frontier payload: 16 rank-1 summands, 16 parts of one block
+    rng = random.Random(1)
+    lam = [rng.choice((1, -1)) * 3 ** (i % 3) * (3 * i + 1) for i in range(16)]
+    summands = [modules.module(3, [-3, 1], [[x]], [(i % 3, [modules.rational_vec([1])])])
+                for i, x in enumerate(lam)]
+    D = FilteredPhiModule.from_json(modules.direct_sum(summands))
+    assert _split_components(D)[1] == [[b] for b in range(16)]
+    # the benchmark's large direct sums: the generic filtration line of the
+    # rank-2 summand (on the first two coordinates) keeps its two
+    # eigenlines in one part, and every rank-1 summand is a part alone
+    rng = random.Random(2)
+    for d, target in workloads.LARGE_SLOTS:
+        D = FilteredPhiModule.from_json(workloads.large_direct_sum(rng, d, target))
+        blocks, parts = _split_components(D)
+        two = [b for b, block in enumerate(blocks) if not any(x for v in block for x in v[2:])]
+        assert len(two) == 2
+        assert sorted(parts) == sorted([two] + [[b] for b in range(d) if b not in two])
+        assert is_admissible(D).status == "admissible"
+
+
+def test_the_split_finds_the_summands_in_any_basis():
+    # rank-2 summands (eigenbasis (1, 1), (1, 2), the line (1, 0) at jump
+    # 1) and rank-1 summands, conjugated by an integer P of determinant
+    # +-1: the parts are the summands, and the sum is admissible
+    rng = random.Random(3)
+    summands = []
+    for i in range(7):
+        if i % 2:
+            summands.append(modules.module(3, [-3, 1], [[3 ** (i % 3) * (3 * i + 1)]],
+                                           [(i % 3, [modules.rational_vec([1])])]))
+        else:
+            frob = modules.conjugate([[1, 1], [1, 2]], [[-(3 * i + 1), 0], [0, 3 * (3 * i + 2)]])
+            summands.append(modules.module(3, [-3, 1], frob, modules.hodge_filtration(
+                [modules.rational_vec([1, 0]), modules.rational_vec([0, 1])], [1, 0])))
+    p, E, frob, steps = modules.parse_module(modules.direct_sum(summands))
+    d = len(frob)
+    P = modules.unimodular(rng, d, moves=2 * d)
+    steps = [(j, [modules.rational_vec([sum(a * x for a, (x,) in zip(row, v)) for row in P])
+                  for v in vecs]) for j, vecs in steps]
+    D = FilteredPhiModule.from_json(modules.module(p, E, modules.conjugate(P, frob), steps))
+    blocks, parts = _split_components(D)
+    assert sorted(map(len, parts)) == [1, 1, 1, 2, 2, 2, 2]
+    assert is_admissible(D).status == "admissible"
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # inexact-teichmuller branch of run_tilt, and theta's root exponent
 # through padic.residue for the prime-to-p denominator of eps^(1/2);
 # Cantor-Zassenhaus in roots_mod_p (p >= 128); is_irreducible_mod_p on
-# the cubic x^3 + x - 1, irreducible over Q_2
+# the cubic x^3 + x - 1, irreducible over Q_2; a squarefree
+# characteristic polynomial that no prime up to 29 certifies (the
+# eigenvalues 1 and 1 + 29# meet mod each of them), decided by the exact
+# gcd and then factored modulo a larger prime
 _TERM = {"coeff": 1, "a": "0", "c": "0"}
 FIXED = [
     ("tilt-theta-f2", "tilt", {"p": 3, "op": "theta", "level": 2,
@@ -51,6 +54,12 @@ FIXED = [
         "p": 2, "eisenstein": [-2, 1], "frobenius": [[0, 0, 1], [1, 0, -1], [0, 1, 0]],
         "filtration": [{"jump": 0, "basis": [[["1"], ["0"], ["0"]], [["0"], ["1"], ["0"]],
                                              [["0"], ["0"], ["1"]]]}],
+    }),
+    ("phimod-uncertified", "phimod", {
+        "p": 3, "eisenstein": [-3, 1], "frobenius": [[1, 0, 0], [0, 6469693231, 0], [0, 0, 6]],
+        "filtration": [{"jump": 0, "basis": [[["1"], ["0"], ["0"]], [["0"], ["1"], ["0"]],
+                                             [["0"], ["0"], ["1"]]]},
+                       {"jump": 1, "basis": [[["1"], ["1"], ["1"]]]}],
     }),
 ]
 
